@@ -2,16 +2,17 @@
 
 Exit codes: 0 the language is empty (or the command succeeded for
 non-verdict commands), 10 nonempty, 2 parse/validation/unsupported-input
-errors, 3 abstraction budget exceeded, 1 failed analysis suites.
+errors or a closed stdout, 3 abstraction budget exceeded, 1 failed
+analysis suites.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -29,8 +30,6 @@ from .errors import (
 )
 from .parametric import (
     DEFAULT_REGION_BUDGET,
-    Verdict,
-    candidate_parameters,
     emptiness_fixed,
     parametric_emptiness,
     prepare_fixed,
@@ -53,7 +52,7 @@ class Report:
     verdict: str
     witness_mu: Optional[str]
     candidates_checked: int
-    region_nodes: int
+    zone_nodes: int
     lasso: Optional[dict]
     timings: dict
 
@@ -88,44 +87,13 @@ def _mu_str(mu: Optional[Fraction]) -> Optional[str]:
     return f"{mu.numerator}/{mu.denominator}" if mu.denominator != 1 else str(mu.numerator)
 
 
-def _candidate_verdict(payload) -> tuple[str, bool, int]:
-    a, value, max_nodes = payload
-    v = emptiness_fixed(a, value, max_nodes, include_lasso=False)
-    return str(value), v.nonempty, v.region_nodes
-
-
-def _parallel_parametric(a: Automaton, max_nodes: int, jobs: int) -> Verdict:
-    cs = candidate_parameters(a)
-    payloads = [(a, cand.value, max_nodes) for cand in cs.candidates]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        results = list(pool.map(_candidate_verdict, payloads))
-    total_nodes = sum(nodes for _, _, nodes in results)
-    for cand, (_, nonempty, _) in zip(cs.candidates, results):
-        if nonempty:
-            v = emptiness_fixed(a, cand.value, max_nodes)
-            return Verdict(
-                True, cand.value, v.lasso, v.scaled_by, v.m,
-                len(cs.candidates), total_nodes,
-            )
-    return Verdict(False, None, None, 1, 0, len(cs.candidates), total_nodes)
-
-
 def cmd_check(args) -> int:
     a = _load_automaton(args.file)
-    if args.auto_translate and not is_nrtta(a):
-        a = ta_to_nrtta(a)
     t0 = time.perf_counter()
     if args.mu is not None:
         verdict = emptiness_fixed(a, parse_rational(args.mu), args.max_regions)
-    elif not a.params:
-        verdict = emptiness_fixed(a, None, args.max_regions)
-    elif args.jobs and args.jobs > 1:
-        b = a if is_nrtta(a) else ta_to_nrtta(a)
-        if len(b.clocks) > 2:
-            raise UnsupportedAutomaton(f"at most two clocks supported, got {len(b.clocks)}")
-        verdict = _parallel_parametric(b, args.max_regions, args.jobs)
     else:
-        verdict = parametric_emptiness(a, args.max_regions)
+        verdict = parametric_emptiness(a, args.max_regions, args.jobs)
     wall_ms = round((time.perf_counter() - t0) * 1000)
 
     word_text = None
@@ -136,7 +104,7 @@ def cmd_check(args) -> int:
         "Nonempty" if verdict.nonempty else "Empty",
         _mu_str(verdict.witness_mu),
         verdict.candidates_checked,
-        verdict.region_nodes,
+        verdict.zone_nodes,
         _lasso_dict(verdict.lasso),
         {"wall_ms": wall_ms},
     )
@@ -149,12 +117,11 @@ def cmd_check(args) -> int:
             print(report.verdict)
         print(
             f"candidates checked: {report.candidates_checked}, "
-            f"abstraction nodes: {report.region_nodes}, wall ms: {wall_ms}"
+            f"abstraction nodes: {report.zone_nodes}, wall ms: {wall_ms}"
         )
-        if verdict.lasso is not None:
-            d = _lasso_dict(verdict.lasso)
-            print("lasso stem:  " + "  ->  ".join(d["stem"]))
-            print("lasso cycle: " + "  ->  ".join(d["cycle"]))
+        if report.lasso is not None:
+            print("lasso stem:  " + "  ->  ".join(report.lasso["stem"]))
+            print("lasso cycle: " + "  ->  ".join(report.lasso["cycle"]))
         if word_text is not None:
             print("witness word (one cycle unrolling):")
             print(word_text, end="")
@@ -275,8 +242,6 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--witness", action="store_true", help="also print a concrete timed word")
     c.add_argument("--json", action="store_true", help="machine-readable report")
     c.add_argument("--max-regions", type=int, default=DEFAULT_REGION_BUDGET)
-    c.add_argument("--auto-translate", action="store_true",
-                   help="translate away test-and-reset clocks before checking")
     c.add_argument("--jobs", type=int, default=1, help="parallel candidate checks")
     c.add_argument("--unrollings", type=int, default=1)
     c.set_defaults(fn=cmd_check)
@@ -320,7 +285,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:  # stdout closed: devnull keeps the exit flush from failing again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BAD_INPUT
     except RegionBudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET

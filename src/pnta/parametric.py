@@ -12,6 +12,8 @@ away denominators.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -65,7 +67,7 @@ class Verdict:
     scaled_by: int
     m: int
     candidates_checked: int
-    region_nodes: int
+    zone_nodes: int
 
 
 def candidate_parameters(a: Automaton) -> CandidateSet:
@@ -169,6 +171,22 @@ def prepare_fixed(
     return scaled, m, d
 
 
+def _searched(a: Automaton) -> Automaton:
+    """The automaton a check searches: one-clock test-and-reset input is translated."""
+    if len(a.clocks) == 1 and not is_nrtta(a):
+        return ta_to_nrtta(a)
+    return a
+
+
+def _region_lasso(scaled: Automaton, m: int, max_nodes: int) -> SymbolicLasso:
+    lasso = find_lasso(scaled, m, max_nodes)
+    if lasso is None:
+        raise AssertionError(
+            "internal inconsistency: zone engine found a lasso the region engine did not"
+        )
+    return lasso
+
+
 def emptiness_fixed(
     a: Automaton,
     mu: Optional[Rational] = None,
@@ -177,65 +195,70 @@ def emptiness_fixed(
 ) -> Verdict:
     """Emptiness at one fixed parameter value (or of a parameter-free automaton).
 
-    The verdict comes from the zone engine; when the language is nonempty
-    and include_lasso is set, a symbolic lasso over the scaled automaton's
-    regions is recovered by the region engine.
+    The verdict comes from the zone engine, on the translation of one-clock
+    test-and-reset input; when the language is nonempty and include_lasso is
+    set, a symbolic lasso over the scaled automaton's regions is recovered
+    by the region engine.
     """
-    if a.params and mu is None:
-        raise PreconditionViolated("parameter value required for a parametric automaton")
-    scaled, m, d = prepare_fixed(a, mu)
+    scaled, m, d = prepare_fixed(_searched(a), mu)
     nonempty, explored = zone_nonempty(scaled, m, max_nodes)
-    lasso = None
-    if nonempty and include_lasso:
-        lasso = find_lasso(scaled, m, max_nodes)
-        if lasso is None:
-            raise AssertionError(
-                "internal inconsistency: zone engine found a lasso the region engine did not"
-            )
+    lasso = _region_lasso(scaled, m, max_nodes) if nonempty and include_lasso else None
     witness = Fraction(mu) if (nonempty and mu is not None) else None
     return Verdict(nonempty, witness, lasso, d, m, 1, explored)
 
 
-def _checkable(a: Automaton) -> Automaton:
-    """Resolve the automaton actually searched (auto-translating one-clock input)."""
-    if not is_nrtta(a):
-        if len(a.clocks) == 1:
-            return ta_to_nrtta(a)
-        raise UnsupportedAutomaton(
-            "guard-and-reset of the same clock is only supported for one-clock automata"
-        )
-    return a
+def clamp_jobs(jobs: int, n_candidates: int) -> int:
+    """Worker processes for a sweep: jobs clamped to [1, min(cpu count, candidates)]."""
+    return max(1, min(jobs, os.cpu_count() or 1, n_candidates))
 
 
 def parametric_emptiness(
-    a: Automaton, max_nodes: int = DEFAULT_REGION_BUDGET
+    a: Automaton, max_nodes: int = DEFAULT_REGION_BUDGET, jobs: int = 1
 ) -> Verdict:
     """Does any real parameter value give the automaton a nonempty language?
 
     Checks the finite candidate list in ascending order and reports the
-    first nonempty value as witness.  One-clock automata that test and
-    reset the same clock are translated first; two-clock automata that do
-    so are rejected, as are automata with more than two clocks or more
-    than one parameter.
+    first nonempty value as witness; with jobs > 1 the zone searches run in
+    worker processes, but the verdict and its counts are the same.  One-clock
+    automata that test and reset the same clock are translated first;
+    two-clock automata that do so are rejected, as are automata with more
+    than two clocks or more than one parameter.  A parameter-free automaton
+    is decided as by emptiness_fixed, with any number of clocks.
     """
+    if not a.params:
+        return emptiness_fixed(a, None, max_nodes)
     if len(a.params) > 1:
         raise UnsupportedAutomaton(f"at most one parameter supported, got {len(a.params)}")
-    b = _checkable(a)
+    b = _searched(a)
+    if not is_nrtta(b):
+        raise UnsupportedAutomaton(
+            "guard-and-reset of the same clock is only supported for one-clock automata"
+        )
     if len(b.clocks) > 2:
         raise UnsupportedAutomaton(f"at most two clocks supported, got {len(b.clocks)}")
-    if not b.params:
-        v = emptiness_fixed(b, None, max_nodes)
-        return Verdict(v.nonempty, None, v.lasso, v.scaled_by, v.m, 1, v.region_nodes)
-    cs = candidate_parameters(b)
-    checked = 0
-    total_nodes = 0
-    for cand in cs.candidates:
-        checked += 1
-        v = emptiness_fixed(b, cand.value, max_nodes)
-        total_nodes += v.region_nodes
-        if v.nonempty:
-            return Verdict(True, cand.value, v.lasso, v.scaled_by, v.m, checked, total_nodes)
-    return Verdict(False, None, None, 1, 0, checked, total_nodes)
+    values = candidate_parameters(b).values
+    prepared = (prepare_fixed(b, mu) for mu in values)  # lazy: a serial sweep stops early
+    workers = clamp_jobs(jobs, len(values))
+    pool = ProcessPoolExecutor(workers) if workers > 1 else None
+    try:
+        if pool is None:
+            results = ((p, zone_nonempty(p[0], p[1], max_nodes)) for p in prepared)
+        else:
+            futures = [(p, pool.submit(zone_nonempty, p[0], p[1], max_nodes)) for p in prepared]
+            results = ((p, f.result()) for p, f in futures)
+        checked = total_nodes = 0
+        for (scaled, m, d), (nonempty, nodes) in results:
+            checked += 1
+            total_nodes += nodes
+            if nonempty:
+                break
+        else:
+            return Verdict(False, None, None, 1, 0, checked, total_nodes)
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+    lasso = _region_lasso(scaled, m, max_nodes)
+    return Verdict(True, values[checked - 1], lasso, d, m, checked, total_nodes)
 
 
 def witness_word(a: Automaton, verdict: Verdict, unrollings: int = 1) -> TimedWord:
@@ -247,8 +270,7 @@ def witness_word(a: Automaton, verdict: Verdict, unrollings: int = 1) -> TimedWo
     """
     if not verdict.nonempty or verdict.lasso is None:
         raise PreconditionViolated("a Nonempty verdict with a lasso is required")
-    b = _checkable(a)
-    scaled, m, d = prepare_fixed(b, verdict.witness_mu)
+    scaled, m, d = prepare_fixed(_searched(a), verdict.witness_mu)
     assert d == verdict.scaled_by and m == verdict.m
     w = concretize_lasso(scaled, m, verdict.lasso, unrollings)
     return TimedWord.of((letter, ts / d) for letter, ts in w)

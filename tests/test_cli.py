@@ -28,7 +28,7 @@ def test_check_json_report(data_dir, capsys):
     assert report["verdict"] == "Nonempty"
     assert report["witness_mu"] == "41/40"
     assert report["candidates_checked"] == 6
-    assert report["region_nodes"] > 0
+    assert report["zone_nodes"] > 0
     assert report["lasso"]["cycle"]
     assert "wall_ms" in report["timings"]
 
@@ -56,6 +56,66 @@ def test_check_parallel_jobs_same_verdict(data_dir, capsys):
     code, out, _ = _run(capsys, "check", str(data_dir / "e_window.ta"), "--jobs", "2")
     assert code == 10
     assert "41/40" in out
+
+
+def test_check_jobs_do_not_change_counts(data_dir, capsys):
+    reports = []
+    for jobs in ("1", "2"):
+        code, out, _ = _run(capsys, "check", str(data_dir / "e_window.ta"), "--json",
+                            "--jobs", jobs)
+        assert code == 10
+        reports.append(json.loads(out))
+    serial, parallel = reports
+    assert parallel["witness_mu"] == serial["witness_mu"] == "41/40"
+    assert parallel["candidates_checked"] == serial["candidates_checked"] == 6
+    assert parallel["zone_nodes"] == serial["zone_nodes"]
+
+
+def test_check_budget_stop_same_with_jobs(data_dir, capsys):
+    for jobs in ("1", "2"):
+        code, _, err = _run(capsys, "check", str(data_dir / "e_window.ta"),
+                            "--max-regions", "1", "--jobs", jobs)
+        assert code == 3
+        assert err == "budget exceeded: region node budget exceeded (1 nodes)\n"
+
+
+TEST_AND_RESET = (
+    "automaton tr\nclocks x\n{params}init q0\naccept q1\n"
+    "trans q0 q1 a ( x = 1 ) {{ x }}\n"
+    "trans q1 q1 a ( x = {bound} ) {{ x }}\n"
+)
+
+
+@pytest.mark.parametrize("params, bound, argv, interp", [
+    ("params mu\n", "mu", ("--mu", "1"), {"mu": 1}),
+    ("", "1", (), None),
+])
+def test_check_witness_on_one_clock_test_and_reset(tmp_path, capsys, params, bound, argv,
+                                                  interp):
+    from pnta import parse_automaton, parse_timed_word, run_frontiers
+
+    text = TEST_AND_RESET.format(params=params, bound=bound)
+    p = tmp_path / "tr.ta"
+    p.write_text(text)
+    code, out, err = _run(capsys, "check", str(p), *argv, "--witness")
+    assert code == 10, err
+    w = parse_timed_word(out.split("witness word (one cycle unrolling):\n", 1)[1])
+    frontiers = run_frontiers(parse_automaton(text), w, interp)
+    assert all(frontiers)
+    assert "q1" in {c.state for c in frontiers[-1]}
+
+
+@pytest.mark.parametrize("clocks, trans", [
+    ("x y z", "trans q0 q0 a ( x < 1 ) { x y z }\n"),
+    ("x y", "trans q0 q0 a ( x = 1 ) { x }\ntrans q0 q0 b ( y < 1 ) { y }\n"),
+], ids=["three-clocks", "two-clock-test-and-reset"])
+def test_check_decides_parameter_free_input_beyond_the_sweep(tmp_path, capsys, clocks, trans):
+    # three clocks, or two with test-and-reset: outside the parametric sweep, but decidable
+    p = tmp_path / "free.ta"
+    p.write_text(f"automaton free\nclocks {clocks}\ninit q0\naccept q0\n{trans}")
+    code, out, err = _run(capsys, "check", str(p))
+    assert code == 10, err
+    assert out.startswith("Nonempty")
 
 
 def test_check_budget_exit_code(data_dir, capsys):
@@ -160,6 +220,17 @@ def test_analyze_exit_codes(capsys):
     assert code == 0
     for name in ("prop1", "prop2", "lemma4", "lemma3"):
         assert name in out
+
+
+def test_check_closed_stdout_has_no_traceback(data_dir):
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "pnta.cli", "check", str(data_dir / "e_window.ta"), "--witness"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    proc.stdout.close()  # before the verdict is printed
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 2
+    assert "Traceback" not in err and "BrokenPipeError" not in err
 
 
 def test_console_script_entry_point(data_dir):

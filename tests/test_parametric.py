@@ -1,5 +1,6 @@
 """Candidate enumeration, instantiation, scaling, and the decision sweep."""
 
+import os
 import random
 from fractions import Fraction
 
@@ -25,7 +26,7 @@ from pnta import (
     scale_constants,
     witness_word,
 )
-from pnta.parametric import FRACTIONAL_REP, HALF_INTEGER, LARGE_REP
+from pnta.parametric import FRACTIONAL_REP, HALF_INTEGER, LARGE_REP, clamp_jobs
 from randgen import rand_nrtta
 
 
@@ -161,6 +162,15 @@ def test_parametric_auto_translates_one_clock():
     )
     v = parametric_emptiness(a)
     assert v.nonempty
+
+
+def test_clamp_jobs_bounds():
+    cpus = os.cpu_count() or 1
+    assert clamp_jobs(0, 10) == 1
+    assert clamp_jobs(-3, 10) == 1
+    assert clamp_jobs(10**6, 10) == min(cpus, 10)
+    assert clamp_jobs(10**6, 1) == 1
+    assert clamp_jobs(2, 10) == min(cpus, 2)
 
 
 def test_witness_word_replays(window):
