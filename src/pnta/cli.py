@@ -229,6 +229,16 @@ def cmd_analyze(args) -> int:
     return EXIT_SUITE_FAILURE if failed else 0
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="pnta",
@@ -241,7 +251,7 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--mu", help="fix the parameter to this rational instead of sweeping")
     c.add_argument("--witness", action="store_true", help="also print a concrete timed word")
     c.add_argument("--json", action="store_true", help="machine-readable report")
-    c.add_argument("--max-regions", type=int, default=DEFAULT_REGION_BUDGET)
+    c.add_argument("--max-regions", type=_positive_int, default=DEFAULT_REGION_BUDGET)
     c.add_argument("--jobs", type=int, default=1, help="parallel candidate checks")
     c.add_argument("--unrollings", type=int, default=1)
     c.set_defaults(fn=cmd_check)
@@ -261,7 +271,7 @@ def _build_parser() -> argparse.ArgumentParser:
     r.add_argument("file")
     r.add_argument("--mu", help="parameter value (required for parametric input)")
     r.add_argument("--dot", help="write DOT to this path")
-    r.add_argument("--max-regions", type=int, default=DEFAULT_REGION_BUDGET)
+    r.add_argument("--max-regions", type=_positive_int, default=DEFAULT_REGION_BUDGET)
     r.set_defaults(fn=cmd_regions)
 
     g = sub.add_parser("gen", help="generate an example automaton")

@@ -25,10 +25,10 @@ from .errors import (
     PreconditionViolated,
     UnsupportedAutomaton,
 )
-from .regions import DEFAULT_REGION_BUDGET, SymbolicLasso, concretize_lasso, find_lasso
+from .regions import DEFAULT_REGION_BUDGET, SymbolicLasso
 from .semantics import TimedWord
 from .translate import ta_to_nrtta
-from .zones import zone_nonempty
+from .zones import ZoneLasso, region_lasso, run_timestamps, zone_lasso, zone_nonempty
 
 Rational = Union[int, Fraction]
 
@@ -68,6 +68,7 @@ class Verdict:
     m: int
     candidates_checked: int
     zone_nodes: int
+    zone_lasso: Optional[ZoneLasso] = None
 
 
 def candidate_parameters(a: Automaton) -> CandidateSet:
@@ -178,13 +179,12 @@ def _searched(a: Automaton) -> Automaton:
     return a
 
 
-def _region_lasso(scaled: Automaton, m: int, max_nodes: int) -> SymbolicLasso:
-    lasso = find_lasso(scaled, m, max_nodes)
+def _lassos(scaled: Automaton, m: int, max_nodes: int) -> tuple[SymbolicLasso, ZoneLasso]:
+    """(region lasso, zone lasso) of an automaton the zone search found nonempty."""
+    lasso = zone_lasso(scaled, m, max_nodes)
     if lasso is None:
-        raise AssertionError(
-            "internal inconsistency: zone engine found a lasso the region engine did not"
-        )
-    return lasso
+        raise AssertionError("internal inconsistency: the zone graph lost its accepting lasso")
+    return region_lasso(scaled, m, lasso), lasso
 
 
 def emptiness_fixed(
@@ -197,14 +197,14 @@ def emptiness_fixed(
 
     The verdict comes from the zone engine, on the translation of one-clock
     test-and-reset input; when the language is nonempty and include_lasso is
-    set, a symbolic lasso over the scaled automaton's regions is recovered
-    by the region engine.
+    set, the verdict carries a shortest zone lasso and the region lasso that
+    a concrete run along it follows on the scaled automaton.
     """
     scaled, m, d = prepare_fixed(_searched(a), mu)
     nonempty, explored = zone_nonempty(scaled, m, max_nodes)
-    lasso = _region_lasso(scaled, m, max_nodes) if nonempty and include_lasso else None
+    lasso, zl = _lassos(scaled, m, max_nodes) if nonempty and include_lasso else (None, None)
     witness = Fraction(mu) if (nonempty and mu is not None) else None
-    return Verdict(nonempty, witness, lasso, d, m, 1, explored)
+    return Verdict(nonempty, witness, lasso, d, m, 1, explored, zl)
 
 
 def clamp_jobs(jobs: int, n_candidates: int) -> int:
@@ -257,20 +257,24 @@ def parametric_emptiness(
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
-    lasso = _region_lasso(scaled, m, max_nodes)
-    return Verdict(True, values[checked - 1], lasso, d, m, checked, total_nodes)
+    lasso, zl = _lassos(scaled, m, max_nodes)
+    return Verdict(True, values[checked - 1], lasso, d, m, checked, total_nodes, zl)
 
 
 def witness_word(a: Automaton, verdict: Verdict, unrollings: int = 1) -> TimedWord:
     """Concrete timed word (in the original time unit) realizing a Nonempty verdict.
 
-    Replays the verdict's lasso on the scaled automaton and divides the
-    timestamps back by the scale factor, so the word is accepted by the
-    input automaton at the witness parameter value.
+    Solves for the earliest run along the stem and `unrollings` laps of the
+    verdict's zone lasso on the scaled automaton and divides the timestamps
+    back by the scale factor, so the word is accepted by the input automaton
+    at the witness parameter value.
     """
-    if not verdict.nonempty or verdict.lasso is None:
+    if not verdict.nonempty or verdict.zone_lasso is None:
         raise PreconditionViolated("a Nonempty verdict with a lasso is required")
+    if unrollings < 1:
+        raise PreconditionViolated("unrollings must be at least 1")
     scaled, m, d = prepare_fixed(_searched(a), verdict.witness_mu)
     assert d == verdict.scaled_by and m == verdict.m
-    w = concretize_lasso(scaled, m, verdict.lasso, unrollings)
-    return TimedWord.of((letter, ts / d) for letter, ts in w)
+    steps = verdict.zone_lasso.stem + verdict.zone_lasso.cycle * unrollings
+    times = run_timestamps(scaled, steps)
+    return TimedWord.of((scaled.transitions[t].letter, ts / d) for (t, _), ts in zip(steps, times))

@@ -302,17 +302,18 @@ def _cycle_through(af, successors, scc) -> list:
     raise AssertionError("strongly connected component without a cycle through its member")
 
 
-def _search_lasso(
+def _accepting_sccs(
     root,
     successors: Callable,
     is_accepting: Callable,
     max_nodes: Optional[int] = None,
 ):
-    """Find a reachable cycle containing an accepting node.
+    """Yield (members, parent) for each reachable SCC with a cycle and an accepting member.
 
-    Returns (stem_pairs, cycle_pairs) of (label, node) lists, or None.
-    Strongly connected components are examined as soon as they complete,
-    so absorbing accepting cores end the search early.
+    Components are yielded as Tarjan's algorithm completes them, so a
+    caller that stops at the first one explores no further.  members
+    lists the component in the order its nodes leave the Tarjan stack;
+    parent maps every node discovered so far to (DFS parent, edge label).
     """
     index: dict = {root: 0}
     low: dict = {root: 0}
@@ -346,31 +347,49 @@ def _search_lasso(
             if low[node] < low[pnode]:
                 low[pnode] = low[node]
         if low[node] == index[node]:
-            scc = set()
+            members = []
             while True:
                 w = tarjan_stack.pop()
                 onstack.discard(w)
-                scc.add(w)
+                members.append(w)
                 if w == node:
                     break
-            accepting = [w for w in scc if is_accepting(w)]
-            if not accepting:
+            if not any(is_accepting(w) for w in members):
                 continue
-            cyclic = len(scc) > 1 or any(child == node for _, child in successors(node))
-            if not cyclic:
-                continue
-            af = accepting[0]
-            cycle_pairs = _cycle_through(af, successors, scc)
-            stem_pairs = []
-            cur = af
-            while True:
-                p, label = parent[cur]
-                if p is None:
-                    break
-                stem_pairs.append((label, cur))
-                cur = p
-            stem_pairs.reverse()
-            return stem_pairs, cycle_pairs
+            if len(members) > 1 or any(child == node for _, child in successors(node)):
+                yield members, parent
+
+
+def _stem_to(node, parent: dict) -> list:
+    """The (label, node) path from the root to node along a parent map."""
+    pairs = []
+    while True:
+        p, label = parent[node]
+        if p is None:
+            break
+        pairs.append((label, node))
+        node = p
+    pairs.reverse()
+    return pairs
+
+
+def _search_lasso(
+    root,
+    successors: Callable,
+    is_accepting: Callable,
+    max_nodes: Optional[int] = None,
+):
+    """Find a reachable cycle containing an accepting node.
+
+    Returns (stem_pairs, cycle_pairs) of (label, node) lists, or None.
+    Strongly connected components are examined as soon as they complete,
+    so absorbing accepting cores end the search early.  The cycle runs
+    through the component's first accepting node to leave the Tarjan
+    stack, so the lasso depends only on the order of successors.
+    """
+    for members, parent in _accepting_sccs(root, successors, is_accepting, max_nodes):
+        af = next(w for w in members if is_accepting(w))
+        return _stem_to(af, parent), _cycle_through(af, successors, set(members))
     return None
 
 

@@ -14,17 +14,37 @@ clock.  Strict monotonicity of timestamps is realized by a delay
 operation that makes every lower bound strict; the initial node alone
 uses the non-strict delay so that the first event of a word may happen
 at time 0.
+
+For a nonempty automaton, `zone_lasso` finds a shortest accepting lasso
+of the zone graph.  Every path of the extrapolated graph is taken by some
+concrete run (Tripakis, ACM TOCL 10(3), 2009), and `run_timestamps`
+solves for the earliest one as a system of difference constraints over
+event timestamps.  `region_lasso` projects that run onto regions.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from collections import deque
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Optional, Sequence
 
 from .core import And, Atom, Automaton, Guard, Not, TrueGuard, atoms
 from .errors import PreconditionViolated
-from .regions import DEFAULT_REGION_BUDGET, _search_lasso
+from .regions import (
+    DEFAULT_REGION_BUDGET,
+    SymbolicLasso,
+    _accepting_sccs,
+    _cycle_through,
+    _search_lasso,
+    _stem_to,
+    region_of,
+    zero_region,
+)
+from .semantics import Valuation
 
 INF = 1 << 40
+Step = tuple[int, int]  # (transition index, index of the guard disjunct in _dnf)
 
 
 def _bnd(value: int, weak: bool) -> int:
@@ -129,10 +149,12 @@ def _apply_literal(d: list[list[int]], xi: int, op: str, c: int) -> None:
             d[0][xi] = lo_b
 
 
-def zone_nonempty(
-    a: Automaton, m: int, max_nodes: int = DEFAULT_REGION_BUDGET
-) -> tuple[bool, int]:
-    """(accepting lasso exists, zone nodes explored) for a parameter-free automaton."""
+def _zone_graph(a: Automaton, m: int):
+    """(root, successors, memo) of the zone graph of a parameter-free automaton.
+
+    successors(node) lists (label, child) pairs labelled by the Step
+    taken; memo holds every node expanded so far.
+    """
     if a.params:
         raise PreconditionViolated("parameter-free automaton required; instantiate first")
     for t in a.transitions:
@@ -144,13 +166,14 @@ def zone_nonempty(
 
     clock_index = {z: i + 1 for i, z in enumerate(sorted(a.clocks))}
     n = len(a.clocks) + 1
-    by_source: dict[str, list[tuple[int, object, list, tuple[int, ...]]]] = {}
+    by_source: dict[str, list[tuple[str, list, tuple[int, ...]]]] = {}
     for idx, t in enumerate(a.transitions):
         disjuncts = [
-            [(clock_index[z], op, c) for z, op, c in disj] for disj in _dnf(t.guard, True)
+            ((idx, k), [(clock_index[z], op, c) for z, op, c in disj])
+            for k, disj in enumerate(_dnf(t.guard, True))
         ]
         reset_idxs = tuple(sorted(clock_index[z] for z in t.resets))
-        by_source.setdefault(t.source, []).append((idx, t, disjuncts, reset_idxs))
+        by_source.setdefault(t.source, []).append((t.target, disjuncts, reset_idxs))
 
     zero_key = tuple(tuple(_LE0 for _ in range(n)) for _ in range(n))
     root = (a.initial, zero_key, True)
@@ -165,8 +188,8 @@ def zone_nonempty(
         _up(base, n, strict=not first)
         _canonical(base, n)
         out = []
-        for t_idx, t, disjuncts, reset_idxs in by_source.get(q, ()):
-            for disj in disjuncts:
+        for target, disjuncts, reset_idxs in by_source.get(q, ()):
+            for label, disj in disjuncts:
                 z = [row[:] for row in base]
                 for xi, op, c in disj:
                     _apply_literal(z, xi, op, c)
@@ -176,10 +199,154 @@ def zone_nonempty(
                 _extrapolate(z, n, m)
                 if not _canonical(z, n):
                     continue
-                out.append((t_idx, (t.target, tuple(map(tuple, z)), False)))
+                out.append((label, (target, tuple(map(tuple, z)), False)))
         memo[node] = out
         return out
 
+    return root, successors, memo
+
+
+def zone_nonempty(
+    a: Automaton, m: int, max_nodes: int = DEFAULT_REGION_BUDGET
+) -> tuple[bool, int]:
+    """(accepting lasso exists, zone nodes explored) for a parameter-free automaton."""
+    root, successors, memo = _zone_graph(a, m)
     accepting = a.accepting
     found = _search_lasso(root, successors, lambda nd: nd[0] in accepting, max_nodes)
     return found is not None, len(memo)
+
+
+@dataclass(frozen=True)
+class ZoneLasso:
+    """An accepting lasso of the zone graph, as the Steps that take it.
+
+    The stem leads from the initial node to an accepting node; the cycle
+    leads from that node back to it.
+    """
+
+    stem: tuple[Step, ...]
+    cycle: tuple[Step, ...]
+
+
+def zone_lasso(
+    a: Automaton, m: int, max_nodes: int = DEFAULT_REGION_BUDGET
+) -> Optional[ZoneLasso]:
+    """A shortest accepting lasso of the zone graph, or None if it has none.
+
+    The reachable graph is explored breadth-first.  The lasso runs through
+    the first node in that order that is accepting and lies on a cycle,
+    along its breadth-first stem and a shortest cycle back.  When the graph
+    has more than max_nodes nodes, the lasso of zone_nonempty's depth-first
+    search is returned instead.
+    """
+    root, successors, _ = _zone_graph(a, m)
+    accepting = a.accepting
+
+    def is_accepting(nd) -> bool:
+        return nd[0] in accepting
+
+    def as_lasso(stem_pairs, cycle_pairs) -> ZoneLasso:
+        return ZoneLasso(tuple(s for s, _ in stem_pairs), tuple(s for s, _ in cycle_pairs))
+
+    parent: dict = {root: (None, None)}
+    queue = deque([root])
+    while queue:
+        node = queue.popleft()
+        for label, child in successors(node):
+            if child not in parent:
+                if len(parent) >= max_nodes:
+                    found = _search_lasso(root, successors, is_accepting, max_nodes)
+                    return None if found is None else as_lasso(*found)
+                parent[child] = (node, label)
+                queue.append(child)
+    rank = {nd: i for i, nd in enumerate(parent)}  # breadth-first order
+    best = None
+    for members, _ in _accepting_sccs(root, successors, is_accepting):
+        af = min((w for w in members if is_accepting(w)), key=rank.__getitem__)
+        if best is None or rank[af] < rank[best[0]]:
+            best = af, members
+    if best is None:
+        return None
+    af, members = best
+    return as_lasso(_stem_to(af, parent), _cycle_through(af, successors, set(members)))
+
+
+def run_timestamps(a: Automaton, steps: Sequence[Step]) -> list[Fraction]:
+    """Earliest timestamps of a run of a parameter-free automaton taking these steps.
+
+    Event i happens at tau_i, after tau_0 = 0.  Each literal of step i's
+    guard disjunct bounds tau_i - tau_r, where r is the last event that
+    reset its clock (0 if none); tau_1 >= 0 and tau_i > tau_(i-1) after
+    that.  Every constraint reads tau_u >= tau_v + c + s*eps, where eps > 0
+    is an infinitesimal that makes a bound strict.  Bellman-Ford finds the
+    least solution over (c, s) pairs ordered lexicographically.  eps is then
+    fixed so that s * eps < 1 for every timestamp: each lies within the unit
+    interval its integer part c opens, so a clock value's region depends
+    only on the pairs, and a run that only needs time to pass between laps
+    drifts inside one region instead of crossing one per lap.
+    """
+    lower: list[tuple[int, int, int, int]] = []  # (u, v, c, s)
+    last_reset = dict.fromkeys(a.clocks, 0)
+    dnfs: dict[int, list] = {}
+    for i, (t_idx, k) in enumerate(steps, 1):
+        t = a.transitions[t_idx]
+        if t_idx not in dnfs:
+            dnfs[t_idx] = _dnf(t.guard, True)
+        lower.append((i, i - 1, 0, 0 if i == 1 else 1))
+        for z, op, c in dnfs[t_idx][k]:
+            r = last_reset[z]
+            if op in (">", ">=", "="):
+                lower.append((i, r, c, 1 if op == ">" else 0))
+            if op in ("<", "<=", "="):
+                lower.append((r, i, -c, 1 if op == "<" else 0))
+        for z in t.resets:
+            last_reset[z] = i
+
+    tau = [(0, 0)] * (len(steps) + 1)
+    for _ in range(len(tau) + 1):
+        changed = False
+        for u, v, c, s in lower:
+            bound = (tau[v][0] + c, tau[v][1] + s)
+            if bound > tau[u]:
+                tau[u] = bound
+                changed = True
+        if not changed:
+            break
+    else:
+        raise AssertionError("internal inconsistency: a zone lasso has no concrete run")
+
+    # A constraint the pairs meet with an eps deficit has an integer gap of at
+    # least 1 and a deficit of at most top + 1, so this eps keeps it.
+    top = max(s for _, s in tau)
+    eps = Fraction(1, top + 1)
+    return [c + s * eps for c, s in tau[1:]]
+
+
+def region_lasso(a: Automaton, m: int, lasso: ZoneLasso) -> SymbolicLasso:
+    """The region lasso that the earliest concrete run along a zone lasso follows.
+
+    Solves the stem plus k laps for k = 1, 2, 4, ... and cuts the run at
+    the first lap boundary whose (state, region) node recurs.  There are
+    finitely many such nodes, so by the pigeonhole principle some k does.
+    """
+    stem_len, cycle_len = len(lasso.stem), len(lasso.cycle)
+    laps = 1
+    while True:
+        steps = lasso.stem + lasso.cycle * laps
+        reset_at = dict.fromkeys(a.clocks, Fraction(0))
+        nodes = [(a.initial, zero_region(a.clocks, m))]
+        for (t_idx, _), now in zip(steps, run_timestamps(a, steps)):
+            t = a.transitions[t_idx]
+            for z in t.resets:
+                reset_at[z] = now
+            v = Valuation.of({z: now - r for z, r in reset_at.items()})
+            nodes.append((t.target, region_of(v, m)))
+        first_at: dict = {}
+        for j in range(stem_len, len(nodes), cycle_len):
+            i = first_at.setdefault(nodes[j], j)
+            if i != j:
+                edges = tuple(t_idx for t_idx, _ in steps)
+                return SymbolicLasso(
+                    tuple(nodes[: i + 1]), edges[:i], tuple(nodes[i:j]), edges[i:j]
+                )
+        laps *= 2

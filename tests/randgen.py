@@ -22,6 +22,7 @@ from pnta import (
     lt,
     ne,
     polarity_ctx,
+    run_frontiers,
     step,
     validate,
     zero_valuation,
@@ -93,6 +94,25 @@ def rand_nrtta(rng, max_states=3, max_clocks=2, cmax=2, param=None):
     clocks = tuple(f"x{i + 1}" for i in range(rng.randint(1, max_clocks)))
     trans = _rand_transitions(rng, states, clocks, cmax, param, free_resets=False)
     return _assemble(rng, states, clocks, (param,) if param else (), trans)
+
+
+def reaches_acceptance(a, w, interp=None):
+    """True iff some run reads the whole word and ends in an accepting state."""
+    frontiers = run_frontiers(a, w, interp)
+    return all(frontiers) and any(c.state in a.accepting for c in frontiers[-1])
+
+
+def two_clock_population(size=200, seed=607):
+    """Two-clock automata whose guards use the parameter, drawn as criteria 06/07 draw them."""
+    rng = random.Random(seed)
+    population = []
+    while len(population) < size:
+        a = rand_nrtta(rng, max_states=3, max_clocks=2, cmax=2, param="mu")
+        if len(a.clocks) == 2 and any(
+            isinstance(at.bound, str) for t in a.transitions for at in atoms(t.guard)
+        ):
+            population.append(a)
+    return population
 
 
 def rand_ta(rng, max_states=4, max_clocks=2, cmax=2):

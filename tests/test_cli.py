@@ -1,8 +1,11 @@
 """Command-line interface: verdicts, exit codes, formats."""
 
 import json
+import os
 import subprocess
 import sys
+import time
+from fractions import Fraction
 
 import pytest
 
@@ -116,6 +119,74 @@ def test_check_decides_parameter_free_input_beyond_the_sweep(tmp_path, capsys, c
     code, out, err = _run(capsys, "check", str(p))
     assert code == 10, err
     assert out.startswith("Nonempty")
+
+
+@pytest.mark.parametrize("command", [("check",), ("regions", "--mu", "1")])
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_max_regions_must_be_positive(data_dir, capsys, command, budget):
+    with pytest.raises(SystemExit) as exc:
+        main([command[0], str(data_dir / "e_window.ta"), *command[1:], "--max-regions", budget])
+    assert exc.value.code == 2
+    assert "positive integer" in capsys.readouterr().err
+
+
+def _witness(out):
+    from pnta import parse_timed_word
+
+    return parse_timed_word(out.split("witness word (one cycle unrolling):\n", 1)[1])
+
+
+def _replays(text, w, mu):
+    from pnta import parse_automaton
+    from randgen import reaches_acceptance
+
+    return reaches_acceptance(parse_automaton(text), w, {"mu": mu})
+
+
+def test_check_w10y_witness(data_dir, capsys):
+    # the zone sweep settles this quickly; recovering the lasso on regions used to exhaust the budget
+    code, out, err = _run(capsys, "check", str(data_dir / "w10y.ta"), "--witness")
+    assert code == 10, err
+    assert out.startswith("Nonempty (witness mu = 32081/3208)\n")
+    assert _replays((data_dir / "w10y.ta").read_text(), _witness(out), Fraction(32081, 3208))
+
+
+def test_check_w10_witness_is_fast(data_dir, tmp_path, capsys):
+    text = (data_dir / "e_window.ta").read_text().replace("( x = 1 )", "( x = 10 )")
+    p = tmp_path / "w10.ta"
+    p.write_text(text)
+    t0 = time.perf_counter()
+    code, out, err = _run(capsys, "check", str(p), "--witness")
+    assert time.perf_counter() - t0 < 2
+    assert code == 10, err
+    assert out.startswith("Nonempty (witness mu = 32081/3208)\n")
+    assert _replays(text, _witness(out), Fraction(32081, 3208))
+
+
+HASH_PROBE = """
+from pnta import find_lasso, parse_automaton, prepare_fixed, region_str, ta_to_nrtta
+from pnta.cli import main
+main(["check", {path!r}, "--witness"])
+scaled, m, _ = prepare_fixed(ta_to_nrtta(parse_automaton(open({path!r}).read())), 1)
+lasso = find_lasso(scaled, m)
+for nodes in (lasso.stem_nodes, lasso.cycle_nodes):
+    print([(q, region_str(r)) for q, r in nodes])
+print(lasso.stem_edges, lasso.cycle_edges)
+"""
+
+
+def test_lassos_do_not_depend_on_string_hashing(tmp_path):
+    p = tmp_path / "tr.ta"
+    p.write_text(TEST_AND_RESET.format(params="params mu\n", bound="mu"))
+    outputs = set()
+    for seed in "1234":
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        proc = subprocess.run([sys.executable, "-c", HASH_PROBE.format(path=str(p))],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        outputs.add("".join(line for line in proc.stdout.splitlines(True)
+                            if "wall ms" not in line))
+    assert len(outputs) == 1
 
 
 def test_check_budget_exit_code(data_dir, capsys):

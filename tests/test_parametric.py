@@ -15,6 +15,7 @@ from pnta import (
     UnsupportedAutomaton,
     atoms,
     candidate_parameters,
+    concretize_lasso,
     emptiness_fixed,
     guard_params,
     instantiate,
@@ -27,7 +28,7 @@ from pnta import (
     witness_word,
 )
 from pnta.parametric import FRACTIONAL_REP, HALF_INTEGER, LARGE_REP, clamp_jobs
-from randgen import rand_nrtta
+from randgen import rand_nrtta, reaches_acceptance, two_clock_population
 
 
 @pytest.fixture
@@ -187,6 +188,24 @@ def test_witness_word_replays(window):
                 "trans q0 q1 a ( x < 0 ) { }\n"
             )
         ))
+
+
+def test_every_nonempty_sweep_has_witnesses_and_a_region_lasso(data_dir):
+    fixtures = [parse_automaton((data_dir / f"{name}.ta").read_text())
+                for name in ("e_window", "e_empty", "e_param_contra")]
+    nonempty = 0
+    for a in two_clock_population() + fixtures:
+        v = parametric_emptiness(a, 20000)
+        if not v.nonempty:
+            continue
+        nonempty += 1
+        interp = {p: v.witness_mu for p in a.params}
+        for unrollings in (1, 2):
+            assert reaches_acceptance(a, witness_word(a, v, unrollings), interp)
+        # the region lasso projected from the zone lasso is one the region engine can replay
+        scaled, m, _ = prepare_fixed(a, v.witness_mu)
+        assert reaches_acceptance(scaled, concretize_lasso(scaled, m, v.lasso, 2))
+    assert nonempty > 100
 
 
 @settings(max_examples=80, deadline=None)

@@ -10,12 +10,16 @@ from hypothesis import strategies as st
 from pnta import (
     PreconditionViolated,
     RegionBudgetExceeded,
+    TimedWord,
+    concretize_lasso,
     find_lasso,
     parse_automaton,
     prepare_fixed,
+    zone_lasso,
     zone_nonempty,
 )
-from randgen import rand_nrtta, rand_ta
+from pnta.zones import region_lasso, run_timestamps
+from randgen import rand_nrtta, rand_ta, reaches_acceptance
 
 WINDOW_FIXED = """
 automaton wf
@@ -73,3 +77,73 @@ def test_zone_matches_region_verdict(seed, nrt):
     zone_verdict = zone_nonempty(scaled, m)[0]
     region_verdict = find_lasso(scaled, m) is not None
     assert zone_verdict == region_verdict
+
+
+# a-a-a reaches the accepting loop first in depth-first order, b then the loop is shorter,
+# and the dead-end c chain makes the whole graph larger than the early-exit search
+BRANCHES = """
+automaton br
+clocks x
+init q0
+accept q2
+trans q0 q1 a ( true ) { }
+trans q1 q3 a ( true ) { }
+trans q3 q2 a ( true ) { }
+trans q2 q2 a ( true ) { }
+trans q0 q2 b ( x < 1 ) { }
+trans q0 p1 c ( true ) { }
+trans p1 p2 c ( true ) { }
+trans p2 p3 c ( true ) { }
+"""
+
+
+def _lasso_word(a, lasso, laps):
+    steps = lasso.stem + lasso.cycle * laps
+    times = run_timestamps(a, steps)
+    return TimedWord.of((a.transitions[t].letter, ts) for (t, _), ts in zip(steps, times))
+
+
+def test_zone_lasso_is_shortest_and_falls_back_to_the_early_exit_search():
+    scaled, m, _ = prepare_fixed(parse_automaton(BRANCHES), None)
+    shortest = zone_lasso(scaled, m)
+    assert _lasso_word(scaled, shortest, 1).letters() == ("b", "a", "a")
+    assert zone_nonempty(scaled, m, max_nodes=4) == (True, 4)
+    early_exit = zone_lasso(scaled, m, max_nodes=4)
+    assert _lasso_word(scaled, early_exit, 1).letters() == ("a", "a", "a", "a")
+    for lasso in (shortest, early_exit):
+        assert reaches_acceptance(scaled, _lasso_word(scaled, lasso, 3))
+
+
+def test_zone_lasso_absent_on_empty_language():
+    a = parse_automaton(
+        "automaton e\nclocks x\ninit q0\naccept q1\ntrans q0 q1 a ( x < 1 ) { }\n"
+    )
+    scaled, m, _ = prepare_fixed(a, None)
+    assert zone_lasso(scaled, m) is None
+
+
+def test_run_timestamps_are_earliest_and_exact():
+    a = parse_automaton(WINDOW_FIXED)
+    scaled, m, _ = prepare_fixed(a, None)
+    lasso = zone_lasso(scaled, m)
+    times = run_timestamps(scaled, lasso.stem + lasso.cycle * 2)
+    assert times[:2] == [2, 3]  # x = 2 and x = 3 pin the stem
+    assert all(3 < t < 4 for t in times[2:])  # the loop needs only strictly later events
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 10 ** 9), st.booleans())
+def test_zone_lasso_runs_and_projects_onto_regions(seed, nrt):
+    """A nonempty verdict's zone lasso has a concrete run that the region engine replays."""
+    rng = random.Random(seed)
+    a = rand_nrtta(rng, cmax=3) if nrt else rand_ta(rng, max_states=3, cmax=2)
+    scaled, m, _ = prepare_fixed(a, None)
+    lasso = zone_lasso(scaled, m)
+    assert (lasso is not None) == zone_nonempty(scaled, m)[0]
+    if lasso is None:
+        return
+    for laps in (1, 2):
+        assert reaches_acceptance(scaled, _lasso_word(scaled, lasso, laps))
+    projected = region_lasso(scaled, m, lasso)
+    assert projected.stem_nodes[-1] == projected.cycle_nodes[0]
+    assert reaches_acceptance(scaled, concretize_lasso(scaled, m, projected, 2))
