@@ -15,6 +15,7 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Optional
 
 from .analysis import run_suites
@@ -239,6 +240,7 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@cache  # built on the first main call, then reused: parse_args keeps no state
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="pnta",

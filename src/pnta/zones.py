@@ -15,6 +15,12 @@ operation that makes every lower bound strict; the initial node alone
 uses the non-strict delay so that the first event of a word may happen
 at time 0.
 
+Every zone stored as a graph key is canonical, a form unique to each
+nonempty zone.  Delay and reset keep a DBM canonical, `_tighten` adds a
+guard bound in O(n^2) and keeps it so (Bengtsson & Yi, LNCS 3098, 2004),
+and the full closure `_canonical` runs only after an extrapolation that
+changed a bound.
+
 For a nonempty automaton, `zone_lasso` finds a shortest accepting lasso
 of the zone graph.  Every path of the extrapolated graph is taken by some
 concrete run (Tripakis, ACM TOCL 10(3), 2009), and `run_timestamps`
@@ -54,12 +60,6 @@ def _bnd(value: int, weak: bool) -> int:
 _LE0 = _bnd(0, True)
 
 
-def _add(b1: int, b2: int) -> int:
-    if b1 >= INF or b2 >= INF:
-        return INF
-    return ((b1 >> 1) + (b2 >> 1)) * 2 + (b1 & b2 & 1)
-
-
 def _canonical(d: list[list[int]], n: int) -> bool:
     """Floyd-Warshall closure; False when the zone is empty."""
     for k in range(n):
@@ -70,10 +70,39 @@ def _canonical(d: list[list[int]], n: int) -> bool:
                 continue
             di = d[i]
             for j in range(n):
-                b = _add(dik, dk[j])
-                if b < di[j]:
-                    di[j] = b
+                dkj = dk[j]
+                if dkj < INF:
+                    b = dik + dkj - ((dik | dkj) & 1)
+                    if b < di[j]:
+                        di[j] = b
     return all(d[i][i] >= _LE0 for i in range(n))
+
+
+def _tighten(d: list[list[int]], n: int, x: int, y: int, b: int) -> bool:
+    """Add d[x][y] <= b to a canonical DBM in O(n^2); False when that empties it.
+
+    A new shortest path i -> j is an old one to x, the new edge and an old
+    one from y, so one pass keeps the DBM canonical.
+    """
+    dyx = d[y][x]
+    if dyx < INF and dyx + b - ((dyx | b) & 1) < _LE0:
+        return False
+    if b >= d[x][y]:
+        return True
+    dy = d[y]
+    for i in range(n):
+        dix = d[i][x]
+        if dix >= INF:
+            continue
+        s = dix + b - ((dix | b) & 1)
+        di = d[i]
+        for j in range(n):
+            dyj = dy[j]
+            if dyj < INF:
+                v = s + dyj - ((s | dyj) & 1)
+                if v < di[j]:
+                    di[j] = v
+    return True
 
 
 def _up(d: list[list[int]], n: int, strict: bool) -> None:
@@ -95,20 +124,19 @@ def _reset(d: list[list[int]], n: int, idxs: tuple[int, ...]) -> None:
         d[x][x] = _LE0
 
 
-def _extrapolate(d: list[list[int]], n: int, m: int) -> None:
+def _extrapolate(d: list[list[int]], n: int, m: int) -> bool:
+    """Widen bounds beyond +-m (ExtraM); True when some bound changed."""
     cap_hi = _bnd(m, True)
     cap_lo = _bnd(-m, False)
+    changed = False
     for i in range(n):
+        di = d[i]
         for j in range(n):
-            if i == j:
-                continue
-            b = d[i][j]
-            if b >= INF:
-                continue
-            if b > cap_hi:
-                d[i][j] = INF
-            elif b < cap_lo:
-                d[i][j] = cap_lo
+            b = di[j]
+            if i != j and b < INF and (b > cap_hi or b < cap_lo):
+                di[j] = INF if b > cap_hi else cap_lo
+                changed = True
+    return changed
 
 
 def _dnf(g: Guard, positive: bool) -> list[list[tuple[str, str, int]]]:
@@ -131,24 +159,6 @@ def _dnf(g: Guard, positive: bool) -> list[list[tuple[str, str, int]]]:
     raise TypeError(f"not a guard: {g!r}")
 
 
-def _apply_literal(d: list[list[int]], xi: int, op: str, c: int) -> None:
-    if op in ("<", "<="):
-        b = _bnd(c, op == "<=")
-        if b < d[xi][0]:
-            d[xi][0] = b
-    elif op in (">", ">="):
-        b = _bnd(-c, op == ">=")
-        if b < d[0][xi]:
-            d[0][xi] = b
-    else:  # '='
-        up_b = _bnd(c, True)
-        lo_b = _bnd(-c, True)
-        if up_b < d[xi][0]:
-            d[xi][0] = up_b
-        if lo_b < d[0][xi]:
-            d[0][xi] = lo_b
-
-
 def _zone_graph(a: Automaton, m: int):
     """(root, successors, memo) of the zone graph of a parameter-free automaton.
 
@@ -168,10 +178,12 @@ def _zone_graph(a: Automaton, m: int):
     n = len(a.clocks) + 1
     by_source: dict[str, list[tuple[str, list, tuple[int, ...]]]] = {}
     for idx, t in enumerate(a.transitions):
-        disjuncts = [
-            ((idx, k), [(clock_index[z], op, c) for z, op, c in disj])
-            for k, disj in enumerate(_dnf(t.guard, True))
-        ]
+        disjuncts = []
+        for k, disj in enumerate(_dnf(t.guard, True)):
+            # each literal as bounds d[x][y] <= b: upper (x, 0), lower (0, x), "=" both
+            ups = [(clock_index[z], 0, _bnd(c, op != "<")) for z, op, c in disj if op[0] != ">"]
+            lows = [(0, clock_index[z], _bnd(-c, op != ">")) for z, op, c in disj if op[0] != "<"]
+            disjuncts.append(((idx, k), ups + lows))
         reset_idxs = tuple(sorted(clock_index[z] for z in t.resets))
         by_source.setdefault(t.source, []).append((t.target, disjuncts, reset_idxs))
 
@@ -186,19 +198,15 @@ def _zone_graph(a: Automaton, m: int):
         q, key, first = node
         base = [list(row) for row in key]
         _up(base, n, strict=not first)
-        _canonical(base, n)
         out = []
         for target, disjuncts, reset_idxs in by_source.get(q, ()):
-            for label, disj in disjuncts:
+            for label, bounds in disjuncts:
                 z = [row[:] for row in base]
-                for xi, op, c in disj:
-                    _apply_literal(z, xi, op, c)
-                if not _canonical(z, n):
+                if not all(_tighten(z, n, x, y, b) for x, y, b in bounds):
                     continue
                 _reset(z, n, reset_idxs)
-                _extrapolate(z, n, m)
-                if not _canonical(z, n):
-                    continue
+                if _extrapolate(z, n, m):
+                    _canonical(z, n)  # widening a nonempty zone keeps it nonempty
                 out.append((label, (target, tuple(map(tuple, z)), False)))
         memo[node] = out
         return out

@@ -130,6 +130,40 @@ def test_max_regions_must_be_positive(data_dir, capsys, command, budget):
     assert "positive integer" in capsys.readouterr().err
 
 
+def test_main_calls_share_no_parsed_state(data_dir, capsys):
+    """The parser is built once per process; no call sees another's arguments."""
+    from pnta.cli import _build_parser
+
+    window = str(data_dir / "e_window.ta")
+    calls = [
+        ("check", window, "--max-regions", "0"),
+        ("check", window, "--json"),
+        ("check", "--mu", "1", window),
+    ]
+
+    def run(argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        if argv[-1] == "--json":
+            out = {k: v for k, v in json.loads(out).items() if k != "timings"}
+        else:
+            out = out.split("wall ms")[0]
+        return code, out, err
+
+    alone = []
+    for argv in calls:
+        _build_parser.cache_clear()
+        alone.append(run(argv))
+    _build_parser.cache_clear()
+    together = [run(argv) for argv in calls]
+    assert together == alone
+    assert [code for code, _, _ in together] == [2, 10, 0]
+    assert _build_parser.cache_info().misses == 1
+
+
 def _witness(out):
     from pnta import parse_timed_word
 

@@ -208,6 +208,26 @@ def test_every_nonempty_sweep_has_witnesses_and_a_region_lasso(data_dir):
     assert nonempty > 100
 
 
+@pytest.mark.parametrize("name, nonempty, mu, candidates, nodes", [
+    ("e_empty", False, None, 1, 2),
+    ("e_param_contra", False, None, 10, 20),
+    ("e_window", True, Fraction(41, 40), 6, 14),
+    ("w10y", True, Fraction(32081, 3208), 42, 88),
+])
+def test_sweep_counts_are_pinned(data_dir, name, nonempty, mu, candidates, nodes):
+    """Exact counts a faster zone kernel must not move; a change to the zone graph updates them."""
+    v = parametric_emptiness(parse_automaton((data_dir / f"{name}.ta").read_text()), 20000)
+    assert (v.nonempty, v.witness_mu, v.candidates_checked, v.zone_nodes) == (
+        nonempty, mu, candidates, nodes)
+
+
+def test_population_sweep_totals_are_pinned():
+    verdicts = [parametric_emptiness(a, 20000) for a in two_clock_population()]
+    assert sum(v.nonempty for v in verdicts) == 189
+    assert sum(v.candidates_checked for v in verdicts) == 360
+    assert sum(v.zone_nodes for v in verdicts) == 3826
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.integers(0, 10 ** 9))
 def test_fixed_verdict_invariant_under_scaling(seed):

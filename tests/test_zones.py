@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pnta import (
@@ -18,7 +18,17 @@ from pnta import (
     zone_lasso,
     zone_nonempty,
 )
-from pnta.zones import region_lasso, run_timestamps
+from pnta.zones import (
+    INF,
+    _bnd,
+    _canonical,
+    _extrapolate,
+    _reset,
+    _tighten,
+    _up,
+    region_lasso,
+    run_timestamps,
+)
 from randgen import rand_nrtta, rand_ta, reaches_acceptance
 
 WINDOW_FIXED = """
@@ -77,6 +87,60 @@ def test_zone_matches_region_verdict(seed, nrt):
     zone_verdict = zone_nonempty(scaled, m)[0]
     region_verdict = find_lasso(scaled, m) is not None
     assert zone_verdict == region_verdict
+
+
+_FINITE = st.builds(_bnd, st.integers(-6, 6), st.booleans())
+_BOUNDS = st.one_of(st.just(INF), _FINITE)
+
+
+@st.composite
+def canonical_dbms(draw):
+    """(d, n): a random nonempty DBM over n - 1 clocks, closed by _canonical."""
+    n = draw(st.integers(1, 3))
+    d = [[_bnd(0, True) if i == j else draw(_BOUNDS) for j in range(n)] for i in range(n)]
+    assume(_canonical(d, n))
+    return d, n
+
+
+def _closed(d, n):
+    """(nonempty, matrix) of a full closure of a copy of d."""
+    c = [row[:] for row in d]
+    return _canonical(c, n), c
+
+
+@settings(max_examples=400, deadline=None)
+@given(canonical_dbms(), st.data(), _FINITE)
+def test_tighten_matches_a_full_closure(dbm, data, b):
+    d, n = dbm
+    x = data.draw(st.integers(0, n - 1))
+    y = data.draw(st.integers(0, n - 1))
+    ref = [row[:] for row in d]
+    ref[x][y] = min(ref[x][y], b)
+    nonempty, ref = _closed(ref, n)
+    assert _tighten(d, n, x, y, b) == nonempty
+    if nonempty:
+        assert d == ref
+
+
+@settings(max_examples=300, deadline=None)
+@given(canonical_dbms(), st.booleans(), st.data())
+def test_up_and_reset_keep_a_dbm_canonical(dbm, strict, data):
+    d, n = dbm
+    _up(d, n, strict)
+    assert _closed(d, n) == (True, d)
+    idxs = tuple(sorted(data.draw(st.sets(st.integers(1, n - 1))) if n > 1 else ()))
+    _reset(d, n, idxs)
+    assert _closed(d, n) == (True, d)
+
+
+@settings(max_examples=300, deadline=None)
+@given(canonical_dbms(), st.integers(0, 6))
+def test_extrapolate_keeps_a_dbm_canonical_unless_it_widens_it(dbm, m):
+    d, n = dbm
+    if _extrapolate(d, n, m):
+        assert _canonical(d, n)  # widening never empties a zone
+    else:
+        assert _closed(d, n) == (True, d)
 
 
 # a-a-a reaches the accepting loop first in depth-first order, b then the loop is shorter,
