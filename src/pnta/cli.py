@@ -2,8 +2,8 @@
 
 Exit codes: 0 the language is empty (or the command succeeded for
 non-verdict commands), 10 nonempty, 2 parse/validation/unsupported-input
-errors or a closed stdout, 3 abstraction budget exceeded, 1 failed
-analysis suites.
+errors, an unreadable input file or a closed stdout, 3 abstraction budget
+exceeded, 1 failed analysis suites.
 """
 
 from __future__ import annotations
@@ -20,15 +20,7 @@ from typing import Optional
 
 from .analysis import run_suites
 from .core import Automaton, is_nrtta, parse_rational, validate
-from .errors import (
-    MalformedWord,
-    NotOneParameter,
-    ParseError,
-    PntaError,
-    PreconditionViolated,
-    RegionBudgetExceeded,
-    UnsupportedAutomaton,
-)
+from .errors import ParseError, PntaError, PreconditionViolated, RegionBudgetExceeded
 from .parametric import (
     DEFAULT_REGION_BUDGET,
     emptiness_fixed,
@@ -55,6 +47,7 @@ class Report:
     candidates_checked: int
     zone_nodes: int
     lasso: Optional[dict]
+    witness_word: Optional[list]
     timings: dict
 
     def to_json(self) -> str:
@@ -92,14 +85,14 @@ def cmd_check(args) -> int:
     a = _load_automaton(args.file)
     t0 = time.perf_counter()
     if args.mu is not None:
-        verdict = emptiness_fixed(a, parse_rational(args.mu), args.max_regions)
+        verdict = emptiness_fixed(a, args.mu, args.max_regions)
     else:
         verdict = parametric_emptiness(a, args.max_regions, args.jobs)
     wall_ms = round((time.perf_counter() - t0) * 1000)
 
-    word_text = None
+    word = None
     if args.witness and verdict.nonempty and verdict.lasso is not None:
-        word_text = format_timed_word(witness_word(a, verdict, args.unrollings))
+        word = witness_word(a, verdict, args.unrollings)
 
     report = Report(
         "Nonempty" if verdict.nonempty else "Empty",
@@ -107,6 +100,7 @@ def cmd_check(args) -> int:
         verdict.candidates_checked,
         verdict.zone_nodes,
         _lasso_dict(verdict.lasso),
+        None if word is None else [[letter, str(ts)] for letter, ts in word],
         {"wall_ms": wall_ms},
     )
     if args.json:
@@ -123,9 +117,9 @@ def cmd_check(args) -> int:
         if report.lasso is not None:
             print("lasso stem:  " + "  ->  ".join(report.lasso["stem"]))
             print("lasso cycle: " + "  ->  ".join(report.lasso["cycle"]))
-        if word_text is not None:
+        if word is not None:
             print("witness word (one cycle unrolling):")
-            print(word_text, end="")
+            print(format_timed_word(word), end="")
     return EXIT_NONEMPTY if verdict.nonempty else EXIT_EMPTY
 
 
@@ -148,7 +142,7 @@ def cmd_simulate(args) -> int:
     if a.params:
         if args.mu is None:
             raise PreconditionViolated("--mu required for a parametric automaton")
-        interp = {p: parse_rational(args.mu) for p in a.params}
+        interp = {p: args.mu for p in a.params}
     elif args.mu is not None:
         raise PreconditionViolated("--mu given but the automaton has no parameter")
     frontier = run_frontiers(a, w, interp)[-1]
@@ -167,10 +161,9 @@ def cmd_simulate(args) -> int:
 
 def cmd_regions(args) -> int:
     a = _load_automaton(args.file)
-    mu = parse_rational(args.mu) if args.mu is not None else None
-    if a.params and mu is None:
+    if a.params and args.mu is None:
         raise PreconditionViolated("--mu required for a parametric automaton")
-    scaled, m, d = prepare_fixed(a, mu)
+    scaled, m, d = prepare_fixed(a, args.mu)
     ra = build_region_automaton(scaled, m, args.max_regions)
     print(f"nodes: {len(ra.nodes)}")
     print(f"edges: {sum(len(out) for out in ra.edges)}")
@@ -240,6 +233,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _rational(text: str) -> Fraction:
+    try:
+        return parse_rational(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
 @cache  # built on the first main call, then reused: parse_args keeps no state
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
@@ -250,12 +250,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("check", help="decide language emptiness")
     c.add_argument("file")
-    c.add_argument("--mu", help="fix the parameter to this rational instead of sweeping")
+    c.add_argument("--mu", type=_rational,
+                   help="fix the parameter to this rational instead of sweeping")
     c.add_argument("--witness", action="store_true", help="also print a concrete timed word")
     c.add_argument("--json", action="store_true", help="machine-readable report")
     c.add_argument("--max-regions", type=_positive_int, default=DEFAULT_REGION_BUDGET)
     c.add_argument("--jobs", type=int, default=1, help="parallel candidate checks")
-    c.add_argument("--unrollings", type=int, default=1)
+    c.add_argument("--unrollings", type=_positive_int, default=1)
     c.set_defaults(fn=cmd_check)
 
     t = sub.add_parser("translate", help="rewrite so no transition tests a clock it resets")
@@ -266,12 +267,13 @@ def _build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("simulate", help="run a finite timed word")
     s.add_argument("file")
     s.add_argument("--word", required=True, help="timed word file")
-    s.add_argument("--mu", help="parameter value")
+    s.add_argument("--mu", type=_rational, help="parameter value")
     s.set_defaults(fn=cmd_simulate)
 
     r = sub.add_parser("regions", help="build and summarize the region automaton")
     r.add_argument("file")
-    r.add_argument("--mu", help="parameter value (required for parametric input)")
+    r.add_argument("--mu", type=_rational,
+                   help="parameter value (required for parametric input)")
     r.add_argument("--dot", help="write DOT to this path")
     r.add_argument("--max-regions", type=_positive_int, default=DEFAULT_REGION_BUDGET)
     r.set_defaults(fn=cmd_regions)
@@ -288,7 +290,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     an = sub.add_parser("analyze", help="run the randomized self-check suites")
     an.add_argument("--seed", type=int, default=2026)
-    an.add_argument("--trials", type=int, default=None,
+    an.add_argument("--trials", type=_positive_int, default=None,
                     help="override every suite's trial count")
     an.set_defaults(fn=cmd_analyze)
     return p
@@ -306,14 +308,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except RegionBudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ParseError, MalformedWord, UnsupportedAutomaton, NotOneParameter,
-            PreconditionViolated) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except PntaError as exc:
+    except (PntaError, OSError, UnicodeDecodeError) as exc:  # the last two: unreadable input
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

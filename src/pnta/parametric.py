@@ -14,8 +14,9 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
 from typing import Optional, Union
 
 from .core import Atom, Automaton, Transition, atoms, is_nrtta, map_atoms, max_constant
@@ -179,14 +180,6 @@ def _searched(a: Automaton) -> Automaton:
     return a
 
 
-def _lassos(scaled: Automaton, m: int, max_nodes: int) -> tuple[SymbolicLasso, ZoneLasso]:
-    """(region lasso, zone lasso) of an automaton the zone search found nonempty."""
-    lasso = zone_lasso(scaled, m, max_nodes)
-    if lasso is None:
-        raise AssertionError("internal inconsistency: the zone graph lost its accepting lasso")
-    return region_lasso(scaled, m, lasso), lasso
-
-
 def emptiness_fixed(
     a: Automaton,
     mu: Optional[Rational] = None,
@@ -197,12 +190,18 @@ def emptiness_fixed(
 
     The verdict comes from the zone engine, on the translation of one-clock
     test-and-reset input; when the language is nonempty and include_lasso is
-    set, the verdict carries a shortest zone lasso and the region lasso that
-    a concrete run along it follows on the scaled automaton.
+    set, the search that decides also yields a shortest zone lasso, and the
+    verdict carries it and the region lasso that a concrete run along it
+    follows on the scaled automaton.
     """
     scaled, m, d = prepare_fixed(_searched(a), mu)
-    nonempty, explored = zone_nonempty(scaled, m, max_nodes)
-    lasso, zl = _lassos(scaled, m, max_nodes) if nonempty and include_lasso else (None, None)
+    if include_lasso:
+        zl, explored = zone_lasso(scaled, m, max_nodes)
+        nonempty = zl is not None
+    else:
+        zl = None
+        nonempty, explored = zone_nonempty(scaled, m, max_nodes)
+    lasso = region_lasso(scaled, m, zl) if zl is not None else None
     witness = Fraction(mu) if (nonempty and mu is not None) else None
     return Verdict(nonempty, witness, lasso, d, m, 1, explored, zl)
 
@@ -217,9 +216,10 @@ def parametric_emptiness(
 ) -> Verdict:
     """Does any real parameter value give the automaton a nonempty language?
 
-    Checks the finite candidate list in ascending order and reports the
-    first nonempty value as witness; with jobs > 1 the zone searches run in
-    worker processes, but the verdict and its counts are the same.  One-clock
+    Runs emptiness_fixed on the finite candidate list in ascending order and
+    reports the first nonempty value as witness, with the candidates and
+    zone nodes of the whole sweep; with jobs > 1 the checks run in worker
+    processes, but the verdict and its counts are the same.  One-clock
     automata that test and reset the same clock are translated first;
     two-clock automata that do so are rejected, as are automata with more
     than two clocks or more than one parameter.  A parameter-free automaton
@@ -237,28 +237,20 @@ def parametric_emptiness(
     if len(b.clocks) > 2:
         raise UnsupportedAutomaton(f"at most two clocks supported, got {len(b.clocks)}")
     values = candidate_parameters(b).values
-    prepared = (prepare_fixed(b, mu) for mu in values)  # lazy: a serial sweep stops early
+    check = partial(emptiness_fixed, b, max_nodes=max_nodes)
     workers = clamp_jobs(jobs, len(values))
     pool = ProcessPoolExecutor(workers) if workers > 1 else None
     try:
-        if pool is None:
-            results = ((p, zone_nonempty(p[0], p[1], max_nodes)) for p in prepared)
-        else:
-            futures = [(p, pool.submit(zone_nonempty, p[0], p[1], max_nodes)) for p in prepared]
-            results = ((p, f.result()) for p, f in futures)
-        checked = total_nodes = 0
-        for (scaled, m, d), (nonempty, nodes) in results:
-            checked += 1
-            total_nodes += nodes
-            if nonempty:
-                break
-        else:
-            return Verdict(False, None, None, 1, 0, checked, total_nodes)
+        verdicts = map(check, values) if pool is None else pool.map(check, values)
+        total_nodes = 0
+        for checked, v in enumerate(verdicts, 1):  # in order; the serial map stops early
+            total_nodes += v.zone_nodes
+            if v.nonempty:
+                return replace(v, candidates_checked=checked, zone_nodes=total_nodes)
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
-    lasso, zl = _lassos(scaled, m, max_nodes)
-    return Verdict(True, values[checked - 1], lasso, d, m, checked, total_nodes, zl)
+    return Verdict(False, None, None, 1, 0, len(values), total_nodes)
 
 
 def witness_word(a: Automaton, verdict: Verdict, unrollings: int = 1) -> TimedWord:

@@ -7,9 +7,11 @@ form a deterministic chain ending in the absorbing all-above region.
 
 Two search surfaces are built on this:
   - an explicit RegionAutomaton (one edge per delay-then-fire step), and
-  - an implicit early-exit search used by the decision procedure, which
-    walks single time steps instead of materializing whole successor
-    fans and therefore stops as soon as an accepting cycle is found.
+  - an implicit early-exit search, which walks single time steps instead
+    of materializing whole successor fans and therefore stops as soon as
+    an accepting cycle is found.  It backs the `regions` command and is
+    the oracle the tests check the zone engine against; `check` decides
+    with the zone engine alone.
 
 Strict monotonicity of timestamps is encoded structurally: a region can
 host a second event without time passing a boundary only if it is
@@ -210,6 +212,18 @@ class RegionAutomaton:
         object.__setattr__(self, "_index", {n: i for i, n in enumerate(self.nodes)})
 
 
+def _require_parameter_free(a: Automaton, m: int) -> None:
+    """Raise PreconditionViolated unless a is parameter-free with every guard constant <= m."""
+    if a.params:
+        raise PreconditionViolated("parameter-free automaton required; instantiate first")
+    for t in a.transitions:
+        for at in atoms(t.guard):
+            if isinstance(at.bound, str):
+                raise PreconditionViolated("parameter-free automaton required; instantiate first")
+            if at.bound > m:
+                raise PreconditionViolated(f"guard constant {at.bound} exceeds region bound {m}")
+
+
 def build_region_automaton(
     a: Automaton, m: int, max_nodes: int = DEFAULT_REGION_BUDGET
 ) -> RegionAutomaton:
@@ -218,18 +232,9 @@ def build_region_automaton(
     Edges realize delay-then-fire steps with strictly positive delays;
     only nodes reachable from the initial all-zero node are emitted.
     """
-    if a.params:
-        raise PreconditionViolated("parameter-free automaton required; instantiate first")
+    _require_parameter_free(a, m)
     if m < 1:
         raise PreconditionViolated(f"region bound must be at least 1, got {m}")
-    for t in a.transitions:
-        for at in atoms(t.guard):
-            if isinstance(at.bound, str):
-                raise PreconditionViolated("parameter-free automaton required; instantiate first")
-            if at.bound > m:
-                raise PreconditionViolated(
-                    f"guard constant {at.bound} exceeds region bound {m}"
-                )
 
     by_source: dict[str, list[tuple[int, Transition]]] = {}
     for idx, t in enumerate(a.transitions):
@@ -454,14 +459,7 @@ def find_lasso(
     buchi_nonempty(build_region_automaton(a, m)) except that it also
     admits runs whose first event happens at time 0.
     """
-    if a.params:
-        raise PreconditionViolated("parameter-free automaton required; instantiate first")
-    for t in a.transitions:
-        for at in atoms(t.guard):
-            if isinstance(at.bound, str):
-                raise PreconditionViolated("parameter-free automaton required; instantiate first")
-            if at.bound > m:
-                raise PreconditionViolated(f"guard constant {at.bound} exceeds region bound {m}")
+    _require_parameter_free(a, m)
 
     by_source: dict[str, list[tuple[int, Transition]]] = {}
     for idx, t in enumerate(a.transitions):

@@ -21,11 +21,12 @@ guard bound in O(n^2) and keeps it so (Bengtsson & Yi, LNCS 3098, 2004),
 and the full closure `_canonical` runs only after an extrapolation that
 changed a bound.
 
-For a nonempty automaton, `zone_lasso` finds a shortest accepting lasso
-of the zone graph.  Every path of the extrapolated graph is taken by some
-concrete run (Tripakis, ACM TOCL 10(3), 2009), and `run_timestamps`
-solves for the earliest one as a system of difference constraints over
-event timestamps.  `region_lasso` projects that run onto regions.
+`zone_lasso` decides with the early-exit search and, for a nonempty
+automaton, goes on to a shortest accepting lasso of the same graph.
+Every path of the extrapolated graph is taken by some concrete run
+(Tripakis, ACM TOCL 10(3), 2009), and `run_timestamps` solves for the
+earliest one as a system of difference constraints over event
+timestamps.  `region_lasso` projects that run onto regions.
 """
 
 from __future__ import annotations
@@ -35,13 +36,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .core import And, Atom, Automaton, Guard, Not, TrueGuard, atoms
-from .errors import PreconditionViolated
+from .core import And, Atom, Automaton, Guard, Not, TrueGuard
 from .regions import (
     DEFAULT_REGION_BUDGET,
     SymbolicLasso,
     _accepting_sccs,
     _cycle_through,
+    _require_parameter_free,
     _search_lasso,
     _stem_to,
     region_of,
@@ -165,15 +166,7 @@ def _zone_graph(a: Automaton, m: int):
     successors(node) lists (label, child) pairs labelled by the Step
     taken; memo holds every node expanded so far.
     """
-    if a.params:
-        raise PreconditionViolated("parameter-free automaton required; instantiate first")
-    for t in a.transitions:
-        for at in atoms(t.guard):
-            if isinstance(at.bound, str):
-                raise PreconditionViolated("parameter-free automaton required; instantiate first")
-            if at.bound > m:
-                raise PreconditionViolated(f"guard constant {at.bound} exceeds bound {m}")
-
+    _require_parameter_free(a, m)
     clock_index = {z: i + 1 for i, z in enumerate(sorted(a.clocks))}
     n = len(a.clocks) + 1
     by_source: dict[str, list[tuple[str, list, tuple[int, ...]]]] = {}
@@ -238,16 +231,17 @@ class ZoneLasso:
 
 def zone_lasso(
     a: Automaton, m: int, max_nodes: int = DEFAULT_REGION_BUDGET
-) -> Optional[ZoneLasso]:
-    """A shortest accepting lasso of the zone graph, or None if it has none.
+) -> tuple[Optional[ZoneLasso], int]:
+    """(a shortest accepting lasso of the zone graph or None, zone nodes explored).
 
-    The reachable graph is explored breadth-first.  The lasso runs through
-    the first node in that order that is accepting and lies on a cycle,
-    along its breadth-first stem and a shortest cycle back.  When the graph
-    has more than max_nodes nodes, the lasso of zone_nonempty's depth-first
-    search is returned instead.
+    zone_nonempty's early-exit search decides, and the node count is its
+    own.  When it finds a lasso, the reachable graph is explored
+    breadth-first on the same successors.  The lasso runs through the first
+    node in that order that is accepting and lies on a cycle, along its
+    breadth-first stem and a shortest cycle back.  When the graph has more
+    than max_nodes nodes, the early-exit search's lasso is returned instead.
     """
-    root, successors, _ = _zone_graph(a, m)
+    root, successors, memo = _zone_graph(a, m)
     accepting = a.accepting
 
     def is_accepting(nd) -> bool:
@@ -256,6 +250,10 @@ def zone_lasso(
     def as_lasso(stem_pairs, cycle_pairs) -> ZoneLasso:
         return ZoneLasso(tuple(s for s, _ in stem_pairs), tuple(s for s, _ in cycle_pairs))
 
+    found = _search_lasso(root, successors, is_accepting, max_nodes)
+    explored = len(memo)
+    if found is None:
+        return None, explored
     parent: dict = {root: (None, None)}
     queue = deque([root])
     while queue:
@@ -263,8 +261,7 @@ def zone_lasso(
         for label, child in successors(node):
             if child not in parent:
                 if len(parent) >= max_nodes:
-                    found = _search_lasso(root, successors, is_accepting, max_nodes)
-                    return None if found is None else as_lasso(*found)
+                    return as_lasso(*found), explored
                 parent[child] = (node, label)
                 queue.append(child)
     rank = {nd: i for i, nd in enumerate(parent)}  # breadth-first order
@@ -273,10 +270,9 @@ def zone_lasso(
         af = min((w for w in members if is_accepting(w)), key=rank.__getitem__)
         if best is None or rank[af] < rank[best[0]]:
             best = af, members
-    if best is None:
-        return None
-    af, members = best
-    return as_lasso(_stem_to(af, parent), _cycle_through(af, successors, set(members)))
+    af, members = best  # the early-exit search's component is among them
+    lasso = as_lasso(_stem_to(af, parent), _cycle_through(af, successors, set(members)))
+    return lasso, explored
 
 
 def run_timestamps(a: Automaton, steps: Sequence[Step]) -> list[Fraction]:

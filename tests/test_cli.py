@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from pnta import TimedWord
 from pnta.cli import main
 
 
@@ -34,6 +35,22 @@ def test_check_json_report(data_dir, capsys):
     assert report["zone_nodes"] > 0
     assert report["lasso"]["cycle"]
     assert "wall_ms" in report["timings"]
+
+
+def test_check_json_report_carries_the_witness_word(data_dir, capsys):
+    window = str(data_dir / "e_window.ta")
+    code, out, _ = _run(capsys, "check", window, "--json")
+    assert code == 10
+    assert json.loads(out)["witness_word"] is None
+    code, out, _ = _run(capsys, "check", window, "--json", "--witness", "--unrollings", "2")
+    assert code == 10
+    word = json.loads(out)["witness_word"]
+    assert word[:2] == [["a", "1"], ["a", "41/40"]]
+    assert all(isinstance(ts, str) for _, ts in word)
+    assert _replays((data_dir / "e_window.ta").read_text(), TimedWord.of(word), Fraction(41, 40))
+    code, out, _ = _run(capsys, "check", str(data_dir / "e_empty.ta"), "--json", "--witness")
+    assert code == 0
+    assert json.loads(out)["witness_word"] is None
 
 
 def test_check_fixed_mu_and_witness(data_dir, capsys):
@@ -128,6 +145,38 @@ def test_max_regions_must_be_positive(data_dir, capsys, command, budget):
         main([command[0], str(data_dir / "e_window.ta"), *command[1:], "--max-regions", budget])
     assert exc.value.code == 2
     assert "positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "{window}", "--mu", "abc"),
+    ("simulate", "{window}", "--word", "{window}", "--mu", "abc"),
+    ("regions", "{window}", "--mu", "1/0"),
+    ("check", "{window}", "--unrollings", "0"),
+    ("analyze", "--trials", "-1"),
+    ("analyze", "--trials", "0"),
+], ids=["check-mu", "simulate-mu", "regions-mu", "unrollings", "trials-negative", "trials-zero"])
+def test_bad_option_values_are_usage_errors(data_dir, capsys, argv):
+    window = str(data_dir / "e_window.ta")
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(window=window) for arg in argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: argument --" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "{dir}"),
+    ("check", "{binary}"),
+    ("validate", "{binary}"),
+    ("simulate", "{window}", "--word", "{dir}", "--mu", "1"),
+], ids=["check-directory", "check-binary", "validate-binary", "simulate-word-directory"])
+def test_unreadable_input_is_a_bad_input_error(data_dir, tmp_path, capsys, argv):
+    binary = tmp_path / "binary.ta"
+    binary.write_bytes(b"automaton b\n\xff\xfe\x00\x89PNG\n")
+    paths = {"dir": tmp_path, "binary": binary, "window": data_dir / "e_window.ta"}
+    code, _, err = _run(capsys, *(arg.format(**paths) for arg in argv))
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_main_calls_share_no_parsed_state(data_dir, capsys):

@@ -237,3 +237,26 @@ def test_fixed_verdict_invariant_under_scaling(seed):
     for d in (2, 3):
         scaled = scale_constants(a, d)
         assert emptiness_fixed(scaled, None, include_lasso=False).nonempty == base
+
+
+def test_each_checked_candidate_builds_one_zone_graph(data_dir, monkeypatch):
+    """The search that decides a candidate also yields its lasso: no graph is built twice."""
+    from pnta import zones
+
+    built = []
+    graph = zones._zone_graph
+    monkeypatch.setattr(zones, "_zone_graph", lambda a, m: built.append(m) or graph(a, m))
+    window = parse_automaton((data_dir / "e_window.ta").read_text())
+    v = parametric_emptiness(window)
+    assert v.nonempty and v.zone_lasso is not None
+    assert len(built) == v.candidates_checked == 6
+    built.clear()
+    w10y = parse_automaton((data_dir / "w10y.ta").read_text())
+    assert emptiness_fixed(w10y, Fraction(32081, 3208)).zone_lasso is not None
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("name", ["e_empty", "e_param_contra", "e_window", "w10y"])
+def test_sweep_with_workers_equals_serial_sweep(data_dir, name):
+    a = parse_automaton((data_dir / f"{name}.ta").read_text())
+    assert parametric_emptiness(a, 20000, jobs=2) == parametric_emptiness(a, 20000, jobs=1)

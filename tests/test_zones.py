@@ -169,10 +169,10 @@ def _lasso_word(a, lasso, laps):
 
 def test_zone_lasso_is_shortest_and_falls_back_to_the_early_exit_search():
     scaled, m, _ = prepare_fixed(parse_automaton(BRANCHES), None)
-    shortest = zone_lasso(scaled, m)
+    shortest, _ = zone_lasso(scaled, m)
     assert _lasso_word(scaled, shortest, 1).letters() == ("b", "a", "a")
     assert zone_nonempty(scaled, m, max_nodes=4) == (True, 4)
-    early_exit = zone_lasso(scaled, m, max_nodes=4)
+    early_exit, _ = zone_lasso(scaled, m, max_nodes=4)
     assert _lasso_word(scaled, early_exit, 1).letters() == ("a", "a", "a", "a")
     for lasso in (shortest, early_exit):
         assert reaches_acceptance(scaled, _lasso_word(scaled, lasso, 3))
@@ -183,13 +183,13 @@ def test_zone_lasso_absent_on_empty_language():
         "automaton e\nclocks x\ninit q0\naccept q1\ntrans q0 q1 a ( x < 1 ) { }\n"
     )
     scaled, m, _ = prepare_fixed(a, None)
-    assert zone_lasso(scaled, m) is None
+    assert zone_lasso(scaled, m)[0] is None
 
 
 def test_run_timestamps_are_earliest_and_exact():
     a = parse_automaton(WINDOW_FIXED)
     scaled, m, _ = prepare_fixed(a, None)
-    lasso = zone_lasso(scaled, m)
+    lasso, _ = zone_lasso(scaled, m)
     times = run_timestamps(scaled, lasso.stem + lasso.cycle * 2)
     assert times[:2] == [2, 3]  # x = 2 and x = 3 pin the stem
     assert all(3 < t < 4 for t in times[2:])  # the loop needs only strictly later events
@@ -202,7 +202,7 @@ def test_zone_lasso_runs_and_projects_onto_regions(seed, nrt):
     rng = random.Random(seed)
     a = rand_nrtta(rng, cmax=3) if nrt else rand_ta(rng, max_states=3, cmax=2)
     scaled, m, _ = prepare_fixed(a, None)
-    lasso = zone_lasso(scaled, m)
+    lasso, _ = zone_lasso(scaled, m)
     assert (lasso is not None) == zone_nonempty(scaled, m)[0]
     if lasso is None:
         return
