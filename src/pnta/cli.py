@@ -54,9 +54,18 @@ class Report:
         return json.dumps(self.__dict__, indent=2, sort_keys=True)
 
 
+def _read_text(path: str) -> str:
+    """The UTF-8 text of an input file; one that cannot be read is an error naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
+        raise PntaError(f"cannot read {path}: {reason}") from None
+
+
 def _load_automaton(path: str) -> Automaton:
-    with open(path, encoding="utf-8") as fh:
-        a = parse_automaton(fh.read())
+    a = parse_automaton(_read_text(path))
     errs = validate(a)
     if errs:
         raise PreconditionViolated(
@@ -118,7 +127,8 @@ def cmd_check(args) -> int:
             print("lasso stem:  " + "  ->  ".join(report.lasso["stem"]))
             print("lasso cycle: " + "  ->  ".join(report.lasso["cycle"]))
         if word is not None:
-            print("witness word (one cycle unrolling):")
+            plural = "" if args.unrollings == 1 else "s"
+            print(f"witness word ({args.unrollings} cycle unrolling{plural}):")
             print(format_timed_word(word), end="")
     return EXIT_NONEMPTY if verdict.nonempty else EXIT_EMPTY
 
@@ -136,8 +146,7 @@ def cmd_translate(args) -> int:
 
 def cmd_simulate(args) -> int:
     a = _load_automaton(args.file)
-    with open(args.word, encoding="utf-8") as fh:
-        w = parse_timed_word(fh.read())
+    w = parse_timed_word(_read_text(args.word))
     interp = None
     if a.params:
         if args.mu is None:
@@ -191,9 +200,9 @@ def cmd_gen(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    text = _read_text(args.file)
     try:
-        with open(args.file, encoding="utf-8") as fh:
-            a = parse_automaton(fh.read())
+        a = parse_automaton(text)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
@@ -308,7 +317,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except RegionBudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (PntaError, OSError, UnicodeDecodeError) as exc:  # the last two: unreadable input
+    except (PntaError, OSError) as exc:  # OSError: an output file that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

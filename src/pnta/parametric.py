@@ -29,7 +29,15 @@ from .errors import (
 from .regions import DEFAULT_REGION_BUDGET, SymbolicLasso
 from .semantics import TimedWord
 from .translate import ta_to_nrtta
-from .zones import ZoneLasso, region_lasso, run_timestamps, zone_lasso, zone_nonempty
+from .zones import (
+    Compiled,
+    ZoneLasso,
+    compile_automaton,
+    region_lasso,
+    run_timestamps,
+    zone_lasso,
+    zone_nonempty,
+)
 
 Rational = Union[int, Fraction]
 
@@ -180,6 +188,37 @@ def _searched(a: Automaton) -> Automaton:
     return a
 
 
+def _decide(
+    compiled: Compiled, mu: Optional[Rational], max_nodes: int, include_lasso: bool = True
+) -> Verdict:
+    """emptiness_fixed on the compiled searched automaton, without the region lasso."""
+    s = compiled.at(mu)
+    if include_lasso:
+        zl, explored = zone_lasso(s, s.m, max_nodes)
+        nonempty = zl is not None
+    else:
+        zl = None
+        nonempty, explored = zone_nonempty(s, s.m, max_nodes)
+    witness = Fraction(mu) if (nonempty and mu is not None) else None
+    return Verdict(nonempty, witness, None, s.d, s.m, 1, explored, zl)
+
+
+def _scaled_automaton(b: Automaton, v: Verdict) -> Automaton:
+    """The scaled automaton prepare_fixed gives at a Nonempty verdict's witness mu.
+
+    Built only for the run that region_lasso and witness_word solve; the
+    verdict already holds the scale factor.
+    """
+    return scale_constants(instantiate(b, v.witness_mu) if b.params else b, v.scaled_by)
+
+
+def _with_region_lasso(b: Automaton, v: Verdict) -> Verdict:
+    """v with the region lasso of its zone lasso, if it has one."""
+    if v.zone_lasso is None:
+        return v
+    return replace(v, lasso=region_lasso(_scaled_automaton(b, v), v.m, v.zone_lasso))
+
+
 def emptiness_fixed(
     a: Automaton,
     mu: Optional[Rational] = None,
@@ -194,16 +233,8 @@ def emptiness_fixed(
     verdict carries it and the region lasso that a concrete run along it
     follows on the scaled automaton.
     """
-    scaled, m, d = prepare_fixed(_searched(a), mu)
-    if include_lasso:
-        zl, explored = zone_lasso(scaled, m, max_nodes)
-        nonempty = zl is not None
-    else:
-        zl = None
-        nonempty, explored = zone_nonempty(scaled, m, max_nodes)
-    lasso = region_lasso(scaled, m, zl) if zl is not None else None
-    witness = Fraction(mu) if (nonempty and mu is not None) else None
-    return Verdict(nonempty, witness, lasso, d, m, 1, explored, zl)
+    b = _searched(a)
+    return _with_region_lasso(b, _decide(compile_automaton(b), mu, max_nodes, include_lasso))
 
 
 def clamp_jobs(jobs: int, n_candidates: int) -> int:
@@ -216,13 +247,14 @@ def parametric_emptiness(
 ) -> Verdict:
     """Does any real parameter value give the automaton a nonempty language?
 
-    Runs emptiness_fixed on the finite candidate list in ascending order and
-    reports the first nonempty value as witness, with the candidates and
-    zone nodes of the whole sweep; with jobs > 1 the checks run in worker
-    processes, but the verdict and its counts are the same.  One-clock
-    automata that test and reset the same clock are translated first;
-    two-clock automata that do so are rejected, as are automata with more
-    than two clocks or more than one parameter.  A parameter-free automaton
+    Compiles the searched automaton once, decides each value of the finite
+    candidate list in ascending order as emptiness_fixed would, and reports
+    the first nonempty value as witness, with the candidates and zone nodes
+    of the whole sweep; with jobs > 1 the checks run in worker processes,
+    which receive the compiled form, but the verdict and its counts are the
+    same.  One-clock automata that test and reset the same clock are
+    translated first; two-clock automata that do so are rejected, as are
+    automata with more than two clocks or more than one parameter.  A parameter-free automaton
     is decided as by emptiness_fixed, with any number of clocks.
     """
     if not a.params:
@@ -237,7 +269,7 @@ def parametric_emptiness(
     if len(b.clocks) > 2:
         raise UnsupportedAutomaton(f"at most two clocks supported, got {len(b.clocks)}")
     values = candidate_parameters(b).values
-    check = partial(emptiness_fixed, b, max_nodes=max_nodes)
+    check = partial(_decide, compile_automaton(b), max_nodes=max_nodes)
     workers = clamp_jobs(jobs, len(values))
     pool = ProcessPoolExecutor(workers) if workers > 1 else None
     try:
@@ -246,6 +278,7 @@ def parametric_emptiness(
         for checked, v in enumerate(verdicts, 1):  # in order; the serial map stops early
             total_nodes += v.zone_nodes
             if v.nonempty:
+                v = _with_region_lasso(b, v)
                 return replace(v, candidates_checked=checked, zone_nodes=total_nodes)
     finally:
         if pool is not None:
@@ -265,8 +298,8 @@ def witness_word(a: Automaton, verdict: Verdict, unrollings: int = 1) -> TimedWo
         raise PreconditionViolated("a Nonempty verdict with a lasso is required")
     if unrollings < 1:
         raise PreconditionViolated("unrollings must be at least 1")
-    scaled, m, d = prepare_fixed(_searched(a), verdict.witness_mu)
-    assert d == verdict.scaled_by and m == verdict.m
+    scaled = _scaled_automaton(_searched(a), verdict)
+    d = verdict.scaled_by
     steps = verdict.zone_lasso.stem + verdict.zone_lasso.cycle * unrollings
     times = run_timestamps(scaled, steps)
     return TimedWord.of((scaled.transitions[t].letter, ts / d) for (t, _), ts in zip(steps, times))

@@ -21,6 +21,21 @@ guard bound in O(n^2) and keeps it so (Bengtsson & Yi, LNCS 3098, 2004),
 and the full closure `_canonical` runs only after an extrapolation that
 changed a bound.
 
+Extrapolation is Extra_M with a bound per clock (Behrmann, Bouyer,
+Larsen, Pelánek, STTT 8(3), 2006): a clock's cap is the largest scaled
+constant a guard compares it with, 0 if no guard tests it, so a zone
+forgets what no guard can tell apart; it stays sound for Büchi emptiness
+(Tripakis 2009).  The cap is usually well below the global region bound
+m, which only the region projection uses.
+
+The search reads an automaton in the form `compile_automaton` gives:
+clock indices, and each guard's `_dnf` disjuncts with constants as
+integers over their common denominator and the parameter as a slot.  A
+candidate sweep compiles its automaton once; `Compiled.at(mu)` fills the
+slots with mu times the scale factor in integer arithmetic and yields the
+bounds `_tighten` adds, the caps, and the scale factor and m that
+`prepare_fixed` would give.
+
 `zone_lasso` decides with the early-exit search and, for a nonempty
 automaton, goes on to a shortest accepting lasso of the same graph.
 Every path of the extrapolated graph is taken by some concrete run
@@ -31,12 +46,14 @@ timestamps.  `region_lasso` projects that run onto regions.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
-from .core import And, Atom, Automaton, Guard, Not, TrueGuard
+from .core import And, Atom, Automaton, Bound, Guard, Not, TrueGuard, atoms
+from .errors import NotOneParameter, PreconditionViolated
 from .regions import (
     DEFAULT_REGION_BUDGET,
     SymbolicLasso,
@@ -125,27 +142,35 @@ def _reset(d: list[list[int]], n: int, idxs: tuple[int, ...]) -> None:
         d[x][x] = _LE0
 
 
-def _extrapolate(d: list[list[int]], n: int, m: int) -> bool:
-    """Widen bounds beyond +-m (ExtraM); True when some bound changed."""
-    cap_hi = _bnd(m, True)
-    cap_lo = _bnd(-m, False)
+def _extrapolate(d: list[list[int]], n: int, caps: Sequence[int]) -> bool:
+    """Extra_M with a bound per clock; True when some bound changed.
+
+    caps[i] is clock i's cap, 0 for the zero clock.  A bound d[i][j] above
+    the row clock's cap is dropped, and one below minus the column clock's
+    cap is raised to it, made strict.
+    """
     changed = False
     for i in range(n):
         di = d[i]
+        hi = 2 * caps[i] + 1  # _bnd(caps[i], True)
         for j in range(n):
             b = di[j]
-            if i != j and b < INF and (b > cap_hi or b < cap_lo):
-                di[j] = INF if b > cap_hi else cap_lo
-                changed = True
+            if i != j and b < INF:
+                if b > hi:
+                    di[j] = INF
+                    changed = True
+                elif b < -2 * caps[j]:  # below _bnd(-caps[j], False)
+                    di[j] = -2 * caps[j]
+                    changed = True
     return changed
 
 
-def _dnf(g: Guard, positive: bool) -> list[list[tuple[str, str, int]]]:
-    """Disjunctive normal form over single-clock interval literals."""
+def _dnf(g: Guard, positive: bool) -> list[list[tuple[str, str, Bound]]]:
+    """Disjunctive normal form over single-clock interval literals (clock, op, bound)."""
     if isinstance(g, TrueGuard):
         return [[]] if positive else []
     if isinstance(g, Atom):
-        c = int(g.bound)
+        c = g.bound
         if positive:
             return [[(g.clock, g.op, c)]]
         if g.op == "<":
@@ -160,28 +185,127 @@ def _dnf(g: Guard, positive: bool) -> list[list[tuple[str, str, int]]]:
     raise TypeError(f"not a guard: {g!r}")
 
 
-def _zone_graph(a: Automaton, m: int):
-    """(root, successors, memo) of the zone graph of a parameter-free automaton.
+Literal = tuple[int, str, Optional[int]]  # (clock index, op, constant times denom or None)
+Edge = tuple[str, list[tuple[Step, list[tuple[int, int, int]]]], tuple[int, ...]]
+
+
+@dataclass(frozen=True)
+class Scaled:
+    """An automaton at one parameter value, in the scaled time unit, as the zone graph reads it.
+
+    edges maps a state to its transitions as (target, [(Step, bounds)],
+    reset indices), each bound (x, y, b) a constraint d[x][y] <= b for
+    `_tighten`; caps holds each DBM index's extrapolation bound.
+    """
+
+    initial: str
+    accepting: frozenset[str]
+    n: int  # DBM dimension: the clocks plus the zero clock
+    edges: dict[str, list[Edge]]
+    caps: tuple[int, ...]
+    d: int  # scale factor
+    m: int  # global region bound, as prepare_fixed computes it
+
+
+@dataclass(frozen=True)
+class Compiled:
+    """An automaton with at most one parameter, compiled once for checks at many values.
+
+    Each transition is (source, target, reset indices, the `_dnf`
+    disjuncts of its guard), a literal's bound the constant times denom or
+    None for the parameter.  Plain data, so it crosses a process pool.
+    """
+
+    initial: str
+    accepting: frozenset[str]
+    n_clocks: int
+    transitions: tuple[tuple[str, str, tuple[int, ...], tuple[tuple[Literal, ...], ...]], ...]
+    denom: int  # lcm of the constant denominators
+    c: int  # max_constant
+    top: int  # the largest constant times denom
+    n_params: int
+    has_param: bool  # some guard compares against the parameter
+
+    def at(self, mu) -> Scaled:
+        """The automaton at parameter value mu (None when it has no parameter).
+
+        Gives what prepare_fixed gives, with the guard bounds in integers:
+        the scale factor d, the lcm of the denominators after mu is filled
+        in; the bound m; and as each clock's cap the largest scaled
+        constant it is compared against, 0 if no guard tests it.
+        """
+        if mu is None:
+            if self.n_params or self.has_param:
+                raise PreconditionViolated("parameter value required for a parametric automaton")
+        else:
+            mu = Fraction(mu)
+            if self.n_params and mu < 0:
+                raise PreconditionViolated(f"parameter value must be nonnegative, got {mu}")
+            if self.n_params > 1:
+                raise NotOneParameter(f"at most one parameter supported, got {self.n_params}")
+        d = math.lcm(self.denom, mu.denominator) if self.has_param else self.denom
+        k = d // self.denom
+        slot = mu.numerator * (d // mu.denominator) if self.has_param else None
+        m = max(2 * self.c * d, self.top * k)
+        if mu is not None:
+            m = max(m, math.ceil(mu * d))
+        caps = [0] * (self.n_clocks + 1)
+        edges: dict[str, list[Edge]] = {}
+        for idx, (source, target, resets, disjuncts) in enumerate(self.transitions):
+            out = []
+            for j, disj in enumerate(disjuncts):
+                bounds = []
+                for x, op, c in disj:
+                    c = slot if c is None else c * k
+                    caps[x] = max(caps[x], c)
+                    # upper (x, 0), lower (0, x), "=" both
+                    if op[0] != ">":
+                        bounds.append((x, 0, _bnd(c, op != "<")))
+                    if op[0] != "<":
+                        bounds.append((0, x, _bnd(-c, op != ">")))
+                out.append(((idx, j), bounds))
+            edges.setdefault(source, []).append((target, out, resets))
+        return Scaled(self.initial, self.accepting, self.n_clocks + 1, edges, tuple(caps), d, m)
+
+
+def compile_automaton(a: Automaton) -> Compiled:
+    """The compiled form of a, for Compiled.at."""
+    bounds = [at.bound for t in a.transitions for at in atoms(t.guard)]
+    consts = [b for b in bounds if not isinstance(b, str)]  # int or Fraction
+    denom = math.lcm(*(v.denominator for v in consts))
+    index = {z: i + 1 for i, z in enumerate(sorted(a.clocks))}
+    ts = []
+    for t in a.transitions:
+        disjuncts = tuple(
+            tuple((index[z], op, None if isinstance(b, str) else int(b * denom))
+                  for z, op, b in disj)
+            for disj in _dnf(t.guard, True)
+        )
+        resets = tuple(sorted(index[z] for z in t.resets))
+        ts.append((t.source, t.target, resets, disjuncts))
+    c = max([1] + [int(v) for v in consts if v.denominator == 1])
+    top = int(max(consts) * denom) if consts else 0
+    return Compiled(a.initial, a.accepting, len(a.clocks), tuple(ts), denom, c, top,
+                    len(a.params), len(consts) < len(bounds))
+
+
+def _scaled(a: Union[Automaton, Scaled], m: int) -> Scaled:
+    """a itself, or a parameter-free Automaton with guard constants at most m compiled."""
+    if isinstance(a, Scaled):
+        return a
+    _require_parameter_free(a, m)
+    return compile_automaton(a).at(None)
+
+
+def _zone_graph(s: Scaled):
+    """(root, successors, memo) of the zone graph of a scaled automaton.
 
     successors(node) lists (label, child) pairs labelled by the Step
     taken; memo holds every node expanded so far.
     """
-    _require_parameter_free(a, m)
-    clock_index = {z: i + 1 for i, z in enumerate(sorted(a.clocks))}
-    n = len(a.clocks) + 1
-    by_source: dict[str, list[tuple[str, list, tuple[int, ...]]]] = {}
-    for idx, t in enumerate(a.transitions):
-        disjuncts = []
-        for k, disj in enumerate(_dnf(t.guard, True)):
-            # each literal as bounds d[x][y] <= b: upper (x, 0), lower (0, x), "=" both
-            ups = [(clock_index[z], 0, _bnd(c, op != "<")) for z, op, c in disj if op[0] != ">"]
-            lows = [(0, clock_index[z], _bnd(-c, op != ">")) for z, op, c in disj if op[0] != "<"]
-            disjuncts.append(((idx, k), ups + lows))
-        reset_idxs = tuple(sorted(clock_index[z] for z in t.resets))
-        by_source.setdefault(t.source, []).append((t.target, disjuncts, reset_idxs))
-
+    n, caps, edges = s.n, s.caps, s.edges
     zero_key = tuple(tuple(_LE0 for _ in range(n)) for _ in range(n))
-    root = (a.initial, zero_key, True)
+    root = (s.initial, zero_key, True)
     memo: dict = {}
 
     def successors(node):
@@ -192,13 +316,13 @@ def _zone_graph(a: Automaton, m: int):
         base = [list(row) for row in key]
         _up(base, n, strict=not first)
         out = []
-        for target, disjuncts, reset_idxs in by_source.get(q, ()):
+        for target, disjuncts, reset_idxs in edges.get(q, ()):
             for label, bounds in disjuncts:
                 z = [row[:] for row in base]
                 if not all(_tighten(z, n, x, y, b) for x, y, b in bounds):
                     continue
                 _reset(z, n, reset_idxs)
-                if _extrapolate(z, n, m):
+                if _extrapolate(z, n, caps):
                     _canonical(z, n)  # widening a nonempty zone keeps it nonempty
                 out.append((label, (target, tuple(map(tuple, z)), False)))
         memo[node] = out
@@ -208,10 +332,13 @@ def _zone_graph(a: Automaton, m: int):
 
 
 def zone_nonempty(
-    a: Automaton, m: int, max_nodes: int = DEFAULT_REGION_BUDGET
+    a: Union[Automaton, Scaled], m: int, max_nodes: int = DEFAULT_REGION_BUDGET
 ) -> tuple[bool, int]:
-    """(accepting lasso exists, zone nodes explored) for a parameter-free automaton."""
-    root, successors, memo = _zone_graph(a, m)
+    """(accepting lasso exists, zone nodes explored) for a parameter-free automaton.
+
+    An Automaton must have guard constants at most m; a Scaled carries its own bounds.
+    """
+    root, successors, memo = _zone_graph(_scaled(a, m))
     accepting = a.accepting
     found = _search_lasso(root, successors, lambda nd: nd[0] in accepting, max_nodes)
     return found is not None, len(memo)
@@ -230,7 +357,7 @@ class ZoneLasso:
 
 
 def zone_lasso(
-    a: Automaton, m: int, max_nodes: int = DEFAULT_REGION_BUDGET
+    a: Union[Automaton, Scaled], m: int, max_nodes: int = DEFAULT_REGION_BUDGET
 ) -> tuple[Optional[ZoneLasso], int]:
     """(a shortest accepting lasso of the zone graph or None, zone nodes explored).
 
@@ -240,8 +367,9 @@ def zone_lasso(
     node in that order that is accepting and lies on a cycle, along its
     breadth-first stem and a shortest cycle back.  When the graph has more
     than max_nodes nodes, the early-exit search's lasso is returned instead.
+    a is taken as by zone_nonempty.
     """
-    root, successors, memo = _zone_graph(a, m)
+    root, successors, memo = _zone_graph(_scaled(a, m))
     accepting = a.accepting
 
     def is_accepting(nd) -> bool:

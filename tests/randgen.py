@@ -18,6 +18,7 @@ from pnta import (
     ge,
     gt,
     interval_bounds,
+    is_nrtta,
     le,
     lt,
     ne,
@@ -109,6 +110,21 @@ def two_clock_population(size=200, seed=607):
     while len(population) < size:
         a = rand_nrtta(rng, max_states=3, max_clocks=2, cmax=2, param="mu")
         if len(a.clocks) == 2 and any(
+            isinstance(at.bound, str) for t in a.transitions for at in atoms(t.guard)
+        ):
+            population.append(a)
+    return population
+
+
+def one_clock_population(size=40, seed=1607):
+    """One-clock parametric automata that test and reset their clock: a check translates them."""
+    rng = random.Random(seed)
+    population = []
+    while len(population) < size:
+        states = tuple(f"q{i}" for i in range(rng.randint(1, 3)))
+        trans = _rand_transitions(rng, states, ("x1",), 2, "mu", free_resets=True)
+        a = _assemble(rng, states, ("x1",), ("mu",), trans)
+        if not is_nrtta(a) and any(
             isinstance(at.bound, str) for t in a.transitions for at in atoms(t.guard)
         ):
             population.append(a)

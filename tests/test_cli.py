@@ -119,7 +119,7 @@ def test_check_witness_on_one_clock_test_and_reset(tmp_path, capsys, params, bou
     p.write_text(text)
     code, out, err = _run(capsys, "check", str(p), *argv, "--witness")
     assert code == 10, err
-    w = parse_timed_word(out.split("witness word (one cycle unrolling):\n", 1)[1])
+    w = parse_timed_word(out.split("witness word (1 cycle unrolling):\n", 1)[1])
     frontiers = run_frontiers(parse_automaton(text), w, interp)
     assert all(frontiers)
     assert "q1" in {c.state for c in frontiers[-1]}
@@ -179,6 +179,20 @@ def test_unreadable_input_is_a_bad_input_error(data_dir, tmp_path, capsys, argv)
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("check", "{binary}"),
+    ("validate", "{binary}"),
+    ("simulate", "{window}", "--word", "{binary}", "--mu", "1"),
+], ids=["check", "validate", "simulate-word"])
+def test_an_undecodable_file_is_named_in_the_error(data_dir, tmp_path, capsys, argv):
+    binary = tmp_path / "binary.ta"
+    binary.write_bytes(b"automaton b\n\xff\xfe\x00\x89PNG\n")
+    paths = {"binary": binary, "window": data_dir / "e_window.ta"}
+    code, _, err = _run(capsys, *(arg.format(**paths) for arg in argv))
+    assert code == 2
+    assert err.startswith(f"error: cannot read {binary}: ") and "Traceback" not in err
+
+
 def test_main_calls_share_no_parsed_state(data_dir, capsys):
     """The parser is built once per process; no call sees another's arguments."""
     from pnta.cli import _build_parser
@@ -216,7 +230,7 @@ def test_main_calls_share_no_parsed_state(data_dir, capsys):
 def _witness(out):
     from pnta import parse_timed_word
 
-    return parse_timed_word(out.split("witness word (one cycle unrolling):\n", 1)[1])
+    return parse_timed_word(out.split("witness word (1 cycle unrolling):\n", 1)[1])
 
 
 def _replays(text, w, mu):
@@ -224,6 +238,36 @@ def _replays(text, w, mu):
     from randgen import reaches_acceptance
 
     return reaches_acceptance(parse_automaton(text), w, {"mu": mu})
+
+
+def test_witness_header_counts_the_unrollings(data_dir, capsys):
+    from pnta import parse_timed_word
+
+    window = data_dir / "e_window.ta"
+    words = []
+    for unrollings, header in (("1", "witness word (1 cycle unrolling):\n"),
+                               ("3", "witness word (3 cycle unrollings):\n")):
+        code, out, _ = _run(capsys, "check", str(window), "--witness", "--unrollings", unrollings)
+        assert code == 10
+        words.append(parse_timed_word(out.split(header, 1)[1]))
+        assert _replays(window.read_text(), words[-1], Fraction(41, 40))
+    assert len(words[1]) > len(words[0])
+
+
+def test_p607_041_witness_is_short(tmp_path, capsys):
+    # global-bound extrapolation let this zone cycle run 160 steps before it closed
+    from pnta import print_automaton
+    from randgen import two_clock_population
+
+    a = two_clock_population()[41]
+    p = tmp_path / "p607-041.ta"
+    p.write_text(print_automaton(a))
+    code, out, err = _run(capsys, "check", str(p), "--witness")
+    assert code == 10, err
+    w = _witness(out)
+    assert len(w) <= 20
+    mu = Fraction(out.split("witness mu = ", 1)[1].split(")", 1)[0])
+    assert _replays(p.read_text(), w, mu)
 
 
 def test_check_w10y_witness(data_dir, capsys):

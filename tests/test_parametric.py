@@ -27,8 +27,9 @@ from pnta import (
     scale_constants,
     witness_word,
 )
-from pnta.parametric import FRACTIONAL_REP, HALF_INTEGER, LARGE_REP, clamp_jobs
-from randgen import rand_nrtta, reaches_acceptance, two_clock_population
+from pnta.parametric import FRACTIONAL_REP, HALF_INTEGER, LARGE_REP, _searched, clamp_jobs
+from pnta.zones import _bnd, _dnf, compile_automaton
+from randgen import one_clock_population, rand_nrtta, reaches_acceptance, two_clock_population
 
 
 @pytest.fixture
@@ -225,7 +226,7 @@ def test_population_sweep_totals_are_pinned():
     verdicts = [parametric_emptiness(a, 20000) for a in two_clock_population()]
     assert sum(v.nonempty for v in verdicts) == 189
     assert sum(v.candidates_checked for v in verdicts) == 360
-    assert sum(v.zone_nodes for v in verdicts) == 3826
+    assert sum(v.zone_nodes for v in verdicts) == 2832
 
 
 @settings(max_examples=80, deadline=None)
@@ -245,7 +246,7 @@ def test_each_checked_candidate_builds_one_zone_graph(data_dir, monkeypatch):
 
     built = []
     graph = zones._zone_graph
-    monkeypatch.setattr(zones, "_zone_graph", lambda a, m: built.append(m) or graph(a, m))
+    monkeypatch.setattr(zones, "_zone_graph", lambda s: built.append(s.m) or graph(s))
     window = parse_automaton((data_dir / "e_window.ta").read_text())
     v = parametric_emptiness(window)
     assert v.nonempty and v.zone_lasso is not None
@@ -254,6 +255,64 @@ def test_each_checked_candidate_builds_one_zone_graph(data_dir, monkeypatch):
     w10y = parse_automaton((data_dir / "w10y.ta").read_text())
     assert emptiness_fixed(w10y, Fraction(32081, 3208)).zone_lasso is not None
     assert len(built) == 1
+
+
+def _zone_edges(scaled):
+    """(edges, caps) of a scaled automaton as the zone graph reads it.
+
+    edges maps each Step to its source, target, reset indices and the
+    d[x][y] <= b bounds of its guard disjunct's literals; a clock's cap is
+    the largest constant a literal compares it with, 0 if none does.
+    """
+    index = {z: i + 1 for i, z in enumerate(sorted(scaled.clocks))}
+    edges = {}
+    caps = [0] * (len(index) + 1)
+    for idx, t in enumerate(scaled.transitions):
+        resets = tuple(sorted(index[z] for z in t.resets))
+        for k, disj in enumerate(_dnf(t.guard, True)):
+            bounds = []
+            for z, op, c in disj:
+                assert isinstance(c, int)
+                caps[index[z]] = max(caps[index[z]], c)
+                if op[0] != ">":
+                    bounds.append((index[z], 0, _bnd(c, op != "<")))
+                if op[0] != "<":
+                    bounds.append((0, index[z], _bnd(-c, op != ">")))
+            edges[(idx, k)] = (t.source, t.target, resets, bounds)
+    return edges, tuple(caps)
+
+
+def test_compiled_form_at_each_candidate_matches_prepare_fixed(data_dir):
+    fixtures = [parse_automaton((data_dir / f"{name}.ta").read_text())
+                for name in ("e_empty", "e_param_contra", "e_window", "w10y")]
+    checked = 0
+    for a in two_clock_population() + one_clock_population() + fixtures:
+        b = _searched(a)
+        compiled = compile_automaton(b)
+        for mu in candidate_parameters(b).values if b.params else (None,):
+            s = compiled.at(mu)
+            scaled, m, d = prepare_fixed(b, mu)
+            assert (s.d, s.m) == (d, m)
+            edges = {label: (source, target, resets, bounds)
+                     for source, out in s.edges.items()
+                     for target, disjuncts, resets in out
+                     for label, bounds in disjuncts}
+            assert (edges, s.caps) == _zone_edges(scaled)
+            checked += 1
+    assert checked == 3335
+
+
+def test_the_sweep_scales_the_automaton_only_for_its_winner(data_dir, monkeypatch):
+    from pnta import parametric
+
+    scaled = []
+    scale = parametric.scale_constants
+    monkeypatch.setattr(parametric, "scale_constants",
+                        lambda a, d: scaled.append(d) or scale(a, d))
+    for name, count in (("e_window", 1), ("e_param_contra", 0)):
+        scaled.clear()
+        parametric_emptiness(parse_automaton((data_dir / f"{name}.ta").read_text()))
+        assert len(scaled) == count
 
 
 @pytest.mark.parametrize("name", ["e_empty", "e_param_contra", "e_window", "w10y"])

@@ -26,6 +26,7 @@ from pnta.zones import (
     _reset,
     _tighten,
     _up,
+    compile_automaton,
     region_lasso,
     run_timestamps,
 )
@@ -134,13 +135,30 @@ def test_up_and_reset_keep_a_dbm_canonical(dbm, strict, data):
 
 
 @settings(max_examples=300, deadline=None)
-@given(canonical_dbms(), st.integers(0, 6))
-def test_extrapolate_keeps_a_dbm_canonical_unless_it_widens_it(dbm, m):
+@given(canonical_dbms(), st.data())
+def test_extrapolate_keeps_a_dbm_canonical_unless_it_widens_it(dbm, data):
     d, n = dbm
-    if _extrapolate(d, n, m):
+    caps = [0] + [data.draw(st.integers(0, 6)) for _ in range(n - 1)]
+    if _extrapolate(d, n, caps):
         assert _canonical(d, n)  # widening never empties a zone
     else:
         assert _closed(d, n) == (True, d)
+
+
+def test_a_clock_no_guard_tests_has_cap_0():
+    a = parse_automaton(
+        "automaton u\nclocks x y\ninit q0\naccept q0\ntrans q0 q0 a ( x < 3 ) { y }\n"
+    )
+    caps = compile_automaton(a).at(None).caps
+    assert caps == (0, 3, 0)
+    # x = 5 and y = 2: y keeps only y > 0, x only x > 3, and x - y = 3 stays
+    d = [[_bnd(0, True), _bnd(-5, True), _bnd(-2, True)],
+         [_bnd(5, True), _bnd(0, True), _bnd(3, True)],
+         [_bnd(2, True), _bnd(-3, True), _bnd(0, True)]]
+    assert _extrapolate(d, 3, caps)
+    assert d == [[_bnd(0, True), _bnd(-3, False), _bnd(0, False)],
+                 [INF, _bnd(0, True), _bnd(3, True)],
+                 [INF, _bnd(-3, True), _bnd(0, True)]]
 
 
 # a-a-a reaches the accepting loop first in depth-first order, b then the loop is shorter,
