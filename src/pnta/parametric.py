@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import partial
 from typing import Optional, Union
@@ -78,6 +78,8 @@ class Verdict:
     candidates_checked: int
     zone_nodes: int
     zone_lasso: Optional[ZoneLasso] = None
+    # the scaled automaton of a Nonempty verdict's lassos, built once for both
+    scaled: Optional[Automaton] = field(default=None, compare=False, repr=False)
 
 
 def candidate_parameters(a: Automaton) -> CandidateSet:
@@ -213,10 +215,11 @@ def _scaled_automaton(b: Automaton, v: Verdict) -> Automaton:
 
 
 def _with_region_lasso(b: Automaton, v: Verdict) -> Verdict:
-    """v with the region lasso of its zone lasso, if it has one."""
+    """v with the region lasso of its zone lasso and the scaled automaton, if it has one."""
     if v.zone_lasso is None:
         return v
-    return replace(v, lasso=region_lasso(_scaled_automaton(b, v), v.m, v.zone_lasso))
+    scaled = _scaled_automaton(b, v)
+    return replace(v, lasso=region_lasso(scaled, v.m, v.zone_lasso), scaled=scaled)
 
 
 def emptiness_fixed(
@@ -292,13 +295,16 @@ def witness_word(a: Automaton, verdict: Verdict, unrollings: int = 1) -> TimedWo
     Solves for the earliest run along the stem and `unrollings` laps of the
     verdict's zone lasso on the scaled automaton and divides the timestamps
     back by the scale factor, so the word is accepted by the input automaton
-    at the witness parameter value.
+    at the witness parameter value.  The scaled automaton is the one the
+    verdict carries; it is built from a only for a verdict without one.
     """
     if not verdict.nonempty or verdict.zone_lasso is None:
         raise PreconditionViolated("a Nonempty verdict with a lasso is required")
     if unrollings < 1:
         raise PreconditionViolated("unrollings must be at least 1")
-    scaled = _scaled_automaton(_searched(a), verdict)
+    scaled = verdict.scaled
+    if scaled is None:
+        scaled = _scaled_automaton(_searched(a), verdict)
     d = verdict.scaled_by
     steps = verdict.zone_lasso.stem + verdict.zone_lasso.cycle * unrollings
     times = run_timestamps(scaled, steps)

@@ -9,7 +9,7 @@ Two search surfaces are built on this:
   - an explicit RegionAutomaton (one edge per delay-then-fire step), and
   - an implicit early-exit search, which walks single time steps instead
     of materializing whole successor fans and therefore stops as soon as
-    an accepting cycle is found.  It backs the `regions` command and is
+    it closes an accepting cycle.  It backs the `regions` command and is
     the oracle the tests check the zone engine against; `check` decides
     with the zone engine alone.
 
@@ -272,7 +272,7 @@ def build_region_automaton(
 
 
 # ---------------------------------------------------------------------------
-# Generic early-exit lasso search (Tarjan SCC, iterative)
+# Generic early-exit lasso search (on-the-fly SCCs, iterative)
 
 
 def _cycle_through(af, successors, scc) -> list:
@@ -307,16 +307,11 @@ def _cycle_through(af, successors, scc) -> list:
     raise AssertionError("strongly connected component without a cycle through its member")
 
 
-def _accepting_sccs(
-    root,
-    successors: Callable,
-    is_accepting: Callable,
-    max_nodes: Optional[int] = None,
-):
+def _accepting_sccs(root, successors: Callable, is_accepting: Callable):
     """Yield (members, parent) for each reachable SCC with a cycle and an accepting member.
 
-    Components are yielded as Tarjan's algorithm completes them, so a
-    caller that stops at the first one explores no further.  members
+    Components are yielded as Tarjan's algorithm completes them; a search
+    that only decides uses _search_lasso, which stops sooner.  members
     lists the component in the order its nodes leave the Tarjan stack;
     parent maps every node discovered so far to (DFS parent, edge label).
     """
@@ -332,8 +327,6 @@ def _accepting_sccs(
         pushed = False
         for label, child in it:
             if child not in index:
-                if max_nodes is not None and counter >= max_nodes:
-                    raise RegionBudgetExceeded(max_nodes)
                 index[child] = low[child] = counter
                 counter += 1
                 parent[child] = (node, label)
@@ -384,18 +377,66 @@ def _search_lasso(
     is_accepting: Callable,
     max_nodes: Optional[int] = None,
 ):
-    """Find a reachable cycle containing an accepting node.
+    """(af, members, parent) for the first accepting cycle the search closes, or None.
 
-    Returns (stem_pairs, cycle_pairs) of (label, node) lists, or None.
-    Strongly connected components are examined as soon as they complete,
-    so absorbing accepting cores end the search early.  The cycle runs
-    through the component's first accepting node to leave the Tarjan
-    stack, so the lasso depends only on the order of successors.
+    Depth-first search with Couvreur's roots stack (FM 1999): the active
+    nodes, those of components not yet complete, stay on a stack in
+    discovery order, and a second stack holds each open component's root
+    as (its place on the active stack, whether some member accepts).  An
+    edge to an active node merges every component above that node's into
+    it; once a merged component has an accepting member the search stops,
+    so an accepting cycle inside a large component ends the search as soon
+    as it is closed, not when the component completes.  members are the
+    active nodes from the merged root up, strongly connected through the
+    edges explored so far; af is the first of them that accepts, so the
+    result depends only on the order of successors.  parent maps every node
+    discovered to (DFS parent, edge label).  More than max_nodes discovered
+    nodes raise RegionBudgetExceeded.
     """
-    for members, parent in _accepting_sccs(root, successors, is_accepting, max_nodes):
-        af = next(w for w in members if is_accepting(w))
-        return _stem_to(af, parent), _cycle_through(af, successors, set(members))
+    parent: dict = {root: (None, None)}
+    active: list = [root]
+    place: dict = {root: 0}  # active node -> its index in active
+    roots: list = [(0, is_accepting(root))]
+    frames: list = [(root, iter(successors(root)))]
+    while frames:
+        node, it = frames[-1]
+        for label, child in it:
+            if child not in parent:
+                if max_nodes is not None and len(parent) >= max_nodes:
+                    raise RegionBudgetExceeded(max_nodes)
+                parent[child] = (node, label)
+                place[child] = len(active)
+                active.append(child)
+                roots.append((place[child], is_accepting(child)))
+                frames.append((child, iter(successors(child))))
+                break
+            i = place.get(child)
+            if i is None:  # in a completed component
+                continue
+            r, acc = roots.pop()
+            while r > i:
+                r, below = roots.pop()
+                acc = acc or below
+            roots.append((r, acc))
+            if acc:
+                members = active[r:]
+                af = next(w for w in members if is_accepting(w))
+                return af, members, parent
+        else:
+            frames.pop()
+            r = place[node]
+            if roots[-1][0] == r:  # node's component is complete
+                roots.pop()
+                for w in active[r:]:
+                    del place[w]
+                del active[r:]
     return None
+
+
+def _lasso_at(found, successors) -> tuple[list, list]:
+    """(stem_pairs, cycle_pairs) of _search_lasso's result: root to af, then af back to af."""
+    af, members, parent = found
+    return _stem_to(af, parent), _cycle_through(af, successors, set(members))
 
 
 def _assemble_lasso(
@@ -436,7 +477,7 @@ def buchi_nonempty(ra: RegionAutomaton) -> Optional[SymbolicLasso]:
     found = _search_lasso(0, successors, lambda i: i in ra.accepting_nodes)
     if found is None:
         return None
-    stem_pairs, cycle_pairs = found
+    stem_pairs, cycle_pairs = _lasso_at(found, successors)
 
     def project(pair):
         t_idx, j = pair
@@ -483,7 +524,7 @@ def find_lasso(
     found = _search_lasso(root, successors, lambda n: n[0] in accepting, max_nodes)
     if found is None:
         return None
-    stem_pairs, cycle_pairs = found
+    stem_pairs, cycle_pairs = _lasso_at(found, successors)
 
     def project(pair):
         label, node = pair

@@ -36,8 +36,12 @@ slots with mu times the scale factor in integer arithmetic and yields the
 bounds `_tighten` adds, the caps, and the scale factor and m that
 `prepare_fixed` would give.
 
-`zone_lasso` decides with the early-exit search and, for a nonempty
-automaton, goes on to a shortest accepting lasso of the same graph.
+`zone_nonempty` and `zone_lasso` decide with the search the region
+oracle runs too, `regions._search_lasso`: depth-first, with Couvreur's
+on-the-fly strongly connected components, it stops at the first
+accepting cycle it closes, before the component around it is complete.
+For a nonempty automaton `zone_lasso` goes on to a shortest accepting
+lasso of the same graph.
 Every path of the extrapolated graph is taken by some concrete run
 (Tripakis, ACM TOCL 10(3), 2009), and `run_timestamps` solves for the
 earliest one as a system of difference constraints over event
@@ -52,16 +56,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .core import And, Atom, Automaton, Bound, Guard, Not, TrueGuard, atoms
+from .core import And, Atom, Automaton, Bound, Guard, Not, TrueGuard
 from .errors import NotOneParameter, PreconditionViolated
 from .regions import (
     DEFAULT_REGION_BUDGET,
     SymbolicLasso,
     _accepting_sccs,
-    _cycle_through,
+    _lasso_at,
     _require_parameter_free,
     _search_lasso,
-    _stem_to,
     region_of,
     zero_region,
 )
@@ -165,23 +168,32 @@ def _extrapolate(d: list[list[int]], n: int, caps: Sequence[int]) -> bool:
     return changed
 
 
-def _dnf(g: Guard, positive: bool) -> list[list[tuple[str, str, Bound]]]:
-    """Disjunctive normal form over single-clock interval literals (clock, op, bound)."""
+def _dnf(
+    g: Guard, positive: bool, bounds: Optional[list] = None
+) -> list[list[tuple[str, str, Bound]]]:
+    """Disjunctive normal form over single-clock interval literals (clock, op, bound).
+
+    bounds, when given, receives the bound of every atom of g, also of one
+    whose conjunct drops out beside an unsatisfiable one.
+    """
     if isinstance(g, TrueGuard):
         return [[]] if positive else []
     if isinstance(g, Atom):
         c = g.bound
+        if bounds is not None:
+            bounds.append(c)
         if positive:
             return [[(g.clock, g.op, c)]]
         if g.op == "<":
             return [[(g.clock, ">=", c)]]
         return [[(g.clock, "<", c)], [(g.clock, ">", c)]]
     if isinstance(g, Not):
-        return _dnf(g.arg, not positive)
+        return _dnf(g.arg, not positive, bounds)
     if isinstance(g, And):
+        left, right = _dnf(g.left, positive, bounds), _dnf(g.right, positive, bounds)
         if positive:
-            return [dl + dr for dl in _dnf(g.left, True) for dr in _dnf(g.right, True)]
-        return _dnf(g.left, False) + _dnf(g.right, False)
+            return [dl + dr for dl in left for dr in right]
+        return left + right
     raise TypeError(f"not a guard: {g!r}")
 
 
@@ -269,20 +281,22 @@ class Compiled:
 
 
 def compile_automaton(a: Automaton) -> Compiled:
-    """The compiled form of a, for Compiled.at."""
-    bounds = [at.bound for t in a.transitions for at in atoms(t.guard)]
+    """The compiled form of a, for Compiled.at, from one walk over each guard."""
+    bounds: list = []
+    dnfs = [_dnf(t.guard, True, bounds) for t in a.transitions]
     consts = [b for b in bounds if not isinstance(b, str)]  # int or Fraction
-    denom = math.lcm(*(v.denominator for v in consts))
+    denom = math.lcm(*[v.denominator for v in consts])
     index = {z: i + 1 for i, z in enumerate(sorted(a.clocks))}
     ts = []
-    for t in a.transitions:
-        disjuncts = tuple(
-            tuple((index[z], op, None if isinstance(b, str) else int(b * denom))
-                  for z, op, b in disj)
-            for disj in _dnf(t.guard, True)
-        )
-        resets = tuple(sorted(index[z] for z in t.resets))
-        ts.append((t.source, t.target, resets, disjuncts))
+    for t, dnf in zip(a.transitions, dnfs):
+        disjuncts = []
+        for disj in dnf:
+            literals = []
+            for z, op, b in disj:
+                literals.append((index[z], op, None if isinstance(b, str) else int(b * denom)))
+            disjuncts.append(tuple(literals))
+        resets = tuple(sorted(map(index.__getitem__, t.resets)))
+        ts.append((t.source, t.target, resets, tuple(disjuncts)))
     c = max([1] + [int(v) for v in consts if v.denominator == 1])
     top = int(max(consts) * denom) if consts else 0
     return Compiled(a.initial, a.accepting, len(a.clocks), tuple(ts), denom, c, top,
@@ -336,7 +350,10 @@ def zone_nonempty(
 ) -> tuple[bool, int]:
     """(accepting lasso exists, zone nodes explored) for a parameter-free automaton.
 
-    An Automaton must have guard constants at most m; a Scaled carries its own bounds.
+    The depth-first search stops at the first accepting cycle it closes, so
+    the count is of the nodes discovered until then, or of the whole
+    reachable graph when there is none.  An Automaton must have guard
+    constants at most m; a Scaled carries its own bounds.
     """
     root, successors, memo = _zone_graph(_scaled(a, m))
     accepting = a.accepting
@@ -361,13 +378,14 @@ def zone_lasso(
 ) -> tuple[Optional[ZoneLasso], int]:
     """(a shortest accepting lasso of the zone graph or None, zone nodes explored).
 
-    zone_nonempty's early-exit search decides, and the node count is its
-    own.  When it finds a lasso, the reachable graph is explored
-    breadth-first on the same successors.  The lasso runs through the first
-    node in that order that is accepting and lies on a cycle, along its
-    breadth-first stem and a shortest cycle back.  When the graph has more
-    than max_nodes nodes, the early-exit search's lasso is returned instead.
-    a is taken as by zone_nonempty.
+    zone_nonempty's search decides, and the node count is its own: the
+    nodes discovered until it closed an accepting cycle.  When it finds
+    one, the reachable graph is explored breadth-first on the same
+    successors.  The lasso runs through the first node in that order that
+    is accepting and lies on a cycle, along its breadth-first stem and a
+    shortest cycle back.  When the graph has more than max_nodes nodes, the
+    lasso of the cycle the search closed is returned instead.  a is taken
+    as by zone_nonempty.
     """
     root, successors, memo = _zone_graph(_scaled(a, m))
     accepting = a.accepting
@@ -389,7 +407,7 @@ def zone_lasso(
         for label, child in successors(node):
             if child not in parent:
                 if len(parent) >= max_nodes:
-                    return as_lasso(*found), explored
+                    return as_lasso(*_lasso_at(found, successors)), explored
                 parent[child] = (node, label)
                 queue.append(child)
     rank = {nd: i for i, nd in enumerate(parent)}  # breadth-first order
@@ -398,9 +416,8 @@ def zone_lasso(
         af = min((w for w in members if is_accepting(w)), key=rank.__getitem__)
         if best is None or rank[af] < rank[best[0]]:
             best = af, members
-    af, members = best  # the early-exit search's component is among them
-    lasso = as_lasso(_stem_to(af, parent), _cycle_through(af, successors, set(members)))
-    return lasso, explored
+    af, members = best  # the early-exit search's cycle lies in one of them
+    return as_lasso(*_lasso_at((af, members, parent), successors)), explored
 
 
 def run_timestamps(a: Automaton, steps: Sequence[Step]) -> list[Fraction]:

@@ -53,6 +53,22 @@ def test_check_json_report_carries_the_witness_word(data_dir, capsys):
     assert json.loads(out)["witness_word"] is None
 
 
+def test_check_witness_scales_the_automaton_once(data_dir, capsys, monkeypatch):
+    """The winner's region lasso and its witness word share one scaled automaton."""
+    from pnta import parametric
+
+    scaled = []
+    scale = parametric.scale_constants
+    monkeypatch.setattr(parametric, "scale_constants",
+                        lambda a, d: scaled.append(d) or scale(a, d))
+    window = str(data_dir / "e_window.ta")
+    for extra in ((), ("--mu", "41/40")):
+        scaled.clear()
+        code, out, _ = _run(capsys, "check", window, "--witness", "--unrollings", "2", *extra)
+        assert code == 10 and "witness word" in out
+        assert scaled == [40]
+
+
 def test_check_fixed_mu_and_witness(data_dir, capsys):
     code, out, _ = _run(capsys, "check", str(data_dir / "e_window.ta"),
                         "--mu", "41/40", "--witness")

@@ -226,7 +226,28 @@ def test_population_sweep_totals_are_pinned():
     verdicts = [parametric_emptiness(a, 20000) for a in two_clock_population()]
     assert sum(v.nonempty for v in verdicts) == 189
     assert sum(v.candidates_checked for v in verdicts) == 360
-    assert sum(v.zone_nodes for v in verdicts) == 2832
+    assert sum(v.zone_nodes for v in verdicts) == 2070
+
+
+def test_off_candidate_zone_nodes_are_pinned():
+    """Zone nodes of the fixed checks at one criterion 07 value per gap.
+
+    The search stops at the first accepting cycle it closes; a search that
+    went on to complete the component would count 17,942.
+    """
+    rng = random.Random(707)
+    checks = nonempty = nodes = 0
+    for a in two_clock_population():
+        for n in range(4 * candidate_parameters(a).c):
+            mus = []
+            for _ in range(3):  # drawn as criterion 07 draws them; the first is checked
+                den = rng.choice((3, 4, 5, 6, 7))
+                mus.append(Fraction(n, 2) + Fraction(rng.randrange(1, den), den) / 2)
+            v = emptiness_fixed(a, mus[0], include_lasso=False)
+            checks += 1
+            nonempty += v.nonempty
+            nodes += v.zone_nodes
+    assert (checks, nonempty, nodes) == (1140, 1072, 5090)
 
 
 @settings(max_examples=80, deadline=None)
@@ -300,6 +321,22 @@ def test_compiled_form_at_each_candidate_matches_prepare_fixed(data_dir):
             assert (edges, s.caps) == _zone_edges(scaled)
             checked += 1
     assert checked == 3335
+
+
+def test_compiled_constants_include_atoms_beside_an_unsatisfiable_conjunct():
+    """A conjunct next to !true drops out of the guard's _dnf but still counts as a constant."""
+    a = parse_automaton(
+        "automaton d\nclocks x y\nparams p\ninit q0\naccept q0\n"
+        "trans q0 q0 a ( !true & x < 3 ) { }\n"
+        "trans q0 q0 b ( !(!(!true & x < p) & y < 1) ) { x }\n"
+    )
+    compiled = compile_automaton(a)
+    assert compiled.transitions[0][3] == () and compiled.c == max_constant(a) == 3
+    for mu in (Fraction(1, 3), Fraction(5, 2)):
+        s = compiled.at(mu)
+        _, m, d = prepare_fixed(a, mu)
+        assert (s.d, s.m) == (d, m)
+        assert emptiness_fixed(a, mu).nonempty
 
 
 def test_the_sweep_scales_the_automaton_only_for_its_winner(data_dir, monkeypatch):

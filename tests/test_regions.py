@@ -32,7 +32,13 @@ from pnta import (
     to_dot,
     zero_region,
 )
-from pnta.regions import is_time_open, positive_delay_successors
+from pnta.regions import (
+    _accepting_sccs,
+    _lasso_at,
+    _search_lasso,
+    is_time_open,
+    positive_delay_successors,
+)
 from randgen import rand_guard, rand_nrtta, rand_ta
 
 _DENS = (1, 2, 3, 4, 5, 7, 8)
@@ -198,6 +204,65 @@ def test_lasso_search_matches_naive_buchi(seed):
     expect = _naive_buchi(ra)
     assert (buchi_nonempty(ra) is not None) == expect
     assert (find_lasso(scaled, m) is not None) == expect
+
+
+@st.composite
+def _digraphs(draw):
+    """(successor lists, accepting set) of a random digraph on up to 8 nodes, rooted at 0."""
+    n = draw(st.integers(1, 8))
+    succ = [draw(st.lists(st.integers(0, n - 1), max_size=4)) for _ in range(n)]
+    accepting = draw(st.sets(st.integers(0, n - 1)))
+    return succ, accepting
+
+
+def _reaches(succ, a, b):
+    """b is reachable from a along one or more edges."""
+    seen, stack = set(), list(succ[a])
+    while stack:
+        u = stack.pop()
+        if u == b:
+            return True
+        if u not in seen:
+            seen.add(u)
+            stack.extend(succ[u])
+    return False
+
+
+@settings(max_examples=400, deadline=None)
+@given(_digraphs())
+def test_search_lasso_closes_a_real_accepting_cycle_no_later_than_tarjan(graph):
+    """The on-the-fly search against a brute-force cycle check and the complete-SCC search.
+
+    The zone engine and the region oracle share this search, so their
+    agreement cannot catch a fault in it.
+    """
+    succ, accepting = graph
+    labelled = [[((u, k), v) for k, v in enumerate(vs)] for u, vs in enumerate(succ)]
+
+    def successors(u):
+        return labelled[u]
+
+    def is_accepting(u):
+        return u in accepting
+
+    expect = any((f == 0 or _reaches(succ, 0, f)) and _reaches(succ, f, f) for f in accepting)
+    found = _search_lasso(0, successors, is_accepting)
+    assert (found is not None) == expect
+    first = next(_accepting_sccs(0, successors, is_accepting), None)
+    if found is None:
+        assert first is None
+        return
+    af, members, parent = found
+    assert is_accepting(af) and af in members
+    # nodes discovered until the first accepting cycle closes, against the
+    # nodes Tarjan's search has discovered when it completes its first accepting SCC
+    assert len(parent) <= len(first[1])
+    stem, cycle = _lasso_at(found, successors)
+    path = [0] + [v for _, v in stem] + [v for _, v in cycle]
+    labels = [label for label, _ in stem + cycle]
+    assert path[len(stem)] == af and path[-1] == af and cycle
+    for (u, k), x, y in zip(labels, path, path[1:]):
+        assert u == x and succ[u][k] == y
 
 
 def _check_lasso_shape(lasso, ra):
