@@ -205,20 +205,15 @@ def _decide(
     return Verdict(nonempty, witness, None, s.d, s.m, 1, explored, zl)
 
 
-def _scaled_automaton(b: Automaton, v: Verdict) -> Automaton:
-    """The scaled automaton prepare_fixed gives at a Nonempty verdict's witness mu.
-
-    Built only for the run that region_lasso and witness_word solve; the
-    verdict already holds the scale factor.
-    """
-    return scale_constants(instantiate(b, v.witness_mu) if b.params else b, v.scaled_by)
-
-
 def _with_region_lasso(b: Automaton, v: Verdict) -> Verdict:
-    """v with the region lasso of its zone lasso and the scaled automaton, if it has one."""
+    """v with the region lasso of its zone lasso and the scaled automaton, if it has one.
+
+    The scaled automaton is the one prepare_fixed gives at the witness mu,
+    built once here for the run that region_lasso and witness_word solve.
+    """
     if v.zone_lasso is None:
         return v
-    scaled = _scaled_automaton(b, v)
+    scaled = scale_constants(instantiate(b, v.witness_mu) if b.params else b, v.scaled_by)
     return replace(v, lasso=region_lasso(scaled, v.m, v.zone_lasso), scaled=scaled)
 
 
@@ -295,16 +290,14 @@ def witness_word(a: Automaton, verdict: Verdict, unrollings: int = 1) -> TimedWo
     Solves for the earliest run along the stem and `unrollings` laps of the
     verdict's zone lasso on the scaled automaton and divides the timestamps
     back by the scale factor, so the word is accepted by the input automaton
-    at the witness parameter value.  The scaled automaton is the one the
-    verdict carries; it is built from a only for a verdict without one.
+    at the witness parameter value.  The verdict carries the scaled
+    automaton its lassos were built on, so a is not read again.
     """
-    if not verdict.nonempty or verdict.zone_lasso is None:
+    if not verdict.nonempty or verdict.zone_lasso is None or verdict.scaled is None:
         raise PreconditionViolated("a Nonempty verdict with a lasso is required")
     if unrollings < 1:
         raise PreconditionViolated("unrollings must be at least 1")
     scaled = verdict.scaled
-    if scaled is None:
-        scaled = _scaled_automaton(_searched(a), verdict)
     d = verdict.scaled_by
     steps = verdict.zone_lasso.stem + verdict.zone_lasso.cycle * unrollings
     times = run_timestamps(scaled, steps)

@@ -2,6 +2,7 @@
 
 import os
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -182,6 +183,8 @@ def test_witness_word_replays(window):
     frontiers = run_frontiers(window, w, {"mu": v.witness_mu})
     assert all(frontiers[1:])
     assert "q2" in {c.state for c in frontiers[-1]}
+    with pytest.raises(PreconditionViolated):  # the verdict carries the automaton it scales
+        witness_word(window, replace(v, scaled=None))
     with pytest.raises(PreconditionViolated):
         witness_word(window, parametric_emptiness(
             parse_automaton(
