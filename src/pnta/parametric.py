@@ -82,6 +82,20 @@ class Verdict:
     scaled: Optional[Automaton] = field(default=None, compare=False, repr=False)
 
 
+def _candidates(c: int, n_states: int):
+    """Yield the candidates for constant c and n_states states in ascending order.
+
+    That is k/2, k/2 + alpha for each k < 4C, then 2C and Xi.
+    """
+    alpha = Fraction(1, 8 * (1 + c * max(n_states, 4 * c)))
+    for k in range(4 * c):
+        half = Fraction(k, 2)
+        yield Candidate(half, HALF_INTEGER, k)
+        yield Candidate(half + alpha, FRACTIONAL_REP, k)
+    yield Candidate(Fraction(2 * c), HALF_INTEGER, 4 * c)
+    yield Candidate(Fraction(2 + c * (1 + n_states)), LARGE_REP, 0)
+
+
 def candidate_parameters(a: Automaton) -> CandidateSet:
     """The finite candidate list that decides parametric emptiness.
 
@@ -93,18 +107,14 @@ def candidate_parameters(a: Automaton) -> CandidateSet:
         raise NotOneParameter(f"exactly one parameter required, got {len(a.params)}")
     c = max_constant(a)
     q = len(a.states)
-    a_bound = max(q, 4 * c)
-    denom = 8 * (1 + c * a_bound)
-    alpha = Fraction(1, denom)
-    xi = Fraction(2 + c * (1 + q))
-    cands = [Candidate(Fraction(k, 2), HALF_INTEGER, k) for k in range(4 * c + 1)]
-    cands += [Candidate(Fraction(n, 2) + alpha, FRACTIONAL_REP, n) for n in range(4 * c)]
-    cands.append(Candidate(xi, LARGE_REP, 0))
-    cands.sort(key=lambda cand: cand.value)
+    cands = tuple(_candidates(c, q))
+    alpha, xi = cands[1].value, cands[-1].value
+    denom = alpha.denominator
     assert len(cands) == 8 * c + 2
     assert len({cand.value for cand in cands}) == len(cands)
     assert all((cand.value * denom).denominator == 1 for cand in cands)
-    return CandidateSet(tuple(cands), c, q, a_bound, alpha, xi, denom)
+    assert all(x.value < y.value for x, y in zip(cands, cands[1:]))
+    return CandidateSet(cands, c, q, max(q, 4 * c), alpha, xi, denom)
 
 
 def instantiate(a: Automaton, mu: Rational) -> Automaton:
@@ -266,14 +276,17 @@ def parametric_emptiness(
         )
     if len(b.clocks) > 2:
         raise UnsupportedAutomaton(f"at most two clocks supported, got {len(b.clocks)}")
-    values = candidate_parameters(b).values
-    check = partial(_decide, compile_automaton(b), max_nodes=max_nodes)
-    workers = clamp_jobs(jobs, len(values))
+    compiled = compile_automaton(b)
+    values = (cand.value for cand in _candidates(compiled.c, len(b.states)))
+    check = partial(_decide, compiled, max_nodes=max_nodes)
+    workers = clamp_jobs(jobs, 8 * compiled.c + 2)
     pool = ProcessPoolExecutor(workers) if workers > 1 else None
     try:
+        # the serial map draws values one at a time and stops early; pool.map submits them all
         verdicts = map(check, values) if pool is None else pool.map(check, values)
-        total_nodes = 0
-        for checked, v in enumerate(verdicts, 1):  # in order; the serial map stops early
+        checked = total_nodes = 0
+        for v in verdicts:  # in order
+            checked += 1
             total_nodes += v.zone_nodes
             if v.nonempty:
                 v = _with_region_lasso(b, v)
@@ -281,7 +294,7 @@ def parametric_emptiness(
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
-    return Verdict(False, None, None, 1, 0, len(values), total_nodes)
+    return Verdict(False, None, None, 1, 0, checked, total_nodes)
 
 
 def witness_word(a: Automaton, verdict: Verdict, unrollings: int = 1) -> TimedWord:

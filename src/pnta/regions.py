@@ -275,87 +275,28 @@ def build_region_automaton(
 # Generic early-exit lasso search (on-the-fly SCCs, iterative)
 
 
-def _cycle_through(af, successors, scc) -> list:
-    """Shortest edge path af -> ... -> af inside scc; list of (label, node)."""
-    pred: dict = {}
-    q: deque = deque()
-    for label, child in successors(af):
-        if child not in scc:
-            continue
-        if child == af:
-            return [(label, af)]
-        if child not in pred:
-            pred[child] = (None, label)
-            q.append(child)
+def _cycle_through(af, successors, within=None) -> Optional[list]:
+    """A shortest edge path af -> ... -> af as (label, node) pairs, or None if there is none.
+
+    Breadth-first from af; with within given, only through its nodes.
+    """
+    pred: dict = {af: None}
+    q: deque = deque([af])
     while q:
         n = q.popleft()
         for label, child in successors(n):
-            if child not in scc:
-                continue
             if child == af:
                 pairs = [(label, af)]
-                cur = n
-                while cur is not None:
-                    p, lab = pred[cur]
-                    pairs.append((lab, cur))
-                    cur = p
+                while n != af:
+                    p, lab = pred[n]
+                    pairs.append((lab, n))
+                    n = p
                 pairs.reverse()
                 return pairs
-            if child not in pred:
+            if child not in pred and (within is None or child in within):
                 pred[child] = (n, label)
                 q.append(child)
-    raise AssertionError("strongly connected component without a cycle through its member")
-
-
-def _accepting_sccs(root, successors: Callable, is_accepting: Callable):
-    """Yield (members, parent) for each reachable SCC with a cycle and an accepting member.
-
-    Components are yielded as Tarjan's algorithm completes them; a search
-    that only decides uses _search_lasso, which stops sooner.  members
-    lists the component in the order its nodes leave the Tarjan stack;
-    parent maps every node discovered so far to (DFS parent, edge label).
-    """
-    index: dict = {root: 0}
-    low: dict = {root: 0}
-    onstack: set = {root}
-    tarjan_stack: list = [root]
-    parent: dict = {root: (None, None)}
-    counter = 1
-    frames: list = [(root, iter(successors(root)))]
-    while frames:
-        node, it = frames[-1]
-        pushed = False
-        for label, child in it:
-            if child not in index:
-                index[child] = low[child] = counter
-                counter += 1
-                parent[child] = (node, label)
-                tarjan_stack.append(child)
-                onstack.add(child)
-                frames.append((child, iter(successors(child))))
-                pushed = True
-                break
-            if child in onstack and index[child] < low[node]:
-                low[node] = index[child]
-        if pushed:
-            continue
-        frames.pop()
-        if frames:
-            pnode = frames[-1][0]
-            if low[node] < low[pnode]:
-                low[pnode] = low[node]
-        if low[node] == index[node]:
-            members = []
-            while True:
-                w = tarjan_stack.pop()
-                onstack.discard(w)
-                members.append(w)
-                if w == node:
-                    break
-            if not any(is_accepting(w) for w in members):
-                continue
-            if len(members) > 1 or any(child == node for _, child in successors(node)):
-                yield members, parent
+    return None
 
 
 def _stem_to(node, parent: dict) -> list:
@@ -437,6 +378,37 @@ def _lasso_at(found, successors) -> tuple[list, list]:
     """(stem_pairs, cycle_pairs) of _search_lasso's result: root to af, then af back to af."""
     af, members, parent = found
     return _stem_to(af, parent), _cycle_through(af, successors, set(members))
+
+
+def _shortest_lasso(root, successors: Callable, is_accepting: Callable):
+    """(stem_pairs, cycle_pairs) of a shortest accepting lasso, or None.
+
+    Walks breadth-first from root and tests each accepting node as it is
+    discovered: the first one that lies on a cycle gives the lasso, along
+    its breadth-first stem and a shortest cycle through it.  That node is
+    the first accepting one, in breadth-first order, of a strongly
+    connected component with a cycle, and since no path back to it leaves
+    its component, the cycle is the component's shortest one through it.
+    """
+    parent: dict = {root: (None, None)}
+
+    def discovered():
+        yield root
+        queue = deque([root])
+        while queue:
+            node = queue.popleft()
+            for label, child in successors(node):
+                if child not in parent:
+                    parent[child] = (node, label)
+                    queue.append(child)
+                    yield child
+
+    for node in discovered():
+        if is_accepting(node):
+            cycle = _cycle_through(node, successors)
+            if cycle is not None:
+                return _stem_to(node, parent), cycle
+    return None
 
 
 def _assemble_lasso(

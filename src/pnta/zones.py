@@ -9,17 +9,18 @@ that, zone counts do not).  Verdict agreement between the two engines is
 fuzz-checked in the test suite.
 
 Bounds are encoded as integers 2v+1 for "<= v" and 2v for "< v", with a
-large sentinel for infinity; matrix row/column 0 is the constant zero
-clock.  Strict monotonicity of timestamps is realized by a delay
-operation that makes every lower bound strict; the initial node alone
-uses the non-strict delay so that the first event of a word may happen
-at time 0.
+large sentinel for infinity.  A DBM over n - 1 clocks is one flat list of
+n * n bounds, row by row, d[i * n + j] bounding clock i minus clock j, so
+one slice copies it; row/column 0 is the constant zero clock.  Strict
+monotonicity of timestamps is realized by a delay operation that makes
+every lower bound strict; the initial node alone uses the non-strict
+delay so that the first event of a word may happen at time 0.
 
-Every zone stored as a graph key is canonical, a form unique to each
-nonempty zone.  Delay and reset keep a DBM canonical, `_tighten` adds a
-guard bound in O(n^2) and keeps it so (Bengtsson & Yi, LNCS 3098, 2004),
-and the full closure `_canonical` runs only after an extrapolation that
-changed a bound.
+Every zone stored as a graph key, one flat tuple, is canonical, a form
+unique to each nonempty zone.  Delay and reset keep a DBM canonical,
+`_tighten` adds a guard bound in O(n^2) and keeps it so (Bengtsson & Yi,
+LNCS 3098, 2004), and the full closure `_canonical` runs only after an
+extrapolation that changed a bound.
 
 Extrapolation is Extra_M with a bound per clock (Behrmann, Bouyer,
 Larsen, Pelánek, STTT 8(3), 2006): a clock's cap is the largest scaled
@@ -29,19 +30,21 @@ forgets what no guard can tell apart; it stays sound for Büchi emptiness
 m, which only the region projection uses.
 
 The search reads an automaton in the form `compile_automaton` gives:
-clock indices, and each guard's `_dnf` disjuncts with constants as
-integers over their common denominator and the parameter as a slot.  A
-candidate sweep compiles its automaton once; `Compiled.at(mu)` fills the
-slots with mu times the scale factor in integer arithmetic and yields the
-bounds `_tighten` adds, the caps, and the scale factor and m that
-`prepare_fixed` would give.
+clock indices, and each guard's `_dnf` disjuncts as templates of the
+bounds `_tighten` adds, with constants as integers over their common
+denominator and the parameter as a slot.  A candidate sweep compiles its
+automaton once; `Compiled.at(mu)` gives each bound by one integer
+multiply-add, with mu times the scale factor in the slot, and yields the
+caps, the scale factor and the m that `prepare_fixed` would give.
 
-`zone_nonempty` and `zone_lasso` decide with the search the region
-oracle runs too, `regions._search_lasso`: depth-first, with Couvreur's
-on-the-fly strongly connected components, it stops at the first
-accepting cycle it closes, before the component around it is complete.
-For a nonempty automaton `zone_lasso` goes on to a shortest accepting
-lasso of the same graph.
+The zone graph interns each node once as an integer, so the searches
+hash only integers.  `zone_nonempty` and `zone_lasso` decide with the
+search the region oracle runs too, `regions._search_lasso`: depth-first,
+with Couvreur's on-the-fly strongly connected components, it stops at
+the first accepting cycle it closes, before the component around it is
+complete.  For a nonempty automaton `zone_lasso` goes on to a shortest
+accepting lasso of the same graph, breadth-first, testing each accepting
+node for a cycle as it is discovered (`regions._shortest_lasso`).
 Every path of the extrapolated graph is taken by some concrete run
 (Tripakis, ACM TOCL 10(3), 2009), and `run_timestamps` solves for the
 earliest one as a system of difference constraints over event
@@ -51,20 +54,19 @@ timestamps.  `region_lasso` projects that run onto regions.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .core import And, Atom, Automaton, Bound, Guard, Not, TrueGuard
-from .errors import NotOneParameter, PreconditionViolated
+from .errors import NotOneParameter, PreconditionViolated, RegionBudgetExceeded
 from .regions import (
     DEFAULT_REGION_BUDGET,
     SymbolicLasso,
-    _accepting_sccs,
     _lasso_at,
     _require_parameter_free,
     _search_lasso,
+    _shortest_lasso,
     region_of,
     zero_region,
 )
@@ -81,90 +83,86 @@ def _bnd(value: int, weak: bool) -> int:
 _LE0 = _bnd(0, True)
 
 
-def _canonical(d: list[list[int]], n: int) -> bool:
-    """Floyd-Warshall closure; False when the zone is empty."""
-    for k in range(n):
-        dk = d[k]
-        for i in range(n):
-            dik = d[i][k]
+def _canonical(d: list[int], n: int) -> bool:
+    """Floyd-Warshall closure of a flat n x n DBM; False when the zone is empty."""
+    rng = range(n)
+    for k in rng:
+        kn = k * n
+        for i in range(0, n * n, n):
+            dik = d[i + k]
             if dik >= INF:
                 continue
-            di = d[i]
-            for j in range(n):
-                dkj = dk[j]
+            for j in rng:
+                dkj = d[kn + j]
                 if dkj < INF:
                     b = dik + dkj - ((dik | dkj) & 1)
-                    if b < di[j]:
-                        di[j] = b
-    return all(d[i][i] >= _LE0 for i in range(n))
+                    if b < d[i + j]:
+                        d[i + j] = b
+    return all(d[i] >= _LE0 for i in range(0, n * n, n + 1))
 
 
-def _tighten(d: list[list[int]], n: int, x: int, y: int, b: int) -> bool:
+def _tighten(d: list[int], n: int, x: int, y: int, b: int) -> bool:
     """Add d[x][y] <= b to a canonical DBM in O(n^2); False when that empties it.
 
     A new shortest path i -> j is an old one to x, the new edge and an old
     one from y, so one pass keeps the DBM canonical.
     """
-    dyx = d[y][x]
+    dyx = d[y * n + x]
     if dyx < INF and dyx + b - ((dyx | b) & 1) < _LE0:
         return False
-    if b >= d[x][y]:
+    if b >= d[x * n + y]:
         return True
-    dy = d[y]
-    for i in range(n):
-        dix = d[i][x]
+    dy = d[y * n:y * n + n]
+    for i in range(0, n * n, n):
+        dix = d[i + x]
         if dix >= INF:
             continue
         s = dix + b - ((dix | b) & 1)
-        di = d[i]
-        for j in range(n):
-            dyj = dy[j]
+        for j, dyj in enumerate(dy, i):
             if dyj < INF:
                 v = s + dyj - ((s | dyj) & 1)
-                if v < di[j]:
-                    di[j] = v
+                if v < d[j]:
+                    d[j] = v
     return True
 
 
-def _up(d: list[list[int]], n: int, strict: bool) -> None:
+def _up(d: list[int], n: int, strict: bool) -> None:
     """Delay: drop upper bounds; with strict=True also require delta > 0."""
-    for i in range(1, n):
-        d[i][0] = INF
+    d[n::n] = [INF] * (n - 1)
     if strict:
         for j in range(1, n):
-            b = d[0][j]
+            b = d[j]
             if b < INF and b & 1:
-                d[0][j] = b - 1
+                d[j] = b - 1
 
 
-def _reset(d: list[list[int]], n: int, idxs: tuple[int, ...]) -> None:
+def _reset(d: list[int], n: int, idxs: tuple[int, ...]) -> None:
+    """Set the clocks idxs to 0: each one's row and column copy the zero clock's."""
     for x in idxs:
-        for j in range(n):
-            d[x][j] = d[0][j]
-            d[j][x] = d[j][0]
-        d[x][x] = _LE0
+        d[x * n:x * n + n] = d[:n]
+        d[x::n] = d[::n]
+        d[x * n + x] = _LE0
 
 
-def _extrapolate(d: list[list[int]], n: int, caps: Sequence[int]) -> bool:
+def _extrapolate(d: list[int], n: int, caps: Sequence[int]) -> bool:
     """Extra_M with a bound per clock; True when some bound changed.
 
     caps[i] is clock i's cap, 0 for the zero clock.  A bound d[i][j] above
     the row clock's cap is dropped, and one below minus the column clock's
-    cap is raised to it, made strict.
+    cap is raised to it, made strict.  d is canonical and nonempty, so its
+    diagonal bounds "<= 0" are neither.
     """
     changed = False
-    for i in range(n):
-        di = d[i]
-        hi = 2 * caps[i] + 1  # _bnd(caps[i], True)
-        for j in range(n):
-            b = di[j]
-            if i != j and b < INF:
-                if b > hi:
-                    di[j] = INF
-                    changed = True
-                elif b < -2 * caps[j]:  # below _bnd(-caps[j], False)
-                    di[j] = -2 * caps[j]
-                    changed = True
+    for i, ci in enumerate(caps):
+        hi = 2 * ci + 1  # _bnd(ci, True)
+        for k, cj in enumerate(caps, i * n):
+            b = d[k]
+            if hi < b < INF:
+                d[k] = INF
+                changed = True
+            elif b < -2 * cj:  # below _bnd(-cj, False)
+                d[k] = -2 * cj
+                changed = True
     return changed
 
 
@@ -197,7 +195,11 @@ def _dnf(
     raise TypeError(f"not a guard: {g!r}")
 
 
-Literal = tuple[int, str, Optional[int]]  # (clock index, op, constant times denom or None)
+# (x, y, coef, p, w): the bound d[x][y] <= coef * scale[p] + w, scale[0] the constant
+# scale d / denom and scale[1] the parameter value times d
+Template = tuple[int, int, int, int, bool]
+# (source, target, reset indices, the guard's disjuncts as (Step, templates))
+Rule = tuple[str, str, tuple[int, ...], tuple[tuple[Step, tuple[Template, ...]], ...]]
 Edge = tuple[str, list[tuple[Step, list[tuple[int, int, int]]]], tuple[int, ...]]
 
 
@@ -223,15 +225,18 @@ class Scaled:
 class Compiled:
     """An automaton with at most one parameter, compiled once for checks at many values.
 
-    Each transition is (source, target, reset indices, the `_dnf`
-    disjuncts of its guard), a literal's bound the constant times denom or
-    None for the parameter.  Plain data, so it crosses a process pool.
+    transitions holds a Rule per transition.  A template's coef is twice
+    its literal's constant times denom, or 2 for the parameter, signed by
+    its side, and w is True (1) for a weak bound.  clocks
+    holds, per DBM index, the largest constant times denom that a literal
+    compares the clock with and whether one compares it with the
+    parameter.  Plain data, so it crosses a process pool.
     """
 
     initial: str
     accepting: frozenset[str]
-    n_clocks: int
-    transitions: tuple[tuple[str, str, tuple[int, ...], tuple[tuple[Literal, ...], ...]], ...]
+    transitions: tuple[Rule, ...]
+    clocks: tuple[tuple[int, bool], ...]
     denom: int  # lcm of the constant denominators
     c: int  # max_constant
     top: int  # the largest constant times denom
@@ -257,27 +262,18 @@ class Compiled:
                 raise NotOneParameter(f"at most one parameter supported, got {self.n_params}")
         d = math.lcm(self.denom, mu.denominator) if self.has_param else self.denom
         k = d // self.denom
-        slot = mu.numerator * (d // mu.denominator) if self.has_param else None
+        slot = mu.numerator * (d // mu.denominator) if self.has_param else 0
         m = max(2 * self.c * d, self.top * k)
         if mu is not None:
-            m = max(m, math.ceil(mu * d))
-        caps = [0] * (self.n_clocks + 1)
+            m = max(m, -(-mu.numerator * d // mu.denominator))  # ceil(mu * d)
+        scale = (k, slot)
         edges: dict[str, list[Edge]] = {}
-        for idx, (source, target, resets, disjuncts) in enumerate(self.transitions):
-            out = []
-            for j, disj in enumerate(disjuncts):
-                bounds = []
-                for x, op, c in disj:
-                    c = slot if c is None else c * k
-                    caps[x] = max(caps[x], c)
-                    # upper (x, 0), lower (0, x), "=" both
-                    if op[0] != ">":
-                        bounds.append((x, 0, _bnd(c, op != "<")))
-                    if op[0] != "<":
-                        bounds.append((0, x, _bnd(-c, op != ">")))
-                out.append(((idx, j), bounds))
+        for source, target, resets, disjuncts in self.transitions:
+            out = [(label, [(x, y, coef * scale[p] + w) for x, y, coef, p, w in templates])
+                   for label, templates in disjuncts]
             edges.setdefault(source, []).append((target, out, resets))
-        return Scaled(self.initial, self.accepting, self.n_clocks + 1, edges, tuple(caps), d, m)
+        caps = tuple(max(top * k, slot) if p else top * k for top, p in self.clocks)
+        return Scaled(self.initial, self.accepting, len(caps), edges, caps, d, m)
 
 
 def compile_automaton(a: Automaton) -> Compiled:
@@ -287,20 +283,35 @@ def compile_automaton(a: Automaton) -> Compiled:
     consts = [b for b in bounds if not isinstance(b, str)]  # int or Fraction
     denom = math.lcm(*[v.denominator for v in consts])
     index = {z: i + 1 for i, z in enumerate(sorted(a.clocks))}
+    tops = [0] * (len(a.clocks) + 1)
+    compared = [False] * (len(a.clocks) + 1)
     ts = []
-    for t, dnf in zip(a.transitions, dnfs):
+    for idx, (t, dnf) in enumerate(zip(a.transitions, dnfs)):
         disjuncts = []
-        for disj in dnf:
-            literals = []
+        for j, disj in enumerate(dnf):
+            templates = []
             for z, op, b in disj:
-                literals.append((index[z], op, None if isinstance(b, str) else int(b * denom)))
-            disjuncts.append(tuple(literals))
+                x = index[z]
+                if isinstance(b, str):
+                    coef, p = 2, 1
+                    compared[x] = True
+                else:
+                    c = int(b * denom)
+                    coef, p = 2 * c, 0
+                    if c > tops[x]:
+                        tops[x] = c
+                # upper (x, 0), lower (0, x), "=" both
+                if op[0] != ">":
+                    templates.append((x, 0, coef, p, op != "<"))
+                if op[0] != "<":
+                    templates.append((0, x, -coef, p, op != ">"))
+            disjuncts.append(((idx, j), tuple(templates)))
         resets = tuple(sorted(map(index.__getitem__, t.resets)))
         ts.append((t.source, t.target, resets, tuple(disjuncts)))
     c = max([1] + [int(v) for v in consts if v.denominator == 1])
     top = int(max(consts) * denom) if consts else 0
-    return Compiled(a.initial, a.accepting, len(a.clocks), tuple(ts), denom, c, top,
-                    len(a.params), len(consts) < len(bounds))
+    return Compiled(a.initial, a.accepting, tuple(ts), tuple(zip(tops, compared)), denom, c,
+                    top, len(a.params), len(consts) < len(bounds))
 
 
 def _scaled(a: Union[Automaton, Scaled], m: int) -> Scaled:
@@ -312,37 +323,47 @@ def _scaled(a: Union[Automaton, Scaled], m: int) -> Scaled:
 
 
 def _zone_graph(s: Scaled):
-    """(root, successors, memo) of the zone graph of a scaled automaton.
+    """(successors, nodes, memo) of the zone graph of a scaled automaton.
 
-    successors(node) lists (label, child) pairs labelled by the Step
-    taken; memo holds every node expanded so far.
+    Each node (state, key, first) is interned once as its index in nodes;
+    the root is 0.  key is the node's canonical DBM as one flat tuple of
+    n * n bounds, row by row, and only the root has first set.
+    successors(i) lists (Step, j) pairs, the Step taken and the child's
+    index; memo holds every node expanded so far.
     """
     n, caps, edges = s.n, s.caps, s.edges
-    zero_key = tuple(tuple(_LE0 for _ in range(n)) for _ in range(n))
-    root = (s.initial, zero_key, True)
-    memo: dict = {}
+    nodes = [(s.initial, (_LE0,) * (n * n), True)]
+    ids = {nodes[0]: 0}
+    memo: dict[int, list] = {}
 
-    def successors(node):
-        cached = memo.get(node)
+    def successors(i: int) -> list:
+        cached = memo.get(i)
         if cached is not None:
             return cached
-        q, key, first = node
-        base = [list(row) for row in key]
+        q, key, first = nodes[i]
+        base = list(key)
         _up(base, n, strict=not first)
         out = []
         for target, disjuncts, reset_idxs in edges.get(q, ()):
             for label, bounds in disjuncts:
-                z = [row[:] for row in base]
-                if not all(_tighten(z, n, x, y, b) for x, y, b in bounds):
-                    continue
-                _reset(z, n, reset_idxs)
-                if _extrapolate(z, n, caps):
-                    _canonical(z, n)  # widening a nonempty zone keeps it nonempty
-                out.append((label, (target, tuple(map(tuple, z)), False)))
-        memo[node] = out
+                z = base[:]
+                for x, y, b in bounds:
+                    if not _tighten(z, n, x, y, b):
+                        break
+                else:
+                    _reset(z, n, reset_idxs)
+                    if _extrapolate(z, n, caps):
+                        _canonical(z, n)  # widening a nonempty zone keeps it nonempty
+                    node = (target, tuple(z), False)
+                    j = ids.get(node)
+                    if j is None:
+                        j = ids[node] = len(nodes)
+                        nodes.append(node)
+                    out.append((label, j))
+        memo[i] = out
         return out
 
-    return root, successors, memo
+    return successors, nodes, memo
 
 
 def zone_nonempty(
@@ -355,9 +376,9 @@ def zone_nonempty(
     reachable graph when there is none.  An Automaton must have guard
     constants at most m; a Scaled carries its own bounds.
     """
-    root, successors, memo = _zone_graph(_scaled(a, m))
+    successors, nodes, memo = _zone_graph(_scaled(a, m))
     accepting = a.accepting
-    found = _search_lasso(root, successors, lambda nd: nd[0] in accepting, max_nodes)
+    found = _search_lasso(0, successors, lambda i: nodes[i][0] in accepting, max_nodes)
     return found is not None, len(memo)
 
 
@@ -380,44 +401,35 @@ def zone_lasso(
 
     zone_nonempty's search decides, and the node count is its own: the
     nodes discovered until it closed an accepting cycle.  When it finds
-    one, the reachable graph is explored breadth-first on the same
-    successors.  The lasso runs through the first node in that order that
-    is accepting and lies on a cycle, along its breadth-first stem and a
-    shortest cycle back.  When the graph has more than max_nodes nodes, the
-    lasso of the cycle the search closed is returned instead.  a is taken
-    as by zone_nonempty.
+    one, `_shortest_lasso` walks the same graph breadth-first and stops at
+    the first accepting node, in that order, that a shortest-cycle search
+    leads back to; the lasso follows its breadth-first stem and that cycle.
+    Once the graph holds more than max_nodes nodes, in the breadth-first
+    pass or in a cycle search, the lasso of the cycle the deciding search
+    closed is returned instead.  a is taken as by zone_nonempty.
     """
-    root, successors, memo = _zone_graph(_scaled(a, m))
+    successors, nodes, memo = _zone_graph(_scaled(a, m))
     accepting = a.accepting
 
-    def is_accepting(nd) -> bool:
-        return nd[0] in accepting
+    def is_accepting(i: int) -> bool:
+        return nodes[i][0] in accepting
 
-    def as_lasso(stem_pairs, cycle_pairs) -> ZoneLasso:
-        return ZoneLasso(tuple(s for s, _ in stem_pairs), tuple(s for s, _ in cycle_pairs))
-
-    found = _search_lasso(root, successors, is_accepting, max_nodes)
+    found = _search_lasso(0, successors, is_accepting, max_nodes)
     explored = len(memo)
     if found is None:
         return None, explored
-    parent: dict = {root: (None, None)}
-    queue = deque([root])
-    while queue:
-        node = queue.popleft()
-        for label, child in successors(node):
-            if child not in parent:
-                if len(parent) >= max_nodes:
-                    return as_lasso(*_lasso_at(found, successors)), explored
-                parent[child] = (node, label)
-                queue.append(child)
-    rank = {nd: i for i, nd in enumerate(parent)}  # breadth-first order
-    best = None
-    for members, _ in _accepting_sccs(root, successors, is_accepting):
-        af = min((w for w in members if is_accepting(w)), key=rank.__getitem__)
-        if best is None or rank[af] < rank[best[0]]:
-            best = af, members
-    af, members = best  # the early-exit search's cycle lies in one of them
-    return as_lasso(*_lasso_at((af, members, parent), successors)), explored
+
+    def bounded(i: int) -> list:
+        out = successors(i)
+        if len(nodes) > max_nodes:
+            raise RegionBudgetExceeded(max_nodes)
+        return out
+
+    try:
+        stem_pairs, cycle_pairs = _shortest_lasso(0, bounded, is_accepting)
+    except RegionBudgetExceeded:
+        stem_pairs, cycle_pairs = _lasso_at(found, successors)
+    return ZoneLasso(tuple(s for s, _ in stem_pairs), tuple(s for s, _ in cycle_pairs)), explored
 
 
 def run_timestamps(a: Automaton, steps: Sequence[Step]) -> list[Fraction]:

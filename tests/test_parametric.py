@@ -28,9 +28,22 @@ from pnta import (
     scale_constants,
     witness_word,
 )
-from pnta.parametric import FRACTIONAL_REP, HALF_INTEGER, LARGE_REP, _searched, clamp_jobs
-from pnta.zones import _bnd, _dnf, compile_automaton
-from randgen import one_clock_population, rand_nrtta, reaches_acceptance, two_clock_population
+from pnta.parametric import (
+    FRACTIONAL_REP,
+    HALF_INTEGER,
+    LARGE_REP,
+    _candidates,
+    _searched,
+    clamp_jobs,
+)
+from pnta.zones import Scaled, _bnd, _dnf, compile_automaton
+from randgen import (
+    one_clock_population,
+    rand_nrtta,
+    rand_ta,
+    reaches_acceptance,
+    two_clock_population,
+)
 
 
 @pytest.fixture
@@ -145,6 +158,29 @@ def test_parametric_sweep_empty_cases(data_dir):
         assert v.witness_mu is None and v.lasso is None
         expected = 1 if not a.params else len(candidate_parameters(a).candidates)
         assert v.candidates_checked == expected
+
+
+def _fixtures(data_dir):
+    return [parse_automaton((data_dir / f"{name}.ta").read_text())
+            for name in ("e_empty", "e_param_contra", "e_window", "w10y")]
+
+
+def test_the_sweep_draws_the_candidate_list_lazily(data_dir):
+    """The values the sweep draws one at a time are candidate_parameters' list, in order."""
+    checked = 0
+    for a in two_clock_population() + one_clock_population() + _fixtures(data_dir):
+        b = _searched(a)
+        if not b.params:
+            continue
+        compiled = compile_automaton(b)
+        lazy = tuple(cand.value for cand in _candidates(compiled.c, len(b.states)))
+        cs = candidate_parameters(b)
+        assert lazy == cs.values
+        # the definition: half-integers up to 2C, each plus alpha below 2C, and Xi
+        halves = [Fraction(k, 2) for k in range(4 * cs.c + 1)]
+        assert list(lazy) == sorted(halves + [h + cs.alpha for h in halves[:-1]] + [cs.xi])
+        checked += 1
+    assert checked == 243
 
 
 def test_parametric_rejects_wide_automata():
@@ -281,18 +317,18 @@ def test_each_checked_candidate_builds_one_zone_graph(data_dir, monkeypatch):
     assert len(built) == 1
 
 
-def _zone_edges(scaled):
-    """(edges, caps) of a scaled automaton as the zone graph reads it.
+def _scaled_reference(b, mu):
+    """The Scaled that the zone graph reads at mu, built from prepare_fixed's scaled automaton.
 
-    edges maps each Step to its source, target, reset indices and the
-    d[x][y] <= b bounds of its guard disjunct's literals; a clock's cap is
-    the largest constant a literal compares it with, 0 if none does.
+    Each guard disjunct's literals give its d[x][y] <= b bounds; a clock's
+    cap is the largest constant a literal compares it with, 0 if none does.
     """
+    scaled, m, d = prepare_fixed(b, mu)
     index = {z: i + 1 for i, z in enumerate(sorted(scaled.clocks))}
     edges = {}
     caps = [0] * (len(index) + 1)
     for idx, t in enumerate(scaled.transitions):
-        resets = tuple(sorted(index[z] for z in t.resets))
+        out = []
         for k, disj in enumerate(_dnf(t.guard, True)):
             bounds = []
             for z, op, c in disj:
@@ -302,28 +338,36 @@ def _zone_edges(scaled):
                     bounds.append((index[z], 0, _bnd(c, op != "<")))
                 if op[0] != "<":
                     bounds.append((0, index[z], _bnd(-c, op != ">")))
-            edges[(idx, k)] = (t.source, t.target, resets, bounds)
-    return edges, tuple(caps)
+            out.append(((idx, k), bounds))
+        resets = tuple(sorted(index[z] for z in t.resets))
+        edges.setdefault(t.source, []).append((t.target, out, resets))
+    return Scaled(scaled.initial, scaled.accepting, len(index) + 1, edges, tuple(caps), d, m)
 
 
 def test_compiled_form_at_each_candidate_matches_prepare_fixed(data_dir):
-    fixtures = [parse_automaton((data_dir / f"{name}.ta").read_text())
-                for name in ("e_empty", "e_param_contra", "e_window", "w10y")]
     checked = 0
-    for a in two_clock_population() + one_clock_population() + fixtures:
+    for a in two_clock_population() + one_clock_population() + _fixtures(data_dir):
         b = _searched(a)
         compiled = compile_automaton(b)
         for mu in candidate_parameters(b).values if b.params else (None,):
-            s = compiled.at(mu)
-            scaled, m, d = prepare_fixed(b, mu)
-            assert (s.d, s.m) == (d, m)
-            edges = {label: (source, target, resets, bounds)
-                     for source, out in s.edges.items()
-                     for target, disjuncts, resets in out
-                     for label, bounds in disjuncts}
-            assert (edges, s.caps) == _zone_edges(scaled)
+            assert compiled.at(mu) == _scaled_reference(b, mu)
             checked += 1
     assert checked == 3335
+
+
+def test_compiled_form_matches_prepare_fixed_off_the_candidates(data_dir):
+    """Compiled.at equals the reference field for field, also on random automata."""
+    rng = random.Random(8080)
+    draws = [rand_nrtta(rng, cmax=3, param="p" if i % 4 == 1 else None) if i % 2
+             else rand_ta(rng, max_states=3, cmax=3) for i in range(300)]
+    checked = 0
+    for a in two_clock_population() + one_clock_population() + _fixtures(data_dir) + draws:
+        b = _searched(a)
+        compiled = compile_automaton(b)
+        for mu in (Fraction(3, 7), Fraction(5, 2), Fraction(4)) if b.params else (None,):
+            assert compiled.at(mu) == _scaled_reference(b, mu)
+            checked += 1
+    assert checked == 1180
 
 
 def test_compiled_constants_include_atoms_beside_an_unsatisfiable_conjunct():

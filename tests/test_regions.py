@@ -33,9 +33,11 @@ from pnta import (
     zero_region,
 )
 from pnta.regions import (
-    _accepting_sccs,
+    _cycle_through,
     _lasso_at,
     _search_lasso,
+    _shortest_lasso,
+    _stem_to,
     is_time_open,
     positive_delay_successors,
 )
@@ -228,6 +230,63 @@ def _reaches(succ, a, b):
     return False
 
 
+def _accepting_sccs(root, successors, is_accepting):
+    """Yield (members, parent) for each reachable SCC with a cycle and an accepting member.
+
+    Tarjan's algorithm, iterative, the reference for the searches under
+    test: components are yielded as it completes them.  members lists the
+    component in the order its nodes leave the Tarjan stack; parent maps
+    every node discovered so far to (DFS parent, edge label).
+    """
+    index = {root: 0}
+    low = {root: 0}
+    onstack = {root}
+    tarjan_stack = [root]
+    parent = {root: (None, None)}
+    counter = 1
+    frames = [(root, iter(successors(root)))]
+    while frames:
+        node, it = frames[-1]
+        pushed = False
+        for label, child in it:
+            if child not in index:
+                index[child] = low[child] = counter
+                counter += 1
+                parent[child] = (node, label)
+                tarjan_stack.append(child)
+                onstack.add(child)
+                frames.append((child, iter(successors(child))))
+                pushed = True
+                break
+            if child in onstack and index[child] < low[node]:
+                low[node] = index[child]
+        if pushed:
+            continue
+        frames.pop()
+        if frames:
+            pnode = frames[-1][0]
+            if low[node] < low[pnode]:
+                low[pnode] = low[node]
+        if low[node] == index[node]:
+            members = []
+            while True:
+                w = tarjan_stack.pop()
+                onstack.discard(w)
+                members.append(w)
+                if w == node:
+                    break
+            if not any(is_accepting(w) for w in members):
+                continue
+            if len(members) > 1 or any(child == node for _, child in successors(node)):
+                yield members, parent
+
+
+def _labelled(succ):
+    """successors over a digraph's successor lists, each edge labelled (source, position)."""
+    labelled = [[((u, k), v) for k, v in enumerate(vs)] for u, vs in enumerate(succ)]
+    return labelled.__getitem__
+
+
 @settings(max_examples=400, deadline=None)
 @given(_digraphs())
 def test_search_lasso_closes_a_real_accepting_cycle_no_later_than_tarjan(graph):
@@ -237,10 +296,7 @@ def test_search_lasso_closes_a_real_accepting_cycle_no_later_than_tarjan(graph):
     agreement cannot catch a fault in it.
     """
     succ, accepting = graph
-    labelled = [[((u, k), v) for k, v in enumerate(vs)] for u, vs in enumerate(succ)]
-
-    def successors(u):
-        return labelled[u]
+    successors = _labelled(succ)
 
     def is_accepting(u):
         return u in accepting
@@ -263,6 +319,47 @@ def test_search_lasso_closes_a_real_accepting_cycle_no_later_than_tarjan(graph):
     assert path[len(stem)] == af and path[-1] == af and cycle
     for (u, k), x, y in zip(labels, path, path[1:]):
         assert u == x and succ[u][k] == y
+
+
+def _shortest_lasso_by_tarjan(successors, is_accepting):
+    """(stem_pairs, cycle_pairs) by the rule the breadth-first pass must keep, or None.
+
+    The accepting node of least breadth-first rank among the components
+    that have a cycle, its breadth-first stem, and the shortest cycle
+    through it inside its component.
+    """
+    parent = {0: (None, None)}
+    queue = deque([0])
+    while queue:
+        node = queue.popleft()
+        for label, child in successors(node):
+            if child not in parent:
+                parent[child] = (node, label)
+                queue.append(child)
+    rank = {nd: i for i, nd in enumerate(parent)}
+    best = None
+    for members, _ in _accepting_sccs(0, successors, is_accepting):
+        af = min((w for w in members if is_accepting(w)), key=rank.__getitem__)
+        if best is None or rank[af] < rank[best[0]]:
+            best = af, members
+    if best is None:
+        return None
+    af, members = best
+    return _stem_to(af, parent), _cycle_through(af, successors, set(members))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_digraphs())
+def test_shortest_lasso_matches_the_least_ranked_accepting_component(graph):
+    """The breadth-first pass without Tarjan picks the lasso that Tarjan's components give."""
+    succ, accepting = graph
+    successors = _labelled(succ)
+
+    def is_accepting(u):
+        return u in accepting
+
+    assert _shortest_lasso(0, successors, is_accepting) == _shortest_lasso_by_tarjan(
+        successors, is_accepting)
 
 
 def _check_lasso_shape(lasso, ra):

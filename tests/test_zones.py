@@ -96,16 +96,19 @@ _BOUNDS = st.one_of(st.just(INF), _FINITE)
 
 @st.composite
 def canonical_dbms(draw):
-    """(d, n): a random nonempty DBM over n - 1 clocks, closed by _canonical."""
+    """(d, n): a random nonempty flat DBM over n - 1 clocks, closed by _canonical.
+
+    d is the n x n matrix row by row: d[i * n + j] bounds clock i minus clock j.
+    """
     n = draw(st.integers(1, 3))
-    d = [[_bnd(0, True) if i == j else draw(_BOUNDS) for j in range(n)] for i in range(n)]
+    d = [_bnd(0, True) if i == j else draw(_BOUNDS) for i in range(n) for j in range(n)]
     assume(_canonical(d, n))
     return d, n
 
 
 def _closed(d, n):
     """(nonempty, matrix) of a full closure of a copy of d."""
-    c = [row[:] for row in d]
+    c = d[:]
     return _canonical(c, n), c
 
 
@@ -115,8 +118,8 @@ def test_tighten_matches_a_full_closure(dbm, data, b):
     d, n = dbm
     x = data.draw(st.integers(0, n - 1))
     y = data.draw(st.integers(0, n - 1))
-    ref = [row[:] for row in d]
-    ref[x][y] = min(ref[x][y], b)
+    ref = d[:]
+    ref[x * n + y] = min(ref[x * n + y], b)
     nonempty, ref = _closed(ref, n)
     assert _tighten(d, n, x, y, b) == nonempty
     if nonempty:
@@ -152,13 +155,13 @@ def test_a_clock_no_guard_tests_has_cap_0():
     caps = compile_automaton(a).at(None).caps
     assert caps == (0, 3, 0)
     # x = 5 and y = 2: y keeps only y > 0, x only x > 3, and x - y = 3 stays
-    d = [[_bnd(0, True), _bnd(-5, True), _bnd(-2, True)],
-         [_bnd(5, True), _bnd(0, True), _bnd(3, True)],
-         [_bnd(2, True), _bnd(-3, True), _bnd(0, True)]]
+    d = [_bnd(0, True), _bnd(-5, True), _bnd(-2, True),
+         _bnd(5, True), _bnd(0, True), _bnd(3, True),
+         _bnd(2, True), _bnd(-3, True), _bnd(0, True)]
     assert _extrapolate(d, 3, caps)
-    assert d == [[_bnd(0, True), _bnd(-3, False), _bnd(0, False)],
-                 [INF, _bnd(0, True), _bnd(3, True)],
-                 [INF, _bnd(-3, True), _bnd(0, True)]]
+    assert d == [_bnd(0, True), _bnd(-3, False), _bnd(0, False),
+                 INF, _bnd(0, True), _bnd(3, True),
+                 INF, _bnd(-3, True), _bnd(0, True)]
 
 
 # a-a-a reaches the accepting loop first in depth-first order, b then the loop is shorter,
