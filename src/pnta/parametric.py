@@ -11,7 +11,6 @@ away denominators.
 
 from __future__ import annotations
 
-import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -19,7 +18,7 @@ from fractions import Fraction
 from functools import partial
 from typing import Optional, Union
 
-from .core import Atom, Automaton, Transition, atoms, is_nrtta, map_atoms, max_constant
+from .core import Atom, Automaton, Transition, is_nrtta, map_atoms, max_constant
 from .errors import (
     NonIntegerAfterScaling,
     NotOneParameter,
@@ -31,6 +30,7 @@ from .semantics import TimedWord
 from .translate import ta_to_nrtta
 from .zones import (
     Compiled,
+    Scaled,
     ZoneLasso,
     compile_automaton,
     region_lasso,
@@ -78,8 +78,8 @@ class Verdict:
     candidates_checked: int
     zone_nodes: int
     zone_lasso: Optional[ZoneLasso] = None
-    # the scaled automaton of a Nonempty verdict's lassos, built once for both
-    scaled: Optional[Automaton] = field(default=None, compare=False, repr=False)
+    # the scaled automaton that the search found zone_lasso in, which both lassos read
+    scaled: Optional[Scaled] = field(default=None, compare=False, repr=False)
 
 
 def _candidates(c: int, n_states: int):
@@ -171,26 +171,15 @@ def prepare_fixed(
 ) -> tuple[Automaton, int, int]:
     """(scaled parameter-free automaton, region bound M, scale factor d).
 
-    d is the lcm of the constant denominators after instantiation, so the
-    scaled automaton has natural-number constants; M majorizes twice the
-    original maximum constant, the parameter value, and every scaled
-    constant, all in the scaled time unit.
+    d and M are those of `Compiled.at`: d is the lcm of the constant
+    denominators after instantiation, so the scaled automaton has
+    natural-number constants; M majorizes twice the original maximum
+    constant, the parameter value, and every scaled constant, all in the
+    scaled time unit.  The region engine reads this automaton; a check
+    reads only the compiled form.
     """
-    c_orig = max_constant(a)
-    inst = instantiate(a, mu) if (a.params and mu is not None) else a
-    if inst.params:
-        raise PreconditionViolated("parameter value required for a parametric automaton")
-    denoms = [
-        Fraction(at.bound).denominator
-        for t in inst.transitions
-        for at in atoms(t.guard)
-    ]
-    d = math.lcm(*denoms) if denoms else 1
-    scaled = scale_constants(inst, d)
-    m = max(2 * c_orig * d, max_constant(scaled))
-    if mu is not None:
-        m = max(m, math.ceil(Fraction(mu) * d))
-    return scaled, m, d
+    s = compile_automaton(a).at(mu)
+    return scale_constants(instantiate(a, mu) if a.params else a, s.d), s.m, s.d
 
 
 def _searched(a: Automaton) -> Automaton:
@@ -206,25 +195,21 @@ def _decide(
     """emptiness_fixed on the compiled searched automaton, without the region lasso."""
     s = compiled.at(mu)
     if include_lasso:
-        zl, explored = zone_lasso(s, s.m, max_nodes)
+        zl, explored = zone_lasso(s, max_nodes)
         nonempty = zl is not None
     else:
         zl = None
-        nonempty, explored = zone_nonempty(s, s.m, max_nodes)
+        nonempty, explored = zone_nonempty(s, max_nodes)
     witness = Fraction(mu) if (nonempty and mu is not None) else None
-    return Verdict(nonempty, witness, None, s.d, s.m, 1, explored, zl)
+    return Verdict(nonempty, witness, None, s.d, s.m, 1, explored, zl,
+                   s if zl is not None else None)
 
 
-def _with_region_lasso(b: Automaton, v: Verdict) -> Verdict:
-    """v with the region lasso of its zone lasso and the scaled automaton, if it has one.
-
-    The scaled automaton is the one prepare_fixed gives at the witness mu,
-    built once here for the run that region_lasso and witness_word solve.
-    """
+def _with_region_lasso(v: Verdict) -> Verdict:
+    """v with the region lasso of its zone lasso, if it has one."""
     if v.zone_lasso is None:
         return v
-    scaled = scale_constants(instantiate(b, v.witness_mu) if b.params else b, v.scaled_by)
-    return replace(v, lasso=region_lasso(scaled, v.m, v.zone_lasso), scaled=scaled)
+    return replace(v, lasso=region_lasso(v.scaled, v.zone_lasso))
 
 
 def emptiness_fixed(
@@ -242,7 +227,7 @@ def emptiness_fixed(
     follows on the scaled automaton.
     """
     b = _searched(a)
-    return _with_region_lasso(b, _decide(compile_automaton(b), mu, max_nodes, include_lasso))
+    return _with_region_lasso(_decide(compile_automaton(b), mu, max_nodes, include_lasso))
 
 
 def clamp_jobs(jobs: int, n_candidates: int) -> int:
@@ -289,7 +274,7 @@ def parametric_emptiness(
             checked += 1
             total_nodes += v.zone_nodes
             if v.nonempty:
-                v = _with_region_lasso(b, v)
+                v = _with_region_lasso(v)
                 return replace(v, candidates_checked=checked, zone_nodes=total_nodes)
     finally:
         if pool is not None:
@@ -304,14 +289,13 @@ def witness_word(a: Automaton, verdict: Verdict, unrollings: int = 1) -> TimedWo
     verdict's zone lasso on the scaled automaton and divides the timestamps
     back by the scale factor, so the word is accepted by the input automaton
     at the witness parameter value.  The verdict carries the scaled
-    automaton its lassos were built on, so a is not read again.
+    automaton its zone lasso was found in, so a is not read again.
     """
     if not verdict.nonempty or verdict.zone_lasso is None or verdict.scaled is None:
         raise PreconditionViolated("a Nonempty verdict with a lasso is required")
     if unrollings < 1:
         raise PreconditionViolated("unrollings must be at least 1")
-    scaled = verdict.scaled
-    d = verdict.scaled_by
+    s = verdict.scaled
     steps = verdict.zone_lasso.stem + verdict.zone_lasso.cycle * unrollings
-    times = run_timestamps(scaled, steps)
-    return TimedWord.of((scaled.transitions[t].letter, ts / d) for (t, _), ts in zip(steps, times))
+    times = run_timestamps(s, steps)
+    return TimedWord.of((s.edges[t][2], ts / s.d) for (t, _), ts in zip(steps, times))

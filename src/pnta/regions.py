@@ -24,7 +24,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from .core import And, Atom, Automaton, Guard, Not, Transition, TrueGuard, atoms
@@ -32,6 +32,7 @@ from .errors import Infeasible, PreconditionViolated, RegionBudgetExceeded, Unbo
 from .semantics import TimedWord, Valuation, elapse, reset_apply, zero_valuation
 
 DEFAULT_REGION_BUDGET = 10**7
+_CACHE_SIZE = 1 << 16  # entries each region-step cache keeps, least recently used dropped
 
 
 class Region(NamedTuple):
@@ -78,7 +79,7 @@ def is_time_open(r: Region) -> bool:
     return not r.zero
 
 
-@cache
+@lru_cache(maxsize=_CACHE_SIZE)
 def immediate_successor(r: Region) -> Optional[Region]:
     """Next distinct region under time elapse; None once all clocks are above m."""
     if not r.floors:
@@ -95,7 +96,7 @@ def immediate_successor(r: Region) -> Optional[Region]:
     return Region(r.m, r.above, new_floors, frozenset(last), r.order[:-1])
 
 
-@cache
+@lru_cache(maxsize=_CACHE_SIZE)
 def positive_delay_successors(r: Region) -> tuple[Region, ...]:
     """Every region reachable by some delta > 0, in chain order.
 
@@ -111,7 +112,7 @@ def positive_delay_successors(r: Region) -> tuple[Region, ...]:
     return tuple(out)
 
 
-@cache
+@lru_cache(maxsize=_CACHE_SIZE)
 def region_sat(r: Region, g: Guard) -> bool:
     """Truth of g on every valuation of r; constants must not exceed r.m."""
     if isinstance(g, TrueGuard):
@@ -141,7 +142,7 @@ def region_sat(r: Region, g: Guard) -> bool:
     raise TypeError(f"not a guard: {g!r}")
 
 
-@cache
+@lru_cache(maxsize=_CACHE_SIZE)
 def region_reset(r: Region, resets: frozenset[str]) -> Region:
     if not resets:
         return r

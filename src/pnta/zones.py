@@ -29,13 +29,15 @@ forgets what no guard can tell apart; it stays sound for Büchi emptiness
 (Tripakis 2009).  The cap is usually well below the global region bound
 m, which only the region projection uses.
 
-The search reads an automaton in the form `compile_automaton` gives:
-clock indices, and each guard's `_dnf` disjuncts as templates of the
-bounds `_tighten` adds, with constants as integers over their common
-denominator and the parameter as a slot.  A candidate sweep compiles its
-automaton once; `Compiled.at(mu)` gives each bound by one integer
-multiply-add, with mu times the scale factor in the slot, and yields the
-caps, the scale factor and the m that `prepare_fixed` would give.
+A check compiles its automaton once, `compile_automaton`: clock
+indices, and each guard's `_dnf` disjuncts as templates of the bounds
+`_tighten` adds, with constants as integers over their common
+denominator and the parameter as a slot.  `Compiled.at(mu)` gives the
+`Scaled` form at one value: each bound by one integer multiply-add, with
+mu times the scale factor in the slot, the caps, the scale factor and
+the region bound m.  It is the only scaled form a check builds: the zone
+graph, `run_timestamps` and `region_lasso` read it alone, and
+`prepare_fixed` takes its scale factor and m from it.
 
 The zone graph interns each node once as an integer, so the searches
 hash only integers.  `zone_nonempty` and `zone_lasso` decide with the
@@ -47,8 +49,9 @@ accepting lasso of the same graph, breadth-first, testing each accepting
 node for a cycle as it is discovered (`regions._shortest_lasso`).
 Every path of the extrapolated graph is taken by some concrete run
 (Tripakis, ACM TOCL 10(3), 2009), and `run_timestamps` solves for the
-earliest one as a system of difference constraints over event
-timestamps.  `region_lasso` projects that run onto regions.
+earliest one: each guard bound x - y <= b along the lasso is a
+difference constraint between the timestamps of the events that last
+reset x and y.  `region_lasso` projects that run onto regions.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .core import And, Atom, Automaton, Bound, Guard, Not, TrueGuard
 from .errors import NotOneParameter, PreconditionViolated, RegionBudgetExceeded
@@ -64,7 +67,6 @@ from .regions import (
     DEFAULT_REGION_BUDGET,
     SymbolicLasso,
     _lasso_at,
-    _require_parameter_free,
     _search_lasso,
     _shortest_lasso,
     region_of,
@@ -198,27 +200,30 @@ def _dnf(
 # (x, y, coef, p, w): the bound d[x][y] <= coef * scale[p] + w, scale[0] the constant
 # scale d / denom and scale[1] the parameter value times d
 Template = tuple[int, int, int, int, bool]
-# (source, target, reset indices, the guard's disjuncts as (Step, templates))
-Rule = tuple[str, str, tuple[int, ...], tuple[tuple[Step, tuple[Template, ...]], ...]]
-Edge = tuple[str, list[tuple[Step, list[tuple[int, int, int]]]], tuple[int, ...]]
+# (source, target, letter, reset indices, the guard's disjuncts as (Step, templates))
+Rule = tuple[str, str, str, tuple[int, ...], tuple[tuple[Step, tuple[Template, ...]], ...]]
+# (source, target, letter, reset indices, the guard's disjuncts as (Step, bounds))
+Edge = tuple[str, str, str, tuple[int, ...], list[tuple[Step, list[tuple[int, int, int]]]]]
 
 
 @dataclass(frozen=True)
 class Scaled:
-    """An automaton at one parameter value, in the scaled time unit, as the zone graph reads it.
+    """An automaton at one parameter value, in the scaled time unit.
 
-    edges maps a state to its transitions as (target, [(Step, bounds)],
-    reset indices), each bound (x, y, b) a constraint d[x][y] <= b for
-    `_tighten`; caps holds each DBM index's extrapolation bound.
+    The zone graph, the witness run and its region projection all read
+    this form.  clocks holds the sorted clock names, clock clocks[i - 1]
+    at DBM index i.  edges holds an Edge per transition, in the
+    automaton's order, each bound (x, y, b) a constraint d[x][y] <= b
+    for `_tighten`; caps holds each DBM index's extrapolation bound.
     """
 
     initial: str
     accepting: frozenset[str]
-    n: int  # DBM dimension: the clocks plus the zero clock
-    edges: dict[str, list[Edge]]
+    clocks: tuple[str, ...]
+    edges: tuple[Edge, ...]
     caps: tuple[int, ...]
     d: int  # scale factor
-    m: int  # global region bound, as prepare_fixed computes it
+    m: int  # global region bound, for the region projection
 
 
 @dataclass(frozen=True)
@@ -227,16 +232,17 @@ class Compiled:
 
     transitions holds a Rule per transition.  A template's coef is twice
     its literal's constant times denom, or 2 for the parameter, signed by
-    its side, and w is True (1) for a weak bound.  clocks
-    holds, per DBM index, the largest constant times denom that a literal
-    compares the clock with and whether one compares it with the
-    parameter.  Plain data, so it crosses a process pool.
+    its side, and w is True (1) for a weak bound.  tops holds, per DBM
+    index, the largest constant times denom that a literal compares the
+    clock with and whether one compares it with the parameter.  Plain
+    data, so it crosses a process pool.
     """
 
     initial: str
     accepting: frozenset[str]
+    clocks: tuple[str, ...]  # sorted clock names
     transitions: tuple[Rule, ...]
-    clocks: tuple[tuple[int, bool], ...]
+    tops: tuple[tuple[int, bool], ...]
     denom: int  # lcm of the constant denominators
     c: int  # max_constant
     top: int  # the largest constant times denom
@@ -246,9 +252,10 @@ class Compiled:
     def at(self, mu) -> Scaled:
         """The automaton at parameter value mu (None when it has no parameter).
 
-        Gives what prepare_fixed gives, with the guard bounds in integers:
-        the scale factor d, the lcm of the denominators after mu is filled
-        in; the bound m; and as each clock's cap the largest scaled
+        The scale factor d is the lcm of the constant denominators after
+        mu is filled in, so every scaled constant is an integer.  The
+        region bound m majorizes twice the maximum constant, mu and every
+        constant, all scaled.  Each clock's cap is the largest scaled
         constant it is compared against, 0 if no guard tests it.
         """
         if mu is None:
@@ -267,13 +274,13 @@ class Compiled:
         if mu is not None:
             m = max(m, -(-mu.numerator * d // mu.denominator))  # ceil(mu * d)
         scale = (k, slot)
-        edges: dict[str, list[Edge]] = {}
-        for source, target, resets, disjuncts in self.transitions:
-            out = [(label, [(x, y, coef * scale[p] + w) for x, y, coef, p, w in templates])
-                   for label, templates in disjuncts]
-            edges.setdefault(source, []).append((target, out, resets))
-        caps = tuple(max(top * k, slot) if p else top * k for top, p in self.clocks)
-        return Scaled(self.initial, self.accepting, len(caps), edges, caps, d, m)
+        edges = tuple([
+            (source, target, letter, resets,
+             [(label, [(x, y, coef * scale[p] + w) for x, y, coef, p, w in templates])
+              for label, templates in disjuncts])
+            for source, target, letter, resets, disjuncts in self.transitions])
+        caps = tuple(max(top * k, slot) if p else top * k for top, p in self.tops)
+        return Scaled(self.initial, self.accepting, self.clocks, edges, caps, d, m)
 
 
 def compile_automaton(a: Automaton) -> Compiled:
@@ -282,9 +289,10 @@ def compile_automaton(a: Automaton) -> Compiled:
     dnfs = [_dnf(t.guard, True, bounds) for t in a.transitions]
     consts = [b for b in bounds if not isinstance(b, str)]  # int or Fraction
     denom = math.lcm(*[v.denominator for v in consts])
-    index = {z: i + 1 for i, z in enumerate(sorted(a.clocks))}
-    tops = [0] * (len(a.clocks) + 1)
-    compared = [False] * (len(a.clocks) + 1)
+    clocks = tuple(sorted(a.clocks))
+    index = {z: i for i, z in enumerate(clocks, 1)}
+    tops = [0] * (len(clocks) + 1)
+    compared = [False] * (len(clocks) + 1)
     ts = []
     for idx, (t, dnf) in enumerate(zip(a.transitions, dnfs)):
         disjuncts = []
@@ -307,19 +315,11 @@ def compile_automaton(a: Automaton) -> Compiled:
                     templates.append((0, x, -coef, p, op != ">"))
             disjuncts.append(((idx, j), tuple(templates)))
         resets = tuple(sorted(map(index.__getitem__, t.resets)))
-        ts.append((t.source, t.target, resets, tuple(disjuncts)))
+        ts.append((t.source, t.target, t.letter, resets, tuple(disjuncts)))
     c = max([1] + [int(v) for v in consts if v.denominator == 1])
     top = int(max(consts) * denom) if consts else 0
-    return Compiled(a.initial, a.accepting, tuple(ts), tuple(zip(tops, compared)), denom, c,
-                    top, len(a.params), len(consts) < len(bounds))
-
-
-def _scaled(a: Union[Automaton, Scaled], m: int) -> Scaled:
-    """a itself, or a parameter-free Automaton with guard constants at most m compiled."""
-    if isinstance(a, Scaled):
-        return a
-    _require_parameter_free(a, m)
-    return compile_automaton(a).at(None)
+    return Compiled(a.initial, a.accepting, clocks, tuple(ts), tuple(zip(tops, compared)),
+                    denom, c, top, len(a.params), len(consts) < len(bounds))
 
 
 def _zone_graph(s: Scaled):
@@ -331,7 +331,11 @@ def _zone_graph(s: Scaled):
     successors(i) lists (Step, j) pairs, the Step taken and the child's
     index; memo holds every node expanded so far.
     """
-    n, caps, edges = s.n, s.caps, s.edges
+    caps = s.caps
+    n = len(caps)
+    out_of: dict[str, list[Edge]] = {}
+    for edge in s.edges:
+        out_of.setdefault(edge[0], []).append(edge)
     nodes = [(s.initial, (_LE0,) * (n * n), True)]
     ids = {nodes[0]: 0}
     memo: dict[int, list] = {}
@@ -344,7 +348,7 @@ def _zone_graph(s: Scaled):
         base = list(key)
         _up(base, n, strict=not first)
         out = []
-        for target, disjuncts, reset_idxs in edges.get(q, ()):
+        for _, target, _, reset_idxs, disjuncts in out_of.get(q, ()):
             for label, bounds in disjuncts:
                 z = base[:]
                 for x, y, b in bounds:
@@ -366,18 +370,15 @@ def _zone_graph(s: Scaled):
     return successors, nodes, memo
 
 
-def zone_nonempty(
-    a: Union[Automaton, Scaled], m: int, max_nodes: int = DEFAULT_REGION_BUDGET
-) -> tuple[bool, int]:
-    """(accepting lasso exists, zone nodes explored) for a parameter-free automaton.
+def zone_nonempty(s: Scaled, max_nodes: int = DEFAULT_REGION_BUDGET) -> tuple[bool, int]:
+    """(accepting lasso exists, zone nodes explored) for an automaton at one value.
 
     The depth-first search stops at the first accepting cycle it closes, so
     the count is of the nodes discovered until then, or of the whole
-    reachable graph when there is none.  An Automaton must have guard
-    constants at most m; a Scaled carries its own bounds.
+    reachable graph when there is none.
     """
-    successors, nodes, memo = _zone_graph(_scaled(a, m))
-    accepting = a.accepting
+    successors, nodes, memo = _zone_graph(s)
+    accepting = s.accepting
     found = _search_lasso(0, successors, lambda i: nodes[i][0] in accepting, max_nodes)
     return found is not None, len(memo)
 
@@ -395,7 +396,7 @@ class ZoneLasso:
 
 
 def zone_lasso(
-    a: Union[Automaton, Scaled], m: int, max_nodes: int = DEFAULT_REGION_BUDGET
+    s: Scaled, max_nodes: int = DEFAULT_REGION_BUDGET
 ) -> tuple[Optional[ZoneLasso], int]:
     """(a shortest accepting lasso of the zone graph or None, zone nodes explored).
 
@@ -406,10 +407,10 @@ def zone_lasso(
     leads back to; the lasso follows its breadth-first stem and that cycle.
     Once the graph holds more than max_nodes nodes, in the breadth-first
     pass or in a cycle search, the lasso of the cycle the deciding search
-    closed is returned instead.  a is taken as by zone_nonempty.
+    closed is returned instead.
     """
-    successors, nodes, memo = _zone_graph(_scaled(a, m))
-    accepting = a.accepting
+    successors, nodes, memo = _zone_graph(s)
+    accepting = s.accepting
 
     def is_accepting(i: int) -> bool:
         return nodes[i][0] in accepting
@@ -429,45 +430,42 @@ def zone_lasso(
         stem_pairs, cycle_pairs = _shortest_lasso(0, bounded, is_accepting)
     except RegionBudgetExceeded:
         stem_pairs, cycle_pairs = _lasso_at(found, successors)
-    return ZoneLasso(tuple(s for s, _ in stem_pairs), tuple(s for s, _ in cycle_pairs)), explored
+    return ZoneLasso(tuple(t for t, _ in stem_pairs), tuple(t for t, _ in cycle_pairs)), explored
 
 
-def run_timestamps(a: Automaton, steps: Sequence[Step]) -> list[Fraction]:
-    """Earliest timestamps of a run of a parameter-free automaton taking these steps.
+def run_timestamps(s: Scaled, steps: Sequence[Step]) -> list[Fraction]:
+    """Earliest timestamps of a run of the scaled automaton taking these steps.
 
-    Event i happens at tau_i, after tau_0 = 0.  Each literal of step i's
-    guard disjunct bounds tau_i - tau_r, where r is the last event that
-    reset its clock (0 if none); tau_1 >= 0 and tau_i > tau_(i-1) after
-    that.  Every constraint reads tau_u >= tau_v + c + s*eps, where eps > 0
-    is an infinitesimal that makes a bound strict.  Bellman-Ford finds the
-    least solution over (c, s) pairs ordered lexicographically.  eps is then
-    fixed so that s * eps < 1 for every timestamp: each lies within the unit
-    interval its integer part c opens, so a clock value's region depends
-    only on the pairs, and a run that only needs time to pass between laps
-    drifts inside one region instead of crossing one per lap.
+    Event i happens at tau_i, after tau_0 = 0.  The value of a clock at
+    event i is tau_i - tau_r, where r is the last event that reset it (0 if
+    none), so each bound (x, y, b) of step i's guard disjunct, x - y <= b,
+    reads tau_(r_y) - tau_(r_x) <= b >> 1, strict when b is even, with
+    r_0 = i for the zero clock (Bengtsson & Yi, LNCS 3098, 2004).  Further
+    tau_1 >= 0 and tau_i > tau_(i-1) after that.  Every constraint reads
+    tau_u >= tau_v + c + e*eps, where eps > 0 is an infinitesimal that
+    makes a bound strict.  Bellman-Ford finds the least solution over
+    (c, e) pairs ordered lexicographically.  eps is then fixed so that
+    e * eps < 1 for every timestamp: each lies within the unit interval its
+    integer part c opens, so a clock value's region depends only on the
+    pairs, and a run that only needs time to pass between laps drifts
+    inside one region instead of crossing one per lap.
     """
-    lower: list[tuple[int, int, int, int]] = []  # (u, v, c, s)
-    last_reset = dict.fromkeys(a.clocks, 0)
-    dnfs: dict[int, list] = {}
+    lower: list[tuple[int, int, int, int]] = []  # (u, v, c, e)
+    last_reset = [0] * len(s.caps)
     for i, (t_idx, k) in enumerate(steps, 1):
-        t = a.transitions[t_idx]
-        if t_idx not in dnfs:
-            dnfs[t_idx] = _dnf(t.guard, True)
+        _, _, _, resets, disjuncts = s.edges[t_idx]
         lower.append((i, i - 1, 0, 0 if i == 1 else 1))
-        for z, op, c in dnfs[t_idx][k]:
-            r = last_reset[z]
-            if op in (">", ">=", "="):
-                lower.append((i, r, c, 1 if op == ">" else 0))
-            if op in ("<", "<=", "="):
-                lower.append((r, i, -c, 1 if op == "<" else 0))
-        for z in t.resets:
-            last_reset[z] = i
+        last_reset[0] = i
+        for x, y, b in disjuncts[k][1]:
+            lower.append((last_reset[x], last_reset[y], -(b >> 1), 1 - (b & 1)))
+        for x in resets:
+            last_reset[x] = i
 
     tau = [(0, 0)] * (len(steps) + 1)
     for _ in range(len(tau) + 1):
         changed = False
-        for u, v, c, s in lower:
-            bound = (tau[v][0] + c, tau[v][1] + s)
+        for u, v, c, e in lower:
+            bound = (tau[v][0] + c, tau[v][1] + e)
             if bound > tau[u]:
                 tau[u] = bound
                 changed = True
@@ -478,12 +476,12 @@ def run_timestamps(a: Automaton, steps: Sequence[Step]) -> list[Fraction]:
 
     # A constraint the pairs meet with an eps deficit has an integer gap of at
     # least 1 and a deficit of at most top + 1, so this eps keeps it.
-    top = max(s for _, s in tau)
+    top = max(e for _, e in tau)
     eps = Fraction(1, top + 1)
-    return [c + s * eps for c, s in tau[1:]]
+    return [c + e * eps for c, e in tau[1:]]
 
 
-def region_lasso(a: Automaton, m: int, lasso: ZoneLasso) -> SymbolicLasso:
+def region_lasso(s: Scaled, lasso: ZoneLasso) -> SymbolicLasso:
     """The region lasso that the earliest concrete run along a zone lasso follows.
 
     Solves the stem plus k laps for k = 1, 2, 4, ... and cuts the run at
@@ -491,17 +489,18 @@ def region_lasso(a: Automaton, m: int, lasso: ZoneLasso) -> SymbolicLasso:
     finitely many such nodes, so by the pigeonhole principle some k does.
     """
     stem_len, cycle_len = len(lasso.stem), len(lasso.cycle)
+    m = s.m
     laps = 1
     while True:
         steps = lasso.stem + lasso.cycle * laps
-        reset_at = dict.fromkeys(a.clocks, Fraction(0))
-        nodes = [(a.initial, zero_region(a.clocks, m))]
-        for (t_idx, _), now in zip(steps, run_timestamps(a, steps)):
-            t = a.transitions[t_idx]
-            for z in t.resets:
-                reset_at[z] = now
-            v = Valuation.of({z: now - r for z, r in reset_at.items()})
-            nodes.append((t.target, region_of(v, m)))
+        reset_at = [Fraction(0)] * len(s.caps)
+        nodes = [(s.initial, zero_region(s.clocks, m))]
+        for (t_idx, _), now in zip(steps, run_timestamps(s, steps)):
+            _, target, _, resets, _ = s.edges[t_idx]
+            for x in resets:
+                reset_at[x] = now
+            v = Valuation.of({z: now - reset_at[x] for x, z in enumerate(s.clocks, 1)})
+            nodes.append((target, region_of(v, m)))
         first_at: dict = {}
         for j in range(stem_len, len(nodes), cycle_len):
             i = first_at.setdefault(nodes[j], j)

@@ -2,10 +2,14 @@
 
 import json
 import os
+import pathlib
+import re
+import shlex
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -54,19 +58,26 @@ def test_check_json_report_carries_the_witness_word(data_dir, capsys):
 
 
 def test_check_witness_scales_the_automaton_once(data_dir, capsys, monkeypatch):
-    """The winner's region lasso and its witness word share one scaled automaton."""
-    from pnta import parametric
+    """The winner's search, region lasso and witness word read one scaled form.
 
-    scaled = []
-    scale = parametric.scale_constants
-    monkeypatch.setattr(parametric, "scale_constants",
-                        lambda a, d: scaled.append(d) or scale(a, d))
+    A check scales the compiled automaton once per checked candidate and
+    builds no instantiated or scaled Automaton.
+    """
+    from pnta import parametric
+    from pnta.zones import Compiled
+
+    built, scaled_at = [], []
+    for name in ("instantiate", "scale_constants"):
+        monkeypatch.setattr(parametric, name, lambda *args, name=name: built.append(name))
+    at = Compiled.at
+    monkeypatch.setattr(Compiled, "at", lambda self, mu: scaled_at.append(mu) or at(self, mu))
     window = str(data_dir / "e_window.ta")
-    for extra in ((), ("--mu", "41/40")):
-        scaled.clear()
+    for extra, checked in (((), 6), (("--mu", "41/40"), 1)):
+        scaled_at.clear()
         code, out, _ = _run(capsys, "check", window, "--witness", "--unrollings", "2", *extra)
         assert code == 10 and "witness word" in out
-        assert scaled == [40]
+        assert len(scaled_at) == checked and scaled_at[-1] == Fraction(41, 40)
+    assert built == []
 
 
 def test_check_fixed_mu_and_witness(data_dir, capsys):
@@ -454,3 +465,24 @@ def test_console_script_entry_point(data_dir):
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("Empty")
+
+
+def _readme_sessions():
+    """(command, shown output lines) of each README block that starts with `$ pnta `."""
+    text = (pathlib.Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    blocks = [b.splitlines()[1:] for b in text.split("```")[1::2] if b.startswith("\n$ pnta ")]
+    return [(lines[0], lines[1:]) for lines in blocks]
+
+
+def test_readme_sessions_match_the_cli(capsys, monkeypatch):
+    """Every shown line of a README session, `...` aside, appears in order in real output."""
+    sessions = _readme_sessions()
+    assert len(sessions) >= 2
+    monkeypatch.chdir(pathlib.Path(__file__).parent.parent)
+    mask = partial(re.sub, r"wall ms: \d+", "wall ms: N")
+    for command, shown in sessions:
+        _, out, _ = _run(capsys, *shlex.split(command)[2:])
+        lines = iter(mask(out).splitlines())
+        for line in shown:
+            if line != "...":
+                assert mask(line) in lines, f"{command}: {line!r} not shown by the CLI"

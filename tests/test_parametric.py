@@ -324,8 +324,9 @@ def _scaled_reference(b, mu):
     cap is the largest constant a literal compares it with, 0 if none does.
     """
     scaled, m, d = prepare_fixed(b, mu)
-    index = {z: i + 1 for i, z in enumerate(sorted(scaled.clocks))}
-    edges = {}
+    clocks = tuple(sorted(scaled.clocks))
+    index = {z: i + 1 for i, z in enumerate(clocks)}
+    edges = []
     caps = [0] * (len(index) + 1)
     for idx, t in enumerate(scaled.transitions):
         out = []
@@ -340,8 +341,8 @@ def _scaled_reference(b, mu):
                     bounds.append((0, index[z], _bnd(-c, op != ">")))
             out.append(((idx, k), bounds))
         resets = tuple(sorted(index[z] for z in t.resets))
-        edges.setdefault(t.source, []).append((t.target, out, resets))
-    return Scaled(scaled.initial, scaled.accepting, len(index) + 1, edges, tuple(caps), d, m)
+        edges.append((t.source, t.target, t.letter, resets, out))
+    return Scaled(scaled.initial, scaled.accepting, clocks, tuple(edges), tuple(caps), d, m)
 
 
 def test_compiled_form_at_each_candidate_matches_prepare_fixed(data_dir):
@@ -378,7 +379,7 @@ def test_compiled_constants_include_atoms_beside_an_unsatisfiable_conjunct():
         "trans q0 q0 b ( !(!(!true & x < p) & y < 1) ) { x }\n"
     )
     compiled = compile_automaton(a)
-    assert compiled.transitions[0][3] == () and compiled.c == max_constant(a) == 3
+    assert compiled.transitions[0][4] == () and compiled.c == max_constant(a) == 3
     for mu in (Fraction(1, 3), Fraction(5, 2)):
         s = compiled.at(mu)
         _, m, d = prepare_fixed(a, mu)
@@ -387,16 +388,24 @@ def test_compiled_constants_include_atoms_beside_an_unsatisfiable_conjunct():
 
 
 def test_the_sweep_scales_the_automaton_only_for_its_winner(data_dir, monkeypatch):
-    from pnta import parametric
+    """Each checked candidate scales the compiled form once; the winner's lassos reuse it.
 
-    scaled = []
-    scale = parametric.scale_constants
-    monkeypatch.setattr(parametric, "scale_constants",
-                        lambda a, d: scaled.append(d) or scale(a, d))
-    for name, count in (("e_window", 1), ("e_param_contra", 0)):
-        scaled.clear()
-        parametric_emptiness(parse_automaton((data_dir / f"{name}.ta").read_text()))
-        assert len(scaled) == count
+    No scaled Automaton is built: the region lasso reads the winner's Scaled.
+    """
+    from pnta import parametric
+    from pnta.zones import Compiled
+
+    built, scaled_at = [], []
+    for name in ("instantiate", "scale_constants"):
+        monkeypatch.setattr(parametric, name, lambda *args, name=name: built.append(name))
+    at = Compiled.at
+    monkeypatch.setattr(Compiled, "at", lambda self, mu: scaled_at.append(mu) or at(self, mu))
+    for name in ("e_window", "e_param_contra"):
+        scaled_at.clear()
+        v = parametric_emptiness(parse_automaton((data_dir / f"{name}.ta").read_text()))
+        assert len(scaled_at) == v.candidates_checked
+        assert (v.lasso is not None) == v.nonempty
+    assert built == []
 
 
 @pytest.mark.parametrize("name", ["e_empty", "e_param_contra", "e_window", "w10y"])

@@ -22,6 +22,7 @@ from pnta.zones import (
     INF,
     _bnd,
     _canonical,
+    _dnf,
     _extrapolate,
     _reset,
     _tighten,
@@ -44,10 +45,14 @@ trans q2 q2 a ( true ) { }
 """
 
 
+def _at(a, mu=None):
+    """The Scaled form of a at mu, as a check builds it."""
+    return compile_automaton(a).at(mu)
+
+
 def test_zone_nonempty_on_fixed_window():
     a = parse_automaton(WINDOW_FIXED)
-    scaled, m, _ = prepare_fixed(a, None)
-    nonempty, nodes = zone_nonempty(scaled, m)
+    nonempty, nodes = zone_nonempty(_at(a))
     assert nonempty
     assert nodes >= 1
 
@@ -58,14 +63,13 @@ def test_zone_rejects_parametric_input():
         "trans q0 q0 a ( x = mu ) { }\n"
     )
     with pytest.raises(PreconditionViolated):
-        zone_nonempty(a, 4)
+        zone_nonempty(_at(a))
 
 
 def test_zone_budget():
     a = parse_automaton(WINDOW_FIXED)
-    scaled, m, _ = prepare_fixed(a, None)
     with pytest.raises(RegionBudgetExceeded):
-        zone_nonempty(scaled, m, max_nodes=1)
+        zone_nonempty(_at(a), max_nodes=1)
 
 
 def test_zone_first_event_at_zero():
@@ -74,8 +78,7 @@ def test_zone_first_event_at_zero():
         "trans q0 q1 a ( x = 0 ) { }\n"
         "trans q1 q1 a ( true ) { }\n"
     )
-    scaled, m, _ = prepare_fixed(a, None)
-    assert zone_nonempty(scaled, m)[0]
+    assert zone_nonempty(_at(a))[0]
 
 
 @settings(max_examples=250, deadline=None)
@@ -85,7 +88,7 @@ def test_zone_matches_region_verdict(seed, nrt):
     rng = random.Random(seed)
     a = rand_nrtta(rng, cmax=3) if nrt else rand_ta(rng, max_states=3, cmax=2)
     scaled, m, _ = prepare_fixed(a, None)
-    zone_verdict = zone_nonempty(scaled, m)[0]
+    zone_verdict = zone_nonempty(_at(a))[0]
     region_verdict = find_lasso(scaled, m) is not None
     assert zone_verdict == region_verdict
 
@@ -182,36 +185,37 @@ trans p2 p3 c ( true ) { }
 """
 
 
-def _lasso_word(a, lasso, laps):
+def _lasso_word(s, lasso, laps):
+    """The earliest word along lasso's stem and laps, in s's scaled time unit."""
     steps = lasso.stem + lasso.cycle * laps
-    times = run_timestamps(a, steps)
-    return TimedWord.of((a.transitions[t].letter, ts) for (t, _), ts in zip(steps, times))
+    times = run_timestamps(s, steps)
+    return TimedWord.of((s.edges[t][2], ts) for (t, _), ts in zip(steps, times))
 
 
 def test_zone_lasso_is_shortest_and_falls_back_to_the_early_exit_search():
-    scaled, m, _ = prepare_fixed(parse_automaton(BRANCHES), None)
-    shortest, _ = zone_lasso(scaled, m)
-    assert _lasso_word(scaled, shortest, 1).letters() == ("b", "a", "a")
-    assert zone_nonempty(scaled, m, max_nodes=4) == (True, 4)
-    early_exit, _ = zone_lasso(scaled, m, max_nodes=4)
-    assert _lasso_word(scaled, early_exit, 1).letters() == ("a", "a", "a", "a")
+    a = parse_automaton(BRANCHES)
+    s = _at(a)
+    assert s.d == 1
+    shortest, _ = zone_lasso(s)
+    assert _lasso_word(s, shortest, 1).letters() == ("b", "a", "a")
+    assert zone_nonempty(s, max_nodes=4) == (True, 4)
+    early_exit, _ = zone_lasso(s, max_nodes=4)
+    assert _lasso_word(s, early_exit, 1).letters() == ("a", "a", "a", "a")
     for lasso in (shortest, early_exit):
-        assert reaches_acceptance(scaled, _lasso_word(scaled, lasso, 3))
+        assert reaches_acceptance(a, _lasso_word(s, lasso, 3))
 
 
 def test_zone_lasso_absent_on_empty_language():
     a = parse_automaton(
         "automaton e\nclocks x\ninit q0\naccept q1\ntrans q0 q1 a ( x < 1 ) { }\n"
     )
-    scaled, m, _ = prepare_fixed(a, None)
-    assert zone_lasso(scaled, m)[0] is None
+    assert zone_lasso(_at(a))[0] is None
 
 
 def test_run_timestamps_are_earliest_and_exact():
-    a = parse_automaton(WINDOW_FIXED)
-    scaled, m, _ = prepare_fixed(a, None)
-    lasso, _ = zone_lasso(scaled, m)
-    times = run_timestamps(scaled, lasso.stem + lasso.cycle * 2)
+    s = _at(parse_automaton(WINDOW_FIXED))
+    lasso, _ = zone_lasso(s)
+    times = run_timestamps(s, lasso.stem + lasso.cycle * 2)
     assert times[:2] == [2, 3]  # x = 2 and x = 3 pin the stem
     assert all(3 < t < 4 for t in times[2:])  # the loop needs only strictly later events
 
@@ -222,13 +226,72 @@ def test_zone_lasso_runs_and_projects_onto_regions(seed, nrt):
     """A nonempty verdict's zone lasso has a concrete run that the region engine replays."""
     rng = random.Random(seed)
     a = rand_nrtta(rng, cmax=3) if nrt else rand_ta(rng, max_states=3, cmax=2)
+    s = _at(a)
     scaled, m, _ = prepare_fixed(a, None)
-    lasso, _ = zone_lasso(scaled, m)
-    assert (lasso is not None) == zone_nonempty(scaled, m)[0]
+    lasso, _ = zone_lasso(s)
+    assert (lasso is not None) == zone_nonempty(s)[0]
     if lasso is None:
         return
     for laps in (1, 2):
-        assert reaches_acceptance(scaled, _lasso_word(scaled, lasso, laps))
-    projected = region_lasso(scaled, m, lasso)
+        assert reaches_acceptance(scaled, _lasso_word(s, lasso, laps))
+    projected = region_lasso(s, lasso)
     assert projected.stem_nodes[-1] == projected.cycle_nodes[0]
     assert reaches_acceptance(scaled, concretize_lasso(scaled, m, projected, 2))
+
+
+def _literal_timestamps(a, steps):
+    """run_timestamps as it read guards before the compiled form: literals of _dnf.
+
+    a is a scaled parameter-free automaton.  Each literal z op c of step
+    i's guard disjunct bounds tau_i - tau_r, r the last event that reset z.
+    """
+    lower = []
+    last_reset = dict.fromkeys(a.clocks, 0)
+    for i, (t_idx, k) in enumerate(steps, 1):
+        t = a.transitions[t_idx]
+        lower.append((i, i - 1, 0, 0 if i == 1 else 1))
+        for z, op, c in _dnf(t.guard, True)[k]:
+            r = last_reset[z]
+            if op in (">", ">=", "="):
+                lower.append((i, r, c, 1 if op == ">" else 0))
+            if op in ("<", "<=", "="):
+                lower.append((r, i, -c, 1 if op == "<" else 0))
+        for z in t.resets:
+            last_reset[z] = i
+    tau = [(0, 0)] * (len(steps) + 1)
+    for _ in range(len(tau) + 1):
+        changed = False
+        for u, v, c, e in lower:
+            bound = (tau[v][0] + c, tau[v][1] + e)
+            if bound > tau[u]:
+                tau[u] = bound
+                changed = True
+        if not changed:
+            break
+    else:
+        raise AssertionError("no concrete run")
+    eps = Fraction(1, max(e for _, e in tau) + 1)
+    return [c + e * eps for c, e in tau[1:]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10 ** 9), st.sampled_from(["nrt", "param", "ta"]), st.integers(1, 3))
+def test_run_timestamps_match_the_literal_constraints(seed, kind, laps):
+    """Bounds of the compiled form give the timestamps that guard literals give.
+
+    Parametric draws are checked at 3/7, where constants scale by 7.
+    """
+    rng = random.Random(seed)
+    if kind == "ta":
+        a, mu = rand_ta(rng, max_states=3, cmax=2), None
+    else:
+        a = rand_nrtta(rng, cmax=3, param="p" if kind == "param" else None)
+        mu = Fraction(3, 7) if a.params else None
+    s = _at(a, mu)
+    lasso, _ = zone_lasso(s)
+    if lasso is None:
+        return
+    steps = lasso.stem + lasso.cycle * laps
+    scaled, _, d = prepare_fixed(a, mu)
+    assert d == s.d
+    assert run_timestamps(s, steps) == _literal_timestamps(scaled, steps)
