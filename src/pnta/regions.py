@@ -24,7 +24,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from .core import And, Atom, Automaton, Guard, Not, Transition, TrueGuard, atoms
@@ -32,7 +31,6 @@ from .errors import Infeasible, PreconditionViolated, RegionBudgetExceeded, Unbo
 from .semantics import TimedWord, Valuation, elapse, reset_apply, zero_valuation
 
 DEFAULT_REGION_BUDGET = 10**7
-_CACHE_SIZE = 1 << 16  # entries each region-step cache keeps, least recently used dropped
 
 
 class Region(NamedTuple):
@@ -79,7 +77,6 @@ def is_time_open(r: Region) -> bool:
     return not r.zero
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
 def immediate_successor(r: Region) -> Optional[Region]:
     """Next distinct region under time elapse; None once all clocks are above m."""
     if not r.floors:
@@ -96,7 +93,6 @@ def immediate_successor(r: Region) -> Optional[Region]:
     return Region(r.m, r.above, new_floors, frozenset(last), r.order[:-1])
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
 def positive_delay_successors(r: Region) -> tuple[Region, ...]:
     """Every region reachable by some delta > 0, in chain order.
 
@@ -112,7 +108,6 @@ def positive_delay_successors(r: Region) -> tuple[Region, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
 def region_sat(r: Region, g: Guard) -> bool:
     """Truth of g on every valuation of r; constants must not exceed r.m."""
     if isinstance(g, TrueGuard):
@@ -142,7 +137,6 @@ def region_sat(r: Region, g: Guard) -> bool:
     raise TypeError(f"not a guard: {g!r}")
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
 def region_reset(r: Region, resets: frozenset[str]) -> Region:
     if not resets:
         return r
@@ -251,8 +245,9 @@ def build_region_automaton(
         q, reg = nodes[i]
         out: list[tuple[int, int]] = []
         seen_out: set[tuple[int, int]] = set()
+        fires = positive_delay_successors(reg) if q in by_source else ()
         for t_idx, t in by_source.get(q, ()):
-            for fire in positive_delay_successors(reg):
+            for fire in fires:
                 if not region_sat(fire, t.guard):
                     continue
                 target: RANode = (t.target, region_reset(fire, t.resets))

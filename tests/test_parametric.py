@@ -1,5 +1,6 @@
 """Candidate enumeration, instantiation, scaling, and the decision sweep."""
 
+import math
 import os
 import random
 from dataclasses import replace
@@ -317,13 +318,32 @@ def test_each_checked_candidate_builds_one_zone_graph(data_dir, monkeypatch):
     assert len(built) == 1
 
 
+def _prepare_reference(a, mu):
+    """prepare_fixed as it computed d and m before the compiled form: from the automaton.
+
+    d is the lcm of the constant denominators after instantiation; m is
+    at least twice the original maximum constant, every scaled constant
+    and mu, all in the scaled unit.
+    """
+    inst = instantiate(a, mu) if (a.params and mu is not None) else a
+    denoms = [Fraction(at.bound).denominator for t in inst.transitions for at in atoms(t.guard)]
+    d = math.lcm(*denoms) if denoms else 1
+    scaled = scale_constants(inst, d)
+    m = max(2 * max_constant(a) * d, max_constant(scaled))
+    if mu is not None:
+        m = max(m, math.ceil(Fraction(mu) * d))
+    return scaled, m, d
+
+
 def _scaled_reference(b, mu):
-    """The Scaled that the zone graph reads at mu, built from prepare_fixed's scaled automaton.
+    """The Scaled that the zone graph reads at mu, built from _prepare_reference's automaton.
 
     Each guard disjunct's literals give its d[x][y] <= b bounds; a clock's
     cap is the largest constant a literal compares it with, 0 if none does.
+    prepare_fixed must return the same scaled automaton, m and d.
     """
-    scaled, m, d = prepare_fixed(b, mu)
+    scaled, m, d = _prepare_reference(b, mu)
+    assert prepare_fixed(b, mu) == (scaled, m, d)
     clocks = tuple(sorted(scaled.clocks))
     index = {z: i + 1 for i, z in enumerate(clocks)}
     edges = []
@@ -382,8 +402,9 @@ def test_compiled_constants_include_atoms_beside_an_unsatisfiable_conjunct():
     assert compiled.transitions[0][4] == () and compiled.c == max_constant(a) == 3
     for mu in (Fraction(1, 3), Fraction(5, 2)):
         s = compiled.at(mu)
-        _, m, d = prepare_fixed(a, mu)
+        _, m, d = _prepare_reference(a, mu)
         assert (s.d, s.m) == (d, m)
+        assert prepare_fixed(a, mu)[1:] == (m, d)
         assert emptiness_fixed(a, mu).nonempty
 
 

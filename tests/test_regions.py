@@ -166,6 +166,17 @@ def test_region_budget_raises():
         find_lasso(scaled, m, max_nodes=2)
 
 
+def test_region_searches_keep_no_module_level_memo():
+    """The region step functions memoize nothing, so no search leaves state in the module."""
+    import pnta.regions
+
+    a = parse_automaton(WINDOW)
+    scaled, m = _fixed(a, Fraction(41, 40))
+    build_region_automaton(scaled, m)
+    assert find_lasso(scaled, m) is not None
+    assert [name for name, obj in vars(pnta.regions).items() if hasattr(obj, "cache_info")] == []
+
+
 def _naive_buchi(ra):
     """Reachable accepting node on a cycle, by plain BFS; no Tarjan."""
     n = len(ra.nodes)
