@@ -8,9 +8,11 @@ parameter values, the critical-valuation case lists, the fractional
 decomposition of a one-delay step, agreement transport along one-reset
 sequences, and pin compression of region-level paths.
 
-`run_suites` drives randomized self-checks of the statements (the
-library asserts what the theory proves; a failure here is a genuine
-counterexample to the implementation).
+`run_suites` drives randomized self-checks of the statements.  A suite
+is a trial function that draws one input and returns None or a failure
+note; a note, a PntaError or an AssertionError counts as a failed trial,
+never as a traceback (the library asserts what the theory proves; a
+failure here is a genuine counterexample to the implementation).
 """
 
 from __future__ import annotations
@@ -649,31 +651,23 @@ def _suite_rng(seed: int, name: str) -> random.Random:
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
-def _suite_prop1(rng: random.Random, trials: int) -> SuiteResult:
-    res = SuiteResult("prop1", trials, 0)
-    for _ in range(trials):
-        z20 = rng.randrange(3)
-        v0 = Valuation.of({"x": 0, "y": z20 + _rand_frac01(rng, nonzero=True)})
-        mu = _rand_mu(rng)
-        m = math.floor(mu)
-        if rng.random() < 0.5:
-            delta = _rand_delta(rng)
-        else:
-            # aim a clock into the open unit interval above floor(mu)
-            target = m + _rand_frac01(rng, nonzero=True)
-            delta = target if rng.random() < 0.5 else target - v0["y"]
-            if delta <= 0:
-                delta = target
-        try:
-            cases = critval_cases(v0, delta, mu)
-        except PntaError as exc:
-            res.failures += 1
-            res.notes.append(f"error: {exc}")
-            continue
-        if is_critical(elapse(v0, delta), mu) and not cases:
-            res.failures += 1
-            res.notes.append(f"critical but no case: v0={v0.as_dict()}, delta={delta}, mu={mu}")
-    return res
+def _suite_prop1(rng: random.Random) -> Optional[str]:
+    z20 = rng.randrange(3)
+    v0 = Valuation.of({"x": 0, "y": z20 + _rand_frac01(rng, nonzero=True)})
+    mu = _rand_mu(rng)
+    m = math.floor(mu)
+    if rng.random() < 0.5:
+        delta = _rand_delta(rng)
+    else:
+        # aim a clock into the open unit interval above floor(mu)
+        target = m + _rand_frac01(rng, nonzero=True)
+        delta = target if rng.random() < 0.5 else target - v0["y"]
+        if delta <= 0:
+            delta = target
+    cases = critval_cases(v0, delta, mu)
+    if is_critical(elapse(v0, delta), mu) and not cases:
+        return f"critical but no case: v0={v0.as_dict()}, delta={delta}, mu={mu}"
+    return None
 
 
 def _rand_step(rng: random.Random) -> tuple[Valuation, Valuation]:
@@ -690,51 +684,32 @@ def _rand_step(rng: random.Random) -> tuple[Valuation, Valuation]:
         return v1, elapse(v1, delta)
 
 
-def _suite_prop2(rng: random.Random, trials: int) -> SuiteResult:
-    res = SuiteResult("prop2", trials, 0)
-    for _ in range(trials):
-        v1, v2 = _rand_step(rng)
-        try:
-            shape = pr2_shape(v1, v2)
-        except (PntaError, AssertionError) as exc:
-            res.failures += 1
-            res.notes.append(f"error: {exc}")
-            continue
-        z20 = math.floor(v1["y"])
-        c1 = math.floor(v2["x"])
-        c2 = math.floor(v2["y"])
-        expect = SAME if c2 == z20 + c1 else PLUS_ONE
-        if shape != expect:
-            res.failures += 1
-            res.notes.append(f"shape {shape} vs {expect} at v1={v1.as_dict()}")
-    return res
+def _suite_prop2(rng: random.Random) -> Optional[str]:
+    v1, v2 = _rand_step(rng)
+    shape = pr2_shape(v1, v2)
+    z20 = math.floor(v1["y"])
+    c1 = math.floor(v2["x"])
+    c2 = math.floor(v2["y"])
+    expect = SAME if c2 == z20 + c1 else PLUS_ONE
+    if shape != expect:
+        return f"shape {shape} vs {expect} at v1={v1.as_dict()}"
+    return None
 
 
-def _suite_lemma4(rng: random.Random, trials: int) -> SuiteResult:
-    res = SuiteResult("lemma4", trials, 0)
-    for _ in range(trials):
-        v1, v2 = _rand_step(rng)
-        mu = _rand_mu(rng)
-        try:
-            cases = fracvalue_case(v1, v2, mu)
-        except (PntaError, AssertionError) as exc:
-            res.failures += 1
-            res.notes.append(f"error: {exc}")
-            continue
-        ids = {cid for cid, _, _ in cases}
-        if not ids & _Z2_CASES or not ids & _Z1_CASES:
-            res.failures += 1
-            res.notes.append(f"family missing in {ids}")
-            continue
-        b = _frac(v1["y"])
-        fm = _frac(mu)
-        for cid, kappa, eps in cases:
-            f = _frac(v2["x"]) if cid in _Z1_CASES else _frac(v2["y"])
-            if not (0 <= eps < _case_bound(cid, b, fm)) or kappa + eps != f:
-                res.failures += 1
-                res.notes.append(f"case {cid} bound broken at v1={v1.as_dict()}, mu={mu}")
-                break
-    return res
+def _suite_lemma4(rng: random.Random) -> Optional[str]:
+    v1, v2 = _rand_step(rng)
+    mu = _rand_mu(rng)
+    cases = fracvalue_case(v1, v2, mu)
+    ids = {cid for cid, _, _ in cases}
+    if not ids & _Z2_CASES or not ids & _Z1_CASES:
+        return f"family missing in {ids}"
+    b = _frac(v1["y"])
+    fm = _frac(mu)
+    for cid, kappa, eps in cases:
+        f = _frac(v2["x"]) if cid in _Z1_CASES else _frac(v2["y"])
+        if not (0 <= eps < _case_bound(cid, b, fm)) or kappa + eps != f:
+            return f"case {cid} bound broken at v1={v1.as_dict()}, mu={mu}"
+    return None
 
 
 def _sample_in_class(rng: random.Random, cls: IntervalClass, ctx: PolarityContext) -> Fraction:
@@ -770,90 +745,65 @@ def _matched_start(
     return mu, muh, c, v0, vh0
 
 
-def _suite_lemma3(rng: random.Random, trials: int) -> SuiteResult:
-    res = SuiteResult("lemma3", trials, 0)
-    for _ in range(trials):
-        mu, muh, c, v0, vh0 = _matched_start(rng)
-        if not in_complete_agreement(v0, vh0, mu, muh, c):
-            res.failures += 1
-            res.notes.append(f"sampler broke agreement: mu={mu}, muh={muh}")
-            continue
-        vals = [v0]
-        for _ in range(rng.randrange(1, 9)):
-            vals.append(elapse(vals[-1], _rand_delta(rng)))
-        xi = OneResetSeq.of("x", "y", vals)
-        try:
-            hat = agreement_transport(xi, mu, muh, vh0, c)
-        except (PntaError, AssertionError) as exc:
-            res.failures += 1
-            res.notes.append(f"transport failed: {exc}; mu={mu}, muh={muh}, v0={v0.as_dict()}")
-            continue
-        ok = len(hat.valuations) == len(xi.valuations) and hat.v0 == vh0 and all(
-            in_agreement(xi.valuations[i], hat.valuations[i], mu, muh, c)
-            for i in range(1, len(vals))
-        )
-        if not ok:
-            res.failures += 1
-            res.notes.append(f"postcondition broken: mu={mu}, muh={muh}")
-    return res
+def _suite_lemma3(rng: random.Random) -> Optional[str]:
+    mu, muh, c, v0, vh0 = _matched_start(rng)
+    if not in_complete_agreement(v0, vh0, mu, muh, c):
+        return f"sampler broke agreement: mu={mu}, muh={muh}"
+    vals = [v0]
+    for _ in range(rng.randrange(1, 9)):
+        vals.append(elapse(vals[-1], _rand_delta(rng)))
+    xi = OneResetSeq.of("x", "y", vals)
+    try:
+        hat = agreement_transport(xi, mu, muh, vh0, c)
+    except (PntaError, AssertionError) as exc:
+        return f"transport failed: {exc}; mu={mu}, muh={muh}, v0={v0.as_dict()}"
+    ok = len(hat.valuations) == len(xi.valuations) and hat.v0 == vh0 and all(
+        in_agreement(xi.valuations[i], hat.valuations[i], mu, muh, c)
+        for i in range(1, len(vals))
+    )
+    if not ok:
+        return f"postcondition broken: mu={mu}, muh={muh}"
+    return None
 
 
-def _suite_classes(rng: random.Random, trials: int) -> SuiteResult:
-    res = SuiteResult("classes", trials, 0)
-    for _ in range(trials):
-        ctx = polarity_ctx(_rand_mu(rng))
-        f = _rand_frac01(rng)
-        members = []
-        for cls in IntervalClass:
-            lo, hi = interval_bounds(cls, ctx)
-            inside = f == lo if lo == hi else lo < f < hi
-            if inside:
-                members.append(cls)
-        if len(members) != 1 or interval_class(f, ctx) != members[0]:
-            res.failures += 1
-            res.notes.append(f"partition broken at f={f}, mu={ctx.mu}")
-    return res
-
-
-def _suite_low_k(rng: random.Random, trials: int) -> SuiteResult:
-    res = SuiteResult("low_k", trials, 0)
-    for _ in range(trials):
-        ctx = polarity_ctx(_rand_mu(rng))
-        cls = rng.choice(sorted(ctx.s_z))
+def _suite_classes(rng: random.Random) -> Optional[str]:
+    ctx = polarity_ctx(_rand_mu(rng))
+    f = _rand_frac01(rng)
+    members = []
+    for cls in IntervalClass:
         lo, hi = interval_bounds(cls, ctx)
-        f = _sample_in_class(rng, cls, ctx)
-        try:
-            k = low_k(f, ctx)
-        except ChiTooLarge:
-            if ctx.chi < hi - lo:
-                res.failures += 1
-                res.notes.append(f"spurious ChiTooLarge at mu={ctx.mu}")
-            continue
-        except (PntaError, AssertionError) as exc:
-            res.failures += 1
-            res.notes.append(f"error: {exc}")
-            continue
-        if not (hi - k * ctx.chi <= f < hi - (k - 1) * ctx.chi):
-            res.failures += 1
-            res.notes.append(f"bracket broken at f={f}, mu={ctx.mu}")
-    return res
+        inside = f == lo if lo == hi else lo < f < hi
+        if inside:
+            members.append(cls)
+    if len(members) != 1 or interval_class(f, ctx) != members[0]:
+        return f"partition broken at f={f}, mu={ctx.mu}"
+    return None
 
 
-def _suite_order(rng: random.Random, trials: int) -> SuiteResult:
-    res = SuiteResult("order", trials, 0)
+def _suite_low_k(rng: random.Random) -> Optional[str]:
+    ctx = polarity_ctx(_rand_mu(rng))
+    cls = rng.choice(sorted(ctx.s_z))
+    lo, hi = interval_bounds(cls, ctx)
+    f = _sample_in_class(rng, cls, ctx)
+    try:
+        k = low_k(f, ctx)
+    except ChiTooLarge:
+        if ctx.chi < hi - lo:
+            return f"spurious ChiTooLarge at mu={ctx.mu}"
+        return None
+    if not (hi - k * ctx.chi <= f < hi - (k - 1) * ctx.chi):
+        return f"bracket broken at f={f}, mu={ctx.mu}"
+    return None
+
+
+def _suite_order(rng: random.Random) -> Optional[str]:
+    """The chain order of IntervalClass; the same check every trial, so it draws nothing."""
     chain = list(IntervalClass)
     if chain != sorted(chain):
-        res.failures += 1
-        res.notes.append("enum order broken")
-    for _ in range(trials):
-        f1 = _rand_frac01(rng, nonzero=True)
-        f2 = _rand_frac01(rng, nonzero=True)
-        if not f1 < f2 < Fraction(1, 2):
-            continue
-        if not IntervalClass.ZL < IntervalClass.L:
-            res.failures += 1
-            res.notes.append("ZL not below L")
-    return res
+        return "enum order broken"
+    if not IntervalClass.ZL < IntervalClass.L:
+        return "ZL not below L"
+    return None
 
 
 _SUITES = {
@@ -868,9 +818,22 @@ _SUITES = {
 
 
 def run_suites(seed: int = 2026, trials: Optional[int] = None) -> dict[str, SuiteResult]:
-    """Run every randomized self-check; trials overrides each suite's default count."""
+    """Run every randomized self-check; trials overrides each suite's default count.
+
+    Each suite's trial draws from the suite's own seeded rng; a raised
+    PntaError or AssertionError is counted with the note "error: ...".
+    """
     out = {}
-    for name, (fn, default_trials) in _SUITES.items():
+    for name, (trial, default_trials) in _SUITES.items():
         rng = _suite_rng(seed, name)
-        out[name] = fn(rng, trials if trials is not None else default_trials)
+        res = SuiteResult(name, trials if trials is not None else default_trials, 0)
+        for _ in range(res.trials):
+            try:
+                note = trial(rng)
+            except (PntaError, AssertionError) as exc:
+                note = f"error: {exc}"
+            if note is not None:
+                res.failures += 1
+                res.notes.append(note)
+        out[name] = res
     return out

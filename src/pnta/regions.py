@@ -226,6 +226,8 @@ def build_region_automaton(
 
     Edges realize delay-then-fire steps with strictly positive delays;
     only nodes reachable from the initial all-zero node are emitted.
+    max_nodes bounds the nodes plus every node's delay fan (the regions
+    positive_delay_successors lists for it), so it bounds the work too.
     """
     _require_parameter_free(a, m)
     if m < 1:
@@ -240,12 +242,16 @@ def build_region_automaton(
     index: dict[RANode, int] = {initial: 0}
     edges: list[tuple[tuple[int, int], ...]] = []
     queue = deque([0])
+    fanned = 0
     while queue:
         i = queue.popleft()
         q, reg = nodes[i]
         out: list[tuple[int, int]] = []
         seen_out: set[tuple[int, int]] = set()
         fires = positive_delay_successors(reg) if q in by_source else ()
+        fanned += len(fires)
+        if len(nodes) + fanned > max_nodes:
+            raise RegionBudgetExceeded(max_nodes)
         for t_idx, t in by_source.get(q, ()):
             for fire in fires:
                 if not region_sat(fire, t.guard):

@@ -33,6 +33,7 @@ from pnta import (
     run_suites,
 )
 from pnta.analysis import NEGATIVE, PLUS_ONE, POSITIVE, SAME
+from pnta.cli import main
 from randgen import matched_param_pair, matched_starts
 
 F = Fraction
@@ -412,5 +413,21 @@ def test_run_suites_small():
 def test_run_suites_is_deterministic():
     a = run_suites(seed=42, trials=60)
     b = run_suites(seed=42, trials=60)
-    assert {k: (v.trials, v.failures) for k, v in a.items()} == \
-           {k: (v.trials, v.failures) for k, v in b.items()}
+    assert {k: (v.trials, v.failures, v.notes) for k, v in a.items()} == \
+           {k: (v.trials, v.failures, v.notes) for k, v in b.items()}
+
+
+def test_a_raising_trial_is_a_counted_failure(monkeypatch, capsys):
+    """A lemma that raises fails its trial with an "error:" note; nothing escapes the suites."""
+    def broken(*args):
+        raise AssertionError("patched")
+
+    monkeypatch.setattr("pnta.analysis.critval_cases", broken)
+    res = run_suites(seed=2026, trials=20)["prop1"]
+    assert (res.trials, res.failures) == (20, 20)
+    assert res.notes == ["error: patched"] * 20
+
+    assert main(["analyze", "--trials", "20"]) == 1
+    out = capsys.readouterr().out
+    assert "prop1: trials=20 failures=20 FAIL\n  error: patched\n" in out
+    assert "prop2: trials=20 failures=0 ok" in out

@@ -432,6 +432,17 @@ def test_regions_summary_and_dot(data_dir, tmp_path, capsys):
     assert code == 2  # --mu required for parametric input
 
 
+def test_regions_budget_counts_each_delay_fan(data_dir, capsys):
+    """At this value every w10y node fans out over 128,321 delay regions: the budget stops the first fan."""
+    t0 = time.perf_counter()
+    code, out, err = _run(capsys, "regions", str(data_dir / "w10y.ta"), "--mu", "32081/3208",
+                          "--max-regions", "100000")
+    assert code == 3
+    assert out == ""
+    assert err == "budget exceeded: region node budget exceeded (100000 nodes)\n"
+    assert time.perf_counter() - t0 < 30
+
+
 def test_gen_round_trips(capsys):
     from pnta import gen_lpk, parse_automaton
 
