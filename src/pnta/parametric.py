@@ -27,7 +27,7 @@ from .errors import (
 )
 from .regions import DEFAULT_REGION_BUDGET, SymbolicLasso
 from .semantics import TimedWord
-from .translate import ta_to_nrtta
+from .translate import product_state_origin, ta_to_nrtta
 from .zones import (
     Compiled,
     Scaled,
@@ -222,7 +222,7 @@ def emptiness_fixed(
 
     The verdict comes from the zone engine, on the translation of one-clock
     test-and-reset input; when the language is nonempty and include_lasso is
-    set, the search that decides also yields a shortest zone lasso, and the
+    set, the zone graph that search built also yields a zone lasso, and the
     verdict carries it and the region lasso that a concrete run along it
     follows on the scaled automaton.
     """
@@ -289,13 +289,18 @@ def witness_word(a: Automaton, verdict: Verdict, unrollings: int = 1) -> TimedWo
     verdict's zone lasso on the scaled automaton and divides the timestamps
     back by the scale factor, so the word is accepted by the input automaton
     at the witness parameter value.  The verdict carries the scaled
-    automaton its zone lasso was found in, so a is not read again.
+    automaton its zone lasso was found in, so a is read only to check that
+    the verdict is its own: the scaled initial state must be a's, or a
+    product state of the translation that projects onto it.
     """
     if not verdict.nonempty or verdict.zone_lasso is None or verdict.scaled is None:
         raise PreconditionViolated("a Nonempty verdict with a lasso is required")
     if unrollings < 1:
         raise PreconditionViolated("unrollings must be at least 1")
     s = verdict.scaled
+    if a.initial not in (s.initial, product_state_origin(s.initial)):
+        raise PreconditionViolated(
+            f"the verdict starts in state {s.initial!r}, not in {a.initial!r}")
     steps = verdict.zone_lasso.stem + verdict.zone_lasso.cycle * unrollings
     times = run_timestamps(s, steps)
     return TimedWord.of((s.edges[t][2], ts / s.d) for (t, _), ts in zip(steps, times))

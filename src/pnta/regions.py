@@ -277,10 +277,10 @@ def build_region_automaton(
 # Generic early-exit lasso search (on-the-fly SCCs, iterative)
 
 
-def _cycle_through(af, successors, within=None) -> Optional[list]:
-    """A shortest edge path af -> ... -> af as (label, node) pairs, or None if there is none.
+def _cycle_through(af, successors, within) -> Optional[list]:
+    """A shortest edge path af -> ... -> af through the nodes of within, as (label, node) pairs.
 
-    Breadth-first from af; with within given, only through its nodes.
+    Breadth-first from af; None if there is no such path.
     """
     pred: dict = {af: None}
     q: deque = deque([af])
@@ -295,7 +295,7 @@ def _cycle_through(af, successors, within=None) -> Optional[list]:
                     n = p
                 pairs.reverse()
                 return pairs
-            if child not in pred and (within is None or child in within):
+            if child not in pred and child in within:
                 pred[child] = (n, label)
                 q.append(child)
     return None
@@ -320,7 +320,7 @@ def _search_lasso(
     is_accepting: Callable,
     max_nodes: Optional[int] = None,
 ):
-    """(af, members, parent) for the first accepting cycle the search closes, or None.
+    """(members, discovered) for the first accepting cycle the search closes, or None.
 
     Depth-first search with Couvreur's roots stack (FM 1999): the active
     nodes, those of components not yet complete, stay on a stack in
@@ -331,12 +331,13 @@ def _search_lasso(
     so an accepting cycle inside a large component ends the search as soon
     as it is closed, not when the component completes.  members are the
     active nodes from the merged root up, strongly connected through the
-    edges explored so far; af is the first of them that accepts, so the
-    result depends only on the order of successors.  parent maps every node
-    discovered to (DFS parent, edge label).  More than max_nodes discovered
-    nodes raise RegionBudgetExceeded.
+    edges explored so far, so each of them lies on a cycle through the
+    others; discovered is the set of nodes the search has reached, each
+    one with its successors listed.  The result depends only on the order
+    of successors.  More than max_nodes discovered nodes raise
+    RegionBudgetExceeded.
     """
-    parent: dict = {root: (None, None)}
+    discovered: set = {root}
     active: list = [root]
     place: dict = {root: 0}  # active node -> its index in active
     roots: list = [(0, is_accepting(root))]
@@ -344,10 +345,10 @@ def _search_lasso(
     while frames:
         node, it = frames[-1]
         for label, child in it:
-            if child not in parent:
-                if max_nodes is not None and len(parent) >= max_nodes:
+            if child not in discovered:
+                if max_nodes is not None and len(discovered) >= max_nodes:
                     raise RegionBudgetExceeded(max_nodes)
-                parent[child] = (node, label)
+                discovered.add(child)
                 place[child] = len(active)
                 active.append(child)
                 roots.append((place[child], is_accepting(child)))
@@ -362,9 +363,7 @@ def _search_lasso(
                 acc = acc or below
             roots.append((r, acc))
             if acc:
-                members = active[r:]
-                af = next(w for w in members if is_accepting(w))
-                return af, members, parent
+                return active[r:], discovered
         else:
             frames.pop()
             r = place[node]
@@ -376,41 +375,28 @@ def _search_lasso(
     return None
 
 
-def _lasso_at(found, successors) -> tuple[list, list]:
-    """(stem_pairs, cycle_pairs) of _search_lasso's result: root to af, then af back to af."""
-    af, members, parent = found
-    return _stem_to(af, parent), _cycle_through(af, successors, set(members))
+def _lasso_at(root, successors: Callable, is_accepting: Callable, found) -> tuple[list, list]:
+    """(stem_pairs, cycle_pairs) of an accepting lasso in _search_lasso's result.
 
-
-def _shortest_lasso(root, successors: Callable, is_accepting: Callable):
-    """(stem_pairs, cycle_pairs) of a shortest accepting lasso, or None.
-
-    Walks breadth-first from root and tests each accepting node as it is
-    discovered: the first one that lies on a cycle gives the lasso, along
-    its breadth-first stem and a shortest cycle through it.  That node is
-    the first accepting one, in breadth-first order, of a strongly
-    connected component with a cycle, and since no path back to it leaves
-    its component, the cycle is the component's shortest one through it.
+    Breadth-first from root through the discovered nodes alone, whose
+    successors the search has already listed, the stem leads to the
+    nearest accepting member of the component the search closed; the
+    cycle is a shortest one from that node back to it within the
+    component.
     """
+    members, discovered = found
+    within = set(members)
     parent: dict = {root: (None, None)}
-
-    def discovered():
-        yield root
-        queue = deque([root])
-        while queue:
-            node = queue.popleft()
-            for label, child in successors(node):
-                if child not in parent:
-                    parent[child] = (node, label)
-                    queue.append(child)
-                    yield child
-
-    for node in discovered():
-        if is_accepting(node):
-            cycle = _cycle_through(node, successors)
-            if cycle is not None:
-                return _stem_to(node, parent), cycle
-    return None
+    queue = deque([root])
+    while queue:
+        node = queue.popleft()
+        if node in within and is_accepting(node):
+            return _stem_to(node, parent), _cycle_through(node, successors, within)
+        for label, child in successors(node):
+            if child not in parent and child in discovered:
+                parent[child] = (node, label)
+                queue.append(child)
+    raise AssertionError("no accepting member of the closed component is reachable")
 
 
 def _assemble_lasso(
@@ -448,10 +434,11 @@ def buchi_nonempty(ra: RegionAutomaton) -> Optional[SymbolicLasso]:
     def successors(i: int):
         return ra.edges[i]
 
-    found = _search_lasso(0, successors, lambda i: i in ra.accepting_nodes)
+    is_accepting = ra.accepting_nodes.__contains__
+    found = _search_lasso(0, successors, is_accepting)
     if found is None:
         return None
-    stem_pairs, cycle_pairs = _lasso_at(found, successors)
+    stem_pairs, cycle_pairs = _lasso_at(0, successors, is_accepting, found)
 
     def project(pair):
         t_idx, j = pair
@@ -495,10 +482,14 @@ def find_lasso(
         return out
 
     accepting = a.accepting
-    found = _search_lasso(root, successors, lambda n: n[0] in accepting, max_nodes)
+
+    def is_accepting(node) -> bool:
+        return node[0] in accepting
+
+    found = _search_lasso(root, successors, is_accepting, max_nodes)
     if found is None:
         return None
-    stem_pairs, cycle_pairs = _lasso_at(found, successors)
+    stem_pairs, cycle_pairs = _lasso_at(root, successors, is_accepting, found)
 
     def project(pair):
         label, node = pair

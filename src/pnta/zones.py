@@ -44,9 +44,10 @@ hash only integers.  `zone_nonempty` and `zone_lasso` decide with the
 search the region oracle runs too, `regions._search_lasso`: depth-first,
 with Couvreur's on-the-fly strongly connected components, it stops at
 the first accepting cycle it closes, before the component around it is
-complete.  For a nonempty automaton `zone_lasso` goes on to a shortest
-accepting lasso of the same graph, breadth-first, testing each accepting
-node for a cycle as it is discovered (`regions._shortest_lasso`).
+complete.  For a nonempty automaton `zone_lasso` takes its lasso from the
+nodes that search discovered, all of them already expanded
+(`regions._lasso_at`): a breadth-first stem to the nearest accepting
+member of the closed component and a shortest cycle through it there.
 Every path of the extrapolated graph is taken by some concrete run
 (Tripakis, ACM TOCL 10(3), 2009), and `run_timestamps` solves for the
 earliest one: each guard bound x - y <= b along the lasso is a
@@ -62,13 +63,12 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .core import And, Atom, Automaton, Bound, Guard, Not, TrueGuard
-from .errors import NotOneParameter, PreconditionViolated, RegionBudgetExceeded
+from .errors import NotOneParameter, PreconditionViolated
 from .regions import (
     DEFAULT_REGION_BUDGET,
     SymbolicLasso,
     _lasso_at,
     _search_lasso,
-    _shortest_lasso,
     region_of,
     zero_region,
 )
@@ -398,16 +398,16 @@ class ZoneLasso:
 def zone_lasso(
     s: Scaled, max_nodes: int = DEFAULT_REGION_BUDGET
 ) -> tuple[Optional[ZoneLasso], int]:
-    """(a shortest accepting lasso of the zone graph or None, zone nodes explored).
+    """(an accepting lasso of the zone graph or None, zone nodes explored).
 
     zone_nonempty's search decides, and the node count is its own: the
     nodes discovered until it closed an accepting cycle.  When it finds
-    one, `_shortest_lasso` walks the same graph breadth-first and stops at
-    the first accepting node, in that order, that a shortest-cycle search
-    leads back to; the lasso follows its breadth-first stem and that cycle.
-    Once the graph holds more than max_nodes nodes, in the breadth-first
-    pass or in a cycle search, the lasso of the cycle the deciding search
-    closed is returned instead.
+    one, `_lasso_at` takes the lasso inside the graph that search built:
+    a breadth-first stem through the discovered nodes to the nearest
+    accepting member of the closed component, and a shortest cycle back
+    to that node within the component.  It expands no further node, so
+    neither the lasso nor the count depends on max_nodes once the search
+    stays within it.
     """
     successors, nodes, memo = _zone_graph(s)
     accepting = s.accepting
@@ -416,21 +416,10 @@ def zone_lasso(
         return nodes[i][0] in accepting
 
     found = _search_lasso(0, successors, is_accepting, max_nodes)
-    explored = len(memo)
     if found is None:
-        return None, explored
-
-    def bounded(i: int) -> list:
-        out = successors(i)
-        if len(nodes) > max_nodes:
-            raise RegionBudgetExceeded(max_nodes)
-        return out
-
-    try:
-        stem_pairs, cycle_pairs = _shortest_lasso(0, bounded, is_accepting)
-    except RegionBudgetExceeded:
-        stem_pairs, cycle_pairs = _lasso_at(found, successors)
-    return ZoneLasso(tuple(t for t, _ in stem_pairs), tuple(t for t, _ in cycle_pairs)), explored
+        return None, len(memo)
+    stem_pairs, cycle_pairs = _lasso_at(0, successors, is_accepting, found)
+    return ZoneLasso(tuple(t for t, _ in stem_pairs), tuple(t for t, _ in cycle_pairs)), len(memo)
 
 
 def run_timestamps(s: Scaled, steps: Sequence[Step]) -> list[Fraction]:

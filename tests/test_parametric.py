@@ -213,7 +213,7 @@ def test_clamp_jobs_bounds():
     assert clamp_jobs(2, 10) == min(cpus, 2)
 
 
-def test_witness_word_replays(window):
+def test_witness_word_replays(window, data_dir):
     v = parametric_emptiness(window)
     w = witness_word(window, v)
     assert list(w.timestamps())[1] == Fraction(41, 40)
@@ -222,6 +222,8 @@ def test_witness_word_replays(window):
     assert "q2" in {c.state for c in frontiers[-1]}
     with pytest.raises(PreconditionViolated):  # the verdict carries the automaton it scales
         witness_word(window, replace(v, scaled=None))
+    with pytest.raises(PreconditionViolated):  # and it must be the automaton passed in
+        witness_word(parse_automaton((data_dir / "e_empty.ta").read_text()), v)
     with pytest.raises(PreconditionViolated):
         witness_word(window, parametric_emptiness(
             parse_automaton(

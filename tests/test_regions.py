@@ -5,7 +5,7 @@ from collections import deque
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pnta import (
@@ -33,11 +33,8 @@ from pnta import (
     zero_region,
 )
 from pnta.regions import (
-    _cycle_through,
     _lasso_at,
     _search_lasso,
-    _shortest_lasso,
-    _stem_to,
     is_time_open,
     positive_delay_successors,
 )
@@ -319,58 +316,69 @@ def test_search_lasso_closes_a_real_accepting_cycle_no_later_than_tarjan(graph):
     if found is None:
         assert first is None
         return
-    af, members, parent = found
-    assert is_accepting(af) and af in members
+    members, discovered = found
+    assert any(is_accepting(w) for w in members)
     # nodes discovered until the first accepting cycle closes, against the
     # nodes Tarjan's search has discovered when it completes its first accepting SCC
-    assert len(parent) <= len(first[1])
-    stem, cycle = _lasso_at(found, successors)
+    assert len(discovered) <= len(first[1])
+    stem, cycle = _lasso_at(0, successors, is_accepting, found)
     path = [0] + [v for _, v in stem] + [v for _, v in cycle]
     labels = [label for label, _ in stem + cycle]
-    assert path[len(stem)] == af and path[-1] == af and cycle
+    af = path[len(stem)]
+    assert is_accepting(af) and af in members and path[-1] == af and cycle
     for (u, k), x, y in zip(labels, path, path[1:]):
         assert u == x and succ[u][k] == y
 
 
-def _shortest_lasso_by_tarjan(successors, is_accepting):
-    """(stem_pairs, cycle_pairs) by the rule the breadth-first pass must keep, or None.
-
-    The accepting node of least breadth-first rank among the components
-    that have a cycle, its breadth-first stem, and the shortest cycle
-    through it inside its component.
-    """
-    parent = {0: (None, None)}
-    queue = deque([0])
+def _distances(succ, sources, within):
+    """Fewest edges from sources (at 0) to each node reachable through the nodes of within."""
+    dist = dict.fromkeys(sources, 0)
+    queue = deque(sources)
     while queue:
-        node = queue.popleft()
-        for label, child in successors(node):
-            if child not in parent:
-                parent[child] = (node, label)
-                queue.append(child)
-    rank = {nd: i for i, nd in enumerate(parent)}
-    best = None
-    for members, _ in _accepting_sccs(0, successors, is_accepting):
-        af = min((w for w in members if is_accepting(w)), key=rank.__getitem__)
-        if best is None or rank[af] < rank[best[0]]:
-            best = af, members
-    if best is None:
-        return None
-    af, members = best
-    return _stem_to(af, parent), _cycle_through(af, successors, set(members))
+        u = queue.popleft()
+        for v in succ[u]:
+            if v in within and v not in dist:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return dist
 
 
 @settings(max_examples=400, deadline=None)
 @given(_digraphs())
-def test_shortest_lasso_matches_the_least_ranked_accepting_component(graph):
-    """The breadth-first pass without Tarjan picks the lasso that Tarjan's components give."""
+# the search closes 1 -> 2 -> 3 -> 1 first, but accepting 3 is nearer than 2 from 0
+@example(([[1, 3], [2], [3], [1]], {2, 3}))
+def test_lasso_at_takes_the_nearest_accepting_member_and_a_shortest_cycle(graph):
+    """The lasso rule against brute-force breadth-first distances.
+
+    The stem is a shortest path through the discovered nodes to the nearest
+    accepting member of the closed component, the cycle a shortest one
+    through that node inside the component, and recovering them lists the
+    successors of discovered nodes alone.
+    """
     succ, accepting = graph
-    successors = _labelled(succ)
+    labelled = _labelled(succ)
+    found = _search_lasso(0, labelled, accepting.__contains__)
+    if found is None:
+        return
+    members, discovered = found
+    listed = set()
 
-    def is_accepting(u):
-        return u in accepting
+    def successors(u):
+        listed.add(u)
+        return labelled(u)
 
-    assert _shortest_lasso(0, successors, is_accepting) == _shortest_lasso_by_tarjan(
-        successors, is_accepting)
+    stem, cycle = _lasso_at(0, successors, accepting.__contains__, found)
+    assert listed <= discovered
+    path = [0] + [v for _, v in stem] + [v for _, v in cycle]
+    for ((u, k), _), x, y in zip(stem + cycle, path, path[1:]):
+        assert u == x and succ[u][k] == y
+    af = path[len(stem)]
+    assert af in accepting and af in members and path[-1] == af
+    assert set(path[:len(stem) + 1]) <= discovered and set(path[len(stem):]) <= set(members)
+    dist = _distances(succ, [0], discovered)
+    assert len(stem) == min(dist[w] for w in members if w in accepting)
+    back = _distances(succ, [v for v in succ[af] if v in members], set(members))
+    assert len(cycle) == 1 + back[af]
 
 
 def _check_lasso_shape(lasso, ra):

@@ -167,8 +167,9 @@ def test_a_clock_no_guard_tests_has_cap_0():
                  INF, _bnd(-3, True), _bnd(0, True)]
 
 
-# a-a-a reaches the accepting loop first in depth-first order, b then the loop is shorter,
-# and the dead-end c chain makes the whole graph larger than the early-exit search
+# a-a-a reaches the accepting loop first in depth-first order, b then the loop is shorter
+# but the search never discovers it, and the dead-end c chain makes the whole graph
+# larger than the early-exit search
 BRANCHES = """
 automaton br
 clocks x
@@ -192,17 +193,27 @@ def _lasso_word(s, lasso, laps):
     return TimedWord.of((s.edges[t][2], ts) for (t, _), ts in zip(steps, times))
 
 
-def test_zone_lasso_is_shortest_and_falls_back_to_the_early_exit_search():
+def test_zone_lasso_does_not_depend_on_the_budget():
     a = parse_automaton(BRANCHES)
     s = _at(a)
     assert s.d == 1
-    shortest, _ = zone_lasso(s)
-    assert _lasso_word(s, shortest, 1).letters() == ("b", "a", "a")
     assert zone_nonempty(s, max_nodes=4) == (True, 4)
-    early_exit, _ = zone_lasso(s, max_nodes=4)
-    assert _lasso_word(s, early_exit, 1).letters() == ("a", "a", "a", "a")
-    for lasso in (shortest, early_exit):
+    for lasso, nodes in (zone_lasso(s), zone_lasso(s, max_nodes=4)):
+        assert nodes == 4
+        assert _lasso_word(s, lasso, 1).letters() == ("a", "a", "a", "a")
         assert reaches_acceptance(a, _lasso_word(s, lasso, 3))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 10 ** 9), st.booleans())
+def test_lasso_recovery_expands_nothing(seed, nrt):
+    """A budget of exactly the deciding search's nodes gives the same lasso and count."""
+    rng = random.Random(seed)
+    a = rand_nrtta(rng, cmax=3) if nrt else rand_ta(rng, max_states=3, cmax=2)
+    s = _at(a)
+    n = zone_nonempty(s)[1]
+    assert zone_lasso(s, n) == zone_lasso(s)
+    assert zone_lasso(s, n)[1] == n
 
 
 def test_zone_lasso_absent_on_empty_language():
