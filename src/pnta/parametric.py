@@ -33,8 +33,8 @@ from .zones import (
     Scaled,
     ZoneLasso,
     compile_automaton,
+    earliest_ticks,
     region_lasso,
-    run_timestamps,
     zone_lasso,
     zone_nonempty,
 )
@@ -286,12 +286,13 @@ def witness_word(a: Automaton, verdict: Verdict, unrollings: int = 1) -> TimedWo
     """Concrete timed word (in the original time unit) realizing a Nonempty verdict.
 
     Solves for the earliest run along the stem and `unrollings` laps of the
-    verdict's zone lasso on the scaled automaton and divides the timestamps
-    back by the scale factor, so the word is accepted by the input automaton
-    at the witness parameter value.  The verdict carries the scaled
-    automaton its zone lasso was found in, so a is read only to check that
-    the verdict is its own: the scaled initial state must be a's, or a
-    product state of the translation that projects onto it.
+    verdict's zone lasso on the scaled automaton, in integer ticks, and
+    divides each by the ticks of one original time unit, so the word is
+    accepted by the input automaton at the witness parameter value.  The
+    verdict carries the scaled automaton its zone lasso was found in, so a
+    is read only to check that the verdict is its own: the scaled initial
+    state must be a's, or a product state of the translation that projects
+    onto it.
     """
     if not verdict.nonempty or verdict.zone_lasso is None or verdict.scaled is None:
         raise PreconditionViolated("a Nonempty verdict with a lasso is required")
@@ -302,5 +303,6 @@ def witness_word(a: Automaton, verdict: Verdict, unrollings: int = 1) -> TimedWo
         raise PreconditionViolated(
             f"the verdict starts in state {s.initial!r}, not in {a.initial!r}")
     steps = verdict.zone_lasso.stem + verdict.zone_lasso.cycle * unrollings
-    times = run_timestamps(s, steps)
-    return TimedWord.of((s.edges[t][2], ts / s.d) for (t, _), ts in zip(steps, times))
+    ticks, q = earliest_ticks(s, steps)
+    unit = q * s.d  # ticks per original time unit
+    return TimedWord.of((s.edges[t][2], Fraction(k, unit)) for (t, _), k in zip(steps, ticks))

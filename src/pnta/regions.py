@@ -21,10 +21,11 @@ of a word may additionally happen at time 0.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .core import And, Atom, Automaton, Guard, Not, Transition, TrueGuard, atoms
 from .errors import Infeasible, PreconditionViolated, RegionBudgetExceeded, UnboundSymbol
@@ -49,27 +50,38 @@ def zero_region(clocks: Iterable[str], m: int) -> Region:
     return Region(m, frozenset(), tuple((z, 0) for z in names), frozenset(names), ())
 
 
+def region_at(names: Sequence[str], ticks: Sequence[int], q: int, m: int) -> Region:
+    """Canonical region, bound m, of the clock values ticks[i] / q of the sorted names.
+
+    A value above m * q ticks is above m; any other has integer part and
+    fractional ticks divmod(t, q), and clocks with equal fractional ticks
+    share a group of the order.
+    """
+    cap = m * q
+    above: list[str] = []
+    floors: list[tuple[str, int]] = []
+    zero: list[str] = []
+    frac_groups: dict[int, list[str]] = {}
+    for z, t in zip(names, ticks):
+        if t > cap:
+            above.append(z)
+            continue
+        k, f = divmod(t, q)
+        floors.append((z, k))
+        if f:
+            frac_groups.setdefault(f, []).append(z)
+        else:
+            zero.append(z)
+    order = tuple(tuple(frac_groups[f]) for f in sorted(frac_groups))
+    return Region(m, frozenset(above), tuple(floors), frozenset(zero), order)
+
+
 def region_of(v: Valuation, m: int) -> Region:
     """Canonical region of v with boundary constant m >= 1."""
     if m < 1:
         raise PreconditionViolated(f"region bound must be at least 1, got {m}")
-    above: set[str] = set()
-    floors: list[tuple[str, int]] = []
-    zero: set[str] = set()
-    frac_groups: dict[Fraction, list[str]] = {}
-    for z, val in v.items:
-        if val > m:
-            above.add(z)
-            continue
-        k = val.numerator // val.denominator
-        floors.append((z, k))
-        f = val - k
-        if f == 0:
-            zero.add(z)
-        else:
-            frac_groups.setdefault(f, []).append(z)
-    order = tuple(tuple(sorted(frac_groups[f])) for f in sorted(frac_groups))
-    return Region(m, frozenset(above), tuple(floors), frozenset(zero), order)
+    q = math.lcm(*[val.denominator for val in v.values()])
+    return region_at(v.keys(), [val.numerator * (q // val.denominator) for val in v.values()], q, m)
 
 
 def is_time_open(r: Region) -> bool:

@@ -36,7 +36,7 @@ denominator and the parameter as a slot.  `Compiled.at(mu)` gives the
 `Scaled` form at one value: each bound by one integer multiply-add, with
 mu times the scale factor in the slot, the caps, the scale factor and
 the region bound m.  It is the only scaled form a check builds: the zone
-graph, `run_timestamps` and `region_lasso` read it alone, and
+graph, `earliest_ticks` and `region_lasso` read it alone, and
 `prepare_fixed` takes its scale factor and m from it.
 
 The zone graph interns each node once as an integer, so the searches
@@ -49,10 +49,13 @@ nodes that search discovered, all of them already expanded
 (`regions._lasso_at`): a breadth-first stem to the nearest accepting
 member of the closed component and a shortest cycle through it there.
 Every path of the extrapolated graph is taken by some concrete run
-(Tripakis, ACM TOCL 10(3), 2009), and `run_timestamps` solves for the
+(Tripakis, ACM TOCL 10(3), 2009), and `earliest_ticks` solves for the
 earliest one: each guard bound x - y <= b along the lasso is a
 difference constraint between the timestamps of the events that last
-reset x and y.  `region_lasso` projects that run onto regions.
+reset x and y.  It gives every timestamp as an integer count of ticks of
+one common length 1/q, so `region_lasso` projects the run onto regions
+with `regions.region_at` on integer clock values, and `witness_word`
+builds one Fraction per event, of the original time unit.
 """
 
 from __future__ import annotations
@@ -69,10 +72,9 @@ from .regions import (
     SymbolicLasso,
     _lasso_at,
     _search_lasso,
-    region_of,
+    region_at,
     zero_region,
 )
-from .semantics import Valuation
 
 INF = 1 << 40
 Step = tuple[int, int]  # (transition index, index of the guard disjunct in _dnf)
@@ -422,22 +424,23 @@ def zone_lasso(
     return ZoneLasso(tuple(t for t, _ in stem_pairs), tuple(t for t, _ in cycle_pairs)), len(memo)
 
 
-def run_timestamps(s: Scaled, steps: Sequence[Step]) -> list[Fraction]:
-    """Earliest timestamps of a run of the scaled automaton taking these steps.
+def earliest_ticks(s: Scaled, steps: Sequence[Step]) -> tuple[list[int], int]:
+    """(ticks, q): the earliest run of the scaled automaton taking these steps.
 
-    Event i happens at tau_i, after tau_0 = 0.  The value of a clock at
-    event i is tau_i - tau_r, where r is the last event that reset it (0 if
-    none), so each bound (x, y, b) of step i's guard disjunct, x - y <= b,
-    reads tau_(r_y) - tau_(r_x) <= b >> 1, strict when b is even, with
-    r_0 = i for the zero clock (Bengtsson & Yi, LNCS 3098, 2004).  Further
-    tau_1 >= 0 and tau_i > tau_(i-1) after that.  Every constraint reads
-    tau_u >= tau_v + c + e*eps, where eps > 0 is an infinitesimal that
-    makes a bound strict.  Bellman-Ford finds the least solution over
-    (c, e) pairs ordered lexicographically.  eps is then fixed so that
-    e * eps < 1 for every timestamp: each lies within the unit interval its
-    integer part c opens, so a clock value's region depends only on the
-    pairs, and a run that only needs time to pass between laps drifts
-    inside one region instead of crossing one per lap.
+    Event i happens at tau_i = ticks[i - 1] / q, after tau_0 = 0.  The
+    value of a clock at event i is tau_i - tau_r, where r is the last event
+    that reset it (0 if none), so each bound (x, y, b) of step i's guard
+    disjunct, x - y <= b, reads tau_(r_y) - tau_(r_x) <= b >> 1, strict
+    when b is even, with r_0 = i for the zero clock (Bengtsson & Yi, LNCS
+    3098, 2004).  Further tau_1 >= 0 and tau_i > tau_(i-1) after that.
+    Every constraint reads tau_u >= tau_v + c + e*eps, where eps > 0 is an
+    infinitesimal that makes a bound strict.  Bellman-Ford finds the least
+    solution over (c, e) pairs ordered lexicographically.  eps is then
+    fixed at 1/q, q = top + 1 for the largest e, so that e * eps < 1 for
+    every timestamp: each lies within the unit interval its integer part c
+    opens, so a clock value's region depends only on the pairs, and a run
+    that only needs time to pass between laps drifts inside one region
+    instead of crossing one per lap.  The tick of a pair is c*q + e.
     """
     lower: list[tuple[int, int, int, int]] = []  # (u, v, c, e)
     last_reset = [0] * len(s.caps)
@@ -465,9 +468,14 @@ def run_timestamps(s: Scaled, steps: Sequence[Step]) -> list[Fraction]:
 
     # A constraint the pairs meet with an eps deficit has an integer gap of at
     # least 1 and a deficit of at most top + 1, so this eps keeps it.
-    top = max(e for _, e in tau)
-    eps = Fraction(1, top + 1)
-    return [c + e * eps for c, e in tau[1:]]
+    q = max(e for _, e in tau) + 1
+    return [c * q + e for c, e in tau[1:]], q
+
+
+def run_timestamps(s: Scaled, steps: Sequence[Step]) -> list[Fraction]:
+    """Earliest timestamps of a run taking these steps: `earliest_ticks` over its q."""
+    ticks, q = earliest_ticks(s, steps)
+    return [Fraction(t, q) for t in ticks]
 
 
 def region_lasso(s: Scaled, lasso: ZoneLasso) -> SymbolicLasso:
@@ -478,18 +486,18 @@ def region_lasso(s: Scaled, lasso: ZoneLasso) -> SymbolicLasso:
     finitely many such nodes, so by the pigeonhole principle some k does.
     """
     stem_len, cycle_len = len(lasso.stem), len(lasso.cycle)
-    m = s.m
+    names, m = s.clocks, s.m
     laps = 1
     while True:
         steps = lasso.stem + lasso.cycle * laps
-        reset_at = [Fraction(0)] * len(s.caps)
-        nodes = [(s.initial, zero_region(s.clocks, m))]
-        for (t_idx, _), now in zip(steps, run_timestamps(s, steps)):
+        ticks, q = earliest_ticks(s, steps)
+        reset_at = [0] * len(s.caps)  # in ticks; index 0, the zero clock, is unused
+        nodes = [(s.initial, zero_region(names, m))]
+        for (t_idx, _), now in zip(steps, ticks):
             _, target, _, resets, _ = s.edges[t_idx]
             for x in resets:
                 reset_at[x] = now
-            v = Valuation.of({z: now - reset_at[x] for x, z in enumerate(s.clocks, 1)})
-            nodes.append((target, region_of(v, m)))
+            nodes.append((target, region_at(names, [now - r for r in reset_at[1:]], q, m)))
         first_at: dict = {}
         for j in range(stem_len, len(nodes), cycle_len):
             i = first_at.setdefault(nodes[j], j)

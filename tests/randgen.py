@@ -9,6 +9,7 @@ from pnta import (
     Configuration,
     GuardViolated,
     IntervalClass,
+    Region,
     TimedWord,
     Transition,
     Valuation,
@@ -95,6 +96,24 @@ def rand_nrtta(rng, max_states=3, max_clocks=2, cmax=2, param=None):
     clocks = tuple(f"x{i + 1}" for i in range(rng.randint(1, max_clocks)))
     trans = _rand_transitions(rng, states, clocks, cmax, param, free_resets=False)
     return _assemble(rng, states, clocks, (param,) if param else (), trans)
+
+
+def fraction_region(v, m):
+    """region_of as a Fraction rule: the reference the integer rule must match."""
+    above, floors, zero, frac_groups = set(), [], set(), {}
+    for z, val in v.items:
+        if val > m:
+            above.add(z)
+            continue
+        k = val.numerator // val.denominator
+        floors.append((z, k))
+        f = val - k
+        if f == 0:
+            zero.add(z)
+        else:
+            frac_groups.setdefault(f, []).append(z)
+    order = tuple(tuple(sorted(frac_groups[f])) for f in sorted(frac_groups))
+    return Region(m, frozenset(above), tuple(floors), frozenset(zero), order)
 
 
 def reaches_acceptance(a, w, interp=None):

@@ -14,6 +14,7 @@ from pnta import (
     NonIntegerAfterScaling,
     NotOneParameter,
     PreconditionViolated,
+    TimedWord,
     UnsupportedAutomaton,
     atoms,
     candidate_parameters,
@@ -25,6 +26,7 @@ from pnta import (
     parametric_emptiness,
     parse_automaton,
     prepare_fixed,
+    region_str,
     run_frontiers,
     scale_constants,
     witness_word,
@@ -256,12 +258,24 @@ def test_every_nonempty_sweep_has_witnesses_and_a_region_lasso(data_dir):
     ("e_param_contra", False, None, 10, 20),
     ("e_window", True, Fraction(41, 40), 6, 14),
     ("w10y", True, Fraction(32081, 3208), 42, 88),
+    ("drift", True, Fraction(1, 40), 2, 16),
 ])
 def test_sweep_counts_are_pinned(data_dir, name, nonempty, mu, candidates, nodes):
     """Exact counts a faster zone kernel must not move; a change to the zone graph updates them."""
     v = parametric_emptiness(parse_automaton((data_dir / f"{name}.ta").read_text()), 20000)
     assert (v.nonempty, v.witness_mu, v.candidates_checked, v.zone_nodes) == (
         nonempty, mu, candidates, nodes)
+
+
+def test_drift_region_lasso_and_witness_are_pinned(data_dir):
+    """x2 drifts up one scaled unit per lap until it passes m = 80, then the run cycles."""
+    a = parse_automaton((data_dir / "drift.ta").read_text())
+    v = parametric_emptiness(a, 20000)
+    assert (len(v.lasso.stem_nodes), len(v.lasso.cycle_nodes)) == (159, 2)
+    assert all("x2>80" in region_str(r) for _, r in v.lasso.cycle_nodes)
+    assert witness_word(a, v) == TimedWord.of(
+        [("b", Fraction(1, 30)), ("a", Fraction(7, 120)), ("b", Fraction(1, 15)),
+         ("a", Fraction(11, 120))])
 
 
 def test_population_sweep_totals_are_pinned():

@@ -38,7 +38,7 @@ from pnta.regions import (
     is_time_open,
     positive_delay_successors,
 )
-from randgen import rand_guard, rand_nrtta, rand_ta
+from randgen import fraction_region, rand_guard, rand_nrtta, rand_ta
 
 _DENS = (1, 2, 3, 4, 5, 7, 8)
 
@@ -72,6 +72,25 @@ def test_successor_chain_terminates_at_top():
     top = seen[-1]
     assert len(top.above) == 2
     assert is_time_open(top)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10 ** 9))
+def test_region_of_matches_the_fraction_rule(seed):
+    """region_of, scaled to integer ticks, gives the region the Fraction rule gives."""
+    rng = random.Random(seed)
+    m = rng.choice((1, 2, 3))
+    v = _rand_val(rng, ("w", "x", "y", "z")[: rng.randint(1, 4)], m)
+    assert region_of(v, m) == fraction_region(v, m)
+
+
+def test_region_of_at_the_boundaries():
+    v = Valuation.of({"w": 2, "x": Fraction(1, 3), "y": Fraction(13, 6), "z": Fraction(4, 3)})
+    r = region_of(v, 2)
+    assert r.above == {"y"}  # 2 + 1/6 is above m = 2
+    assert r.floors == (("w", 2), ("x", 0), ("z", 1)) and r.zero == {"w"}  # 2 is not
+    assert r.order == (("x", "z"),)  # one fractional part, 1/3, two integer parts
+    assert r == fraction_region(v, 2)
 
 
 @settings(max_examples=200, deadline=None)

@@ -10,11 +10,16 @@ from hypothesis import strategies as st
 from pnta import (
     PreconditionViolated,
     RegionBudgetExceeded,
+    SymbolicLasso,
     TimedWord,
+    Valuation,
     concretize_lasso,
+    emptiness_fixed,
     find_lasso,
     parse_automaton,
     prepare_fixed,
+    witness_word,
+    zero_region,
     zone_lasso,
     zone_nonempty,
 )
@@ -31,7 +36,7 @@ from pnta.zones import (
     region_lasso,
     run_timestamps,
 )
-from randgen import rand_nrtta, rand_ta, reaches_acceptance
+from randgen import fraction_region, rand_nrtta, rand_ta, reaches_acceptance
 
 WINDOW_FIXED = """
 automaton wf
@@ -306,3 +311,56 @@ def test_run_timestamps_match_the_literal_constraints(seed, kind, laps):
     scaled, _, d = prepare_fixed(a, mu)
     assert d == s.d
     assert run_timestamps(s, steps) == _literal_timestamps(scaled, steps)
+
+
+def _fraction_region_lasso(s, lasso):
+    """region_lasso as it projected the run before integer ticks.
+
+    Each timestamp is a Fraction, each event's clock values a Valuation,
+    and fraction_region, the Fraction rule of region_of, gives its region.
+    """
+    stem_len, cycle_len = len(lasso.stem), len(lasso.cycle)
+    laps = 1
+    while True:
+        steps = lasso.stem + lasso.cycle * laps
+        reset_at = [Fraction(0)] * len(s.caps)
+        nodes = [(s.initial, zero_region(s.clocks, s.m))]
+        for (t_idx, _), now in zip(steps, run_timestamps(s, steps)):
+            _, target, _, resets, _ = s.edges[t_idx]
+            for x in resets:
+                reset_at[x] = now
+            v = Valuation.of({z: now - reset_at[x] for x, z in enumerate(s.clocks, 1)})
+            nodes.append((target, fraction_region(v, s.m)))
+        first_at = {}
+        for j in range(stem_len, len(nodes), cycle_len):
+            i = first_at.setdefault(nodes[j], j)
+            if i != j:
+                edges = tuple(t_idx for t_idx, _ in steps)
+                return SymbolicLasso(
+                    tuple(nodes[: i + 1]), edges[:i], tuple(nodes[i:j]), edges[i:j]
+                )
+        laps *= 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10 ** 9),
+       st.sampled_from([("nrt", None), ("param", Fraction(3, 7)), ("param", Fraction(1, 40)),
+                        ("ta", None)]))
+def test_integer_ticks_project_as_fractions_do(seed, draw):
+    """The region lasso and the witness words from integer ticks are the Fraction ones."""
+    kind, mu = draw
+    rng = random.Random(seed)
+    if kind == "ta":
+        a = rand_ta(rng, max_states=3, cmax=2)
+    else:
+        a = rand_nrtta(rng, cmax=3, param="p" if kind == "param" else None)
+    v = emptiness_fixed(a, mu if a.params else None)
+    if not v.nonempty:
+        return
+    s, lasso = v.scaled, v.zone_lasso
+    assert v.lasso == region_lasso(s, lasso) == _fraction_region_lasso(s, lasso)
+    for laps in (1, 2, 3):
+        steps = lasso.stem + lasso.cycle * laps
+        times = run_timestamps(s, steps)
+        assert witness_word(a, v, laps) == TimedWord.of(
+            (s.edges[t][2], ts / s.d) for (t, _), ts in zip(steps, times))
