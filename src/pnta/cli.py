@@ -92,6 +92,8 @@ def _mu_str(mu: Optional[Fraction]) -> Optional[str]:
 
 def cmd_check(args) -> int:
     a = _load_automaton(args.file)
+    if args.mu is not None and not a.params:
+        raise PreconditionViolated("--mu given but the automaton has no parameter")
     t0 = time.perf_counter()
     if args.mu is not None:
         verdict = emptiness_fixed(a, args.mu, args.max_regions)

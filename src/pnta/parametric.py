@@ -200,7 +200,7 @@ def _decide(
     else:
         zl = None
         nonempty, explored = zone_nonempty(s, max_nodes)
-    witness = Fraction(mu) if (nonempty and mu is not None) else None
+    witness = Fraction(mu) if (nonempty and compiled.n_params) else None
     return Verdict(nonempty, witness, None, s.d, s.m, 1, explored, zl,
                    s if zl is not None else None)
 
@@ -224,7 +224,8 @@ def emptiness_fixed(
     test-and-reset input; when the language is nonempty and include_lasso is
     set, the zone graph that search built also yields a zone lasso, and the
     verdict carries it and the region lasso that a concrete run along it
-    follows on the scaled automaton.
+    follows on the scaled automaton.  A nonempty verdict names mu as its
+    witness only when the automaton has a parameter.
     """
     b = _searched(a)
     return _with_region_lasso(_decide(compile_automaton(b), mu, max_nodes, include_lasso))

@@ -344,10 +344,13 @@ def _search_lasso(
     as it is closed, not when the component completes.  members are the
     active nodes from the merged root up, strongly connected through the
     edges explored so far, so each of them lies on a cycle through the
-    others; discovered is the set of nodes the search has reached, each
-    one with its successors listed.  The result depends only on the order
-    of successors.  More than max_nodes discovered nodes raise
-    RegionBudgetExceeded.
+    others; discovered is the set of nodes the search has reached.  It asks
+    successors(node) once per node, when it discovers it, and reads only
+    as far as it goes, so that call may return a one-shot iterator that
+    builds each successor on demand; a later call for the same node, as
+    `_lasso_at` makes, must return the full list in the same order.  The
+    result depends only on the order of successors.  More than max_nodes
+    discovered nodes raise RegionBudgetExceeded.
     """
     discovered: set = {root}
     active: list = [root]
@@ -390,8 +393,8 @@ def _search_lasso(
 def _lasso_at(root, successors: Callable, is_accepting: Callable, found) -> tuple[list, list]:
     """(stem_pairs, cycle_pairs) of an accepting lasso in _search_lasso's result.
 
-    Breadth-first from root through the discovered nodes alone, whose
-    successors the search has already listed, the stem leads to the
+    Breadth-first from root through the discovered nodes alone, reading
+    each one's full successor list, the stem leads to the
     nearest accepting member of the component the search closed; the
     cycle is a shortest one from that node back to it within the
     component.

@@ -44,8 +44,10 @@ hash only integers.  `zone_nonempty` and `zone_lasso` decide with the
 search the region oracle runs too, `regions._search_lasso`: depth-first,
 with Couvreur's on-the-fly strongly connected components, it stops at
 the first accepting cycle it closes, before the component around it is
-complete.  For a nonempty automaton `zone_lasso` takes its lasso from the
-nodes that search discovered, all of them already expanded
+complete.  The graph builds a node's successor zones one at a time, as
+the search reads them, so the successors it has not read when it stops
+are never built.  For a nonempty automaton `zone_lasso` takes its lasso from
+the nodes that search discovered, finishing their successor lists
 (`regions._lasso_at`): a breadth-first stem to the nearest accepting
 member of the closed component and a shortest cycle through it there.
 Every path of the extrapolated graph is taken by some concrete run
@@ -73,7 +75,6 @@ from .regions import (
     _lasso_at,
     _search_lasso,
     region_at,
-    zero_region,
 )
 
 INF = 1 << 40
@@ -330,8 +331,12 @@ def _zone_graph(s: Scaled):
     Each node (state, key, first) is interned once as its index in nodes;
     the root is 0.  key is the node's canonical DBM as one flat tuple of
     n * n bounds, row by row, and only the root has first set.
-    successors(i) lists (Step, j) pairs, the Step taken and the child's
-    index; memo holds every node expanded so far.
+    successors(i) gives node i's (Step, j) pairs, the Step taken and the
+    child's index, always in one order.  The first call returns an
+    iterator that builds and interns each child only when it is asked
+    for, so a search that stops early builds none of the rest; a later
+    call finishes it and returns the full list.  memo holds, for every
+    node asked for so far, the pairs built so far.
     """
     caps = s.caps
     n = len(caps)
@@ -341,15 +346,12 @@ def _zone_graph(s: Scaled):
     nodes = [(s.initial, (_LE0,) * (n * n), True)]
     ids = {nodes[0]: 0}
     memo: dict[int, list] = {}
+    pending: dict = {}  # node -> its iterator, until a later call finishes it
 
-    def successors(i: int) -> list:
-        cached = memo.get(i)
-        if cached is not None:
-            return cached
+    def expand(i: int, out: list):
         q, key, first = nodes[i]
         base = list(key)
         _up(base, n, strict=not first)
-        out = []
         for _, target, _, reset_idxs, disjuncts in out_of.get(q, ()):
             for label, bounds in disjuncts:
                 z = base[:]
@@ -365,8 +367,18 @@ def _zone_graph(s: Scaled):
                     if j is None:
                         j = ids[node] = len(nodes)
                         nodes.append(node)
-                    out.append((label, j))
-        memo[i] = out
+                    pair = (label, j)
+                    out.append(pair)
+                    yield pair
+
+    def successors(i: int):
+        out = memo.get(i)
+        if out is None:
+            out = memo[i] = []
+            it = pending[i] = expand(i, out)
+            return it
+        for _ in pending.pop(i, ()):
+            pass
         return out
 
     return successors, nodes, memo
@@ -407,9 +419,10 @@ def zone_lasso(
     one, `_lasso_at` takes the lasso inside the graph that search built:
     a breadth-first stem through the discovered nodes to the nearest
     accepting member of the closed component, and a shortest cycle back
-    to that node within the component.  It expands no further node, so
-    neither the lasso nor the count depends on max_nodes once the search
-    stays within it.
+    to that node within the component.  It finishes the successor lists
+    of discovered nodes but discovers no further one, so neither the
+    lasso nor the count depends on max_nodes once the search stays
+    within it.
     """
     successors, nodes, memo = _zone_graph(s)
     accepting = s.accepting
@@ -484,6 +497,8 @@ def region_lasso(s: Scaled, lasso: ZoneLasso) -> SymbolicLasso:
     Solves the stem plus k laps for k = 1, 2, 4, ... and cuts the run at
     the first lap boundary whose (state, region) node recurs.  There are
     finitely many such nodes, so by the pigeonhole principle some k does.
+    Only lap boundaries are projected while the cut is looked for; the
+    run before the cut is projected once, from the solve that found it.
     """
     stem_len, cycle_len = len(lasso.stem), len(lasso.cycle)
     names, m = s.clocks, s.m
@@ -492,18 +507,20 @@ def region_lasso(s: Scaled, lasso: ZoneLasso) -> SymbolicLasso:
         steps = lasso.stem + lasso.cycle * laps
         ticks, q = earliest_ticks(s, steps)
         reset_at = [0] * len(s.caps)  # in ticks; index 0, the zero clock, is unused
-        nodes = [(s.initial, zero_region(names, m))]
+        after = [(s.initial, reset_at[1:])]  # after[j]: the state and clock ticks after event j
         for (t_idx, _), now in zip(steps, ticks):
             _, target, _, resets, _ = s.edges[t_idx]
             for x in resets:
                 reset_at[x] = now
-            nodes.append((target, region_at(names, [now - r for r in reset_at[1:]], q, m)))
+            after.append((target, [now - r for r in reset_at[1:]]))
         first_at: dict = {}
-        for j in range(stem_len, len(nodes), cycle_len):
-            i = first_at.setdefault(nodes[j], j)
+        for j in range(stem_len, len(after), cycle_len):
+            target, values = after[j]
+            i = first_at.setdefault((target, region_at(names, values, q, m)), j)
             if i != j:
+                at = {k: node for node, k in first_at.items()}  # the lap boundaries before j
+                nodes = tuple([at[k] if k in at else (target, region_at(names, values, q, m))
+                               for k, (target, values) in enumerate(after[:j])])
                 edges = tuple(t_idx for t_idx, _ in steps)
-                return SymbolicLasso(
-                    tuple(nodes[: i + 1]), edges[:i], tuple(nodes[i:j]), edges[i:j]
-                )
+                return SymbolicLasso(nodes[: i + 1], edges[:i], nodes[i:j], edges[i:j])
         laps *= 2

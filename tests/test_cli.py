@@ -92,6 +92,18 @@ def test_check_fixed_mu_and_witness(data_dir, capsys):
     assert out.startswith("Empty")
 
 
+def test_check_refuses_mu_without_a_parameter(tmp_path, capsys):
+    from pnta import emptiness_fixed, gen_lk
+
+    lk2 = tmp_path / "lk2.ta"
+    assert _run(capsys, "gen", "lk", "--k", "2", "-o", str(lk2))[0] == 0
+    code, out, err = _run(capsys, "check", str(lk2), "--mu", "7/3")
+    assert (code, out) == (2, "")
+    assert err == "error: --mu given but the automaton has no parameter\n"
+    v = emptiness_fixed(gen_lk(2), Fraction(7, 3))
+    assert v.nonempty and v.witness_mu is None
+
+
 def test_check_empty_instances(data_dir, capsys):
     for name in ("e_empty.ta", "e_param_contra.ta"):
         code, out, _ = _run(capsys, "check", str(data_dir / name))

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 from hypothesis import assume, given, settings
@@ -23,7 +24,10 @@ from pnta import (
     zone_lasso,
     zone_nonempty,
 )
+from pnta import zones
+from pnta.regions import _search_lasso
 from pnta.zones import (
+    _LE0,
     INF,
     _bnd,
     _canonical,
@@ -32,6 +36,7 @@ from pnta.zones import (
     _reset,
     _tighten,
     _up,
+    _zone_graph,
     compile_automaton,
     region_lasso,
     run_timestamps,
@@ -364,3 +369,84 @@ def test_integer_ticks_project_as_fractions_do(seed, draw):
         times = run_timestamps(s, steps)
         assert witness_word(a, v, laps) == TimedWord.of(
             (s.edges[t][2], ts / s.d) for (t, _), ts in zip(steps, times))
+
+
+def _eager_zone_graph(s):
+    """_zone_graph as it was before successors were built on demand: the reference.
+
+    The first successors(i) call builds and interns every child of node i.
+    """
+    caps = s.caps
+    n = len(caps)
+    out_of = {}
+    for edge in s.edges:
+        out_of.setdefault(edge[0], []).append(edge)
+    nodes = [(s.initial, (_LE0,) * (n * n), True)]
+    ids = {nodes[0]: 0}
+    memo = {}
+
+    def successors(i):
+        cached = memo.get(i)
+        if cached is not None:
+            return cached
+        q, key, first = nodes[i]
+        base = list(key)
+        _up(base, n, strict=not first)
+        out = []
+        for _, target, _, reset_idxs, disjuncts in out_of.get(q, ()):
+            for label, bounds in disjuncts:
+                z = base[:]
+                for x, y, b in bounds:
+                    if not _tighten(z, n, x, y, b):
+                        break
+                else:
+                    _reset(z, n, reset_idxs)
+                    if _extrapolate(z, n, caps):
+                        _canonical(z, n)
+                    node = (target, tuple(z), False)
+                    j = ids.get(node)
+                    if j is None:
+                        j = ids[node] = len(nodes)
+                        nodes.append(node)
+                    out.append((label, j))
+        memo[i] = out
+        return out
+
+    return successors, nodes, memo
+
+
+def _searched_graph(graph, s):
+    """(nodes, memo, found) of the deciding search over graph(s)."""
+    successors, nodes, memo = graph(s)
+    found = _search_lasso(0, successors, lambda i: nodes[i][0] in s.accepting)
+    return nodes, memo, found
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10 ** 9),
+       st.sampled_from([("nrt", None), ("param", Fraction(3, 7)), ("param", Fraction(1, 40)),
+                        ("ta", None)]))
+def test_lazy_successors_decide_as_the_eager_expansion(seed, draw):
+    """Same verdict, count and zone lasso, and the search builds no node it does not reach."""
+    kind, mu = draw
+    rng = random.Random(seed)
+    if kind == "ta":
+        a = rand_ta(rng, max_states=3, cmax=2)
+    else:
+        a = rand_nrtta(rng, cmax=3, param="p" if kind == "param" else None)
+    s = _at(a, mu if a.params else None)
+    with patch.object(zones, "_zone_graph", _eager_zone_graph):
+        want = zone_lasso(s), zone_nonempty(s)
+    assert (zone_lasso(s), zone_nonempty(s)) == want
+    nodes, memo, _ = _searched_graph(_zone_graph, s)
+    assert len(nodes) == len(memo)
+
+
+def test_lazy_successors_intern_fewer_zones_on_drift(data_dir):
+    """At the off-candidate value 5/4 the search closes its cycle before it reads 4 zones."""
+    s = _at(parse_automaton((data_dir / "drift.ta").read_text()), Fraction(5, 4))
+    lazy_nodes, lazy_memo, lazy_found = _searched_graph(_zone_graph, s)
+    eager_nodes, eager_memo, eager_found = _searched_graph(_eager_zone_graph, s)
+    assert lazy_found is not None and eager_found is not None
+    assert len(lazy_memo) == len(eager_memo) == 9
+    assert (len(lazy_nodes), len(eager_nodes)) == (9, 13)
