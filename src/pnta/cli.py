@@ -46,6 +46,7 @@ class Report:
     witness_mu: Optional[str]
     candidates_checked: int
     zone_nodes: int
+    relaxed: Optional[list]
     lasso: Optional[dict]
     witness_word: Optional[list]
     timings: dict
@@ -110,6 +111,7 @@ def cmd_check(args) -> int:
         _mu_str(verdict.witness_mu),
         verdict.candidates_checked,
         verdict.zone_nodes,
+        None if verdict.relaxed is None else [_mu_str(mu) for mu in verdict.relaxed],
         _lasso_dict(verdict.lasso),
         None if word is None else [[letter, str(ts)] for letter, ts in word],
         {"wall_ms": wall_ms},
@@ -125,6 +127,9 @@ def cmd_check(args) -> int:
             f"candidates checked: {report.candidates_checked}, "
             f"abstraction nodes: {report.zone_nodes}, wall ms: {wall_ms}"
         )
+        if report.relaxed is not None:
+            lo, hi = report.relaxed
+            print(f"settled by one check with mu relaxed to [{lo}, {hi}]")
         if report.lasso is not None:
             print("lasso stem:  " + "  ->  ".join(report.lasso["stem"]))
             print("lasso cycle: " + "  ->  ".join(report.lasso["cycle"]))

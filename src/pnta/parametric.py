@@ -7,15 +7,26 @@ k/2 up to 2C, the representatives n/2 + alpha of the open half-integer
 gaps, and one large representative Xi beyond every constant.  Each
 candidate reduces to a parameter-free emptiness check after scaling
 away denominators.
+
+An Empty verdict would pay for all 8C + 2 checks, so after the least
+candidate, 0, comes back Empty the sweep checks the automaton relaxed to
+the whole range [0, Xi] once: each parameter literal becomes its hull
+over the range, which leaves no parameter, and the relaxed language
+contains the language at every value in the range (an over-approximation
+in the spirit of Hune, Romijn, Stoelinga & Vaandrager, JLAP 2002).  When
+that is Empty, so is every candidate, and the verdict is Empty; otherwise
+the exact checks go on from the second candidate.
 """
 
 from __future__ import annotations
 
 import os
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import partial
+from itertools import islice
 from typing import Optional, Union
 
 from .core import Atom, Automaton, Transition, is_nrtta, map_atoms, max_constant
@@ -23,6 +34,7 @@ from .errors import (
     NonIntegerAfterScaling,
     NotOneParameter,
     PreconditionViolated,
+    RegionBudgetExceeded,
     UnsupportedAutomaton,
 )
 from .regions import DEFAULT_REGION_BUDGET, SymbolicLasso
@@ -80,6 +92,8 @@ class Verdict:
     zone_lasso: Optional[ZoneLasso] = None
     # the scaled automaton that the search found zone_lasso in, which both lassos read
     scaled: Optional[Scaled] = field(default=None, compare=False, repr=False)
+    # the interval (lo, hi) whose relaxed check settled an Empty verdict, else None
+    relaxed: Optional[tuple[Fraction, Fraction]] = None
 
 
 def _candidates(c: int, n_states: int):
@@ -93,7 +107,12 @@ def _candidates(c: int, n_states: int):
         yield Candidate(half, HALF_INTEGER, k)
         yield Candidate(half + alpha, FRACTIONAL_REP, k)
     yield Candidate(Fraction(2 * c), HALF_INTEGER, 4 * c)
-    yield Candidate(Fraction(2 + c * (1 + n_states)), LARGE_REP, 0)
+    yield Candidate(Fraction(_xi(c, n_states)), LARGE_REP, 0)
+
+
+def _xi(c: int, n_states: int) -> int:
+    """The large representative Xi = 2 + C(1 + |Q|), the last and largest candidate."""
+    return 2 + c * (1 + n_states)
 
 
 def candidate_parameters(a: Automaton) -> CandidateSet:
@@ -233,7 +252,15 @@ def emptiness_fixed(
 
 def clamp_jobs(jobs: int, n_candidates: int) -> int:
     """Worker processes for a sweep: jobs clamped to [1, min(cpu count, candidates)]."""
-    return max(1, min(jobs, os.cpu_count() or 1, n_candidates))
+    return 1 if jobs <= 1 else min(jobs, os.cpu_count() or 1, n_candidates)
+
+
+def _in_order(pool: ProcessPoolExecutor, fn, values, workers: int):
+    """fn of each value, computed in the pool and yielded in order, at most workers in flight."""
+    flight = deque(pool.submit(fn, v) for v in islice(values, workers))
+    while flight:
+        yield flight.popleft().result()
+        flight.extend(pool.submit(fn, v) for v in islice(values, 1))
 
 
 def parametric_emptiness(
@@ -241,15 +268,20 @@ def parametric_emptiness(
 ) -> Verdict:
     """Does any real parameter value give the automaton a nonempty language?
 
-    Compiles the searched automaton once, decides each value of the finite
-    candidate list in ascending order as emptiness_fixed would, and reports
-    the first nonempty value as witness, with the candidates and zone nodes
-    of the whole sweep; with jobs > 1 the checks run in worker processes,
-    which receive the compiled form, but the verdict and its counts are the
-    same.  One-clock automata that test and reset the same clock are
-    translated first; two-clock automata that do so are rejected, as are
-    automata with more than two clocks or more than one parameter.  A parameter-free automaton
-    is decided as by emptiness_fixed, with any number of clocks.
+    Compiles the searched automaton once and decides each value of the
+    finite candidate list in ascending order as emptiness_fixed would,
+    reporting the first nonempty value as witness, with the candidates and
+    zone nodes of the whole sweep.  When the least candidate is Empty, one
+    check of the automaton relaxed to [0, Xi] comes next; if it is Empty
+    the verdict is Empty, and says so in `relaxed`.  Its nodes count in
+    zone_nodes but it is not a candidate, and one that exceeds max_nodes
+    settles nothing.  With jobs > 1 the checks after it run in worker
+    processes, which receive the compiled form, at most one per worker at
+    a time, but the verdict and its counts are the same.  One-clock
+    automata that test and reset the same clock are translated first;
+    two-clock automata that do so are rejected, as are automata with more
+    than two clocks or more than one parameter.  A parameter-free
+    automaton is decided as by emptiness_fixed, with any number of clocks.
     """
     if not a.params:
         return emptiness_fixed(a, None, max_nodes)
@@ -265,13 +297,22 @@ def parametric_emptiness(
     compiled = compile_automaton(b)
     values = (cand.value for cand in _candidates(compiled.c, len(b.states)))
     check = partial(_decide, compiled, max_nodes=max_nodes)
-    workers = clamp_jobs(jobs, 8 * compiled.c + 2)
+    v = check(next(values))
+    if v.nonempty:
+        return _with_region_lasso(v)
+    xi = Fraction(_xi(compiled.c, len(b.states)))
+    try:
+        nonempty, nodes = zone_nonempty(compiled.at(0, xi), max_nodes)
+    except RegionBudgetExceeded:
+        nonempty, nodes = True, 0  # settles nothing
+    checked, total_nodes = 1, v.zone_nodes + nodes
+    if not nonempty:
+        return Verdict(False, None, None, 1, 0, checked, total_nodes, relaxed=(Fraction(0), xi))
+    workers = clamp_jobs(jobs, 8 * compiled.c + 1)
     pool = ProcessPoolExecutor(workers) if workers > 1 else None
     try:
-        # the serial map draws values one at a time and stops early; pool.map submits them all
-        verdicts = map(check, values) if pool is None else pool.map(check, values)
-        checked = total_nodes = 0
-        for v in verdicts:  # in order
+        verdicts = map(check, values) if pool is None else _in_order(pool, check, values, workers)
+        for v in verdicts:
             checked += 1
             total_nodes += v.zone_nodes
             if v.nonempty:

@@ -45,22 +45,15 @@ _TRANS_RE = re.compile(
     r"^trans\s+(\S+)\s+(\S+)\s+([^\s(]+)\s*\((.*)\)\s*\{(.*?)\}\s*$"
 )
 _TOKEN_RE = re.compile(r"\s*(?:(<=|>=|[<>=!&()])|(\d+)|([A-Za-z_][\w.@:\-]*)|(\S))")
+_CLOCK_RE = re.compile(r"[A-Za-z_][\w.@:\-]*")
 
 
 def _tokenize_guard(text: str, line: int) -> list[str]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            break
-        if m.group(4) is not None:
-            raise ParseError(f"unexpected character {m.group(4)!r} in guard", line)
-        tok = m.group(1) or m.group(2) or m.group(3)
-        if tok is not None:
-            tokens.append(tok)
-        pos = m.end()
-    return tokens
+    found = _TOKEN_RE.findall(text)
+    for token in found:
+        if token[3]:
+            raise ParseError(f"unexpected character {token[3]!r} in guard", line)
+    return [op or num or name for op, num, name, _ in found]
 
 
 class _GuardParser:
@@ -115,7 +108,7 @@ class _GuardParser:
 
     def atom(self) -> Guard:
         clock = self.take()
-        if not re.fullmatch(r"[A-Za-z_][\w.@:\-]*", clock):
+        if not _CLOCK_RE.fullmatch(clock):
             raise ParseError(f"expected clock name, got {clock!r}", self.line)
         op = self.take()
         if op not in ("<", "<=", "=", ">=", ">"):

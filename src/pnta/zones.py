@@ -32,12 +32,17 @@ m, which only the region projection uses.
 A check compiles its automaton once, `compile_automaton`: clock
 indices, and each guard's `_dnf` disjuncts as templates of the bounds
 `_tighten` adds, with constants as integers over their common
-denominator and the parameter as a slot.  `Compiled.at(mu)` gives the
-`Scaled` form at one value: each bound by one integer multiply-add, with
-mu times the scale factor in the slot, the caps, the scale factor and
-the region bound m.  It is the only scaled form a check builds: the zone
-graph, `earliest_ticks` and `region_lasso` read it alone, and
-`prepare_fixed` takes its scale factor and m from it.
+denominator and the parameter as a slot on the side it bounds.
+`Compiled.at(mu)` gives the `Scaled` form at one value: each bound by
+one integer multiply-add, with mu times the scale factor in both slots,
+the caps, the scale factor and the region bound m.  `Compiled.at(lo, hi)`
+gives the automaton relaxed to the interval [lo, hi] the same way, with
+lo in the slot of the parameter's lower bounds and hi in that of its
+upper bounds: each literal becomes its hull over the interval, so the
+relaxed language contains the language at every value inside it.  It is
+the only scaled form a check builds: the zone graph, `earliest_ticks`
+and `region_lasso` read it alone, and `prepare_fixed` takes its scale
+factor and m from it.
 
 The zone graph interns each node once as an integer, so the searches
 hash only integers.  `zone_nonempty` and `zone_lasso` decide with the
@@ -201,7 +206,8 @@ def _dnf(
 
 
 # (x, y, coef, p, w): the bound d[x][y] <= coef * scale[p] + w, scale[0] the constant
-# scale d / denom and scale[1] the parameter value times d
+# scale d / denom, scale[1] and scale[2] the parameter value times d in a lower
+# (p = 1) and an upper (p = 2) bound of a clock
 Template = tuple[int, int, int, int, bool]
 # (source, target, letter, reset indices, the guard's disjuncts as (Step, templates))
 Rule = tuple[str, str, str, tuple[int, ...], tuple[tuple[Step, tuple[Template, ...]], ...]]
@@ -211,7 +217,7 @@ Edge = tuple[str, str, str, tuple[int, ...], list[tuple[Step, list[tuple[int, in
 
 @dataclass(frozen=True)
 class Scaled:
-    """An automaton at one parameter value, in the scaled time unit.
+    """An automaton at one parameter value, or relaxed to an interval, in the scaled time unit.
 
     The zone graph, the witness run and its region projection all read
     this form.  clocks holds the sorted clock names, clock clocks[i - 1]
@@ -235,10 +241,11 @@ class Compiled:
 
     transitions holds a Rule per transition.  A template's coef is twice
     its literal's constant times denom, or 2 for the parameter, signed by
-    its side, and w is True (1) for a weak bound.  tops holds, per DBM
-    index, the largest constant times denom that a literal compares the
-    clock with and whether one compares it with the parameter.  Plain
-    data, so it crosses a process pool.
+    its side; p is 0 for a constant, 1 for the parameter as a lower bound
+    and 2 as an upper bound; w is True (1) for a weak bound.  tops holds,
+    per DBM index, the largest constant times denom that a literal
+    compares the clock with and whether one compares it with the
+    parameter.  Plain data, so it crosses a process pool.
     """
 
     initial: str
@@ -252,37 +259,49 @@ class Compiled:
     n_params: int
     has_param: bool  # some guard compares against the parameter
 
-    def at(self, mu) -> Scaled:
-        """The automaton at parameter value mu (None when it has no parameter).
+    def at(self, lo, hi=None) -> Scaled:
+        """The automaton at parameter value lo, or relaxed to [lo, hi] when hi is given.
 
+        lo is None when the automaton has no parameter.  Relaxed, a lower
+        bound on a clock by the parameter reads lo and an upper bound reads
+        hi, so each literal is its hull over the interval and the scaled
+        automaton accepts every word accepted at some value inside it.
         The scale factor d is the lcm of the constant denominators after
-        mu is filled in, so every scaled constant is an integer.  The
-        region bound m majorizes twice the maximum constant, mu and every
-        constant, all scaled.  Each clock's cap is the largest scaled
-        constant it is compared against, 0 if no guard tests it.
+        lo and hi are filled in, so every scaled constant is an integer.
+        The region bound m majorizes twice the maximum constant, hi and
+        every constant, all scaled.  Each clock's cap is the largest scaled
+        constant it is compared against, hi for the parameter, 0 if no
+        guard tests it.
         """
-        if mu is None:
+        if lo is None:
             if self.n_params or self.has_param:
                 raise PreconditionViolated("parameter value required for a parametric automaton")
         else:
-            mu = Fraction(mu)
-            if self.n_params and mu < 0:
-                raise PreconditionViolated(f"parameter value must be nonnegative, got {mu}")
+            lo = Fraction(lo)
+            if self.n_params and lo < 0:
+                raise PreconditionViolated(f"parameter value must be nonnegative, got {lo}")
+            hi = lo if hi is None else Fraction(hi)
+            if hi is not lo and hi < lo:
+                raise PreconditionViolated(f"empty parameter interval [{lo}, {hi}]")
             if self.n_params > 1:
                 raise NotOneParameter(f"at most one parameter supported, got {self.n_params}")
-        d = math.lcm(self.denom, mu.denominator) if self.has_param else self.denom
+        if self.has_param:
+            d = math.lcm(self.denom, lo.denominator, hi.denominator)
+            low = lo.numerator * (d // lo.denominator)
+            high = low if hi is lo else hi.numerator * (d // hi.denominator)
+        else:
+            d, low, high = self.denom, 0, 0
         k = d // self.denom
-        slot = mu.numerator * (d // mu.denominator) if self.has_param else 0
         m = max(2 * self.c * d, self.top * k)
-        if mu is not None:
-            m = max(m, -(-mu.numerator * d // mu.denominator))  # ceil(mu * d)
-        scale = (k, slot)
+        if lo is not None:
+            m = max(m, -(-hi.numerator * d // hi.denominator))  # ceil(hi * d)
+        scale = (k, low, high)
         edges = tuple([
             (source, target, letter, resets,
              [(label, [(x, y, coef * scale[p] + w) for x, y, coef, p, w in templates])
               for label, templates in disjuncts])
             for source, target, letter, resets, disjuncts in self.transitions])
-        caps = tuple(max(top * k, slot) if p else top * k for top, p in self.tops)
+        caps = tuple(max(top * k, high) if p else top * k for top, p in self.tops)
         return Scaled(self.initial, self.accepting, self.clocks, edges, caps, d, m)
 
 
@@ -313,7 +332,7 @@ def compile_automaton(a: Automaton) -> Compiled:
                         tops[x] = c
                 # upper (x, 0), lower (0, x), "=" both
                 if op[0] != ">":
-                    templates.append((x, 0, coef, p, op != "<"))
+                    templates.append((x, 0, coef, 2 * p, op != "<"))
                 if op[0] != "<":
                     templates.append((0, x, -coef, p, op != ">"))
             disjuncts.append(((idx, j), tuple(templates)))

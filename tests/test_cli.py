@@ -39,6 +39,22 @@ def test_check_json_report(data_dir, capsys):
     assert report["zone_nodes"] > 0
     assert report["lasso"]["cycle"]
     assert "wall_ms" in report["timings"]
+    assert report["relaxed"] is None
+
+
+def test_check_reports_the_relaxation_that_settled_an_empty_verdict(data_dir, capsys):
+    path = str(data_dir / "relax_empty.ta")
+    code, out, _ = _run(capsys, "check", path, "--json")
+    report = json.loads(out)
+    assert code == 0 and report["verdict"] == "Empty"
+    assert (report["candidates_checked"], report["relaxed"]) == (1, ["0", "10"])
+    code, out, _ = _run(capsys, "check", path, "--witness")
+    lines = out.splitlines()
+    assert code == 0 and lines[0] == "Empty" and len(lines) == 3
+    assert lines[1].startswith("candidates checked: 1, abstraction nodes: 31, ")
+    assert lines[2] == "settled by one check with mu relaxed to [0, 10]"
+    code, out, _ = _run(capsys, "check", str(data_dir / "e_param_contra.ta"))
+    assert code == 0 and len(out.splitlines()) == 2  # the relaxation left that sweep open
 
 
 def test_check_json_report_carries_the_witness_word(data_dir, capsys):
@@ -70,13 +86,15 @@ def test_check_witness_scales_the_automaton_once(data_dir, capsys, monkeypatch):
     for name in ("instantiate", "scale_constants"):
         monkeypatch.setattr(parametric, name, lambda *args, name=name: built.append(name))
     at = Compiled.at
-    monkeypatch.setattr(Compiled, "at", lambda self, mu: scaled_at.append(mu) or at(self, mu))
+    monkeypatch.setattr(Compiled, "at",
+                        lambda self, *bounds: scaled_at.append(bounds) or at(self, *bounds))
     window = str(data_dir / "e_window.ta")
-    for extra, checked in (((), 6), (("--mu", "41/40"), 1)):
+    # the sweep also scales once to check the range [0, Xi] relaxed, after the first candidate
+    for extra, scaled in (((), 7), (("--mu", "41/40"), 1)):
         scaled_at.clear()
         code, out, _ = _run(capsys, "check", window, "--witness", "--unrollings", "2", *extra)
         assert code == 10 and "witness word" in out
-        assert len(scaled_at) == checked and scaled_at[-1] == Fraction(41, 40)
+        assert len(scaled_at) == scaled and scaled_at[-1] == (Fraction(41, 40),)
     assert built == []
 
 

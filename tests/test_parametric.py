@@ -5,6 +5,7 @@ import os
 import random
 from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -255,13 +256,19 @@ def test_every_nonempty_sweep_has_witnesses_and_a_region_lasso(data_dir):
 
 @pytest.mark.parametrize("name, nonempty, mu, candidates, nodes", [
     ("e_empty", False, None, 1, 2),
-    ("e_param_contra", False, None, 10, 20),
-    ("e_window", True, Fraction(41, 40), 6, 14),
-    ("w10y", True, Fraction(32081, 3208), 42, 88),
-    ("drift", True, Fraction(1, 40), 2, 16),
+    ("e_param_contra", False, None, 10, 24),
+    ("e_window", True, Fraction(41, 40), 6, 18),
+    ("w10y", True, Fraction(32081, 3208), 42, 93),
+    ("drift", True, Fraction(1, 40), 2, 25),
+    ("relax_empty", False, None, 1, 31),
 ])
 def test_sweep_counts_are_pinned(data_dir, name, nonempty, mu, candidates, nodes):
-    """Exact counts a faster zone kernel must not move; a change to the zone graph updates them."""
+    """Exact counts a faster zone kernel must not move; a change to the zone graph updates them.
+
+    Past the first candidate the nodes include those of the check relaxed
+    to [0, Xi]: 4, 4, 5 and 9 wasted on the four that it leaves open, and
+    relax_empty is settled by it (18 candidates and 438 nodes without it).
+    """
     v = parametric_emptiness(parse_automaton((data_dir / f"{name}.ta").read_text()), 20000)
     assert (v.nonempty, v.witness_mu, v.candidates_checked, v.zone_nodes) == (
         nonempty, mu, candidates, nodes)
@@ -281,8 +288,11 @@ def test_drift_region_lasso_and_witness_are_pinned(data_dir):
 def test_population_sweep_totals_are_pinned():
     verdicts = [parametric_emptiness(a, 20000) for a in two_clock_population()]
     assert sum(v.nonempty for v in verdicts) == 189
-    assert sum(v.candidates_checked for v in verdicts) == 360
-    assert sum(v.zone_nodes for v in verdicts) == 2070
+    # an exact sweep checks 360 candidates and discovers 2,070 nodes; the
+    # check relaxed to [0, Xi] settles 6 of the 11 Empty sweeps
+    assert sum(v.relaxed is not None for v in verdicts) == 6
+    assert sum(v.candidates_checked for v in verdicts) == 274
+    assert sum(v.zone_nodes for v in verdicts) == 1334
 
 
 def test_off_candidate_zone_nodes_are_pinned():
@@ -318,7 +328,10 @@ def test_fixed_verdict_invariant_under_scaling(seed):
 
 
 def test_each_checked_candidate_builds_one_zone_graph(data_dir, monkeypatch):
-    """The search that decides a candidate also yields its lasso: no graph is built twice."""
+    """The search that decides a candidate also yields its lasso: no graph is built twice.
+
+    The check relaxed to [0, Xi] after the first candidate builds one more.
+    """
     from pnta import zones
 
     built = []
@@ -327,7 +340,7 @@ def test_each_checked_candidate_builds_one_zone_graph(data_dir, monkeypatch):
     window = parse_automaton((data_dir / "e_window.ta").read_text())
     v = parametric_emptiness(window)
     assert v.nonempty and v.zone_lasso is not None
-    assert len(built) == v.candidates_checked == 6
+    assert len(built) == v.candidates_checked + 1 == 7
     built.clear()
     w10y = parse_automaton((data_dir / "w10y.ta").read_text())
     assert emptiness_fixed(w10y, Fraction(32081, 3208)).zone_lasso is not None
@@ -436,16 +449,62 @@ def test_the_sweep_scales_the_automaton_only_for_its_winner(data_dir, monkeypatc
     for name in ("instantiate", "scale_constants"):
         monkeypatch.setattr(parametric, name, lambda *args, name=name: built.append(name))
     at = Compiled.at
-    monkeypatch.setattr(Compiled, "at", lambda self, mu: scaled_at.append(mu) or at(self, mu))
+    monkeypatch.setattr(Compiled, "at",
+                        lambda self, *bounds: scaled_at.append(bounds) or at(self, *bounds))
     for name in ("e_window", "e_param_contra"):
         scaled_at.clear()
-        v = parametric_emptiness(parse_automaton((data_dir / f"{name}.ta").read_text()))
-        assert len(scaled_at) == v.candidates_checked
+        a = parse_automaton((data_dir / f"{name}.ta").read_text())
+        v = parametric_emptiness(a)
+        # each checked candidate once, and the check relaxed to [0, Xi] after the first
+        assert len(scaled_at) == v.candidates_checked + 1
+        assert scaled_at[1] == (0, candidate_parameters(a).xi)
         assert (v.lasso is not None) == v.nonempty
     assert built == []
 
 
-@pytest.mark.parametrize("name", ["e_empty", "e_param_contra", "e_window", "w10y"])
+@pytest.mark.parametrize("name", ["e_empty", "e_param_contra", "e_window", "w10y", "relax_empty"])
 def test_sweep_with_workers_equals_serial_sweep(data_dir, name):
     a = parse_automaton((data_dir / f"{name}.ta").read_text())
     assert parametric_emptiness(a, 20000, jobs=2) == parametric_emptiness(a, 20000, jobs=1)
+
+
+def test_workers_have_at_most_one_check_each_in_flight(data_dir, monkeypatch):
+    """With 40,002 candidates and a witness at the second, two workers get two checks."""
+    from pnta import parametric
+
+    submitted = []
+
+    class CountingPool:
+        """A stand-in for ProcessPoolExecutor: counts submitted checks, runs each when read."""
+
+        def __init__(self, workers):
+            pass
+
+        def submit(self, fn, *args):
+            submitted.append(args)
+            return SimpleNamespace(result=lambda timeout=None: fn(*args))
+
+        def map(self, fn, values):  # as Executor.map: submits every value before reading one
+            futures = [self.submit(fn, v) for v in values]
+            return (f.result() for f in futures)
+
+        def shutdown(self, wait=True, cancel_futures=False):
+            pass
+
+    a = parse_automaton(
+        "automaton pingpong\nclocks x y\nparams mu\ninit q0\naccept q1\n"
+        "trans q0 q0 a ( x < 5000 ) { }\n"
+        "trans q0 q1 b ( y = mu ) { x }\n"
+        "trans q1 q0 b ( x = mu ) { y }\n"
+    )
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(parametric, "ProcessPoolExecutor", CountingPool)
+    v = parametric_emptiness(a, 20000, jobs=2)
+    assert len(candidate_parameters(a).candidates) == 40002
+    assert v.nonempty and v.candidates_checked == 2
+    assert len(submitted) == 2
+    assert v == parametric_emptiness(a, 20000, jobs=1)
+    # a sweep the relaxed check settles starts no pool
+    submitted.clear()
+    v = parametric_emptiness(parse_automaton((data_dir / "relax_empty.ta").read_text()), jobs=2)
+    assert v.relaxed is not None and submitted == []
