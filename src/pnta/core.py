@@ -198,6 +198,13 @@ class Transition:
 
 @dataclass(frozen=True)
 class Automaton:
+    """A timed automaton over named clocks and parameters.
+
+    Immutable.  The first check of an automaton keeps its compiled form
+    on it as an attribute outside the fields (`parametric._compiled`), so
+    equality, hash and repr are those of the fields alone.
+    """
+
     name: str
     alphabet: frozenset[str]
     states: frozenset[str]

@@ -208,6 +208,21 @@ def _searched(a: Automaton) -> Automaton:
     return a
 
 
+def _compiled(a: Automaton) -> Compiled:
+    """The compiled form of the automaton a check searches, derived once and kept on a.
+
+    It is stored as an attribute outside the dataclass fields, as
+    Automaton.__init__ stores them, so a's equality, hash and repr do
+    not see it; what depends on the parameter value is built per check.
+    """
+    try:
+        return a._compiled
+    except AttributeError:
+        compiled = compile_automaton(_searched(a))
+        object.__setattr__(a, "_compiled", compiled)
+        return compiled
+
+
 def _decide(
     compiled: Compiled, mu: Optional[Rational], max_nodes: int, include_lasso: bool = True
 ) -> Verdict:
@@ -244,10 +259,11 @@ def emptiness_fixed(
     set, the zone graph that search built also yields a zone lasso, and the
     verdict carries it and the region lasso that a concrete run along it
     follows on the scaled automaton.  A nonempty verdict names mu as its
-    witness only when the automaton has a parameter.
+    witness only when the automaton has a parameter.  The first check of
+    an automaton compiles it and keeps the compiled form on it, so a
+    check at one more value scales, searches and builds lassos only.
     """
-    b = _searched(a)
-    return _with_region_lasso(_decide(compile_automaton(b), mu, max_nodes, include_lasso))
+    return _with_region_lasso(_decide(_compiled(a), mu, max_nodes, include_lasso))
 
 
 def clamp_jobs(jobs: int, n_candidates: int) -> int:
@@ -268,10 +284,11 @@ def parametric_emptiness(
 ) -> Verdict:
     """Does any real parameter value give the automaton a nonempty language?
 
-    Compiles the searched automaton once and decides each value of the
-    finite candidate list in ascending order as emptiness_fixed would,
-    reporting the first nonempty value as witness, with the candidates and
-    zone nodes of the whole sweep.  When the least candidate is Empty, one
+    Compiles the searched automaton once, or reads the compiled form an
+    earlier check kept on it, and decides each value of the finite
+    candidate list in ascending order as emptiness_fixed would, reporting
+    the first nonempty value as witness, with the candidates and zone
+    nodes of the whole sweep.  When the least candidate is Empty, one
     check of the automaton relaxed to [0, Xi] comes next; if it is Empty
     the verdict is Empty, and says so in `relaxed`.  Its nodes count in
     zone_nodes but it is not a candidate, and one that exceeds max_nodes
@@ -287,20 +304,19 @@ def parametric_emptiness(
         return emptiness_fixed(a, None, max_nodes)
     if len(a.params) > 1:
         raise UnsupportedAutomaton(f"at most one parameter supported, got {len(a.params)}")
-    b = _searched(a)
-    if not is_nrtta(b):
+    if len(a.clocks) != 1 and not is_nrtta(a):  # one-clock automata are translated
         raise UnsupportedAutomaton(
             "guard-and-reset of the same clock is only supported for one-clock automata"
         )
-    if len(b.clocks) > 2:
-        raise UnsupportedAutomaton(f"at most two clocks supported, got {len(b.clocks)}")
-    compiled = compile_automaton(b)
-    values = (cand.value for cand in _candidates(compiled.c, len(b.states)))
+    compiled = _compiled(a)
+    if len(compiled.clocks) > 2:
+        raise UnsupportedAutomaton(f"at most two clocks supported, got {len(compiled.clocks)}")
+    values = (cand.value for cand in _candidates(compiled.c, compiled.n_states))
     check = partial(_decide, compiled, max_nodes=max_nodes)
     v = check(next(values))
     if v.nonempty:
         return _with_region_lasso(v)
-    xi = Fraction(_xi(compiled.c, len(b.states)))
+    xi = Fraction(_xi(compiled.c, compiled.n_states))
     try:
         nonempty, nodes = zone_nonempty(compiled.at(0, xi), max_nodes)
     except RegionBudgetExceeded:

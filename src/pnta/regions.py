@@ -25,7 +25,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .core import And, Atom, Automaton, Guard, Not, Transition, TrueGuard, atoms
 from .errors import Infeasible, PreconditionViolated, RegionBudgetExceeded, UnboundSymbol
@@ -105,19 +105,20 @@ def immediate_successor(r: Region) -> Optional[Region]:
     return Region(r.m, r.above, new_floors, frozenset(last), r.order[:-1])
 
 
+def _delay_fan(r: Region) -> Iterator[Region]:
+    """Yield every region reachable by some delta > 0, in chain order."""
+    cur = r if is_time_open(r) else immediate_successor(r)
+    while cur is not None:
+        yield cur
+        cur = immediate_successor(cur)
+
+
 def positive_delay_successors(r: Region) -> tuple[Region, ...]:
     """Every region reachable by some delta > 0, in chain order.
 
     Includes r itself exactly when r is time-open.
     """
-    out: list[Region] = []
-    if is_time_open(r):
-        out.append(r)
-    cur = immediate_successor(r)
-    while cur is not None:
-        out.append(cur)
-        cur = immediate_successor(cur)
-    return tuple(out)
+    return tuple(_delay_fan(r))
 
 
 def region_sat(r: Region, g: Guard) -> bool:
@@ -260,10 +261,12 @@ def build_region_automaton(
         q, reg = nodes[i]
         out: list[tuple[int, int]] = []
         seen_out: set[tuple[int, int]] = set()
-        fires = positive_delay_successors(reg) if q in by_source else ()
-        fanned += len(fires)
-        if len(nodes) + fanned > max_nodes:
-            raise RegionBudgetExceeded(max_nodes)
+        fires = []
+        for fire in _delay_fan(reg) if q in by_source else ():
+            fanned += 1  # counted as it is built: a fan may have about 2m regions
+            if len(nodes) + fanned > max_nodes:
+                raise RegionBudgetExceeded(max_nodes)
+            fires.append(fire)
         for t_idx, t in by_source.get(q, ()):
             for fire in fires:
                 if not region_sat(fire, t.guard):

@@ -9,9 +9,11 @@ that, zone counts do not).  Verdict agreement between the two engines is
 fuzz-checked in the test suite.
 
 Bounds are encoded as integers 2v+1 for "<= v" and 2v for "< v", with a
-large sentinel for infinity.  A DBM over n - 1 clocks is one flat list of
-n * n bounds, row by row, d[i * n + j] bounding clock i minus clock j, so
-one slice copies it; row/column 0 is the constant zero clock.  Strict
+large sentinel INF for infinity; `Compiled.at` refuses a value whose
+scaled constants could make a bound or a closure sum reach it.  A DBM
+over n - 1 clocks is one flat list of n * n bounds, row by row,
+d[i * n + j] bounding clock i minus clock j, so one slice copies it;
+row/column 0 is the constant zero clock.  Strict
 monotonicity of timestamps is realized by a delay operation that makes
 every lower bound strict; the initial node alone uses the non-strict
 delay so that the first event of a word may happen at time 0.
@@ -32,10 +34,12 @@ m, which only the region projection uses.
 A check compiles its automaton once, `compile_automaton`: clock
 indices, and each guard's `_dnf` disjuncts as templates of the bounds
 `_tighten` adds, with constants as integers over their common
-denominator and the parameter as a slot on the side it bounds.
-`Compiled.at(mu)` gives the `Scaled` form at one value: each bound by
-one integer multiply-add, with mu times the scale factor in both slots,
-the caps, the scale factor and the region bound m.  `Compiled.at(lo, hi)`
+denominator and the parameter as a slot on the side it bounds; the
+checks of `parametric` keep it on the automaton, so a later check of the
+same automaton starts from `Compiled.at`.  `Compiled.at(mu)` gives the
+`Scaled` form at one value: each bound by one integer multiply-add, with
+mu times the scale factor in both slots, the caps, the scale factor and
+the region bound m.  `Compiled.at(lo, hi)`
 gives the automaton relaxed to the interval [lo, hi] the same way, with
 lo in the slot of the parameter's lower bounds and hi in that of its
 upper bounds: each literal becomes its hull over the interval, so the
@@ -82,7 +86,7 @@ from .regions import (
     region_at,
 )
 
-INF = 1 << 40
+INF = 1 << 62
 Step = tuple[int, int]  # (transition index, index of the guard disjunct in _dnf)
 
 
@@ -258,6 +262,7 @@ class Compiled:
     top: int  # the largest constant times denom
     n_params: int
     has_param: bool  # some guard compares against the parameter
+    n_states: int  # sizes the candidate list
 
     def at(self, lo, hi=None) -> Scaled:
         """The automaton at parameter value lo, or relaxed to [lo, hi] when hi is given.
@@ -295,6 +300,10 @@ class Compiled:
         m = max(2 * self.c * d, self.top * k)
         if lo is not None:
             m = max(m, -(-hi.numerator * d // hi.denominator))  # ceil(hi * d)
+        if 2 * (len(self.clocks) + 1) * (m + 1) >= INF:  # a closure sum could pass for INF
+            at = "" if lo is None else f" at mu = {lo}" if hi is lo else f" over [{lo}, {hi}]"
+            raise PreconditionViolated(
+                f"constants scaled by {d} reach {m}{at}, beyond the zone engine's range")
         scale = (k, low, high)
         edges = tuple([
             (source, target, letter, resets,
@@ -341,7 +350,7 @@ def compile_automaton(a: Automaton) -> Compiled:
     c = max([1] + [int(v) for v in consts if v.denominator == 1])
     top = int(max(consts) * denom) if consts else 0
     return Compiled(a.initial, a.accepting, clocks, tuple(ts), tuple(zip(tops, compared)),
-                    denom, c, top, len(a.params), len(consts) < len(bounds))
+                    denom, c, top, len(a.params), len(consts) < len(bounds), len(a.states))
 
 
 def _zone_graph(s: Scaled):

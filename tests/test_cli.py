@@ -473,6 +473,25 @@ def test_regions_budget_counts_each_delay_fan(data_dir, capsys):
     assert time.perf_counter() - t0 < 30
 
 
+def test_regions_budget_stops_a_delay_fan_while_it_is_built(data_dir, capsys):
+    """At mu = 10**13 the first fan has about 2 * 10**13 regions; the budget stops it at 1,000."""
+    t0 = time.perf_counter()
+    code, out, err = _run(capsys, "regions", str(data_dir / "e_window.ta"),
+                          "--mu", "10000000000000", "--max-regions", "1000")
+    assert (code, out) == (3, "")
+    assert err == "budget exceeded: region node budget exceeded (1000 nodes)\n"
+    assert time.perf_counter() - t0 < 2
+
+
+@pytest.mark.parametrize("mu, code", [("1/800000008", 0), ("1/10000000000000000", 2)])
+def test_check_of_large_scaled_bounds_is_right_or_refused(data_dir, capsys, mu, code):
+    """Empty at every mu, never a traceback: a value beyond the zone engine's range is refused."""
+    got, out, err = _run(capsys, "check", str(data_dir / "inf_overflow.ta"), "--mu", mu, "--witness")
+    assert got == code
+    assert out.startswith("Empty") if code == 0 else err.startswith(
+        f"error: constants scaled by {mu[2:]} reach ")
+
+
 def test_gen_round_trips(capsys):
     from pnta import gen_lpk, parse_automaton
 

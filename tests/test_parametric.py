@@ -508,3 +508,91 @@ def test_workers_have_at_most_one_check_each_in_flight(data_dir, monkeypatch):
     submitted.clear()
     v = parametric_emptiness(parse_automaton((data_dir / "relax_empty.ta").read_text()), jobs=2)
     assert v.relaxed is not None and submitted == []
+
+
+def test_an_automaton_is_compiled_once_for_all_its_checks(data_dir, monkeypatch):
+    """Checks at many values and a sweep compile one automaton once; each check scales anew.
+
+    The one-clock input tests and resets its clock, so the compiled form
+    is that of its translation.
+    """
+    from pnta import parametric
+    from pnta.zones import Compiled
+
+    compiled, scaled_at = [], []
+    compile_once = parametric.compile_automaton
+    monkeypatch.setattr(parametric, "compile_automaton",
+                        lambda b: compiled.append(b) or compile_once(b))
+    at = Compiled.at
+    monkeypatch.setattr(Compiled, "at",
+                        lambda self, *bounds: scaled_at.append(bounds) or at(self, *bounds))
+    one_clock = parse_automaton(
+        "automaton tr\nclocks x\nparams mu\ninit q0\naccept q1\n"
+        "trans q0 q1 a ( x = mu ) { x }\n"
+        "trans q1 q1 b ( x = 1 ) { x }\n"
+    )
+    for a in (one_clock, parse_automaton((data_dir / "e_window.ta").read_text())):
+        compiled.clear()
+        scaled_at.clear()
+        mus = [Fraction(1, 3), Fraction(41, 40), Fraction(1, 3), Fraction(7, 2)]
+        verdicts = [emptiness_fixed(a, mu) for mu in mus]
+        assert verdicts[0] == verdicts[2]
+        # nothing per value is kept: every check scales the compiled form again
+        assert scaled_at == [(mu,) for mu in mus]
+        v = parametric_emptiness(a)
+        relaxed = v.candidates_checked > 1  # the check relaxed to [0, Xi] after an Empty 0
+        assert v.nonempty and len(scaled_at) == len(mus) + v.candidates_checked + relaxed
+        assert compiled == [_searched(a)]
+        assert len(compiled[0].clocks) == (2 if a is one_clock else 1)  # translated or not
+
+
+def test_a_checked_automaton_equals_a_fresh_parse(data_dir):
+    """The kept compiled form is no field: equality, hash, repr and pickling ignore it."""
+    import pickle
+
+    for name in ("e_window", "w10y", "relax_empty"):
+        text = (data_dir / f"{name}.ta").read_text()
+        a = parse_automaton(text)
+        emptiness_fixed(a, Fraction(1, 3))
+        parametric_emptiness(a, 20000)
+        fresh = parse_automaton(text)
+        assert a == fresh and hash(a) == hash(fresh) and repr(a) == repr(fresh)
+        assert pickle.loads(pickle.dumps(a)) == fresh
+        assert parametric_emptiness(pickle.loads(pickle.dumps(a)), 20000) == parametric_emptiness(
+            fresh, 20000)
+
+
+def test_a_warm_automaton_decides_the_zone_grid_pool_as_a_fresh_one():
+    """Every criterion 07 value per gap: one automaton checked at all of them, or one per check."""
+    rng = random.Random(707)
+    pairs = 0
+    for a in two_clock_population():
+        for n in range(4 * candidate_parameters(a).c):
+            for _ in range(3):
+                den = rng.choice((3, 4, 5, 6, 7))
+                mu = Fraction(n, 2) + Fraction(rng.randrange(1, den), den) / 2
+                warm = emptiness_fixed(a, mu, include_lasso=False)
+                fresh = emptiness_fixed(replace(a), mu, include_lasso=False)
+                assert (warm.nonempty, warm.zone_nodes) == (fresh.nonempty, fresh.zone_nodes)
+                pairs += 1
+    assert pairs == 3420
+
+
+def test_no_value_gets_a_nonempty_verdict_from_a_bound_beyond_the_sentinel(data_dir):
+    """inf_overflow.ta is Empty at every mu; at 1/800000008 its scaled bounds are about 8e12.
+
+    A bound at or above the zone engine's INF would read as no bound, so
+    Compiled.at refuses a value whose closure sums could reach it.
+    """
+    a = parse_automaton((data_dir / "inf_overflow.ta").read_text())
+    assert not parametric_emptiness(a).nonempty
+    mus = [Fraction(1, 800000008), Fraction(1, 10 ** 12), Fraction(1, 10 ** 16), 10 ** 18,
+           *candidate_parameters(a).values[::997]]
+    refused = []
+    for mu in mus:
+        try:
+            assert not emptiness_fixed(a, mu).nonempty
+        except PreconditionViolated as exc:
+            assert "beyond the zone engine's range" in str(exc) and f"mu = {mu}" in str(exc)
+            refused.append(mu)
+    assert refused == [Fraction(1, 10 ** 16), 10 ** 18]

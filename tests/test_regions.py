@@ -182,6 +182,21 @@ def test_region_budget_raises():
         find_lasso(scaled, m, max_nodes=2)
 
 
+def test_region_budget_is_the_nodes_plus_every_fan():
+    """A graph whose nodes and delay fans fill the budget exactly is built; one less stops it."""
+    rng = random.Random(2323)
+    for _ in range(40):
+        a = rand_nrtta(rng, cmax=2)
+        scaled, m = _fixed(a, None)
+        ra = build_region_automaton(scaled, m)
+        sources = {t.source for t in scaled.transitions}
+        need = len(ra.nodes) + sum(len(positive_delay_successors(r))
+                                   for q, r in ra.nodes if q in sources)
+        assert build_region_automaton(scaled, m, max_nodes=need) == ra
+        with pytest.raises(RegionBudgetExceeded):
+            build_region_automaton(scaled, m, max_nodes=need - 1)
+
+
 def test_region_searches_keep_no_module_level_memo():
     """The region step functions memoize nothing, so no search leaves state in the module."""
     import pnta.regions
