@@ -99,7 +99,7 @@ def cmd_check(args) -> int:
     if args.mu is not None:
         verdict = emptiness_fixed(a, args.mu, args.max_regions)
     else:
-        verdict = parametric_emptiness(a, args.max_regions, args.jobs)
+        verdict = parametric_emptiness(a, args.max_regions)
     wall_ms = round((time.perf_counter() - t0) * 1000)
 
     word = None
@@ -158,6 +158,8 @@ def cmd_simulate(args) -> int:
     if a.params:
         if args.mu is None:
             raise PreconditionViolated("--mu required for a parametric automaton")
+        if args.mu < 0:
+            raise PreconditionViolated(f"parameter value must be nonnegative, got {args.mu}")
         interp = {p: args.mu for p in a.params}
     elif args.mu is not None:
         raise PreconditionViolated("--mu given but the automaton has no parameter")
@@ -271,7 +273,6 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--witness", action="store_true", help="also print a concrete timed word")
     c.add_argument("--json", action="store_true", help="machine-readable report")
     c.add_argument("--max-regions", type=_positive_int, default=DEFAULT_REGION_BUDGET)
-    c.add_argument("--jobs", type=int, default=1, help="parallel candidate checks")
     c.add_argument("--unrollings", type=_positive_int, default=1)
     c.set_defaults(fn=cmd_check)
 

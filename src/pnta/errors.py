@@ -48,9 +48,6 @@ class RegionBudgetExceeded(PntaError):
         self.limit = limit
         super().__init__(f"region node budget exceeded ({limit} nodes)")
 
-    def __reduce__(self):  # rebuilt from the limit when sent back by a worker process
-        return type(self), (self.limit,)
-
 
 class NotOneParameter(PntaError):
     """Candidate enumeration needs exactly one parameter."""

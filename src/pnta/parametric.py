@@ -20,13 +20,8 @@ the exact checks go on from the second candidate.
 
 from __future__ import annotations
 
-import os
-from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import partial
-from itertools import islice
 from typing import Optional, Union
 
 from .core import Atom, Automaton, Transition, is_nrtta, map_atoms, max_constant
@@ -266,22 +261,7 @@ def emptiness_fixed(
     return _with_region_lasso(_decide(_compiled(a), mu, max_nodes, include_lasso))
 
 
-def clamp_jobs(jobs: int, n_candidates: int) -> int:
-    """Worker processes for a sweep: jobs clamped to [1, min(cpu count, candidates)]."""
-    return 1 if jobs <= 1 else min(jobs, os.cpu_count() or 1, n_candidates)
-
-
-def _in_order(pool: ProcessPoolExecutor, fn, values, workers: int):
-    """fn of each value, computed in the pool and yielded in order, at most workers in flight."""
-    flight = deque(pool.submit(fn, v) for v in islice(values, workers))
-    while flight:
-        yield flight.popleft().result()
-        flight.extend(pool.submit(fn, v) for v in islice(values, 1))
-
-
-def parametric_emptiness(
-    a: Automaton, max_nodes: int = DEFAULT_REGION_BUDGET, jobs: int = 1
-) -> Verdict:
+def parametric_emptiness(a: Automaton, max_nodes: int = DEFAULT_REGION_BUDGET) -> Verdict:
     """Does any real parameter value give the automaton a nonempty language?
 
     Compiles the searched automaton once, or reads the compiled form an
@@ -292,13 +272,12 @@ def parametric_emptiness(
     check of the automaton relaxed to [0, Xi] comes next; if it is Empty
     the verdict is Empty, and says so in `relaxed`.  Its nodes count in
     zone_nodes but it is not a candidate, and one that exceeds max_nodes
-    settles nothing.  With jobs > 1 the checks after it run in worker
-    processes, which receive the compiled form, at most one per worker at
-    a time, but the verdict and its counts are the same.  One-clock
-    automata that test and reset the same clock are translated first;
-    two-clock automata that do so are rejected, as are automata with more
-    than two clocks or more than one parameter.  A parameter-free
-    automaton is decided as by emptiness_fixed, with any number of clocks.
+    settles nothing.  Candidates are generated and checked one at a time,
+    so the sweep stops at the first nonempty one.  One-clock automata that
+    test and reset the same clock are translated first; two-clock automata
+    that do so are rejected, as are automata with more than two clocks or
+    more than one parameter.  A parameter-free automaton is decided as by
+    emptiness_fixed, with any number of clocks.
     """
     if not a.params:
         return emptiness_fixed(a, None, max_nodes)
@@ -312,8 +291,7 @@ def parametric_emptiness(
     if len(compiled.clocks) > 2:
         raise UnsupportedAutomaton(f"at most two clocks supported, got {len(compiled.clocks)}")
     values = (cand.value for cand in _candidates(compiled.c, compiled.n_states))
-    check = partial(_decide, compiled, max_nodes=max_nodes)
-    v = check(next(values))
+    v = _decide(compiled, next(values), max_nodes)
     if v.nonempty:
         return _with_region_lasso(v)
     xi = Fraction(_xi(compiled.c, compiled.n_states))
@@ -324,19 +302,13 @@ def parametric_emptiness(
     checked, total_nodes = 1, v.zone_nodes + nodes
     if not nonempty:
         return Verdict(False, None, None, 1, 0, checked, total_nodes, relaxed=(Fraction(0), xi))
-    workers = clamp_jobs(jobs, 8 * compiled.c + 1)
-    pool = ProcessPoolExecutor(workers) if workers > 1 else None
-    try:
-        verdicts = map(check, values) if pool is None else _in_order(pool, check, values, workers)
-        for v in verdicts:
-            checked += 1
-            total_nodes += v.zone_nodes
-            if v.nonempty:
-                v = _with_region_lasso(v)
-                return replace(v, candidates_checked=checked, zone_nodes=total_nodes)
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+    for mu in values:
+        v = _decide(compiled, mu, max_nodes)
+        checked += 1
+        total_nodes += v.zone_nodes
+        if v.nonempty:
+            v = _with_region_lasso(v)
+            return replace(v, candidates_checked=checked, zone_nodes=total_nodes)
     return Verdict(False, None, None, 1, 0, checked, total_nodes)
 
 

@@ -22,7 +22,6 @@ of a word may additionally happen at time 0.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
@@ -254,11 +253,8 @@ def build_region_automaton(
     nodes: list[RANode] = [initial]
     index: dict[RANode, int] = {initial: 0}
     edges: list[tuple[tuple[int, int], ...]] = []
-    queue = deque([0])
     fanned = 0
-    while queue:
-        i = queue.popleft()
-        q, reg = nodes[i]
+    for q, reg in nodes:  # breadth-first: each new node is appended, then visited in turn
         out: list[tuple[int, int]] = []
         seen_out: set[tuple[int, int]] = set()
         fires = []
@@ -279,7 +275,6 @@ def build_region_automaton(
                     j = len(nodes)
                     index[target] = j
                     nodes.append(target)
-                    queue.append(j)
                 if (t_idx, j) not in seen_out:
                     seen_out.add((t_idx, j))
                     out.append((t_idx, j))
@@ -298,9 +293,8 @@ def _cycle_through(af, successors, within) -> Optional[list]:
     Breadth-first from af; None if there is no such path.
     """
     pred: dict = {af: None}
-    q: deque = deque([af])
-    while q:
-        n = q.popleft()
+    queue = [af]
+    for n in queue:  # a list visited as it grows is a FIFO queue
         for label, child in successors(n):
             if child == af:
                 pairs = [(label, af)]
@@ -312,7 +306,7 @@ def _cycle_through(af, successors, within) -> Optional[list]:
                 return pairs
             if child not in pred and child in within:
                 pred[child] = (n, label)
-                q.append(child)
+                queue.append(child)
     return None
 
 
@@ -405,9 +399,8 @@ def _lasso_at(root, successors: Callable, is_accepting: Callable, found) -> tupl
     members, discovered = found
     within = set(members)
     parent: dict = {root: (None, None)}
-    queue = deque([root])
-    while queue:
-        node = queue.popleft()
+    queue = [root]
+    for node in queue:  # a list visited as it grows is a FIFO queue
         if node in within and is_accepting(node):
             return _stem_to(node, parent), _cycle_through(node, successors, within)
         for label, child in successors(node):

@@ -249,7 +249,7 @@ class Compiled:
     and 2 as an upper bound; w is True (1) for a weak bound.  tops holds,
     per DBM index, the largest constant times denom that a literal
     compares the clock with and whether one compares it with the
-    parameter.  Plain data, so it crosses a process pool.
+    parameter.
     """
 
     initial: str

@@ -129,31 +129,26 @@ def test_check_empty_instances(data_dir, capsys):
         assert out.startswith("Empty")
 
 
-def test_check_parallel_jobs_same_verdict(data_dir, capsys):
-    code, out, _ = _run(capsys, "check", str(data_dir / "e_window.ta"), "--jobs", "2")
+def test_check_has_no_jobs_option(data_dir, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", str(data_dir / "e_window.ta"), "--jobs", "2"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --jobs 2" in err and "Traceback" not in err
+
+
+def test_check_json_counts_candidates(data_dir, capsys):
+    code, out, _ = _run(capsys, "check", str(data_dir / "e_window.ta"), "--json")
     assert code == 10
-    assert "41/40" in out
+    report = json.loads(out)
+    assert report["witness_mu"] == "41/40"
+    assert report["candidates_checked"] == 6
 
 
-def test_check_jobs_do_not_change_counts(data_dir, capsys):
-    reports = []
-    for jobs in ("1", "2"):
-        code, out, _ = _run(capsys, "check", str(data_dir / "e_window.ta"), "--json",
-                            "--jobs", jobs)
-        assert code == 10
-        reports.append(json.loads(out))
-    serial, parallel = reports
-    assert parallel["witness_mu"] == serial["witness_mu"] == "41/40"
-    assert parallel["candidates_checked"] == serial["candidates_checked"] == 6
-    assert parallel["zone_nodes"] == serial["zone_nodes"]
-
-
-def test_check_budget_stop_same_with_jobs(data_dir, capsys):
-    for jobs in ("1", "2"):
-        code, _, err = _run(capsys, "check", str(data_dir / "e_window.ta"),
-                            "--max-regions", "1", "--jobs", jobs)
-        assert code == 3
-        assert err == "budget exceeded: region node budget exceeded (1 nodes)\n"
+def test_check_budget_stop_message(data_dir, capsys):
+    code, _, err = _run(capsys, "check", str(data_dir / "e_window.ta"), "--max-regions", "1")
+    assert code == 3
+    assert err == "budget exceeded: region node budget exceeded (1 nodes)\n"
 
 
 TEST_AND_RESET = (
@@ -248,6 +243,23 @@ def test_an_undecodable_file_is_named_in_the_error(data_dir, tmp_path, capsys, a
     code, _, err = _run(capsys, *(arg.format(**paths) for arg in argv))
     assert code == 2
     assert err.startswith(f"error: cannot read {binary}: ") and "Traceback" not in err
+
+
+NEGATIVE_MU = "automaton neg\nclocks x\nparams mu\ninit q0\naccept q1\ntrans q0 q1 a ( x > mu ) { }\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "{ta}", "--mu", "-1"),
+    ("regions", "{ta}", "--mu", "-1"),
+    ("simulate", "{ta}", "--word", "{word}", "--mu", "-1"),
+], ids=["check", "regions", "simulate"])
+def test_a_negative_parameter_value_is_refused(tmp_path, capsys, argv):
+    ta, word = tmp_path / "neg.ta", tmp_path / "neg.tw"
+    ta.write_text(NEGATIVE_MU)
+    word.write_text("a 0\n")  # accepted at mu = -1: x = 0 > -1
+    code, out, err = _run(capsys, *(arg.format(ta=ta, word=word) for arg in argv))
+    assert (code, out) == (2, "")
+    assert err == "error: parameter value must be nonnegative, got -1\n"
 
 
 def test_main_calls_share_no_parsed_state(data_dir, capsys):
@@ -516,6 +528,17 @@ def test_check_closed_stdout_has_no_traceback(data_dir):
     _, err = proc.communicate(timeout=60)
     assert proc.returncode == 2
     assert "Traceback" not in err and "BrokenPipeError" not in err
+
+
+def test_the_cli_imports_no_process_machinery():
+    """Start-up stays light: importing the front end loads no process-pool modules."""
+    probe = ("import sys, pnta.cli; "
+             "print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_console_script_entry_point(data_dir):

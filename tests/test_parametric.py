@@ -1,11 +1,9 @@
 """Candidate enumeration, instantiation, scaling, and the decision sweep."""
 
 import math
-import os
 import random
 from dataclasses import replace
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -38,7 +36,6 @@ from pnta.parametric import (
     LARGE_REP,
     _candidates,
     _searched,
-    clamp_jobs,
 )
 from pnta.zones import Scaled, _bnd, _dnf, compile_automaton
 from randgen import (
@@ -205,15 +202,6 @@ def test_parametric_auto_translates_one_clock():
     )
     v = parametric_emptiness(a)
     assert v.nonempty
-
-
-def test_clamp_jobs_bounds():
-    cpus = os.cpu_count() or 1
-    assert clamp_jobs(0, 10) == 1
-    assert clamp_jobs(-3, 10) == 1
-    assert clamp_jobs(10**6, 10) == min(cpus, 10)
-    assert clamp_jobs(10**6, 1) == 1
-    assert clamp_jobs(2, 10) == min(cpus, 2)
 
 
 def test_witness_word_replays(window, data_dir):
@@ -462,52 +450,29 @@ def test_the_sweep_scales_the_automaton_only_for_its_winner(data_dir, monkeypatc
     assert built == []
 
 
-@pytest.mark.parametrize("name", ["e_empty", "e_param_contra", "e_window", "w10y", "relax_empty"])
-def test_sweep_with_workers_equals_serial_sweep(data_dir, name):
-    a = parse_automaton((data_dir / f"{name}.ta").read_text())
-    assert parametric_emptiness(a, 20000, jobs=2) == parametric_emptiness(a, 20000, jobs=1)
+def test_the_sweep_checks_candidates_lazily(data_dir, monkeypatch):
+    """With 40,002 candidates and a witness at the second, the sweep checks two."""
+    from pnta.zones import Compiled
 
-
-def test_workers_have_at_most_one_check_each_in_flight(data_dir, monkeypatch):
-    """With 40,002 candidates and a witness at the second, two workers get two checks."""
-    from pnta import parametric
-
-    submitted = []
-
-    class CountingPool:
-        """A stand-in for ProcessPoolExecutor: counts submitted checks, runs each when read."""
-
-        def __init__(self, workers):
-            pass
-
-        def submit(self, fn, *args):
-            submitted.append(args)
-            return SimpleNamespace(result=lambda timeout=None: fn(*args))
-
-        def map(self, fn, values):  # as Executor.map: submits every value before reading one
-            futures = [self.submit(fn, v) for v in values]
-            return (f.result() for f in futures)
-
-        def shutdown(self, wait=True, cancel_futures=False):
-            pass
-
+    scaled_at = []
+    at = Compiled.at
+    monkeypatch.setattr(Compiled, "at",
+                        lambda self, *bounds: scaled_at.append(bounds) or at(self, *bounds))
     a = parse_automaton(
         "automaton pingpong\nclocks x y\nparams mu\ninit q0\naccept q1\n"
         "trans q0 q0 a ( x < 5000 ) { }\n"
         "trans q0 q1 b ( y = mu ) { x }\n"
         "trans q1 q0 b ( x = mu ) { y }\n"
     )
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    monkeypatch.setattr(parametric, "ProcessPoolExecutor", CountingPool)
-    v = parametric_emptiness(a, 20000, jobs=2)
-    assert len(candidate_parameters(a).candidates) == 40002
+    v = parametric_emptiness(a, 20000)
+    cands = candidate_parameters(a)
+    assert len(cands.candidates) == 40002
     assert v.nonempty and v.candidates_checked == 2
-    assert len(submitted) == 2
-    assert v == parametric_emptiness(a, 20000, jobs=1)
-    # a sweep the relaxed check settles starts no pool
-    submitted.clear()
-    v = parametric_emptiness(parse_automaton((data_dir / "relax_empty.ta").read_text()), jobs=2)
-    assert v.relaxed is not None and submitted == []
+    # the first candidate, the check relaxed to [0, Xi], the second candidate
+    assert scaled_at == [(cands.values[0],), (0, cands.xi), (cands.values[1],)]
+    # a sweep the relaxed check settles checks one candidate
+    v = parametric_emptiness(parse_automaton((data_dir / "relax_empty.ta").read_text()))
+    assert v.relaxed is not None and v.candidates_checked == 1
 
 
 def test_an_automaton_is_compiled_once_for_all_its_checks(data_dir, monkeypatch):
