@@ -80,8 +80,6 @@ class Verdict:
     nonempty: bool
     witness_mu: Optional[Fraction]
     lasso: Optional[SymbolicLasso]
-    scaled_by: int
-    m: int
     candidates_checked: int
     zone_nodes: int
     zone_lasso: Optional[ZoneLasso] = None
@@ -185,15 +183,13 @@ def prepare_fixed(
 ) -> tuple[Automaton, int, int]:
     """(scaled parameter-free automaton, region bound M, scale factor d).
 
-    d and M are those of `Compiled.at`: d is the lcm of the constant
-    denominators after instantiation, so the scaled automaton has
-    natural-number constants; M majorizes twice the original maximum
-    constant, the parameter value, and every scaled constant, all in the
-    scaled time unit.  The region engine reads this automaton; a check
-    reads only the compiled form.
+    d and M are those of `Compiled.scaling`, so the scaled automaton has
+    natural-number constants.  The region engine reads this automaton and
+    keeps no sentinel, so the zone engine's range check in `Compiled.at`
+    does not apply; a check reads only the compiled form.
     """
-    s = compile_automaton(a).at(mu)
-    return scale_constants(instantiate(a, mu) if a.params else a, s.d), s.m, s.d
+    d, m, _, _ = compile_automaton(a).scaling(mu)
+    return scale_constants(instantiate(a, mu) if a.params else a, d), m, d
 
 
 def _searched(a: Automaton) -> Automaton:
@@ -221,7 +217,7 @@ def _compiled(a: Automaton) -> Compiled:
 def _decide(
     compiled: Compiled, mu: Optional[Rational], max_nodes: int, include_lasso: bool = True
 ) -> Verdict:
-    """emptiness_fixed on the compiled searched automaton, without the region lasso."""
+    """emptiness_fixed on the compiled searched automaton."""
     s = compiled.at(mu)
     if include_lasso:
         zl, explored = zone_lasso(s, max_nodes)
@@ -230,15 +226,9 @@ def _decide(
         zl = None
         nonempty, explored = zone_nonempty(s, max_nodes)
     witness = Fraction(mu) if (nonempty and compiled.n_params) else None
-    return Verdict(nonempty, witness, None, s.d, s.m, 1, explored, zl,
-                   s if zl is not None else None)
-
-
-def _with_region_lasso(v: Verdict) -> Verdict:
-    """v with the region lasso of its zone lasso, if it has one."""
-    if v.zone_lasso is None:
-        return v
-    return replace(v, lasso=region_lasso(v.scaled, v.zone_lasso))
+    if zl is None:
+        return Verdict(nonempty, witness, None, 1, explored)
+    return Verdict(True, witness, region_lasso(s, zl), 1, explored, zl, s)
 
 
 def emptiness_fixed(
@@ -258,7 +248,7 @@ def emptiness_fixed(
     an automaton compiles it and keeps the compiled form on it, so a
     check at one more value scales, searches and builds lassos only.
     """
-    return _with_region_lasso(_decide(_compiled(a), mu, max_nodes, include_lasso))
+    return _decide(_compiled(a), mu, max_nodes, include_lasso)
 
 
 def parametric_emptiness(a: Automaton, max_nodes: int = DEFAULT_REGION_BUDGET) -> Verdict:
@@ -290,26 +280,22 @@ def parametric_emptiness(a: Automaton, max_nodes: int = DEFAULT_REGION_BUDGET) -
     compiled = _compiled(a)
     if len(compiled.clocks) > 2:
         raise UnsupportedAutomaton(f"at most two clocks supported, got {len(compiled.clocks)}")
-    values = (cand.value for cand in _candidates(compiled.c, compiled.n_states))
-    v = _decide(compiled, next(values), max_nodes)
-    if v.nonempty:
-        return _with_region_lasso(v)
     xi = Fraction(_xi(compiled.c, compiled.n_states))
-    try:
-        nonempty, nodes = zone_nonempty(compiled.at(0, xi), max_nodes)
-    except RegionBudgetExceeded:
-        nonempty, nodes = True, 0  # settles nothing
-    checked, total_nodes = 1, v.zone_nodes + nodes
-    if not nonempty:
-        return Verdict(False, None, None, 1, 0, checked, total_nodes, relaxed=(Fraction(0), xi))
-    for mu in values:
-        v = _decide(compiled, mu, max_nodes)
-        checked += 1
-        total_nodes += v.zone_nodes
+    nodes = 0
+    for checked, cand in enumerate(_candidates(compiled.c, compiled.n_states), 1):
+        v = _decide(compiled, cand.value, max_nodes)
+        nodes += v.zone_nodes
         if v.nonempty:
-            v = _with_region_lasso(v)
-            return replace(v, candidates_checked=checked, zone_nodes=total_nodes)
-    return Verdict(False, None, None, 1, 0, checked, total_nodes)
+            return replace(v, candidates_checked=checked, zone_nodes=nodes)
+        if checked == 1:
+            try:
+                relaxed_nonempty, relaxed_nodes = zone_nonempty(compiled.at(0, xi), max_nodes)
+            except RegionBudgetExceeded:
+                relaxed_nonempty, relaxed_nodes = True, 0  # settles nothing
+            nodes += relaxed_nodes
+            if not relaxed_nonempty:
+                return Verdict(False, None, None, checked, nodes, relaxed=(Fraction(0), xi))
+    return Verdict(False, None, None, checked, nodes)
 
 
 def witness_word(a: Automaton, verdict: Verdict, unrollings: int = 1) -> TimedWord:

@@ -287,40 +287,30 @@ def build_region_automaton(
 # Generic early-exit lasso search (on-the-fly SCCs, iterative)
 
 
-def _cycle_through(af, successors, within) -> Optional[list]:
-    """A shortest edge path af -> ... -> af through the nodes of within, as (label, node) pairs.
+def _shortest_path(start, successors, allowed, is_goal) -> Optional[list]:
+    """A shortest path of one or more edges from start to a goal, as (label, node) pairs.
 
-    Breadth-first from af; None if there is no such path.
+    Breadth-first from start, it tests is_goal on the head of each edge as
+    it reads the edge, so it stops inside a successor list and start ends
+    a path only by closing a cycle.  It goes on only from start and from
+    nodes in allowed; None if no goal is reachable that way.
     """
-    pred: dict = {af: None}
-    queue = [af]
-    for n in queue:  # a list visited as it grows is a FIFO queue
-        for label, child in successors(n):
-            if child == af:
-                pairs = [(label, af)]
-                while n != af:
-                    p, lab = pred[n]
-                    pairs.append((lab, n))
-                    n = p
+    pred: dict = {start: None}
+    queue = [start]
+    for node in queue:  # a list visited as it grows is a FIFO queue
+        for label, child in successors(node):
+            if is_goal(child):
+                pairs = [(label, child)]
+                while node != start:
+                    parent, label = pred[node]
+                    pairs.append((label, node))
+                    node = parent
                 pairs.reverse()
                 return pairs
-            if child not in pred and child in within:
-                pred[child] = (n, label)
+            if child not in pred and child in allowed:
+                pred[child] = (node, label)
                 queue.append(child)
     return None
-
-
-def _stem_to(node, parent: dict) -> list:
-    """The (label, node) path from the root to node along a parent map."""
-    pairs = []
-    while True:
-        p, label = parent[node]
-        if p is None:
-            break
-        pairs.append((label, node))
-        node = p
-    pairs.reverse()
-    return pairs
 
 
 def _search_lasso(
@@ -345,9 +335,9 @@ def _search_lasso(
     successors(node) once per node, when it discovers it, and reads only
     as far as it goes, so that call may return a one-shot iterator that
     builds each successor on demand; a later call for the same node, as
-    `_lasso_at` makes, must return the full list in the same order.  The
-    result depends only on the order of successors.  More than max_nodes
-    discovered nodes raise RegionBudgetExceeded.
+    `_shortest_path` makes for `_lasso_at`, must return the full list in
+    the same order.  The result depends only on the order of successors.
+    More than max_nodes discovered nodes raise RegionBudgetExceeded.
     """
     discovered: set = {root}
     active: list = [root]
@@ -390,24 +380,20 @@ def _search_lasso(
 def _lasso_at(root, successors: Callable, is_accepting: Callable, found) -> tuple[list, list]:
     """(stem_pairs, cycle_pairs) of an accepting lasso in _search_lasso's result.
 
-    Breadth-first from root through the discovered nodes alone, reading
-    each one's full successor list, the stem leads to the
-    nearest accepting member of the component the search closed; the
-    cycle is a shortest one from that node back to it within the
-    component.
+    Two `_shortest_path` calls: the stem from root through the discovered
+    nodes alone to the nearest accepting member of the component the
+    search closed (none when root is one), and the cycle from that node
+    back to itself within the component.
     """
     members, discovered = found
     within = set(members)
-    parent: dict = {root: (None, None)}
-    queue = [root]
-    for node in queue:  # a list visited as it grows is a FIFO queue
-        if node in within and is_accepting(node):
-            return _stem_to(node, parent), _cycle_through(node, successors, within)
-        for label, child in successors(node):
-            if child not in parent and child in discovered:
-                parent[child] = (node, label)
-                queue.append(child)
-    raise AssertionError("no accepting member of the closed component is reachable")
+    if root in within and is_accepting(root):
+        stem, node = [], root
+    else:
+        stem = _shortest_path(root, successors, discovered,
+                              lambda n: n in within and is_accepting(n))
+        node = stem[-1][1]
+    return stem, _shortest_path(node, successors, within, lambda n: n == node)
 
 
 def _assemble_lasso(

@@ -45,8 +45,9 @@ lo in the slot of the parameter's lower bounds and hi in that of its
 upper bounds: each literal becomes its hull over the interval, so the
 relaxed language contains the language at every value inside it.  It is
 the only scaled form a check builds: the zone graph, `earliest_ticks`
-and `region_lasso` read it alone, and `prepare_fixed` takes its scale
-factor and m from it.
+and `region_lasso` read it alone.  `prepare_fixed` takes the scale
+factor and m from `Compiled.scaling`, which `at` calls too, without the
+range check that only the zone engine needs.
 
 The zone graph interns each node once as an integer, so the searches
 hash only integers.  `zone_nonempty` and `zone_lasso` decide with the
@@ -56,9 +57,10 @@ the first accepting cycle it closes, before the component around it is
 complete.  The graph builds a node's successor zones one at a time, as
 the search reads them, so the successors it has not read when it stops
 are never built.  For a nonempty automaton `zone_lasso` takes its lasso from
-the nodes that search discovered, finishing their successor lists
-(`regions._lasso_at`): a breadth-first stem to the nearest accepting
-member of the closed component and a shortest cycle through it there.
+the nodes that search discovered (`regions._lasso_at`), with two calls of
+one breadth-first routine, `regions._shortest_path`: a stem to the
+nearest accepting member of the closed component and a shortest cycle
+through it there.
 Every path of the extrapolated graph is taken by some concrete run
 (Tripakis, ACM TOCL 10(3), 2009), and `earliest_ticks` solves for the
 earliest one: each guard bound x - y <= b along the lasso is a
@@ -264,19 +266,15 @@ class Compiled:
     has_param: bool  # some guard compares against the parameter
     n_states: int  # sizes the candidate list
 
-    def at(self, lo, hi=None) -> Scaled:
-        """The automaton at parameter value lo, or relaxed to [lo, hi] when hi is given.
+    def scaling(self, lo, hi=None) -> tuple[int, int, int, int]:
+        """(d, m, low, high) for parameter value lo, or for [lo, hi] when hi is given.
 
-        lo is None when the automaton has no parameter.  Relaxed, a lower
-        bound on a clock by the parameter reads lo and an upper bound reads
-        hi, so each literal is its hull over the interval and the scaled
-        automaton accepts every word accepted at some value inside it.
-        The scale factor d is the lcm of the constant denominators after
-        lo and hi are filled in, so every scaled constant is an integer.
-        The region bound m majorizes twice the maximum constant, hi and
-        every constant, all scaled.  Each clock's cap is the largest scaled
-        constant it is compared against, hi for the parameter, 0 if no
-        guard tests it.
+        lo is None when the automaton has no parameter.  The scale factor
+        d is the lcm of the constant denominators after lo and hi are
+        filled in, so every scaled constant is an integer; low and high
+        are lo and hi scaled, 0 without a parameter.  The region bound m
+        majorizes twice the maximum constant, hi and every constant, all
+        scaled.
         """
         if lo is None:
             if self.n_params or self.has_param:
@@ -296,14 +294,29 @@ class Compiled:
             high = low if hi is lo else hi.numerator * (d // hi.denominator)
         else:
             d, low, high = self.denom, 0, 0
-        k = d // self.denom
-        m = max(2 * self.c * d, self.top * k)
+        m = max(2 * self.c * d, self.top * (d // self.denom))
         if lo is not None:
             m = max(m, -(-hi.numerator * d // hi.denominator))  # ceil(hi * d)
+        return d, m, low, high
+
+    def at(self, lo, hi=None) -> Scaled:
+        """The automaton at parameter value lo, or relaxed to [lo, hi] when hi is given.
+
+        Relaxed, a lower bound on a clock by the parameter reads lo and an
+        upper bound reads hi, so each literal is its hull over the interval
+        and the scaled automaton accepts every word accepted at some value
+        inside it.  d and m are those of `scaling`, and a value whose
+        scaled sums could reach INF is refused.  Each clock's cap is the
+        largest scaled constant it is compared against, hi for the
+        parameter, 0 if no guard tests it.
+        """
+        d, m, low, high = self.scaling(lo, hi)
         if 2 * (len(self.clocks) + 1) * (m + 1) >= INF:  # a closure sum could pass for INF
-            at = "" if lo is None else f" at mu = {lo}" if hi is lo else f" over [{lo}, {hi}]"
+            at = ("" if lo is None else f" at mu = {Fraction(lo)}" if hi is None
+                  else f" over [{Fraction(lo)}, {Fraction(hi)}]")
             raise PreconditionViolated(
                 f"constants scaled by {d} reach {m}{at}, beyond the zone engine's range")
+        k = d // self.denom
         scale = (k, low, high)
         edges = tuple([
             (source, target, letter, resets,
@@ -445,11 +458,11 @@ def zone_lasso(
     zone_nonempty's search decides, and the node count is its own: the
     nodes discovered until it closed an accepting cycle.  When it finds
     one, `_lasso_at` takes the lasso inside the graph that search built:
-    a breadth-first stem through the discovered nodes to the nearest
-    accepting member of the closed component, and a shortest cycle back
-    to that node within the component.  It finishes the successor lists
-    of discovered nodes but discovers no further one, so neither the
-    lasso nor the count depends on max_nodes once the search stays
+    a shortest stem through the discovered nodes to the nearest accepting
+    member of the closed component, and a shortest cycle back to that
+    node within the component.  It finishes the successor lists of the
+    discovered nodes it walks but discovers no further one, so neither
+    the lasso nor the count depends on max_nodes once the search stays
     within it.
     """
     successors, nodes, memo = _zone_graph(s)

@@ -495,6 +495,20 @@ def test_regions_budget_stops_a_delay_fan_while_it_is_built(data_dir, capsys):
     assert time.perf_counter() - t0 < 2
 
 
+def test_regions_takes_a_value_beyond_the_zone_engines_range(data_dir, capsys):
+    """At mu = 10**19 `regions` stops at its budget; only `check` refuses the value."""
+    path, mu = str(data_dir / "e_window.ta"), "10000000000000000000"
+    t0 = time.perf_counter()
+    code, out, err = _run(capsys, "regions", path, "--mu", mu, "--max-regions", "1000")
+    assert (code, out) == (3, "")
+    assert err == "budget exceeded: region node budget exceeded (1000 nodes)\n"
+    assert time.perf_counter() - t0 < 2
+    code, out, err = _run(capsys, "check", path, "--mu", mu)
+    assert (code, out) == (2, "")
+    assert err == (f"error: constants scaled by 1 reach {mu} at mu = {mu}, "
+                   "beyond the zone engine's range\n")
+
+
 @pytest.mark.parametrize("mu, code", [("1/800000008", 0), ("1/10000000000000000", 2)])
 def test_check_of_large_scaled_bounds_is_right_or_refused(data_dir, capsys, mu, code):
     """Empty at every mu, never a traceback: a value beyond the zone engine's range is refused."""

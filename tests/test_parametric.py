@@ -148,7 +148,7 @@ def test_parametric_sweep_finds_first_candidate(window):
     # 41/40 is the sixth candidate in ascending order
     assert v.candidates_checked == vals.index(v.witness_mu) + 1
     assert v.lasso is not None
-    assert v.scaled_by == 40 and v.m == 80
+    assert v.scaled.d == 40 and v.scaled.m == 80
 
 
 def test_parametric_sweep_empty_cases(data_dir):

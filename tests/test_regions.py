@@ -35,6 +35,7 @@ from pnta import (
 from pnta.regions import (
     _lasso_at,
     _search_lasso,
+    _shortest_path,
     is_time_open,
     positive_delay_successors,
 )
@@ -413,6 +414,45 @@ def test_lasso_at_takes_the_nearest_accepting_member_and_a_shortest_cycle(graph)
     assert len(stem) == min(dist[w] for w in members if w in accepting)
     back = _distances(succ, [v for v in succ[af] if v in members], set(members))
     assert len(cycle) == 1 + back[af]
+
+
+@st.composite
+def _path_problems(draw):
+    """(successor lists, start, allowed, goals) on a random digraph of up to 8 nodes."""
+    succ, _ = draw(_digraphs())
+    nodes = st.integers(0, len(succ) - 1)
+    return succ, draw(nodes), draw(st.sets(nodes)), draw(st.sets(nodes))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_path_problems())
+@example(([[0]], 0, set(), {0}))  # a goal start closes a one-edge cycle
+@example(([[]], 0, {0}, {0}))  # a goal start with no cycle has no path
+@example(([[1], [2], []], 0, {2}, {2}))  # the only way to 2 passes 1, outside allowed
+def test_shortest_path_against_a_brute_force_search(problem):
+    """_shortest_path against walks counted level by level, on cases _lasso_at never reaches.
+
+    Level k holds the heads of the walks of k edges from start that go on
+    only from nodes in allowed; the first level with a goal gives the
+    length of a shortest path, and no level up to the node count having
+    one means there is none.
+    """
+    succ, start, allowed, goals = problem
+    path = _shortest_path(start, _labelled(succ), allowed, goals.__contains__)
+    level, shortest = set(succ[start]), None
+    for k in range(1, len(succ) + 1):
+        if level & goals:
+            shortest = k
+            break
+        level = {v for u in level & allowed for v in succ[u]}
+    if shortest is None:
+        assert path is None
+        return
+    assert len(path) == shortest
+    nodes = [start] + [v for _, v in path]
+    for ((u, k), _), x, y in zip(path, nodes, nodes[1:]):
+        assert u == x and succ[u][k] == y
+    assert nodes[-1] in goals and set(nodes[1:-1]) <= allowed - goals
 
 
 def _check_lasso_shape(lasso, ra):

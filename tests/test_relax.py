@@ -28,7 +28,7 @@ from pnta import (
     witness_word,
 )
 from pnta import parametric
-from pnta.parametric import Verdict, _candidates, _decide, _searched, _with_region_lasso
+from pnta.parametric import Verdict, _candidates, _decide, _searched
 from pnta.zones import compile_automaton, zone_nonempty
 from randgen import one_clock_population, rand_nrtta, two_clock_population
 
@@ -56,8 +56,8 @@ def _exact_sweep(a, max_nodes=20000) -> Verdict:
         checked += 1
         nodes += v.zone_nodes
         if v.nonempty:
-            return replace(_with_region_lasso(v), candidates_checked=checked, zone_nodes=nodes)
-    return Verdict(False, None, None, 1, 0, checked, nodes)
+            return replace(v, candidates_checked=checked, zone_nodes=nodes)
+    return Verdict(False, None, None, checked, nodes)
 
 
 def _relax_guard(g, lo, hi, positive=True):
