@@ -19,7 +19,7 @@ from functools import cache
 from typing import Optional
 
 from .analysis import run_suites
-from .core import Automaton, is_nrtta, parse_rational, validate
+from .core import Automaton, brief, is_nrtta, parse_rational, validate
 from .errors import ParseError, PntaError, PreconditionViolated, RegionBudgetExceeded
 from .parametric import (
     DEFAULT_REGION_BUDGET,
@@ -159,7 +159,7 @@ def cmd_simulate(args) -> int:
         if args.mu is None:
             raise PreconditionViolated("--mu required for a parametric automaton")
         if args.mu < 0:
-            raise PreconditionViolated(f"parameter value must be nonnegative, got {args.mu}")
+            raise PreconditionViolated(f"parameter value must be nonnegative, got {brief(args.mu)}")
         interp = {p: args.mu for p in a.params}
     elif args.mu is not None:
         raise PreconditionViolated("--mu given but the automaton has no parameter")

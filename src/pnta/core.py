@@ -10,6 +10,7 @@ five node kinds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
@@ -28,6 +29,24 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational: {text!r}") from exc
+
+
+def brief(v) -> str:
+    """A rational as text, with each part of more than 40 digits given by its digit count.
+
+    str() of an int with more than 4,300 digits raises, and a message
+    quoting a 100-digit number is unreadable anyway.
+    """
+    parts = []
+    for part in Fraction(v).as_integer_ratio():
+        size = abs(part)
+        if size < 10 ** 40:
+            parts.append(str(part))
+        else:
+            digits = int((size.bit_length() - 1) * math.log10(2)) + 1
+            digits += (size >= 10 ** digits) - (size < 10 ** (digits - 1))  # float rounding
+            parts.append(f"{'-' if part < 0 else ''}<{digits} digits>")
+    return parts[0] if parts[1] == "1" else "/".join(parts)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional, Union
 
-from .core import Atom, Automaton, Transition, is_nrtta, map_atoms, max_constant
+from .core import Atom, Automaton, Transition, brief, is_nrtta, map_atoms, max_constant
 from .errors import (
     NonIntegerAfterScaling,
     NotOneParameter,
@@ -133,7 +133,7 @@ def instantiate(a: Automaton, mu: Rational) -> Automaton:
     """Replace every parameter atom by the rational value mu."""
     mu = Fraction(mu)
     if mu < 0:
-        raise PreconditionViolated(f"parameter value must be nonnegative, got {mu}")
+        raise PreconditionViolated(f"parameter value must be nonnegative, got {brief(mu)}")
     if len(a.params) > 1:
         raise NotOneParameter(f"at most one parameter supported, got {len(a.params)}")
     if not a.params:
@@ -225,7 +225,9 @@ def _decide(
     else:
         zl = None
         nonempty, explored = zone_nonempty(s, max_nodes)
-    witness = Fraction(mu) if (nonempty and compiled.n_params) else None
+    witness = None
+    if nonempty and compiled.n_params:
+        witness = mu if isinstance(mu, Fraction) else Fraction(mu)
     if zl is None:
         return Verdict(nonempty, witness, None, 1, explored)
     return Verdict(True, witness, region_lasso(s, zl), 1, explored, zl, s)
@@ -321,4 +323,4 @@ def witness_word(a: Automaton, verdict: Verdict, unrollings: int = 1) -> TimedWo
     steps = verdict.zone_lasso.stem + verdict.zone_lasso.cycle * unrollings
     ticks, q = earliest_ticks(s, steps)
     unit = q * s.d  # ticks per original time unit
-    return TimedWord.of((s.edges[t][2], Fraction(k, unit)) for (t, _), k in zip(steps, ticks))
+    return TimedWord.of((s.rules[t][2], Fraction(k, unit)) for (t, _), k in zip(steps, ticks))

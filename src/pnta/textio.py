@@ -115,7 +115,10 @@ class _GuardParser:
             raise ParseError(f"expected comparison operator, got {op!r}", self.line)
         rhs = self.take()
         if rhs.isdigit():
-            bound: object = int(rhs)
+            try:
+                bound: object = int(rhs)
+            except ValueError:  # beyond int's digit limit for text
+                raise ParseError(f"constant of {len(rhs)} digits is too long", self.line) from None
         elif rhs in self.params:
             bound = rhs
         else:

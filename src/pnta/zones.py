@@ -36,18 +36,22 @@ indices, and each guard's `_dnf` disjuncts as templates of the bounds
 `_tighten` adds, with constants as integers over their common
 denominator and the parameter as a slot on the side it bounds; the
 checks of `parametric` keep it on the automaton, so a later check of the
-same automaton starts from `Compiled.at`.  `Compiled.at(mu)` gives the
-`Scaled` form at one value: each bound by one integer multiply-add, with
-mu times the scale factor in both slots, the caps, the scale factor and
-the region bound m.  `Compiled.at(lo, hi)`
-gives the automaton relaxed to the interval [lo, hi] the same way, with
-lo in the slot of the parameter's lower bounds and hi in that of its
-upper bounds: each literal becomes its hull over the interval, so the
-relaxed language contains the language at every value inside it.  It is
-the only scaled form a check builds: the zone graph, `earliest_ticks`
-and `region_lasso` read it alone.  `prepare_fixed` takes the scale
-factor and m from `Compiled.scaling`, which `at` calls too, without the
-range check that only the zone engine needs.
+same automaton starts from `Compiled.at`.  The compiled form also groups
+the rules by source state.  `Compiled.at(mu)` gives the `Scaled` form at
+one value, and builds nothing per transition: it shares the compiled
+rules and adds the scale triple (scale factor over denom, mu times the
+scale factor in both slots), the caps, the scale factor and the region
+bound m.  Each bound is one integer multiply-add, evaluated where it is
+read: inline as the zone graph expands a node, and by `Scaled.bounds`
+for the steps of a lasso.  `Compiled.at(lo, hi)` gives the automaton
+relaxed to the interval [lo, hi] the same way, with lo in the slot of
+the parameter's lower bounds and hi in that of its upper bounds: each
+literal becomes its hull over the interval, so the relaxed language
+contains the language at every value inside it.  It is the only scaled
+form a check builds: the zone graph, `earliest_ticks` and `region_lasso`
+read it alone.  `prepare_fixed` takes the scale factor and m from
+`Compiled.scaling`, which `at` calls too, without the range check that
+only the zone engine needs.
 
 The zone graph interns each node once as an integer, so the searches
 hash only integers.  `zone_nonempty` and `zone_lasso` decide with the
@@ -74,11 +78,11 @@ builds one Fraction per event, of the original time unit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .core import And, Atom, Automaton, Bound, Guard, Not, TrueGuard
+from .core import And, Atom, Automaton, Bound, Guard, Not, TrueGuard, brief
 from .errors import NotOneParameter, PreconditionViolated
 from .regions import (
     DEFAULT_REGION_BUDGET,
@@ -217,8 +221,6 @@ def _dnf(
 Template = tuple[int, int, int, int, bool]
 # (source, target, letter, reset indices, the guard's disjuncts as (Step, templates))
 Rule = tuple[str, str, str, tuple[int, ...], tuple[tuple[Step, tuple[Template, ...]], ...]]
-# (source, target, letter, reset indices, the guard's disjuncts as (Step, bounds))
-Edge = tuple[str, str, str, tuple[int, ...], list[tuple[Step, list[tuple[int, int, int]]]]]
 
 
 @dataclass(frozen=True)
@@ -227,30 +229,48 @@ class Scaled:
 
     The zone graph, the witness run and its region projection all read
     this form.  clocks holds the sorted clock names, clock clocks[i - 1]
-    at DBM index i.  edges holds an Edge per transition, in the
-    automaton's order, each bound (x, y, b) a constraint d[x][y] <= b
-    for `_tighten`; caps holds each DBM index's extrapolation bound.
+    at DBM index i.  rules is the compiled automaton's Rule per
+    transition, shared and not copied, and out its rules by source state.
+    No bound is built ahead: a template (x, y, coef, p, w) reads as the
+    constraint d[x][y] <= coef * scale[p] + w for `_tighten`, evaluated
+    where it is read, inline in the zone graph and by `bounds` for the
+    steps of a lasso.  scale is (d / denom, low, high); caps holds each
+    DBM index's extrapolation bound.
     """
 
     initial: str
     accepting: frozenset[str]
     clocks: tuple[str, ...]
-    edges: tuple[Edge, ...]
+    rules: tuple[Rule, ...]
+    out: dict[str, tuple[Rule, ...]] = field(compare=False)
+    scale: tuple[int, int, int]
     caps: tuple[int, ...]
     d: int  # scale factor
     m: int  # global region bound, for the region projection
+
+    def bounds(self, step: Step) -> list[tuple[int, int, int]]:
+        """The bounds (x, y, b), each d[x][y] <= b, that step's guard disjunct adds."""
+        t_idx, k = step
+        scale = self.scale
+        return [(x, y, coef * scale[p] + w) for x, y, coef, p, w in self.rules[t_idx][4][k][1]]
+
+
+def _ratio(v) -> tuple[int, int]:
+    """(numerator, denominator) of a rational value, without rebuilding a Fraction."""
+    return (v if isinstance(v, (int, Fraction)) else Fraction(v)).as_integer_ratio()
 
 
 @dataclass(frozen=True)
 class Compiled:
     """An automaton with at most one parameter, compiled once for checks at many values.
 
-    transitions holds a Rule per transition.  A template's coef is twice
-    its literal's constant times denom, or 2 for the parameter, signed by
-    its side; p is 0 for a constant, 1 for the parameter as a lower bound
-    and 2 as an upper bound; w is True (1) for a weak bound.  tops holds,
-    per DBM index, the largest constant times denom that a literal
-    compares the clock with and whether one compares it with the
+    transitions holds a Rule per transition, and out the same rules
+    grouped by source state, in transition order.  A template's coef is
+    twice its literal's constant times denom, or 2 for the parameter,
+    signed by its side; p is 0 for a constant, 1 for the parameter as a
+    lower bound and 2 as an upper bound; w is True (1) for a weak bound.
+    tops holds, per DBM index, the largest constant times denom that a
+    literal compares the clock with and whether one compares it with the
     parameter.
     """
 
@@ -258,6 +278,7 @@ class Compiled:
     accepting: frozenset[str]
     clocks: tuple[str, ...]  # sorted clock names
     transitions: tuple[Rule, ...]
+    out: dict[str, tuple[Rule, ...]] = field(compare=False)
     tops: tuple[tuple[int, bool], ...]
     denom: int  # lcm of the constant denominators
     c: int  # max_constant
@@ -276,28 +297,27 @@ class Compiled:
         majorizes twice the maximum constant, hi and every constant, all
         scaled.
         """
+        d, low, high = self.denom, 0, 0
         if lo is None:
             if self.n_params or self.has_param:
                 raise PreconditionViolated("parameter value required for a parametric automaton")
+            return d, max(2 * self.c * d, self.top), low, high
+        lo_num, lo_den = _ratio(lo)
+        if self.n_params and lo_num < 0:
+            raise PreconditionViolated(f"parameter value must be nonnegative, got {brief(lo)}")
+        if hi is None:
+            hi_num, hi_den = lo_num, lo_den
         else:
-            lo = Fraction(lo)
-            if self.n_params and lo < 0:
-                raise PreconditionViolated(f"parameter value must be nonnegative, got {lo}")
-            hi = lo if hi is None else Fraction(hi)
-            if hi is not lo and hi < lo:
-                raise PreconditionViolated(f"empty parameter interval [{lo}, {hi}]")
-            if self.n_params > 1:
-                raise NotOneParameter(f"at most one parameter supported, got {self.n_params}")
+            hi_num, hi_den = _ratio(hi)
+            if hi_num * lo_den < lo_num * hi_den:
+                raise PreconditionViolated(f"empty parameter interval [{brief(lo)}, {brief(hi)}]")
+        if self.n_params > 1:
+            raise NotOneParameter(f"at most one parameter supported, got {self.n_params}")
         if self.has_param:
-            d = math.lcm(self.denom, lo.denominator, hi.denominator)
-            low = lo.numerator * (d // lo.denominator)
-            high = low if hi is lo else hi.numerator * (d // hi.denominator)
-        else:
-            d, low, high = self.denom, 0, 0
-        m = max(2 * self.c * d, self.top * (d // self.denom))
-        if lo is not None:
-            m = max(m, -(-hi.numerator * d // hi.denominator))  # ceil(hi * d)
-        return d, m, low, high
+            d = math.lcm(d, lo_den, hi_den)
+            low, high = lo_num * (d // lo_den), hi_num * (d // hi_den)
+        ceil_hi = -(-hi_num * d // hi_den)
+        return d, max(2 * self.c * d, self.top * (d // self.denom), ceil_hi), low, high
 
     def at(self, lo, hi=None) -> Scaled:
         """The automaton at parameter value lo, or relaxed to [lo, hi] when hi is given.
@@ -308,23 +328,20 @@ class Compiled:
         inside it.  d and m are those of `scaling`, and a value whose
         scaled sums could reach INF is refused.  Each clock's cap is the
         largest scaled constant it is compared against, hi for the
-        parameter, 0 if no guard tests it.
+        parameter, 0 if no guard tests it.  Nothing is built per
+        transition: the Scaled shares the compiled rules.
         """
         d, m, low, high = self.scaling(lo, hi)
         if 2 * (len(self.clocks) + 1) * (m + 1) >= INF:  # a closure sum could pass for INF
-            at = ("" if lo is None else f" at mu = {Fraction(lo)}" if hi is None
-                  else f" over [{Fraction(lo)}, {Fraction(hi)}]")
+            at = ("" if lo is None else f" at mu = {brief(lo)}" if hi is None
+                  else f" over [{brief(lo)}, {brief(hi)}]")
             raise PreconditionViolated(
-                f"constants scaled by {d} reach {m}{at}, beyond the zone engine's range")
+                f"constants scaled by {brief(d)} reach {brief(m)}{at}, "
+                "beyond the zone engine's range")
         k = d // self.denom
-        scale = (k, low, high)
-        edges = tuple([
-            (source, target, letter, resets,
-             [(label, [(x, y, coef * scale[p] + w) for x, y, coef, p, w in templates])
-              for label, templates in disjuncts])
-            for source, target, letter, resets, disjuncts in self.transitions])
-        caps = tuple(max(top * k, high) if p else top * k for top, p in self.tops)
-        return Scaled(self.initial, self.accepting, self.clocks, edges, caps, d, m)
+        caps = tuple([max(top * k, high) if p else top * k for top, p in self.tops])
+        return Scaled(self.initial, self.accepting, self.clocks, self.transitions, self.out,
+                      (k, low, high), caps, d, m)
 
 
 def compile_automaton(a: Automaton) -> Compiled:
@@ -362,7 +379,11 @@ def compile_automaton(a: Automaton) -> Compiled:
         ts.append((t.source, t.target, t.letter, resets, tuple(disjuncts)))
     c = max([1] + [int(v) for v in consts if v.denominator == 1])
     top = int(max(consts) * denom) if consts else 0
-    return Compiled(a.initial, a.accepting, clocks, tuple(ts), tuple(zip(tops, compared)),
+    out: dict[str, list[Rule]] = {}
+    for rule in ts:
+        out.setdefault(rule[0], []).append(rule)
+    return Compiled(a.initial, a.accepting, clocks, tuple(ts),
+                    {q: tuple(rules) for q, rules in out.items()}, tuple(zip(tops, compared)),
                     denom, c, top, len(a.params), len(consts) < len(bounds), len(a.states))
 
 
@@ -379,11 +400,8 @@ def _zone_graph(s: Scaled):
     call finishes it and returns the full list.  memo holds, for every
     node asked for so far, the pairs built so far.
     """
-    caps = s.caps
+    caps, scale, out_of = s.caps, s.scale, s.out
     n = len(caps)
-    out_of: dict[str, list[Edge]] = {}
-    for edge in s.edges:
-        out_of.setdefault(edge[0], []).append(edge)
     nodes = [(s.initial, (_LE0,) * (n * n), True)]
     ids = {nodes[0]: 0}
     memo: dict[int, list] = {}
@@ -394,10 +412,10 @@ def _zone_graph(s: Scaled):
         base = list(key)
         _up(base, n, strict=not first)
         for _, target, _, reset_idxs, disjuncts in out_of.get(q, ()):
-            for label, bounds in disjuncts:
+            for label, templates in disjuncts:
                 z = base[:]
-                for x, y, b in bounds:
-                    if not _tighten(z, n, x, y, b):
+                for x, y, coef, p, w in templates:
+                    if not _tighten(z, n, x, y, coef * scale[p] + w):
                         break
                 else:
                     _reset(z, n, reset_idxs)
@@ -498,13 +516,12 @@ def earliest_ticks(s: Scaled, steps: Sequence[Step]) -> tuple[list[int], int]:
     """
     lower: list[tuple[int, int, int, int]] = []  # (u, v, c, e)
     last_reset = [0] * len(s.caps)
-    for i, (t_idx, k) in enumerate(steps, 1):
-        _, _, _, resets, disjuncts = s.edges[t_idx]
+    for i, step in enumerate(steps, 1):
         lower.append((i, i - 1, 0, 0 if i == 1 else 1))
         last_reset[0] = i
-        for x, y, b in disjuncts[k][1]:
+        for x, y, b in s.bounds(step):
             lower.append((last_reset[x], last_reset[y], -(b >> 1), 1 - (b & 1)))
-        for x in resets:
+        for x in s.rules[step[0]][3]:
             last_reset[x] = i
 
     tau = [(0, 0)] * (len(steps) + 1)
@@ -550,7 +567,7 @@ def region_lasso(s: Scaled, lasso: ZoneLasso) -> SymbolicLasso:
         reset_at = [0] * len(s.caps)  # in ticks; index 0, the zero clock, is unused
         after = [(s.initial, reset_at[1:])]  # after[j]: the state and clock ticks after event j
         for (t_idx, _), now in zip(steps, ticks):
-            _, target, _, resets, _ = s.edges[t_idx]
+            _, target, _, resets, _ = s.rules[t_idx]
             for x in resets:
                 reset_at[x] = now
             after.append((target, [now - r for r in reset_at[1:]]))

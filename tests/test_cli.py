@@ -262,6 +262,31 @@ def test_a_negative_parameter_value_is_refused(tmp_path, capsys, argv):
     assert err == "error: parameter value must be nonnegative, got -1\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ("check", "{big}"),
+    ("validate", "{big}"),
+    ("translate", "{big}"),
+    ("regions", "{big}"),
+    ("check", "{ta}", "--mu", "1e5000"),
+    ("check", "{ta}", "--mu", "1e-5000"),
+    ("regions", "{ta}", "--mu=-1e5000"),
+    ("simulate", "{ta}", "--word", "{word}", "--mu=-1e5000"),
+], ids=["check-constant", "validate-constant", "translate-constant", "regions-constant",
+        "check-mu", "check-mu-fraction", "regions-mu", "simulate-mu"])
+def test_numbers_beyond_the_int_text_limit_are_refused_briefly(tmp_path, capsys, argv):
+    """A 5,000-digit guard constant or mu is refused with exit 2 and a short message."""
+    big, ta, word = tmp_path / "big.ta", tmp_path / "neg.ta", tmp_path / "neg.tw"
+    big.write_text(f"automaton big\nclocks x\ninit q0\naccept q0\n"
+                   f"trans q0 q0 a ( x < {'9' * 5000} ) {{ }}\n")
+    ta.write_text(NEGATIVE_MU)
+    word.write_text("a 0\n")
+    code, out, err = _run(capsys, *(arg.format(big=big, ta=ta, word=word) for arg in argv))
+    assert (code, out) == (2, "")
+    assert "Traceback" not in err and len(err) < 300
+    want = "line 5: constant of 5000 digits is too long" if argv[1] == "{big}" else "digits>"
+    assert want in err, err
+
+
 def test_main_calls_share_no_parsed_state(data_dir, capsys):
     """The parser is built once per process; no call sees another's arguments."""
     from pnta.cli import _build_parser

@@ -37,7 +37,7 @@ from pnta.parametric import (
     _candidates,
     _searched,
 )
-from pnta.zones import Scaled, _bnd, _dnf, compile_automaton
+from pnta.zones import _bnd, _dnf, compile_automaton
 from randgen import (
     one_clock_population,
     rand_nrtta,
@@ -353,9 +353,11 @@ def _prepare_reference(a, mu):
 
 
 def _scaled_reference(b, mu):
-    """The Scaled that the zone graph reads at mu, built from _prepare_reference's automaton.
+    """What the zone graph reads at mu, built from _prepare_reference's automaton.
 
-    Each guard disjunct's literals give its d[x][y] <= b bounds; a clock's
+    It is (initial, accepting, clocks, edges, caps, d, m), with per
+    transition (source, target, letter, resets, [(Step, bounds)]), as
+    `_scaled_fields` reads them from a Scaled.  Each guard disjunct's literals give its d[x][y] <= b bounds; a clock's
     cap is the largest constant a literal compares it with, 0 if none does.
     prepare_fixed must return the same scaled automaton, m and d.
     """
@@ -379,7 +381,14 @@ def _scaled_reference(b, mu):
             out.append(((idx, k), bounds))
         resets = tuple(sorted(index[z] for z in t.resets))
         edges.append((t.source, t.target, t.letter, resets, out))
-    return Scaled(scaled.initial, scaled.accepting, clocks, tuple(edges), tuple(caps), d, m)
+    return scaled.initial, scaled.accepting, clocks, tuple(edges), tuple(caps), d, m
+
+
+def _scaled_fields(s):
+    """_scaled_reference's tuple from a Scaled: every step's bounds through Scaled.bounds."""
+    edges = tuple((source, target, letter, resets, [(step, s.bounds(step)) for step, _ in disjuncts])
+                  for source, target, letter, resets, disjuncts in s.rules)
+    return s.initial, s.accepting, s.clocks, edges, s.caps, s.d, s.m
 
 
 def test_compiled_form_at_each_candidate_matches_prepare_fixed(data_dir):
@@ -388,7 +397,7 @@ def test_compiled_form_at_each_candidate_matches_prepare_fixed(data_dir):
         b = _searched(a)
         compiled = compile_automaton(b)
         for mu in candidate_parameters(b).values if b.params else (None,):
-            assert compiled.at(mu) == _scaled_reference(b, mu)
+            assert _scaled_fields(compiled.at(mu)) == _scaled_reference(b, mu)
             checked += 1
     assert checked == 3335
 
@@ -403,9 +412,22 @@ def test_compiled_form_matches_prepare_fixed_off_the_candidates(data_dir):
         b = _searched(a)
         compiled = compile_automaton(b)
         for mu in (Fraction(3, 7), Fraction(5, 2), Fraction(4)) if b.params else (None,):
-            assert compiled.at(mu) == _scaled_reference(b, mu)
+            assert _scaled_fields(compiled.at(mu)) == _scaled_reference(b, mu)
             checked += 1
     assert checked == 1180
+
+
+def test_a_check_shares_the_compiled_rules(data_dir):
+    """Compiled.at copies no rule: the Scaled holds the compiled tuple and grouping."""
+    for a in _fixtures(data_dir):
+        compiled = compile_automaton(_searched(a))
+        grouped = {}
+        for rule in compiled.transitions:
+            grouped.setdefault(rule[0], []).append(rule)
+        assert {q: list(rules) for q, rules in compiled.out.items()} == grouped
+        for mu in (Fraction(3, 7), Fraction(4)) if compiled.n_params else (None,):
+            s = compiled.at(mu)
+            assert s.rules is compiled.transitions and s.out is compiled.out
 
 
 def test_compiled_constants_include_atoms_beside_an_unsatisfiable_conjunct():

@@ -200,7 +200,7 @@ def _lasso_word(s, lasso, laps):
     """The earliest word along lasso's stem and laps, in s's scaled time unit."""
     steps = lasso.stem + lasso.cycle * laps
     times = run_timestamps(s, steps)
-    return TimedWord.of((s.edges[t][2], ts) for (t, _), ts in zip(steps, times))
+    return TimedWord.of((s.rules[t][2], ts) for (t, _), ts in zip(steps, times))
 
 
 def test_zone_lasso_does_not_depend_on_the_budget():
@@ -331,7 +331,7 @@ def _fraction_region_lasso(s, lasso):
         reset_at = [Fraction(0)] * len(s.caps)
         nodes = [(s.initial, zero_region(s.clocks, s.m))]
         for (t_idx, _), now in zip(steps, run_timestamps(s, steps)):
-            _, target, _, resets, _ = s.edges[t_idx]
+            _, target, _, resets, _ = s.rules[t_idx]
             for x in resets:
                 reset_at[x] = now
             v = Valuation.of({z: now - reset_at[x] for x, z in enumerate(s.clocks, 1)})
@@ -368,19 +368,21 @@ def test_integer_ticks_project_as_fractions_do(seed, draw):
         steps = lasso.stem + lasso.cycle * laps
         times = run_timestamps(s, steps)
         assert witness_word(a, v, laps) == TimedWord.of(
-            (s.edges[t][2], ts / s.d) for (t, _), ts in zip(steps, times))
+            (s.rules[t][2], ts / s.d) for (t, _), ts in zip(steps, times))
 
 
 def _eager_zone_graph(s):
     """_zone_graph as it was before successors were built on demand: the reference.
 
     The first successors(i) call builds and interns every child of node i.
+    Each disjunct's bounds come from Scaled.bounds, so agreement with the
+    lazy graph also checks the bounds it evaluates inline.
     """
     caps = s.caps
     n = len(caps)
     out_of = {}
-    for edge in s.edges:
-        out_of.setdefault(edge[0], []).append(edge)
+    for rule in s.rules:
+        out_of.setdefault(rule[0], []).append(rule)
     nodes = [(s.initial, (_LE0,) * (n * n), True)]
     ids = {nodes[0]: 0}
     memo = {}
@@ -394,9 +396,9 @@ def _eager_zone_graph(s):
         _up(base, n, strict=not first)
         out = []
         for _, target, _, reset_idxs, disjuncts in out_of.get(q, ()):
-            for label, bounds in disjuncts:
+            for label, _ in disjuncts:
                 z = base[:]
-                for x, y, b in bounds:
+                for x, y, b in s.bounds(label):
                     if not _tighten(z, n, x, y, b):
                         break
                 else:
