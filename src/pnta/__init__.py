@@ -35,7 +35,6 @@ from .core import (
     max_constant,
     ne,
     parse_rational,
-    transitions_from,
     validate,
 )
 from .semantics import (
@@ -43,7 +42,6 @@ from .semantics import (
     TimedWord,
     Valuation,
     elapse,
-    reachable_configs,
     reset_apply,
     run_frontiers,
     step,
@@ -65,9 +63,7 @@ from .regions import (
     RegionAutomaton,
     SymbolicLasso,
     build_region_automaton,
-    buchi_nonempty,
     concretize_lasso,
-    extract_witness_word,
     find_lasso,
     immediate_successor,
     region_of,
@@ -141,16 +137,16 @@ __all__ = [
     "TrueGuard", "ValidationError", "atoms", "conj", "eq", "eval_constraint",
     "ge", "gt", "guard_clocks", "guard_constants", "guard_params", "is_nrtta",
     "le", "lt", "map_atoms", "max_constant", "ne", "parse_rational",
-    "transitions_from", "validate",
-    "Configuration", "TimedWord", "Valuation", "elapse", "reachable_configs",
-    "reset_apply", "run_frontiers", "step", "v_oplus", "zero_valuation",
+    "validate",
+    "Configuration", "TimedWord", "Valuation", "elapse", "reset_apply",
+    "run_frontiers", "step", "v_oplus", "zero_valuation",
     "format_timed_word", "guard_to_text", "parse_automaton", "parse_guard",
     "parse_timed_word", "print_automaton",
     "product_state_origin", "ta_to_nrtta",
     "DEFAULT_REGION_BUDGET", "Region", "RegionAutomaton", "SymbolicLasso",
-    "build_region_automaton", "buchi_nonempty", "concretize_lasso",
-    "extract_witness_word", "find_lasso", "immediate_successor", "region_of",
-    "region_reset", "region_sat", "region_str", "to_dot", "zero_region",
+    "build_region_automaton", "concretize_lasso", "find_lasso",
+    "immediate_successor", "region_of", "region_reset", "region_sat",
+    "region_str", "to_dot", "zero_region",
     "ZoneLasso", "zone_lasso", "zone_nonempty",
     "Candidate", "CandidateSet", "Verdict", "candidate_parameters",
     "emptiness_fixed", "instantiate", "parametric_emptiness", "prepare_fixed",

@@ -85,6 +85,18 @@ def _lasso_dict(lasso: Optional[SymbolicLasso]) -> Optional[dict]:
     return {"stem": fmt(lasso.stem_nodes), "cycle": fmt(lasso.cycle_nodes)}
 
 
+def _printed(v, what: str) -> str:
+    """str(v) of a number, or a short refusal naming it when str() cannot print it.
+
+    Python's str() raises on an int with more digits than its int/str
+    limit (4,300 by default).
+    """
+    try:
+        return str(v)
+    except ValueError:
+        raise PreconditionViolated(f"{what} = {brief(v)} is too long to print") from None
+
+
 def _mu_str(mu: Optional[Fraction]) -> Optional[str]:
     if mu is None:
         return None
@@ -168,9 +180,12 @@ def cmd_simulate(args) -> int:
         (c.state, tuple((z, c.valuation[z]) for z in sorted(c.valuation.keys())))
         for c in frontier
     )
+    lines = []  # all printable, or nothing is printed
     for state, vals in configs:
-        parts = " ".join(f"{z}={val}" for z, val in vals)
-        print(f"{state} {parts}".rstrip())
+        parts = " ".join(f"{z}={_printed(val, f'clock {z}')}" for z, val in vals)
+        lines.append(f"{state} {parts}".rstrip())
+    for line in lines:
+        print(line)
     accepting = any(state in a.accepting for state, _ in configs)
     print(f"configurations: {len(configs)}")
     print(f"accepting reachable: {'yes' if accepting else 'no'}")
@@ -182,11 +197,14 @@ def cmd_regions(args) -> int:
     if a.params and args.mu is None:
         raise PreconditionViolated("--mu required for a parametric automaton")
     scaled, m, d = prepare_fixed(a, args.mu)
+    # built first, so an unprintable m or d is refused before anything is printed
+    bound = (f"region bound m: {_printed(m, 'region bound m')} "
+             f"(constants scaled by {_printed(d, 'scale factor')})")
     ra = build_region_automaton(scaled, m, args.max_regions)
     print(f"nodes: {len(ra.nodes)}")
     print(f"edges: {sum(len(out) for out in ra.edges)}")
     print(f"accepting nodes: {len(ra.accepting_nodes)}")
-    print(f"region bound m: {m} (constants scaled by {d})")
+    print(bound)
     lasso = find_lasso(scaled, m, args.max_regions)
     print(f"accepting lasso: {'yes' if lasso is not None else 'no'}")
     if args.dot:

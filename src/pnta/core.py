@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterator, Mapping, Union
 
 from .errors import UnboundSymbol
 
@@ -320,9 +320,3 @@ def max_constant(a: Automaton) -> int:
             if int(c) == c:
                 best = max(best, int(c))
     return best
-
-
-def transitions_from(a: Automaton, q: str) -> Iterable[tuple[int, Transition]]:
-    for idx, t in enumerate(a.transitions):
-        if t.source == q:
-            yield idx, t

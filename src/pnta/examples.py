@@ -10,7 +10,6 @@ guessed and m matches confirmed.
 
 from __future__ import annotations
 
-from typing import Union
 
 from .core import TRUE, Automaton, Bound, Transition, eq
 from .errors import PreconditionViolated

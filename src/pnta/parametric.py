@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional, Union
 
-from .core import Atom, Automaton, Transition, brief, is_nrtta, map_atoms, max_constant
+from .core import Atom, Automaton, Transition, brief, is_nrtta, map_atoms
 from .errors import (
     NonIntegerAfterScaling,
     NotOneParameter,
@@ -114,11 +114,14 @@ def candidate_parameters(a: Automaton) -> CandidateSet:
     Contains every half-integer up to 2C, one representative n/2 + alpha
     inside each gap between consecutive half-integers below 2C, and one
     representative Xi larger than every constant; 8C + 2 values total.
+    C and |Q| are those of the automaton the sweep searches, so for
+    one-clock input that tests and resets a clock they are those of its
+    translation, and the list is the one the sweep checks.
     """
     if len(a.params) != 1:
         raise NotOneParameter(f"exactly one parameter required, got {len(a.params)}")
-    c = max_constant(a)
-    q = len(a.states)
+    compiled = _compiled(a)
+    c, q = compiled.c, compiled.n_states
     cands = tuple(_candidates(c, q))
     alpha, xi = cands[1].value, cands[-1].value
     denom = alpha.denominator

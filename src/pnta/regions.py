@@ -5,13 +5,14 @@ for exact-integer values) or "above m", plus the weak ordering of the
 fractional parts of the bounded non-integer clocks.  Time successors
 form a deterministic chain ending in the absorbing all-above region.
 
-Two search surfaces are built on this:
-  - an explicit RegionAutomaton (one edge per delay-then-fire step), and
-  - an implicit early-exit search, which walks single time steps instead
-    of materializing whole successor fans and therefore stops as soon as
-    it closes an accepting cycle.  It backs the `regions` command and is
-    the oracle the tests check the zone engine against; `check` decides
-    with the zone engine alone.
+The one Büchi check on regions is `find_lasso`, an early-exit search
+over single time steps: it materializes no successor fans and stops as
+soon as it closes an accepting cycle.  It backs the `regions` command
+and is the oracle the tests check the zone engine against; `check`
+decides with the zone engine alone.  The explicit RegionAutomaton (one
+edge per delay-then-fire step, positive delays only) is the region
+graph itself: `pnta regions` prints its size, `to_dot` draws it and
+`analysis.compress_region_lasso` checks paths against its edges.
 
 Strict monotonicity of timestamps is encoded structurally: a region can
 host a second event without time passing a boundary only if it is
@@ -397,19 +398,16 @@ def _lasso_at(root, successors: Callable, is_accepting: Callable, found) -> tupl
 
 
 def _assemble_lasso(
-    root_node: RANode,
-    stem_pairs,
-    cycle_pairs,
-    accepting_states: frozenset[str],
-    project: Callable,
+    root_node: RANode, stem_pairs, cycle_pairs, accepting_states: frozenset[str]
 ) -> SymbolicLasso:
-    """Project raw search output to (state, Region) nodes and normalize.
+    """The SymbolicLasso of find_lasso's search output.
 
-    The cycle is rotated so it starts at an accepting node; the rotation
-    prefix is folded into the stem.
+    Time steps (label None) are dropped and each (state, region, fresh)
+    node becomes (state, region).  The cycle is rotated so it starts at
+    an accepting node; the rotation prefix is folded into the stem.
     """
-    walk = [p for p in (project(pair) for pair in stem_pairs) if p is not None]
-    cyc = [p for p in (project(pair) for pair in cycle_pairs) if p is not None]
+    walk = [(label, node[:2]) for label, node in stem_pairs if label is not None]
+    cyc = [(label, node[:2]) for label, node in cycle_pairs if label is not None]
     kc = len(cyc)
     if kc == 0:
         raise AssertionError("cycle with no transition edges")
@@ -425,27 +423,6 @@ def _assemble_lasso(
     )
 
 
-def buchi_nonempty(ra: RegionAutomaton) -> Optional[SymbolicLasso]:
-    """Accepting lasso of the region automaton, or None."""
-
-    def successors(i: int):
-        return ra.edges[i]
-
-    is_accepting = ra.accepting_nodes.__contains__
-    found = _search_lasso(0, successors, is_accepting)
-    if found is None:
-        return None
-    stem_pairs, cycle_pairs = _lasso_at(0, successors, is_accepting, found)
-
-    def project(pair):
-        t_idx, j = pair
-        return (t_idx, ra.nodes[j])
-
-    return _assemble_lasso(
-        ra.nodes[0], stem_pairs, cycle_pairs, ra.automaton.accepting, project
-    )
-
-
 def find_lasso(
     a: Automaton, m: int, max_nodes: int = DEFAULT_REGION_BUDGET
 ) -> Optional[SymbolicLasso]:
@@ -454,9 +431,8 @@ def find_lasso(
     Nodes are (state, region, fresh); a fresh node was just entered by a
     firing and may fire again without an intervening time step only if
     its region is time-open.  The initial node is stale, which is what
-    permits a first event at time 0.  Equivalent in verdict to
-    buchi_nonempty(build_region_automaton(a, m)) except that it also
-    admits runs whose first event happens at time 0.
+    permits a first event at time 0, as the simulator, the zone engine
+    and concretize_lasso permit it.
     """
     _require_parameter_free(a, m)
 
@@ -487,14 +463,7 @@ def find_lasso(
     if found is None:
         return None
     stem_pairs, cycle_pairs = _lasso_at(root, successors, is_accepting, found)
-
-    def project(pair):
-        label, node = pair
-        if label is None:
-            return None
-        return (label, (node[0], node[1]))
-
-    return _assemble_lasso((a.initial, r0), stem_pairs, cycle_pairs, accepting, project)
+    return _assemble_lasso((a.initial, r0), stem_pairs, cycle_pairs, accepting)
 
 
 # ---------------------------------------------------------------------------
@@ -580,12 +549,6 @@ def concretize_lasso(
         if region_of(v, m) != cur_region:
             raise Infeasible("concretized valuation left the symbolic path")
     return TimedWord.of(events)
-
-
-def extract_witness_word(
-    ra: RegionAutomaton, lasso: SymbolicLasso, unrollings: int = 1
-) -> TimedWord:
-    return concretize_lasso(ra.automaton, ra.m, lasso, unrollings)
 
 
 def to_dot(ra: RegionAutomaton) -> str:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
-from .core import Automaton, Transition, eval_constraint
+from .core import Automaton, Transition, brief, eval_constraint
 from .errors import GuardViolated, MalformedWord, NonPositiveDelay, WrongSource
 
 ParamValuation = Mapping[str, Fraction]
@@ -87,11 +87,10 @@ class TimedWord:
         prev = None
         for idx, (_, ts) in enumerate(events):
             if ts < 0:
-                raise MalformedWord(f"negative timestamp {ts} at position {idx + 1}")
+                raise MalformedWord(f"negative timestamp {brief(ts)} at position {idx + 1}")
             if prev is not None and ts <= prev:
-                raise MalformedWord(
-                    f"timestamps must strictly increase: {prev} then {ts} at position {idx + 1}"
-                )
+                raise MalformedWord(f"timestamps must strictly increase: {brief(prev)} "
+                                    f"then {brief(ts)} at position {idx + 1}")
             prev = ts
         return cls(events)
 
@@ -137,10 +136,10 @@ def step(
     if t.source != c.state:
         raise WrongSource(f"transition leaves {t.source!r}, configuration is at {c.state!r}")
     if delta < 0 or (delta == 0 and not first):
-        raise NonPositiveDelay(f"delay {delta} not allowed here")
+        raise NonPositiveDelay(f"delay {brief(delta)} not allowed here")
     moved = elapse(c.valuation, delta)
     if not eval_constraint(t.guard, moved, i):
-        raise GuardViolated(f"guard fails after delay {delta}")
+        raise GuardViolated(f"guard fails after delay {brief(delta)}")
     return Configuration(t.target, reset_apply(moved, t.resets))
 
 
@@ -175,13 +174,6 @@ def run_frontiers(
         out.append(frontier)
         prev_ts = ts
     return out
-
-
-def reachable_configs(
-    a: Automaton, w: TimedWord, i: ParamValuation | None = None
-) -> frozenset[Configuration]:
-    """Exact set of configurations reachable by some run over w."""
-    return run_frontiers(a, w, i)[-1]
 
 
 def v_oplus(v: Valuation, delta: Fraction) -> frozenset[Valuation]:

@@ -150,12 +150,12 @@ def one_clock_population(size=40, seed=1607):
     return population
 
 
-def rand_ta(rng, max_states=4, max_clocks=2, cmax=2):
+def rand_ta(rng, max_states=4, max_clocks=2, cmax=2, param=None):
     """Random automaton that may test and reset the same clock."""
     states = tuple(f"q{i}" for i in range(rng.randint(1, max_states)))
     clocks = tuple(f"x{i + 1}" for i in range(rng.randint(1, max_clocks)))
-    trans = _rand_transitions(rng, states, clocks, cmax, None, free_resets=True)
-    return _assemble(rng, states, clocks, (), trans)
+    trans = _rand_transitions(rng, states, clocks, cmax, param, free_resets=True)
+    return _assemble(rng, states, clocks, (param,) if param else (), trans)
 
 
 def _advance(a, frontier, letter, delta, interp, first):

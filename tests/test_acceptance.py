@@ -19,10 +19,10 @@ from pnta import (
     atoms,
     build_region_automaton,
     candidate_parameters,
+    concretize_lasso,
     critval_cases,
     elapse,
     emptiness_fixed,
-    extract_witness_word,
     fracvalue_case,
     gen_lk,
     gen_lpk,
@@ -109,9 +109,8 @@ def test_criterion_04_generated_families_nonempty_with_witness_replay():
     assert v.nonempty and v.lasso is not None
     scaled, m, d = prepare_fixed(a, None)
     assert d == 1
-    ra = build_region_automaton(scaled, m)
     for unrollings in (1, 2):
-        w = extract_witness_word(ra, v.lasso, unrollings)
+        w = concretize_lasso(scaled, m, v.lasso, unrollings)
         frontiers = run_frontiers(a, w)
         path = list(v.lasso.stem_nodes)
         for _ in range(unrollings):

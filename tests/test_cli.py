@@ -246,6 +246,9 @@ def test_an_undecodable_file_is_named_in_the_error(data_dir, tmp_path, capsys, a
 
 
 NEGATIVE_MU = "automaton neg\nclocks x\nparams mu\ninit q0\naccept q1\ntrans q0 q1 a ( x > mu ) { }\n"
+LOOP = "automaton loop\nclocks x\ninit q0\naccept q0\ntrans q0 q0 a ( true ) { }\n"
+# q1 is unreachable, so the region graph stays small at any mu
+LATE_MU = "automaton late\nclocks x\nparams mu\ninit q0\naccept q1\ntrans q1 q1 a ( x < mu ) { }\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -271,20 +274,42 @@ def test_a_negative_parameter_value_is_refused(tmp_path, capsys, argv):
     ("check", "{ta}", "--mu", "1e-5000"),
     ("regions", "{ta}", "--mu=-1e5000"),
     ("simulate", "{ta}", "--word", "{word}", "--mu=-1e5000"),
+    ("simulate", "{loop}", "--word", "{huge}"),
+    ("simulate", "{loop}", "--word", "{falling}"),
+    ("regions", "{late}", "--mu", "1e-5000"),
+    ("regions", "{late}", "--mu", "1e5000"),
 ], ids=["check-constant", "validate-constant", "translate-constant", "regions-constant",
-        "check-mu", "check-mu-fraction", "regions-mu", "simulate-mu"])
+        "check-mu", "check-mu-fraction", "regions-mu", "simulate-mu", "simulate-clock",
+        "simulate-falling-word", "regions-bound-tiny-mu", "regions-bound-huge-mu"])
 def test_numbers_beyond_the_int_text_limit_are_refused_briefly(tmp_path, capsys, argv):
-    """A 5,000-digit guard constant or mu is refused with exit 2 and a short message."""
-    big, ta, word = tmp_path / "big.ta", tmp_path / "neg.ta", tmp_path / "neg.tw"
-    big.write_text(f"automaton big\nclocks x\ninit q0\naccept q0\n"
-                   f"trans q0 q0 a ( x < {'9' * 5000} ) {{ }}\n")
-    ta.write_text(NEGATIVE_MU)
-    word.write_text("a 0\n")
-    code, out, err = _run(capsys, *(arg.format(big=big, ta=ta, word=word) for arg in argv))
+    """A 5,000-digit number is refused with exit 2 and a short message, printing nothing.
+
+    The number is a guard constant, mu, a timestamp, a clock value or a region bound.
+    """
+    files = {
+        "big": f"automaton big\nclocks x\ninit q0\naccept q0\n"
+               f"trans q0 q0 a ( x < {'9' * 5000} ) {{ }}\n",
+        "ta": NEGATIVE_MU, "word": "a 0\n", "loop": LOOP, "huge": "a 1e5000\n",
+        "falling": "a 2e5000\na 1e5000\n", "late": LATE_MU,
+    }
+    paths = {}
+    for name, text in files.items():
+        paths[name] = tmp_path / name
+        paths[name].write_text(text)
+    code, out, err = _run(capsys, *(arg.format(**paths) for arg in argv))
     assert (code, out) == (2, "")
     assert "Traceback" not in err and len(err) < 300
     want = "line 5: constant of 5000 digits is too long" if argv[1] == "{big}" else "digits>"
     assert want in err, err
+
+
+def test_a_delay_beyond_the_int_text_limit_just_fails_a_guard(tmp_path, capsys):
+    """A first delay of 10^-5000 fails x > 1: no configuration, exit 0, no traceback."""
+    ta, word = tmp_path / "gt.ta", tmp_path / "tiny.tw"
+    ta.write_text("automaton gt\nclocks x\ninit q0\naccept q0\ntrans q0 q0 a ( x > 1 ) { }\n")
+    word.write_text("a 1e-5000\n")
+    code, out, err = _run(capsys, "simulate", str(ta), "--word", str(word))
+    assert (code, out, err) == (0, "configurations: 0\naccepting reachable: no\n", "")
 
 
 def test_main_calls_share_no_parsed_state(data_dir, capsys):

@@ -31,7 +31,6 @@ from pnta import (
     max_constant,
     ne,
     parse_rational,
-    transitions_from,
     validate,
     zero_valuation,
 )
@@ -169,16 +168,6 @@ def test_transition_resets_coerced_to_frozenset():
     t = Transition("q0", "q1", "a", TRUE, ["x", "x"])
     assert t.resets == frozenset({"x"})
     assert Transition("q0", "q1", "a", TRUE).resets == frozenset()
-
-
-def test_transitions_from_preserves_order():
-    ts = [Transition("q0", "q0", "a", TRUE, ()),
-          Transition("q0", "q1", "a", lt("x", 1), ()),
-          Transition("q1", "q0", "a", TRUE, ())]
-    a = _mk(ts)
-    got = list(transitions_from(a, "q0"))
-    assert [i for i, _ in got] == [0, 1]
-    assert [t for _, t in got] == ts[:2]
 
 
 def test_zero_valuation():

@@ -15,7 +15,7 @@ from pnta import (
     parametric_emptiness,
     parse_automaton,
     print_automaton,
-    reachable_configs,
+    run_frontiers,
     validate,
 )
 
@@ -78,7 +78,7 @@ def _pair_oracle(ts, dist, k):
 
 
 def _accepts(a, word, interp=None):
-    final = reachable_configs(a, word, interp)
+    final = run_frontiers(a, word, interp)[-1]
     return any(c.state in a.accepting for c in final)
 
 

@@ -21,6 +21,7 @@ from pnta import (
     emptiness_fixed,
     guard_params,
     instantiate,
+    is_nrtta,
     max_constant,
     parametric_emptiness,
     parse_automaton,
@@ -28,6 +29,7 @@ from pnta import (
     region_str,
     run_frontiers,
     scale_constants,
+    ta_to_nrtta,
     witness_word,
 )
 from pnta.parametric import (
@@ -182,6 +184,40 @@ def test_the_sweep_draws_the_candidate_list_lazily(data_dir):
         assert list(lazy) == sorted(halves + [h + cs.alpha for h in halves[:-1]] + [cs.xi])
         checked += 1
     assert checked == 243
+
+
+DIVISION = """automaton div
+clocks x
+params mu
+init q0
+accept q3
+trans q0 q1 a ( x = 1 ) { x }
+trans q1 q2 a ( x = 1 ) { x }
+trans q2 q0 a ( x = 1 ) { x }
+trans q2 q3 b ( x = mu ) { }
+trans q3 q3 c ( true ) { }
+"""
+
+
+def test_candidate_parameters_lists_the_values_the_sweep_checks():
+    """One-clock input that tests and resets its clock gets its translation's list."""
+    a = parse_automaton(DIVISION)  # 4 states; the translation the sweep searches has 8
+    v = parametric_emptiness(a)
+    cs = candidate_parameters(a)
+    assert v.witness_mu == Fraction(1, 72)
+    assert v.witness_mu in cs.values
+    assert (cs.alpha, cs.xi, cs.n_states) == (Fraction(1, 72), 11, 8)
+    rng = random.Random(1919)
+    translated = 0
+    for _ in range(60):
+        a = rand_ta(rng, max_states=3, max_clocks=1, cmax=2, param="mu")
+        searched = a if is_nrtta(a) else ta_to_nrtta(a)
+        translated += searched is not a
+        cs = candidate_parameters(a)
+        assert cs == candidate_parameters(searched)
+        v = parametric_emptiness(a)
+        assert v.witness_mu is None or v.witness_mu in cs.values
+    assert translated >= 20
 
 
 def test_parametric_rejects_wide_automata():

@@ -13,11 +13,9 @@ from pnta import (
     TimedWord,
     Valuation,
     build_region_automaton,
-    buchi_nonempty,
     concretize_lasso,
     elapse,
     eval_constraint,
-    extract_witness_word,
     find_lasso,
     immediate_successor,
     instantiate,
@@ -241,13 +239,11 @@ def _naive_buchi(ra):
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 10 ** 9))
 def test_lasso_search_matches_naive_buchi(seed):
-    """find_lasso and buchi_nonempty agree with a brute-force cycle check."""
+    """find_lasso agrees with a brute-force cycle check on the region automaton."""
     rng = random.Random(seed)
     a = rand_nrtta(rng, max_states=3, max_clocks=2, cmax=2)
     scaled, m = _fixed(a, None)
-    ra = build_region_automaton(scaled, m)
-    expect = _naive_buchi(ra)
-    assert (buchi_nonempty(ra) is not None) == expect
+    expect = _naive_buchi(build_region_automaton(scaled, m))
     assert (find_lasso(scaled, m) is not None) == expect
 
 
@@ -455,11 +451,11 @@ def test_shortest_path_against_a_brute_force_search(problem):
     assert nodes[-1] in goals and set(nodes[1:-1]) <= allowed - goals
 
 
-def _check_lasso_shape(lasso, ra):
+def _check_lasso_shape(lasso, a, m):
     assert lasso.cycle_nodes
-    assert lasso.stem_nodes[0] == ra.initial
+    assert lasso.stem_nodes[0] == (a.initial, zero_region(a.clocks, m))
     assert lasso.stem_nodes[-1] == lasso.cycle_nodes[0]
-    assert lasso.cycle_nodes[0][0] in ra.automaton.accepting
+    assert lasso.cycle_nodes[0][0] in a.accepting
     assert len(lasso.stem_edges) == len(lasso.stem_nodes) - 1
     assert len(lasso.cycle_edges) == len(lasso.cycle_nodes)
 
@@ -470,14 +466,13 @@ def test_lasso_concretizes_to_accepted_word():
     while found < 25:
         a = rand_nrtta(rng, max_states=3, max_clocks=2, cmax=2)
         scaled, m = _fixed(a, None)
-        ra = build_region_automaton(scaled, m)
-        lasso = buchi_nonempty(ra)
+        lasso = find_lasso(scaled, m)
         if lasso is None:
             continue
         found += 1
-        _check_lasso_shape(lasso, ra)
+        _check_lasso_shape(lasso, scaled, m)
         for unrollings in (1, 2):
-            w = extract_witness_word(ra, lasso, unrollings)
+            w = concretize_lasso(scaled, m, lasso, unrollings)
             assert len(w) == len(lasso.stem_edges) + unrollings * len(lasso.cycle_edges)
             frontiers = run_frontiers(scaled, w)
             assert all(frontiers[1:]), "witness word must keep a live run"
@@ -498,7 +493,7 @@ def test_find_lasso_allows_first_event_at_zero():
     # x = 0 is only satisfiable with no delay before the first event
     assert find_lasso(scaled, m) is not None
     ra = build_region_automaton(scaled, m)
-    assert buchi_nonempty(ra) is None  # explicit graph uses positive delays only
+    assert not ra.accepting_nodes  # the explicit graph takes positive delays only
 
 
 def test_concretize_respects_unrollings():

@@ -19,7 +19,6 @@ from pnta import (
     gt,
     lt,
     parse_automaton,
-    reachable_configs,
     reset_apply,
     run_frontiers,
     step,
@@ -99,7 +98,7 @@ def test_run_frontiers_tracks_all_branches(aut):
 
 def test_run_frontiers_accepting_path(aut):
     w = TimedWord.of([("a", Fraction(1)), ("b", Fraction(3, 2))])
-    end = reachable_configs(aut, w)
+    end = run_frontiers(aut, w)[-1]
     assert {c.state for c in end} == {"q2"}
 
 
@@ -109,8 +108,8 @@ def test_run_with_parameter():
         "trans q0 q1 a ( x = mu ) { }\n"
     )
     w = TimedWord.of([("a", Fraction(3, 2))])
-    assert reachable_configs(a, w, {"mu": Fraction(3, 2)})
-    assert not reachable_configs(a, w, {"mu": Fraction(2)})
+    assert run_frontiers(a, w, {"mu": Fraction(3, 2)})[-1]
+    assert not run_frontiers(a, w, {"mu": Fraction(2)})[-1]
 
 
 def test_v_oplus_enumerates_reset_subsets():
