@@ -97,33 +97,46 @@ def _printed(v, what: str) -> str:
         raise PreconditionViolated(f"{what} = {brief(v)} is too long to print") from None
 
 
-def _mu_str(mu: Optional[Fraction]) -> Optional[str]:
-    if mu is None:
-        return None
-    return f"{mu.numerator}/{mu.denominator}" if mu.denominator != 1 else str(mu.numerator)
+def _check_mu(a: Automaton, mu: Optional[Fraction]) -> None:
+    """The --mu rule: refused without a parameter, required and nonnegative with one."""
+    if not a.params:
+        if mu is not None:
+            raise PreconditionViolated("--mu given but the automaton has no parameter")
+    elif mu is None:
+        raise PreconditionViolated("--mu required for a parametric automaton")
+    elif mu < 0:
+        raise PreconditionViolated(f"parameter value must be nonnegative, got {brief(mu)}")
+
+
+def _emit(text: str, path: Optional[str]) -> None:
+    """Write text to the file at path, or to stdout when path is not given."""
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        print(text, end="")
 
 
 def cmd_check(args) -> int:
     a = _load_automaton(args.file)
-    if args.mu is not None and not a.params:
-        raise PreconditionViolated("--mu given but the automaton has no parameter")
     t0 = time.perf_counter()
-    if args.mu is not None:
-        verdict = emptiness_fixed(a, args.mu, args.max_regions)
-    else:
+    if args.mu is None:
         verdict = parametric_emptiness(a, args.max_regions)
+    else:
+        _check_mu(a, args.mu)
+        verdict = emptiness_fixed(a, args.mu, args.max_regions)
     wall_ms = round((time.perf_counter() - t0) * 1000)
 
     word = None
-    if args.witness and verdict.nonempty and verdict.lasso is not None:
+    if args.witness and verdict.nonempty:
         word = witness_word(a, verdict, args.unrollings)
 
     report = Report(
         "Nonempty" if verdict.nonempty else "Empty",
-        _mu_str(verdict.witness_mu),
+        None if verdict.witness_mu is None else str(verdict.witness_mu),
         verdict.candidates_checked,
         verdict.zone_nodes,
-        None if verdict.relaxed is None else [_mu_str(mu) for mu in verdict.relaxed],
+        None if verdict.relaxed is None else [str(mu) for mu in verdict.relaxed],
         _lasso_dict(verdict.lasso),
         None if word is None else [[letter, str(ts)] for letter, ts in word],
         {"wall_ms": wall_ms},
@@ -153,29 +166,15 @@ def cmd_check(args) -> int:
 
 
 def cmd_translate(args) -> int:
-    a = _load_automaton(args.file)
-    out = print_automaton(ta_to_nrtta(a))
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(out)
-    else:
-        print(out, end="")
+    _emit(print_automaton(ta_to_nrtta(_load_automaton(args.file))), args.output)
     return 0
 
 
 def cmd_simulate(args) -> int:
     a = _load_automaton(args.file)
     w = parse_timed_word(_read_text(args.word))
-    interp = None
-    if a.params:
-        if args.mu is None:
-            raise PreconditionViolated("--mu required for a parametric automaton")
-        if args.mu < 0:
-            raise PreconditionViolated(f"parameter value must be nonnegative, got {brief(args.mu)}")
-        interp = {p: args.mu for p in a.params}
-    elif args.mu is not None:
-        raise PreconditionViolated("--mu given but the automaton has no parameter")
-    frontier = run_frontiers(a, w, interp)[-1]
+    _check_mu(a, args.mu)
+    frontier = run_frontiers(a, w, {p: args.mu for p in a.params})[-1]
     configs = sorted(
         (c.state, tuple((z, c.valuation[z]) for z in sorted(c.valuation.keys())))
         for c in frontier
@@ -194,8 +193,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_regions(args) -> int:
     a = _load_automaton(args.file)
-    if a.params and args.mu is None:
-        raise PreconditionViolated("--mu required for a parametric automaton")
+    _check_mu(a, args.mu)
     scaled, m, d = prepare_fixed(a, args.mu)
     # built first, so an unprintable m or d is refused before anything is printed
     bound = (f"region bound m: {_printed(m, 'region bound m')} "
@@ -208,8 +206,7 @@ def cmd_regions(args) -> int:
     lasso = find_lasso(scaled, m, args.max_regions)
     print(f"accepting lasso: {'yes' if lasso is not None else 'no'}")
     if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(to_dot(ra))
+        _emit(to_dot(ra), args.dot)
     return 0
 
 
@@ -217,12 +214,7 @@ def cmd_gen(args) -> int:
     from .examples import gen_lk, gen_lpk
 
     a = gen_lk(args.k) if args.family == "lk" else gen_lpk(args.k)
-    out = print_automaton(a)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(out)
-    else:
-        print(out, end="")
+    _emit(print_automaton(a), args.output)
     return 0
 
 

@@ -217,25 +217,6 @@ def _compiled(a: Automaton) -> Compiled:
         return compiled
 
 
-def _decide(
-    compiled: Compiled, mu: Optional[Rational], max_nodes: int, include_lasso: bool = True
-) -> Verdict:
-    """emptiness_fixed on the compiled searched automaton."""
-    s = compiled.at(mu)
-    if include_lasso:
-        zl, explored = zone_lasso(s, max_nodes)
-        nonempty = zl is not None
-    else:
-        zl = None
-        nonempty, explored = zone_nonempty(s, max_nodes)
-    witness = None
-    if nonempty and compiled.n_params:
-        witness = mu if isinstance(mu, Fraction) else Fraction(mu)
-    if zl is None:
-        return Verdict(nonempty, witness, None, 1, explored)
-    return Verdict(True, witness, region_lasso(s, zl), 1, explored, zl, s)
-
-
 def emptiness_fixed(
     a: Automaton,
     mu: Optional[Rational] = None,
@@ -253,15 +234,28 @@ def emptiness_fixed(
     an automaton compiles it and keeps the compiled form on it, so a
     check at one more value scales, searches and builds lassos only.
     """
-    return _decide(_compiled(a), mu, max_nodes, include_lasso)
+    compiled = _compiled(a)
+    s = compiled.at(mu)
+    if include_lasso:
+        zl, explored = zone_lasso(s, max_nodes)
+        nonempty = zl is not None
+    else:
+        zl = None
+        nonempty, explored = zone_nonempty(s, max_nodes)
+    witness = None
+    if nonempty and compiled.n_params:
+        witness = mu if isinstance(mu, Fraction) else Fraction(mu)
+    if zl is None:
+        return Verdict(nonempty, witness, None, 1, explored)
+    return Verdict(True, witness, region_lasso(s, zl), 1, explored, zl, s)
 
 
 def parametric_emptiness(a: Automaton, max_nodes: int = DEFAULT_REGION_BUDGET) -> Verdict:
     """Does any real parameter value give the automaton a nonempty language?
 
     Compiles the searched automaton once, or reads the compiled form an
-    earlier check kept on it, and decides each value of the finite
-    candidate list in ascending order as emptiness_fixed would, reporting
+    earlier check kept on it, and checks each value of the finite
+    candidate list in ascending order through emptiness_fixed, reporting
     the first nonempty value as witness, with the candidates and zone
     nodes of the whole sweep.  When the least candidate is Empty, one
     check of the automaton relaxed to [0, Xi] comes next; if it is Empty
@@ -288,7 +282,7 @@ def parametric_emptiness(a: Automaton, max_nodes: int = DEFAULT_REGION_BUDGET) -
     xi = Fraction(_xi(compiled.c, compiled.n_states))
     nodes = 0
     for checked, cand in enumerate(_candidates(compiled.c, compiled.n_states), 1):
-        v = _decide(compiled, cand.value, max_nodes)
+        v = emptiness_fixed(a, cand.value, max_nodes)
         nodes += v.zone_nodes
         if v.nonempty:
             return replace(v, candidates_checked=checked, zone_nodes=nodes)

@@ -22,7 +22,6 @@ p/q rationals, strictly increasing.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 
 from .core import (
     Atom,
@@ -33,9 +32,11 @@ from .core import (
     TRUE,
     Transition,
     TrueGuard,
+    eq,
     ge,
     gt,
     le,
+    lt,
     parse_rational,
 )
 from .errors import ParseError
@@ -46,6 +47,8 @@ _TRANS_RE = re.compile(
 )
 _TOKEN_RE = re.compile(r"\s*(?:(<=|>=|[<>=!&()])|(\d+)|([A-Za-z_][\w.@:\-]*)|(\S))")
 _CLOCK_RE = re.compile(r"[A-Za-z_][\w.@:\-]*")
+# each accepted comparison and the guard it stands for; all but < and = are desugared
+_COMPARISONS = {"<": lt, "<=": le, "=": eq, ">=": ge, ">": gt}
 
 
 def _tokenize_guard(text: str, line: int) -> list[str]:
@@ -111,7 +114,8 @@ class _GuardParser:
         if not _CLOCK_RE.fullmatch(clock):
             raise ParseError(f"expected clock name, got {clock!r}", self.line)
         op = self.take()
-        if op not in ("<", "<=", "=", ">=", ">"):
+        compare = _COMPARISONS.get(op)
+        if compare is None:
             raise ParseError(f"expected comparison operator, got {op!r}", self.line)
         rhs = self.take()
         if rhs.isdigit():
@@ -126,27 +130,11 @@ class _GuardParser:
                 f"right-hand side {rhs!r} is neither a number nor a declared parameter",
                 self.line,
             )
-        if op == "<":
-            return Atom(clock, "<", bound)
-        if op == "=":
-            return Atom(clock, "=", bound)
-        if op == "<=":
-            return le(clock, bound)
-        if op == ">=":
-            return ge(clock, bound)
-        return gt(clock, bound)
+        return compare(clock, bound)
 
 
 def parse_guard(text: str, params: frozenset[str] = frozenset(), line: int = 0) -> Guard:
     return _GuardParser(_tokenize_guard(text, line), params, line).parse()
-
-
-def _bound_text(bound) -> str:
-    if isinstance(bound, str):
-        return bound
-    if isinstance(bound, Fraction) and bound.denominator == 1:
-        return str(bound.numerator)
-    return str(bound)
 
 
 def guard_to_text(g: Guard) -> str:
@@ -154,7 +142,7 @@ def guard_to_text(g: Guard) -> str:
     if isinstance(g, TrueGuard):
         return "true"
     if isinstance(g, Atom):
-        return f"{g.clock} {g.op} {_bound_text(g.bound)}"
+        return f"{g.clock} {g.op} {g.bound}"
     if isinstance(g, Not):
         return f"!({guard_to_text(g.arg)})"
     if isinstance(g, And):
@@ -171,11 +159,8 @@ def _strip_comment(raw: str) -> str:
 
 def parse_automaton(text: str) -> Automaton:
     name = None
-    clocks: list[str] | None = None
-    params: list[str] | None = None
-    alphabet: list[str] | None = None
     initial = None
-    accepting: list[str] | None = None
+    lists: dict[str, list[str]] = {}  # the clocks, params, alphabet and accept lines
     trans_raw: list[tuple[int, str, str, str, str, str]] = []
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -191,19 +176,9 @@ def parse_automaton(text: str) -> Automaton:
                 raise ParseError("automaton line needs exactly one name", line_no)
             name = rest
         elif head in ("clocks", "params", "alphabet", "accept"):
-            values = rest.split()
-            current = {"clocks": clocks, "params": params,
-                       "alphabet": alphabet, "accept": accepting}[head]
-            if current is not None:
+            if head in lists:
                 raise ParseError(f"duplicate {head} line", line_no)
-            if head == "clocks":
-                clocks = values
-            elif head == "params":
-                params = values
-            elif head == "alphabet":
-                alphabet = values
-            else:
-                accepting = values
+            lists[head] = rest.split()
         elif head == "init":
             if initial is not None:
                 raise ParseError("duplicate init line", line_no)
@@ -226,27 +201,28 @@ def parse_automaton(text: str) -> Automaton:
     if initial is None:
         raise ParseError("missing init line", 0)
 
-    param_set = frozenset(params or ())
+    param_set = frozenset(lists.get("params", ()))
     transitions = []
     for line_no, src, dst, letter, guard_text, resets_text in trans_raw:
         guard = parse_guard(guard_text, param_set, line_no)
         resets = [z for z in re.split(r"[,\s]+", resets_text.strip()) if z]
         transitions.append(Transition(src, dst, letter, guard, resets))
 
-    states = {initial} | set(accepting or ())
+    accepting = lists.get("accept", ())
+    states = {initial} | set(accepting)
     for t in transitions:
         states.add(t.source)
         states.add(t.target)
-    letters = set(alphabet) if alphabet is not None else {t.letter for t in transitions}
+    letters = set(lists["alphabet"]) if "alphabet" in lists else {t.letter for t in transitions}
 
     return Automaton(
         name=name,
         alphabet=letters,
         states=states,
-        clocks=clocks or (),
+        clocks=lists.get("clocks", ()),
         params=param_set,
         initial=initial,
-        accepting=accepting or (),
+        accepting=accepting,
         transitions=transitions,
     )
 

@@ -290,18 +290,18 @@ class Compiled:
     def scaling(self, lo, hi=None) -> tuple[int, int, int, int]:
         """(d, m, low, high) for parameter value lo, or for [lo, hi] when hi is given.
 
-        lo is None when the automaton has no parameter.  The scale factor
-        d is the lcm of the constant denominators after lo and hi are
-        filled in, so every scaled constant is an integer; low and high
-        are lo and hi scaled, 0 without a parameter.  The region bound m
-        majorizes twice the maximum constant, hi and every constant, all
-        scaled.
+        lo is None when the automaton has no parameter, and reads as 0.
+        The scale factor d is the lcm of the constant denominators after
+        lo and hi are filled in, so every scaled constant is an integer;
+        low and high are lo and hi scaled, 0 without a parameter.  The
+        region bound m majorizes twice the maximum constant, hi and every
+        constant, all scaled.
         """
         d, low, high = self.denom, 0, 0
         if lo is None:
             if self.n_params or self.has_param:
                 raise PreconditionViolated("parameter value required for a parametric automaton")
-            return d, max(2 * self.c * d, self.top), low, high
+            lo = 0
         lo_num, lo_den = _ratio(lo)
         if self.n_params and lo_num < 0:
             raise PreconditionViolated(f"parameter value must be nonnegative, got {brief(lo)}")

@@ -110,12 +110,19 @@ def test_check_fixed_mu_and_witness(data_dir, capsys):
     assert out.startswith("Empty")
 
 
-def test_check_refuses_mu_without_a_parameter(tmp_path, capsys):
+@pytest.mark.parametrize("argv", [
+    ("check", "{ta}"),
+    ("regions", "{ta}"),
+    ("simulate", "{ta}", "--word", "{word}"),
+], ids=["check", "regions", "simulate"])
+def test_check_refuses_mu_without_a_parameter(tmp_path, capsys, argv):
     from pnta import emptiness_fixed, gen_lk
 
-    lk2 = tmp_path / "lk2.ta"
+    lk2, word = tmp_path / "lk2.ta", tmp_path / "lk2.tw"
     assert _run(capsys, "gen", "lk", "--k", "2", "-o", str(lk2))[0] == 0
-    code, out, err = _run(capsys, "check", str(lk2), "--mu", "7/3")
+    word.write_text("a 1\n")
+    argv = (arg.format(ta=lk2, word=word) for arg in argv)
+    code, out, err = _run(capsys, *argv, "--mu", "7/3")
     assert (code, out) == (2, "")
     assert err == "error: --mu given but the automaton has no parameter\n"
     v = emptiness_fixed(gen_lk(2), Fraction(7, 3))

@@ -509,13 +509,22 @@ def test_the_sweep_scales_the_automaton_only_for_its_winner(data_dir, monkeypatc
 
 
 def test_the_sweep_checks_candidates_lazily(data_dir, monkeypatch):
-    """With 40,002 candidates and a witness at the second, the sweep checks two."""
+    """With 40,002 candidates and a witness at the second, the sweep checks two.
+
+    Each candidate is checked through emptiness_fixed, so a wrapper around
+    it counts what the verdict reports as candidates_checked.
+    """
+    from pnta import parametric
     from pnta.zones import Compiled
 
     scaled_at = []
     at = Compiled.at
     monkeypatch.setattr(Compiled, "at",
                         lambda self, *bounds: scaled_at.append(bounds) or at(self, *bounds))
+    fixed = []
+    check = parametric.emptiness_fixed
+    monkeypatch.setattr(parametric, "emptiness_fixed",
+                        lambda *args: fixed.append(args[1]) or check(*args))
     a = parse_automaton(
         "automaton pingpong\nclocks x y\nparams mu\ninit q0\naccept q1\n"
         "trans q0 q0 a ( x < 5000 ) { }\n"
@@ -525,12 +534,14 @@ def test_the_sweep_checks_candidates_lazily(data_dir, monkeypatch):
     v = parametric_emptiness(a, 20000)
     cands = candidate_parameters(a)
     assert len(cands.candidates) == 40002
-    assert v.nonempty and v.candidates_checked == 2
+    assert v.nonempty and v.candidates_checked == len(fixed) == 2
+    assert fixed == list(cands.values[:2])
     # the first candidate, the check relaxed to [0, Xi], the second candidate
     assert scaled_at == [(cands.values[0],), (0, cands.xi), (cands.values[1],)]
     # a sweep the relaxed check settles checks one candidate
+    fixed.clear()
     v = parametric_emptiness(parse_automaton((data_dir / "relax_empty.ta").read_text()))
-    assert v.relaxed is not None and v.candidates_checked == 1
+    assert v.relaxed is not None and v.candidates_checked == len(fixed) == 1
 
 
 def test_an_automaton_is_compiled_once_for_all_its_checks(data_dir, monkeypatch):

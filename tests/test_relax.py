@@ -28,7 +28,7 @@ from pnta import (
     witness_word,
 )
 from pnta import parametric
-from pnta.parametric import Verdict, _candidates, _decide, _searched
+from pnta.parametric import Verdict, _candidates, _searched
 from pnta.zones import compile_automaton, zone_nonempty
 from randgen import one_clock_population, rand_nrtta, two_clock_population
 
@@ -52,7 +52,7 @@ def _exact_sweep(a, max_nodes=20000) -> Verdict:
     compiled = compile_automaton(b)
     checked = nodes = 0
     for cand in _candidates(compiled.c, len(b.states)):
-        v = _decide(compiled, cand.value, max_nodes)
+        v = emptiness_fixed(b, cand.value, max_nodes)
         checked += 1
         nodes += v.zone_nodes
         if v.nonempty:
