@@ -221,7 +221,7 @@ class Automaton:
 
     Immutable.  The first check of an automaton keeps its compiled form
     on it as an attribute outside the fields (`parametric._compiled`), so
-    equality, hash and repr are those of the fields alone.
+    equality, hash, repr and pickling are those of the fields alone.
     """
 
     name: str
@@ -243,6 +243,12 @@ class Automaton:
         object.__setattr__(self, "initial", initial)
         object.__setattr__(self, "accepting", frozenset(accepting))
         object.__setattr__(self, "transitions", tuple(transitions))
+
+    def __getstate__(self):
+        """The fields alone: an unpickled automaton compiles again on its next check."""
+        state = self.__dict__.copy()
+        state.pop("_compiled", None)
+        return state
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,13 @@ d[i * n + j] bounding clock i minus clock j, so one slice copies it;
 row/column 0 is the constant zero clock.  Strict
 monotonicity of timestamps is realized by a delay operation that makes
 every lower bound strict; the initial node alone uses the non-strict
-delay so that the first event of a word may happen at time 0.
+delay so that the first event of a word may happen at time 0.  A node
+stores its zone after the delay, as the textbook zone graph does
+(Bengtsson & Yi, LNCS 3098, 2004): a successor is the guard, the reset
+and the strict delay applied to its parent's zone, then extrapolated.
+The successors of a zone depend only on its delayed form, so zones that
+differ only in bounds the delay drops, such as upper bounds, are one
+node.
 
 Every zone stored as a graph key, one flat tuple, is canonical, a form
 unique to each nonempty zone.  Delay and reset keep a DBM canonical,
@@ -28,8 +34,9 @@ Extrapolation is Extra_M with a bound per clock (Behrmann, Bouyer,
 Larsen, Pelánek, STTT 8(3), 2006): a clock's cap is the largest scaled
 constant a guard compares it with, 0 if no guard tests it, so a zone
 forgets what no guard can tell apart; it stays sound for Büchi emptiness
-(Tripakis 2009).  The cap is usually well below the global region bound
-m, which only the region projection uses.
+(Tripakis 2009), also over the graph of delayed zones (Herbreteau,
+Srivathsan & Walukiewicz, FMSD 2012).  The cap is usually well below the
+global region bound m, which only the region projection uses.
 
 A check compiles its automaton once, `compile_automaton`: clock
 indices, and each guard's `_dnf` disjuncts as templates of the bounds
@@ -78,6 +85,7 @@ builds one Fraction per event, of the original time unit.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -387,41 +395,53 @@ def compile_automaton(a: Automaton) -> Compiled:
                     denom, c, top, len(a.params), len(consts) < len(bounds), len(a.states))
 
 
+class _Pending(dict):
+    """Unfinished successor iterators by node: a dict a weak reference can reach."""
+
+
 def _zone_graph(s: Scaled):
     """(successors, nodes, memo) of the zone graph of a scaled automaton.
 
-    Each node (state, key, first) is interned once as its index in nodes;
-    the root is 0.  key is the node's canonical DBM as one flat tuple of
-    n * n bounds, row by row, and only the root has first set.
-    successors(i) gives node i's (Step, j) pairs, the Step taken and the
-    child's index, always in one order.  The first call returns an
-    iterator that builds and interns each child only when it is asked
-    for, so a search that stops early builds none of the rest; a later
-    call finishes it and returns the full list.  memo holds, for every
-    node asked for so far, the pairs built so far.
+    Each node (state, key) is interned once as its index in nodes; the
+    root is 0.  key is the node's zone after the delay, canonical, as one
+    flat tuple of n * n bounds, row by row: the root's is the non-strict
+    delay of the zero zone, so the first event may happen at time 0, and
+    a child's is Extra(up(reset(guard(key)))) with the strict delay, so
+    later events happen strictly later.  successors(i) gives node i's
+    (Step, j) pairs, the Step taken and the child's index, always in one
+    order.  The first call returns an iterator that builds and interns
+    each child only when it is asked for, so a search that stops early
+    builds none of the rest; a later call finishes it and returns the
+    full list.  The graph keeps an iterator only until its end, and the
+    iterators reach that store only by a weak reference, so one left
+    unfinished forms no reference cycle: each is freed without the
+    collector.  memo holds, for every node asked for so far, the pairs
+    built so far.
     """
     caps, scale, out_of = s.caps, s.scale, s.out
     n = len(caps)
-    nodes = [(s.initial, (_LE0,) * (n * n), True)]
+    root = [_LE0] * (n * n)
+    _up(root, n, strict=False)
+    nodes = [(s.initial, tuple(root))]
     ids = {nodes[0]: 0}
     memo: dict[int, list] = {}
-    pending: dict = {}  # node -> its iterator, until a later call finishes it
+    pending = _Pending()
+    pending_ref = weakref.ref(pending)
 
     def expand(i: int, out: list):
-        q, key, first = nodes[i]
-        base = list(key)
-        _up(base, n, strict=not first)
+        q, key = nodes[i]
         for _, target, _, reset_idxs, disjuncts in out_of.get(q, ()):
             for label, templates in disjuncts:
-                z = base[:]
+                z = list(key)
                 for x, y, coef, p, w in templates:
                     if not _tighten(z, n, x, y, coef * scale[p] + w):
                         break
                 else:
                     _reset(z, n, reset_idxs)
+                    _up(z, n, strict=True)
                     if _extrapolate(z, n, caps):
                         _canonical(z, n)  # widening a nonempty zone keeps it nonempty
-                    node = (target, tuple(z), False)
+                    node = (target, tuple(z))
                     j = ids.get(node)
                     if j is None:
                         j = ids[node] = len(nodes)
@@ -429,6 +449,7 @@ def _zone_graph(s: Scaled):
                     pair = (label, j)
                     out.append(pair)
                     yield pair
+        pending_ref().pop(i, None)
 
     def successors(i: int):
         out = memo.get(i)

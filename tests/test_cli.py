@@ -51,7 +51,7 @@ def test_check_reports_the_relaxation_that_settled_an_empty_verdict(data_dir, ca
     code, out, _ = _run(capsys, "check", path, "--witness")
     lines = out.splitlines()
     assert code == 0 and lines[0] == "Empty" and len(lines) == 3
-    assert lines[1].startswith("candidates checked: 1, abstraction nodes: 31, ")
+    assert lines[1].startswith("candidates checked: 1, abstraction nodes: 13, ")
     assert lines[2] == "settled by one check with mu relaxed to [0, 10]"
     code, out, _ = _run(capsys, "check", str(data_dir / "e_param_contra.ta"))
     assert code == 0 and len(out.splitlines()) == 2  # the relaxation left that sweep open

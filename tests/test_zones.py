@@ -1,6 +1,9 @@
 """Zone-graph emptiness against the region-based search."""
 
+import gc
+import inspect
 import random
+import weakref
 from fractions import Fraction
 from unittest.mock import patch
 
@@ -177,9 +180,9 @@ def test_a_clock_no_guard_tests_has_cap_0():
                  INF, _bnd(-3, True), _bnd(0, True)]
 
 
-# a-a-a reaches the accepting loop first in depth-first order, b then the loop is shorter
-# but the search never discovers it, and the dead-end c chain makes the whole graph
-# larger than the early-exit search
+# a-a-a reaches the accepting loop first in depth-first order, and b reaches the same
+# delayed zone at q2, so the shortest stem is b; the dead-end c chain makes the whole
+# graph larger than the early-exit search
 BRANCHES = """
 automaton br
 clocks x
@@ -210,7 +213,7 @@ def test_zone_lasso_does_not_depend_on_the_budget():
     assert zone_nonempty(s, max_nodes=4) == (True, 4)
     for lasso, nodes in (zone_lasso(s), zone_lasso(s, max_nodes=4)):
         assert nodes == 4
-        assert _lasso_word(s, lasso, 1).letters() == ("a", "a", "a", "a")
+        assert _lasso_word(s, lasso, 1).letters() == ("b", "a")
         assert reaches_acceptance(a, _lasso_word(s, lasso, 3))
 
 
@@ -383,7 +386,9 @@ def _eager_zone_graph(s):
     out_of = {}
     for rule in s.rules:
         out_of.setdefault(rule[0], []).append(rule)
-    nodes = [(s.initial, (_LE0,) * (n * n), True)]
+    root = [_LE0] * (n * n)
+    _up(root, n, strict=False)
+    nodes = [(s.initial, tuple(root))]
     ids = {nodes[0]: 0}
     memo = {}
 
@@ -391,21 +396,20 @@ def _eager_zone_graph(s):
         cached = memo.get(i)
         if cached is not None:
             return cached
-        q, key, first = nodes[i]
-        base = list(key)
-        _up(base, n, strict=not first)
+        q, key = nodes[i]
         out = []
         for _, target, _, reset_idxs, disjuncts in out_of.get(q, ()):
             for label, _ in disjuncts:
-                z = base[:]
+                z = list(key)
                 for x, y, b in s.bounds(label):
                     if not _tighten(z, n, x, y, b):
                         break
                 else:
                     _reset(z, n, reset_idxs)
+                    _up(z, n, strict=True)
                     if _extrapolate(z, n, caps):
                         _canonical(z, n)
-                    node = (target, tuple(z), False)
+                    node = (target, tuple(z))
                     j = ids.get(node)
                     if j is None:
                         j = ids[node] = len(nodes)
@@ -450,5 +454,100 @@ def test_lazy_successors_intern_fewer_zones_on_drift(data_dir):
     lazy_nodes, lazy_memo, lazy_found = _searched_graph(_zone_graph, s)
     eager_nodes, eager_memo, eager_found = _searched_graph(_eager_zone_graph, s)
     assert lazy_found is not None and eager_found is not None
-    assert len(lazy_memo) == len(eager_memo) == 9
-    assert (len(lazy_nodes), len(eager_nodes)) == (9, 13)
+    assert len(lazy_memo) == len(eager_memo) == 7
+    assert (len(lazy_nodes), len(eager_nodes)) == (7, 11)
+
+
+# the parameter values the six-state population checks its parametric draws at
+SIX_STATE_MUS = (Fraction(1, 9), Fraction(3, 7), Fraction(1, 2), Fraction(1), Fraction(5, 3))
+
+
+def test_zone_graph_agrees_with_the_region_oracle_on_six_states():
+    """1,000 draws with up to 6 states, half of them parametric: same verdict, replayed witness."""
+    rng = random.Random(621)
+    nonempty = 0
+    for i in range(1000):
+        a = rand_nrtta(rng, max_states=6, cmax=3, param="p" if i % 2 else None)
+        mu = rng.choice(SIX_STATE_MUS) if a.params else None
+        v = emptiness_fixed(a, mu)
+        scaled, m, _ = prepare_fixed(a, mu)
+        assert v.nonempty == (find_lasso(scaled, m) is not None), (i, mu)
+        if v.nonempty:
+            nonempty += 1
+            assert reaches_acceptance(a, witness_word(a, v), {p: mu for p in a.params})
+    assert 0 < nonempty < 1000
+
+
+def _whole_graph(s, graph=_zone_graph):
+    """(nodes, successors) of graph(s), every reachable node expanded."""
+    successors, nodes, _ = graph(s)
+    todo, seen = [0], {0}
+    while todo:
+        for _, j in successors(todo.pop()):
+            if j not in seen:
+                seen.add(j)
+                todo.append(j)
+    return nodes, successors
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10 ** 9), st.sampled_from(["nrt", "param", "ta"]))
+def test_every_node_stores_its_zone_after_the_delay(seed, kind):
+    """The root is the zero zone delayed with delay 0 allowed, every other key a strict delay."""
+    rng = random.Random(seed)
+    if kind == "ta":
+        a = rand_ta(rng, max_states=6, cmax=2)
+    else:
+        a = rand_nrtta(rng, max_states=6, cmax=3, param="p" if kind == "param" else None)
+    s = _at(a, rng.choice(SIX_STATE_MUS) if a.params else None)
+    nodes, _ = _whole_graph(s)
+    n = len(s.caps)
+    root = [_LE0] * (n * n)
+    _up(root, n, strict=False)
+    assert nodes[0] == (s.initial, tuple(root))
+    for _, key in nodes[1:]:
+        z = list(key)
+        _up(z, n, strict=True)
+        assert tuple(z) == key
+
+
+def _tracked_search(s):
+    """(successors, nodes, memo, refs) of a search over _zone_graph(s), refs weak to its iterators."""
+    successors, nodes, memo = _zone_graph(s)
+    refs = []
+
+    def tracked(i):
+        it = successors(i)
+        refs.append(weakref.ref(it))
+        return it
+
+    _search_lasso(0, tracked, lambda i: nodes[i][0] in s.accepting)
+    return successors, nodes, memo, refs
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10 ** 9), st.booleans())
+def test_the_graph_keeps_only_the_iterators_a_search_left_unfinished(seed, nrt):
+    """A finished iterator is freed at once, and an unfinished one with the graph, without the collector.
+
+    A later successors(i) call still gives node i's full list, also for a
+    node whose iterator the search left unfinished.
+    """
+    rng = random.Random(seed)
+    a = rand_nrtta(rng, max_states=6, cmax=3) if nrt else rand_ta(rng, max_states=6, cmax=2)
+    s = _at(a)
+    eager_nodes, eager = _whole_graph(s, _eager_zone_graph)
+    index = {node: k for k, node in enumerate(eager_nodes)}
+    gc.disable()
+    try:
+        successors, nodes, memo, refs = _tracked_search(s)
+        assert refs and all(inspect.getgeneratorstate(r()) != inspect.GEN_CLOSED
+                            for r in refs if r() is not None)
+        for i in list(memo):
+            assert ([(label, nodes[j]) for label, j in successors(i)]
+                    == [(label, eager_nodes[j]) for label, j in eager(index[nodes[i]])])
+        assert all(r() is None for r in refs)
+        refs = _tracked_search(s)[3]
+        assert all(r() is None for r in refs)
+    finally:
+        gc.enable()
