@@ -5,8 +5,7 @@ at most one parameter accepts some infinite timed word, for every value of
 the parameter, by sweeping a finite set of candidate values and running a
 Buchi emptiness check on a finite abstraction for each. It also ships a
 translation that removes test-and-reset clocks, a simulator for finite
-timed words, generators for a family of clock-counting examples, and
-randomized self-checks of the arithmetic facts the sweep relies on.
+timed words, and generators for a family of clock-counting examples.
 """
 
 from .core import (
@@ -86,43 +85,16 @@ from .parametric import (
     scale_constants,
     witness_word,
 )
-from .analysis import (
-    IntervalClass,
-    OneResetSeq,
-    PolarityContext,
-    SuiteResult,
-    agreement_transport,
-    classify_critical_sequence,
-    compress_region_lasso,
-    critval_cases,
-    fracvalue_case,
-    in_agreement,
-    in_complete_agreement,
-    interval_bounds,
-    interval_class,
-    is_critical,
-    low_k,
-    polarity_ctx,
-    pr2_shape,
-    run_suites,
-)
 from .examples import gen_lk, gen_lpk
 from .errors import (
-    ChiTooLarge,
-    DegenerateParameter,
-    Disconnected,
-    FloorMismatch,
     GuardViolated,
     Infeasible,
     MalformedWord,
     NonIntegerAfterScaling,
     NonPositiveDelay,
-    NotCompleteAgreement,
-    NotInSZ,
     NotOneParameter,
     ParseError,
     PntaError,
-    PolarityMismatch,
     PreconditionViolated,
     RegionBudgetExceeded,
     UnboundSymbol,
@@ -151,18 +123,10 @@ __all__ = [
     "Candidate", "CandidateSet", "Verdict", "candidate_parameters",
     "emptiness_fixed", "instantiate", "parametric_emptiness", "prepare_fixed",
     "scale_constants", "witness_word",
-    "IntervalClass", "OneResetSeq", "PolarityContext", "SuiteResult",
-    "agreement_transport", "classify_critical_sequence",
-    "compress_region_lasso", "critval_cases", "fracvalue_case",
-    "in_agreement", "in_complete_agreement", "interval_bounds",
-    "interval_class", "is_critical", "low_k", "polarity_ctx", "pr2_shape",
-    "run_suites",
     "gen_lk", "gen_lpk",
-    "ChiTooLarge", "DegenerateParameter", "Disconnected", "FloorMismatch",
     "GuardViolated", "Infeasible", "MalformedWord", "NonIntegerAfterScaling",
-    "NonPositiveDelay", "NotCompleteAgreement", "NotInSZ", "NotOneParameter",
-    "ParseError", "PntaError", "PolarityMismatch", "PreconditionViolated",
-    "RegionBudgetExceeded", "UnboundSymbol", "UnsupportedAutomaton",
-    "WrongSource",
+    "NonPositiveDelay", "NotOneParameter", "ParseError", "PntaError",
+    "PreconditionViolated", "RegionBudgetExceeded", "UnboundSymbol",
+    "UnsupportedAutomaton", "WrongSource",
     "__version__",
 ]

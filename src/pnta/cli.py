@@ -3,7 +3,7 @@
 Exit codes: 0 the language is empty (or the command succeeded for
 non-verdict commands), 10 nonempty, 2 parse/validation/unsupported-input
 errors, an unreadable input file or a closed stdout, 3 abstraction budget
-exceeded, 1 failed analysis suites.
+exceeded.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from fractions import Fraction
 from functools import cache
 from typing import Optional
 
-from .analysis import run_suites
 from .core import Automaton, brief, is_nrtta, parse_rational, validate
 from .errors import ParseError, PntaError, PreconditionViolated, RegionBudgetExceeded
 from .parametric import (
@@ -37,7 +36,6 @@ EXIT_EMPTY = 0
 EXIT_NONEMPTY = 10
 EXIT_BAD_INPUT = 2
 EXIT_BUDGET = 3
-EXIT_SUITE_FAILURE = 1
 
 
 @dataclass
@@ -238,19 +236,6 @@ def cmd_validate(args) -> int:
     return 0
 
 
-def cmd_analyze(args) -> int:
-    results = run_suites(args.seed, args.trials)
-    failed = False
-    for name, res in results.items():
-        status = "ok" if res.ok else "FAIL"
-        print(f"{name}: trials={res.trials} failures={res.failures} {status}")
-        if not res.ok:
-            failed = True
-            for note in res.notes[:5]:
-                print(f"  {note}")
-    return EXIT_SUITE_FAILURE if failed else 0
-
-
 def _positive_int(text: str) -> int:
     try:
         value = int(text)
@@ -315,11 +300,6 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("file")
     v.set_defaults(fn=cmd_validate)
 
-    an = sub.add_parser("analyze", help="run the randomized self-check suites")
-    an.add_argument("--seed", type=int, default=2026)
-    an.add_argument("--trials", type=_positive_int, default=None,
-                    help="override every suite's trial count")
-    an.set_defaults(fn=cmd_analyze)
     return p
 
 

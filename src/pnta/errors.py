@@ -62,36 +62,9 @@ class UnsupportedAutomaton(PntaError):
     non-translatable test-and-reset automaton)."""
 
 
-class DegenerateParameter(PntaError):
-    """Parameter value is a multiple of 1/2; the fractional machinery is
-    undefined there (such values are handled by direct instantiation)."""
-
-
-class NotInSZ(PntaError):
-    """Fractional value lies outside the polarity's distinguished intervals."""
-
-
-class ChiTooLarge(PntaError):
-    """Bracket width chi does not fit inside the interval."""
-
-
-class PolarityMismatch(PntaError):
-    """The two parameter values have different polarity."""
-
-
-class FloorMismatch(PntaError):
-    """The two parameter values have different integer parts."""
-
-
-class NotCompleteAgreement(PntaError):
-    """Starting valuations are not in complete agreement."""
-
-
 class Infeasible(PntaError):
-    """Agreement transport found an empty feasible interval.  This never
-    happens when the preconditions hold; raising it signals a genuine
-    counterexample to the transport property."""
-
-
-class Disconnected(PntaError):
-    """Consecutive path nodes are not connected in the region automaton."""
+    """No concrete choice fits: `regions.concretize_lasso` found no delay
+    or firing region that keeps to its symbolic lasso, or agreement
+    transport (a lemma the tests check) found an empty feasible interval.
+    Neither happens when the preconditions hold; raising it signals a
+    genuine counterexample."""

@@ -11,8 +11,7 @@ soon as it closes an accepting cycle.  It backs the `regions` command
 and is the oracle the tests check the zone engine against; `check`
 decides with the zone engine alone.  The explicit RegionAutomaton (one
 edge per delay-then-fire step, positive delays only) is the region
-graph itself: `pnta regions` prints its size, `to_dot` draws it and
-`analysis.compress_region_lasso` checks paths against its edges.
+graph itself: `pnta regions` prints its size and `to_dot` draws it.
 
 Strict monotonicity of timestamps is encoded structurally: a region can
 host a second event without time passing a boundary only if it is
@@ -212,12 +211,6 @@ class RegionAutomaton:
     initial: RANode
     edges: tuple[tuple[tuple[int, int], ...], ...]
     accepting_nodes: frozenset[int]
-
-    def node_index(self, node: RANode) -> int:
-        return self._index[node]
-
-    def __post_init__(self):
-        object.__setattr__(self, "_index", {n: i for i, n in enumerate(self.nodes)})
 
 
 def _require_parameter_free(a: Automaton, m: int) -> None:

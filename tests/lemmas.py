@@ -1,4 +1,4 @@
-"""Executable fractional-part analysis behind the candidate-set theorems.
+"""Executable fractional-part lemmas behind the candidate-set theorems.
 
 Everything here works on exact rationals: the polarity of a parameter
 value, the six-way classification of fractional parts against ell =
@@ -8,11 +8,10 @@ parameter values, the critical-valuation case lists, the fractional
 decomposition of a one-delay step, agreement transport along one-reset
 sequences, and pin compression of region-level paths.
 
-`run_suites` drives randomized self-checks of the statements.  A suite
-is a trial function that draws one input and returns None or a failure
-note; a note, a PntaError or an AssertionError counts as a failed trial,
-never as a traceback (the library asserts what the theory proves; a
-failure here is a genuine counterexample to the implementation).
+The decision procedure calls none of it; the tests check the lemmas on
+examples and on seeded random inputs.  A trial function (`_suite_*`)
+draws one input from its rng and returns None or a failure note; each
+suite draws from `_suite_rng(2026, name)`.
 """
 
 from __future__ import annotations
@@ -20,25 +19,44 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .errors import (
-    ChiTooLarge,
-    DegenerateParameter,
-    Disconnected,
-    FloorMismatch,
-    Infeasible,
-    NotCompleteAgreement,
-    NotInSZ,
-    PntaError,
-    PolarityMismatch,
-    PreconditionViolated,
-)
-from .regions import RegionAutomaton
-from .semantics import Valuation, elapse
+from pnta.errors import Infeasible, PntaError, PreconditionViolated
+from pnta.regions import RegionAutomaton
+from pnta.semantics import Valuation, elapse
+
+
+class DegenerateParameter(PntaError):
+    """Parameter value is a multiple of 1/2; the fractional machinery is
+    undefined there (such values are handled by direct instantiation)."""
+
+
+class NotInSZ(PntaError):
+    """Fractional value lies outside the polarity's distinguished intervals."""
+
+
+class ChiTooLarge(PntaError):
+    """Bracket width chi does not fit inside the interval."""
+
+
+class PolarityMismatch(PntaError):
+    """The two parameter values have different polarity."""
+
+
+class FloorMismatch(PntaError):
+    """The two parameter values have different integer parts."""
+
+
+class NotCompleteAgreement(PntaError):
+    """Starting valuations are not in complete agreement."""
+
+
+class Disconnected(PntaError):
+    """Consecutive path nodes are not connected in the region automaton."""
+
 
 Rational = Union[int, Fraction]
 
@@ -587,10 +605,11 @@ def compress_region_lasso(
     def check_connected(ns: list) -> None:
         if ra is None:
             return
+        index = {node: i for i, node in enumerate(ra.nodes)}
         for u, w in zip(ns, ns[1:]):
             try:
-                i = ra.node_index(u)
-                j = ra.node_index(w)
+                i = index[u]
+                j = index[w]
             except KeyError as exc:
                 raise Disconnected(f"{exc.args[0]} is not a region-automaton node") from None
             if all(jj != j for _, jj in ra.edges[i]):
@@ -610,19 +629,7 @@ def compress_region_lasso(
 
 
 # ---------------------------------------------------------------------------
-# Randomized self-check suites
-
-
-@dataclass
-class SuiteResult:
-    name: str
-    trials: int
-    failures: int
-    notes: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return self.failures == 0
+# Randomized trials
 
 
 _DENS = (2, 3, 4, 5, 6, 7, 8, 10, 12, 16)
@@ -794,46 +801,3 @@ def _suite_low_k(rng: random.Random) -> Optional[str]:
     if not (hi - k * ctx.chi <= f < hi - (k - 1) * ctx.chi):
         return f"bracket broken at f={f}, mu={ctx.mu}"
     return None
-
-
-def _suite_order(rng: random.Random) -> Optional[str]:
-    """The chain order of IntervalClass; the same check every trial, so it draws nothing."""
-    chain = list(IntervalClass)
-    if chain != sorted(chain):
-        return "enum order broken"
-    if not IntervalClass.ZL < IntervalClass.L:
-        return "ZL not below L"
-    return None
-
-
-_SUITES = {
-    "prop1": (_suite_prop1, 10_000),
-    "prop2": (_suite_prop2, 10_000),
-    "lemma4": (_suite_lemma4, 10_000),
-    "lemma3": (_suite_lemma3, 1_000),
-    "classes": (_suite_classes, 10_000),
-    "low_k": (_suite_low_k, 10_000),
-    "order": (_suite_order, 10_000),
-}
-
-
-def run_suites(seed: int = 2026, trials: Optional[int] = None) -> dict[str, SuiteResult]:
-    """Run every randomized self-check; trials overrides each suite's default count.
-
-    Each suite's trial draws from the suite's own seeded rng; a raised
-    PntaError or AssertionError is counted with the note "error: ...".
-    """
-    out = {}
-    for name, (trial, default_trials) in _SUITES.items():
-        rng = _suite_rng(seed, name)
-        res = SuiteResult(name, trials if trials is not None else default_trials, 0)
-        for _ in range(res.trials):
-            try:
-                note = trial(rng)
-            except (PntaError, AssertionError) as exc:
-                note = f"error: {exc}"
-            if note is not None:
-                res.failures += 1
-                res.notes.append(note)
-        out[name] = res
-    return out

@@ -8,7 +8,6 @@ from pnta import (
     Automaton,
     Configuration,
     GuardViolated,
-    IntervalClass,
     Region,
     TimedWord,
     Transition,
@@ -18,17 +17,16 @@ from pnta import (
     eq,
     ge,
     gt,
-    interval_bounds,
     is_nrtta,
     le,
     lt,
     ne,
-    polarity_ctx,
     run_frontiers,
     step,
     validate,
     zero_valuation,
 )
+from lemmas import IntervalClass, interval_bounds, polarity_ctx
 
 LETTERS = ("a", "b")
 _OPS = (lt, eq, le, gt, ge, ne)

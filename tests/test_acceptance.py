@@ -13,22 +13,15 @@ from fractions import Fraction as F
 import pytest
 
 from pnta import (
-    OneResetSeq,
     Valuation,
-    agreement_transport,
     atoms,
     build_region_automaton,
     candidate_parameters,
     concretize_lasso,
-    critval_cases,
     elapse,
     emptiness_fixed,
-    fracvalue_case,
     gen_lk,
     gen_lpk,
-    in_agreement,
-    in_complete_agreement,
-    is_critical,
     is_nrtta,
     max_constant,
     parametric_emptiness,
@@ -36,12 +29,24 @@ from pnta import (
     prepare_fixed,
     region_of,
     run_frontiers,
-    run_suites,
     scale_constants,
     ta_to_nrtta,
 )
 from pnta.errors import Infeasible, PreconditionViolated
 
+from lemmas import (
+    OneResetSeq,
+    _suite_lemma4,
+    _suite_prop1,
+    _suite_prop2,
+    _suite_rng,
+    agreement_transport,
+    critval_cases,
+    fracvalue_case,
+    in_agreement,
+    in_complete_agreement,
+    is_critical,
+)
 from randgen import (
     matched_param_pair,
     matched_starts,
@@ -225,11 +230,11 @@ def test_criterion_08_transport_postcondition_on_random_one_reset_sequences():
 
 def test_criterion_09_fuzz_suites_pass_with_full_case_coverage():
     t0 = time.perf_counter()
-    results = run_suites()
-    for name in ("lemma4", "prop1", "prop2"):
-        res = results[name]
-        assert res.trials == 10_000
-        assert res.failures == 0, res.notes[:3]
+    for name, trial in (("lemma4", _suite_lemma4), ("prop1", _suite_prop1),
+                        ("prop2", _suite_prop2)):
+        rng = _suite_rng(2026, name)
+        for _ in range(10_000):
+            assert trial(rng) is None, name
 
     # deterministic sweep: every fractional-value case label shows up and the
     # (kappa, eps) split reproduces the fractional part exactly

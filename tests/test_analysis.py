@@ -5,22 +5,30 @@ from fractions import Fraction
 
 import pytest
 
-from pnta import (
+from pnta import PreconditionViolated, Valuation, elapse
+
+from lemmas import (
+    NEGATIVE,
+    PLUS_ONE,
+    POSITIVE,
+    SAME,
     ChiTooLarge,
     DegenerateParameter,
+    Disconnected,
     FloorMismatch,
     IntervalClass,
     NotCompleteAgreement,
     NotInSZ,
     OneResetSeq,
     PolarityMismatch,
-    PreconditionViolated,
-    Valuation,
+    _suite_classes,
+    _suite_lemma3,
+    _suite_low_k,
+    _suite_rng,
     agreement_transport,
     classify_critical_sequence,
     compress_region_lasso,
     critval_cases,
-    elapse,
     fracvalue_case,
     in_agreement,
     in_complete_agreement,
@@ -30,10 +38,7 @@ from pnta import (
     low_k,
     polarity_ctx,
     pr2_shape,
-    run_suites,
 )
-from pnta.analysis import NEGATIVE, PLUS_ONE, POSITIVE, SAME
-from pnta.cli import main
 from randgen import matched_param_pair, matched_starts
 
 F = Fraction
@@ -378,7 +383,7 @@ def test_compress_region_lasso_random_paths():
 
 
 def test_compress_checks_connectivity(data_dir):
-    from pnta import Disconnected, build_region_automaton, parse_automaton, prepare_fixed
+    from pnta import build_region_automaton, parse_automaton, prepare_fixed
 
     a = parse_automaton((data_dir / "e_window.ta").read_text())
     scaled, m, _ = prepare_fixed(a, F(3, 2))
@@ -386,7 +391,7 @@ def test_compress_checks_connectivity(data_dir):
     i = 0
     path = [ra.nodes[0]]
     for _ in range(4):
-        out = ra.edges[ra.node_index(path[-1])]
+        out = ra.edges[ra.nodes.index(path[-1])]
         if not out:
             break
         path.append(ra.nodes[out[0][1]])
@@ -397,37 +402,22 @@ def test_compress_checks_connectivity(data_dir):
 
 
 # ---------------------------------------------------------------------------
-# Self-check suites
+# Seeded random trials (prop1, prop2 and lemma4 run in acceptance criterion 09)
 
 
-def test_run_suites_small():
-    results = run_suites(seed=11, trials=150)
-    assert set(results) == {"prop1", "prop2", "lemma4", "lemma3",
-                            "classes", "low_k", "order"}
-    for name, res in results.items():
-        assert res.name == name
-        assert res.trials == 150
-        assert res.ok, (name, res.notes[:3])
+def test_suite_lemma3():
+    rng = _suite_rng(2026, "lemma3")
+    for _ in range(1_000):
+        assert _suite_lemma3(rng) is None
 
 
-def test_run_suites_is_deterministic():
-    a = run_suites(seed=42, trials=60)
-    b = run_suites(seed=42, trials=60)
-    assert {k: (v.trials, v.failures, v.notes) for k, v in a.items()} == \
-           {k: (v.trials, v.failures, v.notes) for k, v in b.items()}
+def test_suite_classes():
+    rng = _suite_rng(2026, "classes")
+    for _ in range(10_000):
+        assert _suite_classes(rng) is None
 
 
-def test_a_raising_trial_is_a_counted_failure(monkeypatch, capsys):
-    """A lemma that raises fails its trial with an "error:" note; nothing escapes the suites."""
-    def broken(*args):
-        raise AssertionError("patched")
-
-    monkeypatch.setattr("pnta.analysis.critval_cases", broken)
-    res = run_suites(seed=2026, trials=20)["prop1"]
-    assert (res.trials, res.failures) == (20, 20)
-    assert res.notes == ["error: patched"] * 20
-
-    assert main(["analyze", "--trials", "20"]) == 1
-    out = capsys.readouterr().out
-    assert "prop1: trials=20 failures=20 FAIL\n  error: patched\n" in out
-    assert "prop2: trials=20 failures=0 ok" in out
+def test_suite_low_k():
+    rng = _suite_rng(2026, "low_k")
+    for _ in range(10_000):
+        assert _suite_low_k(rng) is None

@@ -211,9 +211,7 @@ def test_max_regions_must_be_positive(data_dir, capsys, command, budget):
     ("simulate", "{window}", "--word", "{window}", "--mu", "abc"),
     ("regions", "{window}", "--mu", "1/0"),
     ("check", "{window}", "--unrollings", "0"),
-    ("analyze", "--trials", "-1"),
-    ("analyze", "--trials", "0"),
-], ids=["check-mu", "simulate-mu", "regions-mu", "unrollings", "trials-negative", "trials-zero"])
+], ids=["check-mu", "simulate-mu", "regions-mu", "unrollings"])
 def test_bad_option_values_are_usage_errors(data_dir, capsys, argv):
     window = str(data_dir / "e_window.ta")
     with pytest.raises(SystemExit) as exc:
@@ -583,11 +581,13 @@ def test_gen_round_trips(capsys):
     assert parse_automaton(out) == gen_lpk(2)
 
 
-def test_analyze_exit_codes(capsys):
-    code, out, _ = _run(capsys, "analyze", "--seed", "3", "--trials", "40")
-    assert code == 0
-    for name in ("prop1", "prop2", "lemma4", "lemma3"):
-        assert name in out
+def test_there_is_no_analyze_command(capsys):
+    for argv in (["analyze"], ["analyze", "--trials", "50"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'analyze'" in err and "Traceback" not in err
 
 
 def test_check_closed_stdout_has_no_traceback(data_dir):
