@@ -312,8 +312,8 @@ def _search_lasso(
     successors: Callable,
     is_accepting: Callable,
     max_nodes: Optional[int] = None,
-):
-    """(members, discovered) for the first accepting cycle the search closes, or None.
+) -> tuple[Optional[list], dict, dict]:
+    """(members, graph, unread): what the search found and the graph it read.
 
     Depth-first search with Couvreur's roots stack (FM 1999): the active
     nodes, those of components not yet complete, stay on a stack in
@@ -325,26 +325,30 @@ def _search_lasso(
     as it is closed, not when the component completes.  members are the
     active nodes from the merged root up, strongly connected through the
     edges explored so far, so each of them lies on a cycle through the
-    others; discovered is the set of nodes the search has reached.  It asks
+    others; None when no accepting cycle is reachable.  It asks
     successors(node) once per node, when it discovers it, and reads only
-    as far as it goes, so that call may return a one-shot iterator that
-    builds each successor on demand; a later call for the same node, as
-    `_shortest_path` makes for `_lasso_at`, must return the full list in
-    the same order.  The result depends only on the order of successors.
-    More than max_nodes discovered nodes raise RegionBudgetExceeded.
+    as far as it goes, so that call may return an iterator that builds
+    each successor on demand.  graph maps each discovered node to the
+    (label, child) pairs read from it, in order, and unread maps each node
+    still on the stack when the search stops to the rest of its iterator.
+    The result depends only on the order of successors.  More than
+    max_nodes discovered nodes raise RegionBudgetExceeded.
     """
-    discovered: set = {root}
+    graph: dict = {root: []}
     active: list = [root]
     place: dict = {root: 0}  # active node -> its index in active
     roots: list = [(0, is_accepting(root))]
     frames: list = [(root, iter(successors(root)))]
     while frames:
         node, it = frames[-1]
-        for label, child in it:
-            if child not in discovered:
-                if max_nodes is not None and len(discovered) >= max_nodes:
+        out = graph[node]
+        for pair in it:
+            out.append(pair)
+            child = pair[1]
+            if child not in graph:
+                if max_nodes is not None and len(graph) >= max_nodes:
                     raise RegionBudgetExceeded(max_nodes)
-                discovered.add(child)
+                graph[child] = []
                 place[child] = len(active)
                 active.append(child)
                 roots.append((place[child], is_accepting(child)))
@@ -359,7 +363,7 @@ def _search_lasso(
                 acc = acc or below
             roots.append((r, acc))
             if acc:
-                return active[r:], discovered
+                return active[r:], graph, dict(frames)
         else:
             frames.pop()
             r = place[node]
@@ -368,23 +372,31 @@ def _search_lasso(
                 for w in active[r:]:
                     del place[w]
                 del active[r:]
-    return None
+    return None, graph, {}
 
 
-def _lasso_at(root, successors: Callable, is_accepting: Callable, found) -> tuple[list, list]:
-    """(stem_pairs, cycle_pairs) of an accepting lasso in _search_lasso's result.
+def _lasso_at(root, is_accepting: Callable, found) -> tuple[list, list]:
+    """(stem_pairs, cycle_pairs) of an accepting lasso in the graph _search_lasso read.
 
     Two `_shortest_path` calls: the stem from root through the discovered
     nodes alone to the nearest accepting member of the component the
     search closed (none when root is one), and the cycle from that node
-    back to itself within the component.
+    back to itself within the component.  They walk the successor lists
+    the search recorded, and finish a node's list from its unread
+    iterator when they reach that node.
     """
-    members, discovered = found
+    members, graph, unread = found
     within = set(members)
+
+    def successors(node):
+        out = graph[node]
+        out.extend(unread.pop(node, ()))
+        return out
+
     if root in within and is_accepting(root):
         stem, node = [], root
     else:
-        stem = _shortest_path(root, successors, discovered,
+        stem = _shortest_path(root, successors, graph,
                               lambda n: n in within and is_accepting(n))
         node = stem[-1][1]
     return stem, _shortest_path(node, successors, within, lambda n: n == node)
@@ -453,9 +465,9 @@ def find_lasso(
         return node[0] in accepting
 
     found = _search_lasso(root, successors, is_accepting, max_nodes)
-    if found is None:
+    if found[0] is None:
         return None
-    stem_pairs, cycle_pairs = _lasso_at(root, successors, is_accepting, found)
+    stem_pairs, cycle_pairs = _lasso_at(root, is_accepting, found)
     return _assemble_lasso((a.initial, r0), stem_pairs, cycle_pairs, accepting)
 
 

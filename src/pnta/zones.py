@@ -67,11 +67,12 @@ with Couvreur's on-the-fly strongly connected components, it stops at
 the first accepting cycle it closes, before the component around it is
 complete.  The graph builds a node's successor zones one at a time, as
 the search reads them, so the successors it has not read when it stops
-are never built.  For a nonempty automaton `zone_lasso` takes its lasso from
-the nodes that search discovered (`regions._lasso_at`), with two calls of
-one breadth-first routine, `regions._shortest_path`: a stem to the
-nearest accepting member of the closed component and a shortest cycle
-through it there.
+are never built.  The search records the successors it reads, and for
+a nonempty automaton `zone_lasso` takes its lasso from that graph
+(`regions._lasso_at`) with two calls of one breadth-first routine,
+`regions._shortest_path`: a stem to the nearest accepting member of the
+closed component and a shortest cycle through it there.  The walk
+finishes a node's list only when it reaches that node.
 Every path of the extrapolated graph is taken by some concrete run
 (Tripakis, ACM TOCL 10(3), 2009), and `earliest_ticks` solves for the
 earliest one: each guard bound x - y <= b along the lasso is a
@@ -85,7 +86,6 @@ builds one Fraction per event, of the original time unit.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -395,28 +395,18 @@ def compile_automaton(a: Automaton) -> Compiled:
                     denom, c, top, len(a.params), len(consts) < len(bounds), len(a.states))
 
 
-class _Pending(dict):
-    """Unfinished successor iterators by node: a dict a weak reference can reach."""
-
-
 def _zone_graph(s: Scaled):
-    """(successors, nodes, memo) of the zone graph of a scaled automaton.
+    """(successors, nodes) of the zone graph of a scaled automaton.
 
     Each node (state, key) is interned once as its index in nodes; the
     root is 0.  key is the node's zone after the delay, canonical, as one
     flat tuple of n * n bounds, row by row: the root's is the non-strict
     delay of the zero zone, so the first event may happen at time 0, and
     a child's is Extra(up(reset(guard(key)))) with the strict delay, so
-    later events happen strictly later.  successors(i) gives node i's
-    (Step, j) pairs, the Step taken and the child's index, always in one
-    order.  The first call returns an iterator that builds and interns
-    each child only when it is asked for, so a search that stops early
-    builds none of the rest; a later call finishes it and returns the
-    full list.  The graph keeps an iterator only until its end, and the
-    iterators reach that store only by a weak reference, so one left
-    unfinished forms no reference cycle: each is freed without the
-    collector.  memo holds, for every node asked for so far, the pairs
-    built so far.
+    later events happen strictly later.  successors(i) is a generator of
+    node i's (Step, j) pairs, the Step taken and the child's index, always
+    in one order.  It builds and interns each child only when it is asked
+    for, so a search that stops early builds none of the rest.
     """
     caps, scale, out_of = s.caps, s.scale, s.out
     n = len(caps)
@@ -424,11 +414,8 @@ def _zone_graph(s: Scaled):
     _up(root, n, strict=False)
     nodes = [(s.initial, tuple(root))]
     ids = {nodes[0]: 0}
-    memo: dict[int, list] = {}
-    pending = _Pending()
-    pending_ref = weakref.ref(pending)
 
-    def expand(i: int, out: list):
+    def successors(i: int):
         q, key = nodes[i]
         for _, target, _, reset_idxs, disjuncts in out_of.get(q, ()):
             for label, templates in disjuncts:
@@ -446,22 +433,9 @@ def _zone_graph(s: Scaled):
                     if j is None:
                         j = ids[node] = len(nodes)
                         nodes.append(node)
-                    pair = (label, j)
-                    out.append(pair)
-                    yield pair
-        pending_ref().pop(i, None)
+                    yield label, j
 
-    def successors(i: int):
-        out = memo.get(i)
-        if out is None:
-            out = memo[i] = []
-            it = pending[i] = expand(i, out)
-            return it
-        for _ in pending.pop(i, ()):
-            pass
-        return out
-
-    return successors, nodes, memo
+    return successors, nodes
 
 
 def zone_nonempty(s: Scaled, max_nodes: int = DEFAULT_REGION_BUDGET) -> tuple[bool, int]:
@@ -471,10 +445,10 @@ def zone_nonempty(s: Scaled, max_nodes: int = DEFAULT_REGION_BUDGET) -> tuple[bo
     the count is of the nodes discovered until then, or of the whole
     reachable graph when there is none.
     """
-    successors, nodes, memo = _zone_graph(s)
+    successors, nodes = _zone_graph(s)
     accepting = s.accepting
-    found = _search_lasso(0, successors, lambda i: nodes[i][0] in accepting, max_nodes)
-    return found is not None, len(memo)
+    members, graph, _ = _search_lasso(0, successors, lambda i: nodes[i][0] in accepting, max_nodes)
+    return members is not None, len(graph)
 
 
 @dataclass(frozen=True)
@@ -496,7 +470,7 @@ def zone_lasso(
 
     zone_nonempty's search decides, and the node count is its own: the
     nodes discovered until it closed an accepting cycle.  When it finds
-    one, `_lasso_at` takes the lasso inside the graph that search built:
+    one, `_lasso_at` takes the lasso inside the graph that search read:
     a shortest stem through the discovered nodes to the nearest accepting
     member of the closed component, and a shortest cycle back to that
     node within the component.  It finishes the successor lists of the
@@ -504,17 +478,17 @@ def zone_lasso(
     the lasso nor the count depends on max_nodes once the search stays
     within it.
     """
-    successors, nodes, memo = _zone_graph(s)
+    successors, nodes = _zone_graph(s)
     accepting = s.accepting
 
     def is_accepting(i: int) -> bool:
         return nodes[i][0] in accepting
 
-    found = _search_lasso(0, successors, is_accepting, max_nodes)
-    if found is None:
-        return None, len(memo)
-    stem_pairs, cycle_pairs = _lasso_at(0, successors, is_accepting, found)
-    return ZoneLasso(tuple(t for t, _ in stem_pairs), tuple(t for t, _ in cycle_pairs)), len(memo)
+    found = members, graph, _ = _search_lasso(0, successors, is_accepting, max_nodes)
+    if members is None:
+        return None, len(graph)
+    stem_pairs, cycle_pairs = _lasso_at(0, is_accepting, found)
+    return ZoneLasso(tuple(t for t, _ in stem_pairs), tuple(t for t, _ in cycle_pairs)), len(graph)
 
 
 def earliest_ticks(s: Scaled, steps: Sequence[Step]) -> tuple[list[int], int]:
@@ -562,12 +536,6 @@ def earliest_ticks(s: Scaled, steps: Sequence[Step]) -> tuple[list[int], int]:
     # least 1 and a deficit of at most top + 1, so this eps keeps it.
     q = max(e for _, e in tau) + 1
     return [c * q + e for c, e in tau[1:]], q
-
-
-def run_timestamps(s: Scaled, steps: Sequence[Step]) -> list[Fraction]:
-    """Earliest timestamps of a run taking these steps: `earliest_ticks` over its q."""
-    ticks, q = earliest_ticks(s, steps)
-    return [Fraction(t, q) for t in ticks]
 
 
 def region_lasso(s: Scaled, lasso: ZoneLasso) -> SymbolicLasso:

@@ -42,6 +42,26 @@ def test_check_json_report(data_dir, capsys):
     assert report["relaxed"] is None
 
 
+def test_check_reports_match_the_golden_file(data_dir, capsys, tmp_path):
+    """`check FILE --witness --json` on every fixture and on gen lk and lpk at k = 2.
+
+    tests/data/check_golden.json holds each exit code and report without
+    its timings: verdict, witness mu, counts, region lasso and witness word.
+    """
+    paths = sorted(data_dir.glob("*.ta"))
+    for family in ("lk", "lpk"):
+        path = tmp_path / f"{family}2.ta"
+        assert _run(capsys, "gen", family, "--k", "2", "-o", str(path))[0] == 0
+        paths.append(path)
+    got = {}
+    for path in paths:
+        code, out, _ = _run(capsys, "check", str(path), "--witness", "--json")
+        report = json.loads(out)
+        del report["timings"]
+        got[path.name] = {"exit": code, "report": report}
+    assert got == json.loads((data_dir / "check_golden.json").read_text(encoding="utf-8"))
+
+
 def test_check_reports_the_relaxation_that_settled_an_empty_verdict(data_dir, capsys):
     path = str(data_dir / "relax_empty.ta")
     code, out, _ = _run(capsys, "check", path, "--json")

@@ -342,17 +342,17 @@ def test_search_lasso_closes_a_real_accepting_cycle_no_later_than_tarjan(graph):
 
     expect = any((f == 0 or _reaches(succ, 0, f)) and _reaches(succ, f, f) for f in accepting)
     found = _search_lasso(0, successors, is_accepting)
-    assert (found is not None) == expect
+    assert (found[0] is not None) == expect
     first = next(_accepting_sccs(0, successors, is_accepting), None)
-    if found is None:
+    if found[0] is None:
         assert first is None
         return
-    members, discovered = found
+    members, recorded, _ = found
     assert any(is_accepting(w) for w in members)
     # nodes discovered until the first accepting cycle closes, against the
     # nodes Tarjan's search has discovered when it completes its first accepting SCC
-    assert len(discovered) <= len(first[1])
-    stem, cycle = _lasso_at(0, successors, is_accepting, found)
+    assert len(recorded) <= len(first[1])
+    stem, cycle = _lasso_at(0, is_accepting, found)
     path = [0] + [v for _, v in stem] + [v for _, v in cycle]
     labels = [label for label, _ in stem + cycle]
     af = path[len(stem)]
@@ -383,23 +383,25 @@ def test_lasso_at_takes_the_nearest_accepting_member_and_a_shortest_cycle(graph)
 
     The stem is a shortest path through the discovered nodes to the nearest
     accepting member of the closed component, the cycle a shortest one
-    through that node inside the component, and recovering them lists the
-    successors of discovered nodes alone.
+    through that node inside the component.  The search asks each node for
+    its successors once, and recovering the lasso discovers no further node.
     """
     succ, accepting = graph
     labelled = _labelled(succ)
-    found = _search_lasso(0, labelled, accepting.__contains__)
-    if found is None:
-        return
-    members, discovered = found
-    listed = set()
+    asked = []
 
     def successors(u):
-        listed.add(u)
+        asked.append(u)
         return labelled(u)
 
-    stem, cycle = _lasso_at(0, successors, accepting.__contains__, found)
-    assert listed <= discovered
+    found = _search_lasso(0, successors, accepting.__contains__)
+    members, recorded, _ = found
+    discovered = set(recorded)
+    assert asked == list(recorded)
+    if members is None:
+        return
+    stem, cycle = _lasso_at(0, accepting.__contains__, found)
+    assert set(recorded) == discovered and len(asked) == len(discovered)
     path = [0] + [v for _, v in stem] + [v for _, v in cycle]
     for ((u, k), _), x, y in zip(stem + cycle, path, path[1:]):
         assert u == x and succ[u][k] == y

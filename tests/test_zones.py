@@ -1,7 +1,6 @@
 """Zone-graph emptiness against the region-based search."""
 
 import gc
-import inspect
 import random
 import weakref
 from fractions import Fraction
@@ -27,7 +26,7 @@ from pnta import (
     zone_lasso,
     zone_nonempty,
 )
-from pnta import zones
+from pnta import regions, zones
 from pnta.regions import _search_lasso
 from pnta.zones import (
     _LE0,
@@ -41,8 +40,8 @@ from pnta.zones import (
     _up,
     _zone_graph,
     compile_automaton,
+    earliest_ticks,
     region_lasso,
-    run_timestamps,
 )
 from randgen import fraction_region, rand_nrtta, rand_ta, reaches_acceptance
 
@@ -202,8 +201,8 @@ trans p2 p3 c ( true ) { }
 def _lasso_word(s, lasso, laps):
     """The earliest word along lasso's stem and laps, in s's scaled time unit."""
     steps = lasso.stem + lasso.cycle * laps
-    times = run_timestamps(s, steps)
-    return TimedWord.of((s.rules[t][2], ts) for (t, _), ts in zip(steps, times))
+    ticks, q = earliest_ticks(s, steps)
+    return TimedWord.of((s.rules[t][2], Fraction(k, q)) for (t, _), k in zip(steps, ticks))
 
 
 def test_zone_lasso_does_not_depend_on_the_budget():
@@ -239,7 +238,8 @@ def test_zone_lasso_absent_on_empty_language():
 def test_run_timestamps_are_earliest_and_exact():
     s = _at(parse_automaton(WINDOW_FIXED))
     lasso, _ = zone_lasso(s)
-    times = run_timestamps(s, lasso.stem + lasso.cycle * 2)
+    ticks, q = earliest_ticks(s, lasso.stem + lasso.cycle * 2)
+    times = [Fraction(k, q) for k in ticks]
     assert times[:2] == [2, 3]  # x = 2 and x = 3 pin the stem
     assert all(3 < t < 4 for t in times[2:])  # the loop needs only strictly later events
 
@@ -264,7 +264,7 @@ def test_zone_lasso_runs_and_projects_onto_regions(seed, nrt):
 
 
 def _literal_timestamps(a, steps):
-    """run_timestamps as it read guards before the compiled form: literals of _dnf.
+    """Earliest timestamps as read from guards before the compiled form: literals of _dnf.
 
     a is a scaled parameter-free automaton.  Each literal z op c of step
     i's guard disjunct bounds tau_i - tau_r, r the last event that reset z.
@@ -318,7 +318,8 @@ def test_run_timestamps_match_the_literal_constraints(seed, kind, laps):
     steps = lasso.stem + lasso.cycle * laps
     scaled, _, d = prepare_fixed(a, mu)
     assert d == s.d
-    assert run_timestamps(s, steps) == _literal_timestamps(scaled, steps)
+    ticks, q = earliest_ticks(s, steps)
+    assert [Fraction(k, q) for k in ticks] == _literal_timestamps(scaled, steps)
 
 
 def _fraction_region_lasso(s, lasso):
@@ -331,9 +332,10 @@ def _fraction_region_lasso(s, lasso):
     laps = 1
     while True:
         steps = lasso.stem + lasso.cycle * laps
+        ticks, q = earliest_ticks(s, steps)
         reset_at = [Fraction(0)] * len(s.caps)
         nodes = [(s.initial, zero_region(s.clocks, s.m))]
-        for (t_idx, _), now in zip(steps, run_timestamps(s, steps)):
+        for (t_idx, _), now in zip(steps, [Fraction(k, q) for k in ticks]):
             _, target, _, resets, _ = s.rules[t_idx]
             for x in resets:
                 reset_at[x] = now
@@ -369,15 +371,15 @@ def test_integer_ticks_project_as_fractions_do(seed, draw):
     assert v.lasso == region_lasso(s, lasso) == _fraction_region_lasso(s, lasso)
     for laps in (1, 2, 3):
         steps = lasso.stem + lasso.cycle * laps
-        times = run_timestamps(s, steps)
+        ticks, q = earliest_ticks(s, steps)
         assert witness_word(a, v, laps) == TimedWord.of(
-            (s.rules[t][2], ts / s.d) for (t, _), ts in zip(steps, times))
+            (s.rules[t][2], Fraction(k, q * s.d)) for (t, _), k in zip(steps, ticks))
 
 
 def _eager_zone_graph(s):
     """_zone_graph as it was before successors were built on demand: the reference.
 
-    The first successors(i) call builds and interns every child of node i.
+    Each successors(i) call builds and interns every child of node i.
     Each disjunct's bounds come from Scaled.bounds, so agreement with the
     lazy graph also checks the bounds it evaluates inline.
     """
@@ -390,12 +392,8 @@ def _eager_zone_graph(s):
     _up(root, n, strict=False)
     nodes = [(s.initial, tuple(root))]
     ids = {nodes[0]: 0}
-    memo = {}
 
     def successors(i):
-        cached = memo.get(i)
-        if cached is not None:
-            return cached
         q, key = nodes[i]
         out = []
         for _, target, _, reset_idxs, disjuncts in out_of.get(q, ()):
@@ -415,17 +413,23 @@ def _eager_zone_graph(s):
                         j = ids[node] = len(nodes)
                         nodes.append(node)
                     out.append((label, j))
-        memo[i] = out
         return out
 
-    return successors, nodes, memo
+    return successors, nodes
 
 
 def _searched_graph(graph, s):
-    """(nodes, memo, found) of the deciding search over graph(s)."""
-    successors, nodes, memo = graph(s)
-    found = _search_lasso(0, successors, lambda i: nodes[i][0] in s.accepting)
-    return nodes, memo, found
+    """(nodes, found) of the deciding search over graph(s), which asks each node once, in order."""
+    successors, nodes = graph(s)
+    asked = []
+
+    def once(i):
+        asked.append(i)
+        return successors(i)
+
+    found = _search_lasso(0, once, lambda i: nodes[i][0] in s.accepting)
+    assert asked == list(found[1])
+    return nodes, found
 
 
 @settings(max_examples=200, deadline=None)
@@ -444,17 +448,17 @@ def test_lazy_successors_decide_as_the_eager_expansion(seed, draw):
     with patch.object(zones, "_zone_graph", _eager_zone_graph):
         want = zone_lasso(s), zone_nonempty(s)
     assert (zone_lasso(s), zone_nonempty(s)) == want
-    nodes, memo, _ = _searched_graph(_zone_graph, s)
-    assert len(nodes) == len(memo)
+    nodes, (_, graph, _) = _searched_graph(_zone_graph, s)
+    assert len(nodes) == len(graph)
 
 
 def test_lazy_successors_intern_fewer_zones_on_drift(data_dir):
     """At the off-candidate value 5/4 the search closes its cycle before it reads 4 zones."""
     s = _at(parse_automaton((data_dir / "drift.ta").read_text()), Fraction(5, 4))
-    lazy_nodes, lazy_memo, lazy_found = _searched_graph(_zone_graph, s)
-    eager_nodes, eager_memo, eager_found = _searched_graph(_eager_zone_graph, s)
-    assert lazy_found is not None and eager_found is not None
-    assert len(lazy_memo) == len(eager_memo) == 7
+    lazy_nodes, (lazy_members, lazy_graph, _) = _searched_graph(_zone_graph, s)
+    eager_nodes, (eager_members, eager_graph, _) = _searched_graph(_eager_zone_graph, s)
+    assert lazy_members is not None and eager_members is not None
+    assert len(lazy_graph) == len(eager_graph) == 7
     assert (len(lazy_nodes), len(eager_nodes)) == (7, 11)
 
 
@@ -480,7 +484,7 @@ def test_zone_graph_agrees_with_the_region_oracle_on_six_states():
 
 def _whole_graph(s, graph=_zone_graph):
     """(nodes, successors) of graph(s), every reachable node expanded."""
-    successors, nodes, _ = graph(s)
+    successors, nodes = graph(s)
     todo, seen = [0], {0}
     while todo:
         for _, j in successors(todo.pop()):
@@ -511,27 +515,48 @@ def test_every_node_stores_its_zone_after_the_delay(seed, kind):
         assert tuple(z) == key
 
 
-def _tracked_search(s):
-    """(successors, nodes, memo, refs) of a search over _zone_graph(s), refs weak to its iterators."""
-    successors, nodes, memo = _zone_graph(s)
-    refs = []
+def _spied_check(check, s):
+    """(nodes, refs, read) of check(s) over _zone_graph(s).
 
-    def tracked(i):
-        it = successors(i)
-        refs.append(weakref.ref(it))
-        return it
+    refs are weak references to every successor generator the search
+    takes, and read holds each (node, list of pairs) that `_lasso_at`
+    walks.
+    """
+    graphs, refs, read = [], [], []
+    shortest_path = regions._shortest_path
 
-    _search_lasso(0, tracked, lambda i: nodes[i][0] in s.accepting)
-    return successors, nodes, memo, refs
+    def graph(s):
+        successors, nodes = _zone_graph(s)
+        graphs.append(nodes)
+
+        def tracked(i):
+            it = successors(i)
+            refs.append(weakref.ref(it))
+            return it
+
+        return tracked, nodes
+
+    def reading_path(start, successors, allowed, is_goal):
+        def reading(i):
+            out = successors(i)
+            read.append((i, list(out)))
+            return out
+
+        return shortest_path(start, reading, allowed, is_goal)
+
+    with patch.object(zones, "_zone_graph", graph), \
+            patch.object(regions, "_shortest_path", reading_path):
+        check(s)
+    return graphs[0], refs, read
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 10 ** 9), st.booleans())
 def test_the_graph_keeps_only_the_iterators_a_search_left_unfinished(seed, nrt):
-    """A finished iterator is freed at once, and an unfinished one with the graph, without the collector.
+    """Every successor generator is freed, without the collector, when a check returns.
 
-    A later successors(i) call still gives node i's full list, also for a
-    node whose iterator the search left unfinished.
+    Each list `_lasso_at` walks is the node's full list in the eager
+    graph, also for a node whose generator the search left unfinished.
     """
     rng = random.Random(seed)
     a = rand_nrtta(rng, max_states=6, cmax=3) if nrt else rand_ta(rng, max_states=6, cmax=2)
@@ -540,14 +565,12 @@ def test_the_graph_keeps_only_the_iterators_a_search_left_unfinished(seed, nrt):
     index = {node: k for k, node in enumerate(eager_nodes)}
     gc.disable()
     try:
-        successors, nodes, memo, refs = _tracked_search(s)
-        assert refs and all(inspect.getgeneratorstate(r()) != inspect.GEN_CLOSED
-                            for r in refs if r() is not None)
-        for i in list(memo):
-            assert ([(label, nodes[j]) for label, j in successors(i)]
-                    == [(label, eager_nodes[j]) for label, j in eager(index[nodes[i]])])
-        assert all(r() is None for r in refs)
-        refs = _tracked_search(s)[3]
-        assert all(r() is None for r in refs)
+        for check in (zone_lasso, zone_nonempty):
+            nodes, refs, read = _spied_check(check, s)
+            assert refs and all(r() is None for r in refs)
+            assert bool(read) == (check is zone_lasso and zone_nonempty(s)[0])
+            for i, out in read:
+                assert ([(label, nodes[j]) for label, j in out]
+                        == [(label, eager_nodes[j]) for label, j in eager(index[nodes[i]])])
     finally:
         gc.enable()
