@@ -20,6 +20,7 @@ from typing import Optional
 
 from .core import Automaton, brief, is_nrtta, parse_rational, validate
 from .errors import ParseError, PntaError, PreconditionViolated, RegionBudgetExceeded
+from .examples import gen_lk, gen_lpk
 from .parametric import (
     DEFAULT_REGION_BUDGET,
     emptiness_fixed,
@@ -193,24 +194,23 @@ def cmd_regions(args) -> int:
     a = _load_automaton(args.file)
     _check_mu(a, args.mu)
     scaled, m, d = prepare_fixed(a, args.mu)
-    # built first, so an unprintable m or d is refused before anything is printed
+    # built and written first, so an unprintable m or d, a budget stop or an
+    # unwritable --dot file is refused before anything is printed
     bound = (f"region bound m: {_printed(m, 'region bound m')} "
              f"(constants scaled by {_printed(d, 'scale factor')})")
     ra = build_region_automaton(scaled, m, args.max_regions)
+    lasso = find_lasso(scaled, m, args.max_regions)
+    if args.dot:
+        _emit(to_dot(ra), args.dot)
     print(f"nodes: {len(ra.nodes)}")
     print(f"edges: {sum(len(out) for out in ra.edges)}")
     print(f"accepting nodes: {len(ra.accepting_nodes)}")
     print(bound)
-    lasso = find_lasso(scaled, m, args.max_regions)
     print(f"accepting lasso: {'yes' if lasso is not None else 'no'}")
-    if args.dot:
-        _emit(to_dot(ra), args.dot)
     return 0
 
 
 def cmd_gen(args) -> int:
-    from .examples import gen_lk, gen_lpk
-
     a = gen_lk(args.k) if args.family == "lk" else gen_lpk(args.k)
     _emit(print_automaton(a), args.output)
     return 0

@@ -34,7 +34,7 @@ from .errors import (
 )
 from .regions import DEFAULT_REGION_BUDGET, SymbolicLasso
 from .semantics import TimedWord
-from .translate import product_state_origin, ta_to_nrtta
+from .translate import ta_to_nrtta
 from .zones import (
     Compiled,
     Scaled,
@@ -305,19 +305,17 @@ def witness_word(a: Automaton, verdict: Verdict, unrollings: int = 1) -> TimedWo
     divides each by the ticks of one original time unit, so the word is
     accepted by the input automaton at the witness parameter value.  The
     verdict carries the scaled automaton its zone lasso was found in, so a
-    is read only to check that the verdict is its own: the scaled initial
-    state must be a's, or a product state of the translation that projects
-    onto it.
+    is read only to check that the verdict is its own: the scaled steps,
+    initial state and accepting states must be those a compiles to.
     """
     if not verdict.nonempty or verdict.zone_lasso is None or verdict.scaled is None:
         raise PreconditionViolated("a Nonempty verdict with a lasso is required")
     if unrollings < 1:
         raise PreconditionViolated("unrollings must be at least 1")
-    s = verdict.scaled
-    if a.initial not in (s.initial, product_state_origin(s.initial)):
-        raise PreconditionViolated(
-            f"the verdict starts in state {s.initial!r}, not in {a.initial!r}")
+    s, c = verdict.scaled, _compiled(a)
+    if (s.out, s.initial, s.accepting) != (c.out, c.initial, c.accepting):
+        raise PreconditionViolated("the verdict was found on another automaton")
     steps = verdict.zone_lasso.stem + verdict.zone_lasso.cycle * unrollings
     ticks, q = earliest_ticks(s, steps)
     unit = q * s.d  # ticks per original time unit
-    return TimedWord.of((s.rules[t][2], Fraction(k, unit)) for (t, _), k in zip(steps, ticks))
+    return TimedWord.of((step[2], Fraction(k, unit)) for step, k in zip(steps, ticks))

@@ -213,16 +213,23 @@ class RegionAutomaton:
     accepting_nodes: frozenset[int]
 
 
-def _require_parameter_free(a: Automaton, m: int) -> None:
-    """Raise PreconditionViolated unless a is parameter-free with every guard constant <= m."""
+def _by_source(a: Automaton, m: int) -> dict[str, list[tuple[int, Transition]]]:
+    """a's (index, transition) pairs by source state, in transition order.
+
+    Raises PreconditionViolated unless a is parameter-free with every
+    guard constant <= m.
+    """
     if a.params:
         raise PreconditionViolated("parameter-free automaton required; instantiate first")
-    for t in a.transitions:
+    by_source: dict[str, list[tuple[int, Transition]]] = {}
+    for idx, t in enumerate(a.transitions):
         for at in atoms(t.guard):
             if isinstance(at.bound, str):
                 raise PreconditionViolated("parameter-free automaton required; instantiate first")
             if at.bound > m:
                 raise PreconditionViolated(f"guard constant {at.bound} exceeds region bound {m}")
+        by_source.setdefault(t.source, []).append((idx, t))
+    return by_source
 
 
 def build_region_automaton(
@@ -235,13 +242,9 @@ def build_region_automaton(
     max_nodes bounds the nodes plus every node's delay fan (the regions
     positive_delay_successors lists for it), so it bounds the work too.
     """
-    _require_parameter_free(a, m)
+    by_source = _by_source(a, m)
     if m < 1:
         raise PreconditionViolated(f"region bound must be at least 1, got {m}")
-
-    by_source: dict[str, list[tuple[int, Transition]]] = {}
-    for idx, t in enumerate(a.transitions):
-        by_source.setdefault(t.source, []).append((idx, t))
 
     initial: RANode = (a.initial, zero_region(a.clocks, m))
     nodes: list[RANode] = [initial]
@@ -439,11 +442,7 @@ def find_lasso(
     permits a first event at time 0, as the simulator, the zone engine
     and concretize_lasso permit it.
     """
-    _require_parameter_free(a, m)
-
-    by_source: dict[str, list[tuple[int, Transition]]] = {}
-    for idx, t in enumerate(a.transitions):
-        by_source.setdefault(t.source, []).append((idx, t))
+    by_source = _by_source(a, m)
     r0 = zero_region(a.clocks, m)
     root = (a.initial, r0, False)
 

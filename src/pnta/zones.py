@@ -39,19 +39,21 @@ Srivathsan & Walukiewicz, FMSD 2012).  The cap is usually well below the
 global region bound m, which only the region projection uses.
 
 A check compiles its automaton once, `compile_automaton`: clock
-indices, and each guard's `_dnf` disjuncts as templates of the bounds
-`_tighten` adds, with constants as integers over their common
-denominator and the parameter as a slot on the side it bounds; the
-checks of `parametric` keep it on the automaton, so a later check of the
-same automaton starts from `Compiled.at`.  The compiled form also groups
-the rules by source state.  `Compiled.at(mu)` gives the `Scaled` form at
-one value, and builds nothing per transition: it shares the compiled
-rules and adds the scale triple (scale factor over denom, mu times the
-scale factor in both slots), the caps, the scale factor and the region
-bound m.  Each bound is one integer multiply-add, evaluated where it is
-read: inline as the zone graph expands a node, and by `Scaled.bounds`
-for the steps of a lasso.  `Compiled.at(lo, hi)` gives the automaton
-relaxed to the interval [lo, hi] the same way, with lo in the slot of
+indices, and one step per disjunct of each guard's `_dnf`, an edge of
+the zone graph that holds its transition's index, target, letter and
+resets and the templates of the bounds `_tighten` adds, with constants
+as integers over their common denominator and the parameter as a slot
+on the side it bounds.  The steps are kept by source state, in
+transition order; the checks of `parametric` keep the compiled form on
+the automaton, so a later check of the same automaton starts from
+`Compiled.at`.  `Compiled.at(mu)` gives the `Scaled` form at one value,
+and builds nothing per step: it shares the compiled steps and adds the
+scale triple (scale factor over denom, mu times the scale factor in
+both slots), the caps, the scale factor and the region bound m.  Each
+bound is one integer multiply-add, evaluated where it is read: inline as
+the zone graph expands a node, and by `Scaled.bounds` for the steps of a
+lasso.  `Compiled.at(lo, hi)` gives the automaton relaxed to the
+interval [lo, hi] the same way, with lo in the slot of
 the parameter's lower bounds and hi in that of its upper bounds: each
 literal becomes its hull over the interval, so the relaxed language
 contains the language at every value inside it.  It is the only scaled
@@ -86,7 +88,7 @@ builds one Fraction per event, of the original time unit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -101,7 +103,6 @@ from .regions import (
 )
 
 INF = 1 << 62
-Step = tuple[int, int]  # (transition index, index of the guard disjunct in _dnf)
 
 
 def _bnd(value: int, weak: bool) -> int:
@@ -227,8 +228,9 @@ def _dnf(
 # scale d / denom, scale[1] and scale[2] the parameter value times d in a lower
 # (p = 1) and an upper (p = 2) bound of a clock
 Template = tuple[int, int, int, int, bool]
-# (source, target, letter, reset indices, the guard's disjuncts as (Step, templates))
-Rule = tuple[str, str, str, tuple[int, ...], tuple[tuple[Step, tuple[Template, ...]], ...]]
+# one disjunct of a transition's guard: (transition index, target, letter, reset indices,
+# the disjunct's templates)
+Step = tuple[int, str, str, tuple[int, ...], tuple[Template, ...]]
 
 
 @dataclass(frozen=True)
@@ -237,20 +239,19 @@ class Scaled:
 
     The zone graph, the witness run and its region projection all read
     this form.  clocks holds the sorted clock names, clock clocks[i - 1]
-    at DBM index i.  rules is the compiled automaton's Rule per
-    transition, shared and not copied, and out its rules by source state.
-    No bound is built ahead: a template (x, y, coef, p, w) reads as the
-    constraint d[x][y] <= coef * scale[p] + w for `_tighten`, evaluated
-    where it is read, inline in the zone graph and by `bounds` for the
-    steps of a lasso.  scale is (d / denom, low, high); caps holds each
-    DBM index's extrapolation bound.
+    at DBM index i.  out is the compiled automaton's steps by source
+    state, shared and not copied.  No bound is built ahead: a step's
+    template (x, y, coef, p, w) reads as the constraint
+    d[x][y] <= coef * scale[p] + w for `_tighten`, evaluated where it is
+    read, inline in the zone graph and by `bounds` for the steps of a
+    lasso.  scale is (d / denom, low, high); caps holds each DBM index's
+    extrapolation bound.
     """
 
     initial: str
     accepting: frozenset[str]
     clocks: tuple[str, ...]
-    rules: tuple[Rule, ...]
-    out: dict[str, tuple[Rule, ...]] = field(compare=False)
+    out: dict[str, tuple[Step, ...]]
     scale: tuple[int, int, int]
     caps: tuple[int, ...]
     d: int  # scale factor
@@ -258,9 +259,8 @@ class Scaled:
 
     def bounds(self, step: Step) -> list[tuple[int, int, int]]:
         """The bounds (x, y, b), each d[x][y] <= b, that step's guard disjunct adds."""
-        t_idx, k = step
         scale = self.scale
-        return [(x, y, coef * scale[p] + w) for x, y, coef, p, w in self.rules[t_idx][4][k][1]]
+        return [(x, y, coef * scale[p] + w) for x, y, coef, p, w in step[4]]
 
 
 def _ratio(v) -> tuple[int, int]:
@@ -272,11 +272,12 @@ def _ratio(v) -> tuple[int, int]:
 class Compiled:
     """An automaton with at most one parameter, compiled once for checks at many values.
 
-    transitions holds a Rule per transition, and out the same rules
-    grouped by source state, in transition order.  A template's coef is
-    twice its literal's constant times denom, or 2 for the parameter,
-    signed by its side; p is 0 for a constant, 1 for the parameter as a
-    lower bound and 2 as an upper bound; w is True (1) for a weak bound.
+    out holds the steps by source state, each state's in transition
+    order and a transition's in the order of its guard's `_dnf`
+    disjuncts.  A template's coef is twice its literal's constant times
+    denom, or 2 for the parameter, signed by its side; p is 0 for a
+    constant, 1 for the parameter as a lower bound and 2 as an upper
+    bound; w is True (1) for a weak bound.
     tops holds, per DBM index, the largest constant times denom that a
     literal compares the clock with and whether one compares it with the
     parameter.
@@ -285,8 +286,7 @@ class Compiled:
     initial: str
     accepting: frozenset[str]
     clocks: tuple[str, ...]  # sorted clock names
-    transitions: tuple[Rule, ...]
-    out: dict[str, tuple[Rule, ...]] = field(compare=False)
+    out: dict[str, tuple[Step, ...]]
     tops: tuple[tuple[int, bool], ...]
     denom: int  # lcm of the constant denominators
     c: int  # max_constant
@@ -336,8 +336,8 @@ class Compiled:
         inside it.  d and m are those of `scaling`, and a value whose
         scaled sums could reach INF is refused.  Each clock's cap is the
         largest scaled constant it is compared against, hi for the
-        parameter, 0 if no guard tests it.  Nothing is built per
-        transition: the Scaled shares the compiled rules.
+        parameter, 0 if no guard tests it.  Nothing is built per step:
+        the Scaled shares the compiled steps.
         """
         d, m, low, high = self.scaling(lo, hi)
         if 2 * (len(self.clocks) + 1) * (m + 1) >= INF:  # a closure sum could pass for INF
@@ -348,7 +348,7 @@ class Compiled:
                 "beyond the zone engine's range")
         k = d // self.denom
         caps = tuple([max(top * k, high) if p else top * k for top, p in self.tops])
-        return Scaled(self.initial, self.accepting, self.clocks, self.transitions, self.out,
+        return Scaled(self.initial, self.accepting, self.clocks, self.out,
                       (k, low, high), caps, d, m)
 
 
@@ -362,10 +362,10 @@ def compile_automaton(a: Automaton) -> Compiled:
     index = {z: i for i, z in enumerate(clocks, 1)}
     tops = [0] * (len(clocks) + 1)
     compared = [False] * (len(clocks) + 1)
-    ts = []
+    out: dict[str, list[Step]] = {}
     for idx, (t, dnf) in enumerate(zip(a.transitions, dnfs)):
-        disjuncts = []
-        for j, disj in enumerate(dnf):
+        resets = tuple(sorted(map(index.__getitem__, t.resets)))
+        for disj in dnf:
             templates = []
             for z, op, b in disj:
                 x = index[z]
@@ -382,16 +382,12 @@ def compile_automaton(a: Automaton) -> Compiled:
                     templates.append((x, 0, coef, 2 * p, op != "<"))
                 if op[0] != "<":
                     templates.append((0, x, -coef, p, op != ">"))
-            disjuncts.append(((idx, j), tuple(templates)))
-        resets = tuple(sorted(map(index.__getitem__, t.resets)))
-        ts.append((t.source, t.target, t.letter, resets, tuple(disjuncts)))
+            out.setdefault(t.source, []).append(
+                (idx, t.target, t.letter, resets, tuple(templates)))
     c = max([1] + [int(v) for v in consts if v.denominator == 1])
     top = int(max(consts) * denom) if consts else 0
-    out: dict[str, list[Rule]] = {}
-    for rule in ts:
-        out.setdefault(rule[0], []).append(rule)
-    return Compiled(a.initial, a.accepting, clocks, tuple(ts),
-                    {q: tuple(rules) for q, rules in out.items()}, tuple(zip(tops, compared)),
+    return Compiled(a.initial, a.accepting, clocks,
+                    {q: tuple(steps) for q, steps in out.items()}, tuple(zip(tops, compared)),
                     denom, c, top, len(a.params), len(consts) < len(bounds), len(a.states))
 
 
@@ -404,7 +400,7 @@ def _zone_graph(s: Scaled):
     delay of the zero zone, so the first event may happen at time 0, and
     a child's is Extra(up(reset(guard(key)))) with the strict delay, so
     later events happen strictly later.  successors(i) is a generator of
-    node i's (Step, j) pairs, the Step taken and the child's index, always
+    node i's (step, j) pairs, the step taken and the child's index, always
     in one order.  It builds and interns each child only when it is asked
     for, so a search that stops early builds none of the rest.
     """
@@ -417,23 +413,23 @@ def _zone_graph(s: Scaled):
 
     def successors(i: int):
         q, key = nodes[i]
-        for _, target, _, reset_idxs, disjuncts in out_of.get(q, ()):
-            for label, templates in disjuncts:
-                z = list(key)
-                for x, y, coef, p, w in templates:
-                    if not _tighten(z, n, x, y, coef * scale[p] + w):
-                        break
-                else:
-                    _reset(z, n, reset_idxs)
-                    _up(z, n, strict=True)
-                    if _extrapolate(z, n, caps):
-                        _canonical(z, n)  # widening a nonempty zone keeps it nonempty
-                    node = (target, tuple(z))
-                    j = ids.get(node)
-                    if j is None:
-                        j = ids[node] = len(nodes)
-                        nodes.append(node)
-                    yield label, j
+        for step in out_of.get(q, ()):
+            _, target, _, reset_idxs, templates = step
+            z = list(key)
+            for x, y, coef, p, w in templates:
+                if not _tighten(z, n, x, y, coef * scale[p] + w):
+                    break
+            else:
+                _reset(z, n, reset_idxs)
+                _up(z, n, strict=True)
+                if _extrapolate(z, n, caps):
+                    _canonical(z, n)  # widening a nonempty zone keeps it nonempty
+                node = (target, tuple(z))
+                j = ids.get(node)
+                if j is None:
+                    j = ids[node] = len(nodes)
+                    nodes.append(node)
+                yield step, j
 
     return successors, nodes
 
@@ -453,7 +449,7 @@ def zone_nonempty(s: Scaled, max_nodes: int = DEFAULT_REGION_BUDGET) -> tuple[bo
 
 @dataclass(frozen=True)
 class ZoneLasso:
-    """An accepting lasso of the zone graph, as the Steps that take it.
+    """An accepting lasso of the zone graph, as the steps that take it.
 
     The stem leads from the initial node to an accepting node; the cycle
     leads from that node back to it.
@@ -516,7 +512,7 @@ def earliest_ticks(s: Scaled, steps: Sequence[Step]) -> tuple[list[int], int]:
         last_reset[0] = i
         for x, y, b in s.bounds(step):
             lower.append((last_reset[x], last_reset[y], -(b >> 1), 1 - (b & 1)))
-        for x in s.rules[step[0]][3]:
+        for x in step[3]:
             last_reset[x] = i
 
     tau = [(0, 0)] * (len(steps) + 1)
@@ -555,8 +551,7 @@ def region_lasso(s: Scaled, lasso: ZoneLasso) -> SymbolicLasso:
         ticks, q = earliest_ticks(s, steps)
         reset_at = [0] * len(s.caps)  # in ticks; index 0, the zero clock, is unused
         after = [(s.initial, reset_at[1:])]  # after[j]: the state and clock ticks after event j
-        for (t_idx, _), now in zip(steps, ticks):
-            _, target, _, resets, _ = s.rules[t_idx]
+        for (_, target, _, resets, _), now in zip(steps, ticks):
             for x in resets:
                 reset_at[x] = now
             after.append((target, [now - r for r in reset_at[1:]]))
@@ -568,6 +563,6 @@ def region_lasso(s: Scaled, lasso: ZoneLasso) -> SymbolicLasso:
                 at = {k: node for node, k in first_at.items()}  # the lap boundaries before j
                 nodes = tuple([at[k] if k in at else (target, region_at(names, values, q, m))
                                for k, (target, values) in enumerate(after[:j])])
-                edges = tuple(t_idx for t_idx, _ in steps)
+                edges = tuple(step[0] for step in steps)
                 return SymbolicLasso(nodes[: i + 1], edges[:i], nodes[i:j], edges[i:j])
         laps *= 2

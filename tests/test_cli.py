@@ -548,6 +548,12 @@ def test_regions_summary_and_dot(data_dir, tmp_path, capsys):
     code, _, err = _run(capsys, "regions", str(data_dir / "e_window.ta"))
     assert code == 2  # --mu required for parametric input
 
+    # a --dot file that cannot be written is refused before anything is printed
+    code, out, err = _run(capsys, "regions", str(data_dir / "e_window.ta"),
+                          "--mu", "3/2", "--dot", str(tmp_path / "missing" / "g.dot"))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "Traceback" not in err
+
 
 def test_regions_budget_counts_each_delay_fan(data_dir, capsys):
     """At this value every w10y node fans out over 128,321 delay regions: the budget stops the first fan."""

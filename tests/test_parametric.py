@@ -251,6 +251,12 @@ def test_witness_word_replays(window, data_dir):
         witness_word(window, replace(v, scaled=None))
     with pytest.raises(PreconditionViolated):  # and it must be the automaton passed in
         witness_word(parse_automaton((data_dir / "e_empty.ta").read_text()), v)
+    text = (data_dir / "e_window.ta").read_text()
+    assert witness_word(parse_automaton(text), v) == w  # an equal automaton compiles alike
+    with pytest.raises(PreconditionViolated):  # the same states, another guard
+        witness_word(parse_automaton(text.replace("x = 1", "x = 3")), v)
+    with pytest.raises(PreconditionViolated):  # the same transitions, another initial state
+        witness_word(parse_automaton(text.replace("init q0", "init q1")), v)
     with pytest.raises(PreconditionViolated):
         witness_word(window, parametric_emptiness(
             parse_automaton(
@@ -391,21 +397,23 @@ def _prepare_reference(a, mu):
 def _scaled_reference(b, mu):
     """What the zone graph reads at mu, built from _prepare_reference's automaton.
 
-    It is (initial, accepting, clocks, edges, caps, d, m), with per
-    transition (source, target, letter, resets, [(Step, bounds)]), as
-    `_scaled_fields` reads them from a Scaled.  Each guard disjunct's literals give its d[x][y] <= b bounds; a clock's
-    cap is the largest constant a literal compares it with, 0 if none does.
+    It is (initial, accepting, clocks, out, caps, d, m), with out the
+    steps by source state, one (transition index, target, letter, resets,
+    bounds) per guard disjunct in transition order, as `_scaled_fields`
+    reads them from a Scaled.  Each guard disjunct's literals give its
+    d[x][y] <= b bounds; a clock's cap is the largest constant a literal
+    compares it with, 0 if none does.
     prepare_fixed must return the same scaled automaton, m and d.
     """
     scaled, m, d = _prepare_reference(b, mu)
     assert prepare_fixed(b, mu) == (scaled, m, d)
     clocks = tuple(sorted(scaled.clocks))
     index = {z: i + 1 for i, z in enumerate(clocks)}
-    edges = []
+    out = {}
     caps = [0] * (len(index) + 1)
     for idx, t in enumerate(scaled.transitions):
-        out = []
-        for k, disj in enumerate(_dnf(t.guard, True)):
+        resets = tuple(sorted(index[z] for z in t.resets))
+        for disj in _dnf(t.guard, True):
             bounds = []
             for z, op, c in disj:
                 assert isinstance(c, int)
@@ -414,17 +422,14 @@ def _scaled_reference(b, mu):
                     bounds.append((index[z], 0, _bnd(c, op != "<")))
                 if op[0] != "<":
                     bounds.append((0, index[z], _bnd(-c, op != ">")))
-            out.append(((idx, k), bounds))
-        resets = tuple(sorted(index[z] for z in t.resets))
-        edges.append((t.source, t.target, t.letter, resets, out))
-    return scaled.initial, scaled.accepting, clocks, tuple(edges), tuple(caps), d, m
+            out.setdefault(t.source, []).append((idx, t.target, t.letter, resets, bounds))
+    return scaled.initial, scaled.accepting, clocks, out, tuple(caps), d, m
 
 
 def _scaled_fields(s):
     """_scaled_reference's tuple from a Scaled: every step's bounds through Scaled.bounds."""
-    edges = tuple((source, target, letter, resets, [(step, s.bounds(step)) for step, _ in disjuncts])
-                  for source, target, letter, resets, disjuncts in s.rules)
-    return s.initial, s.accepting, s.clocks, edges, s.caps, s.d, s.m
+    out = {q: [(*step[:4], s.bounds(step)) for step in steps] for q, steps in s.out.items()}
+    return s.initial, s.accepting, s.clocks, out, s.caps, s.d, s.m
 
 
 def test_compiled_form_at_each_candidate_matches_prepare_fixed(data_dir):
@@ -454,16 +459,16 @@ def test_compiled_form_matches_prepare_fixed_off_the_candidates(data_dir):
 
 
 def test_a_check_shares_the_compiled_rules(data_dir):
-    """Compiled.at copies no rule: the Scaled holds the compiled tuple and grouping."""
+    """Compiled.at copies no step: the Scaled holds the compiled table by source state."""
     for a in _fixtures(data_dir):
-        compiled = compile_automaton(_searched(a))
-        grouped = {}
-        for rule in compiled.transitions:
-            grouped.setdefault(rule[0], []).append(rule)
-        assert {q: list(rules) for q, rules in compiled.out.items()} == grouped
+        b = _searched(a)
+        compiled = compile_automaton(b)
+        for q, steps in compiled.out.items():
+            idxs = [step[0] for step in steps]
+            assert idxs == sorted(idxs) and {b.transitions[i].source for i in idxs} == {q}
         for mu in (Fraction(3, 7), Fraction(4)) if compiled.n_params else (None,):
             s = compiled.at(mu)
-            assert s.rules is compiled.transitions and s.out is compiled.out
+            assert s.out is compiled.out
 
 
 def test_compiled_constants_include_atoms_beside_an_unsatisfiable_conjunct():
@@ -474,7 +479,8 @@ def test_compiled_constants_include_atoms_beside_an_unsatisfiable_conjunct():
         "trans q0 q0 b ( !(!(!true & x < p) & y < 1) ) { x }\n"
     )
     compiled = compile_automaton(a)
-    assert compiled.transitions[0][4] == () and compiled.c == max_constant(a) == 3
+    assert all(step[0] for steps in compiled.out.values() for step in steps)  # none of t0
+    assert compiled.c == max_constant(a) == 3
     for mu in (Fraction(1, 3), Fraction(5, 2)):
         s = compiled.at(mu)
         _, m, d = _prepare_reference(a, mu)

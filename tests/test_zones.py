@@ -202,7 +202,7 @@ def _lasso_word(s, lasso, laps):
     """The earliest word along lasso's stem and laps, in s's scaled time unit."""
     steps = lasso.stem + lasso.cycle * laps
     ticks, q = earliest_ticks(s, steps)
-    return TimedWord.of((s.rules[t][2], Fraction(k, q)) for (t, _), k in zip(steps, ticks))
+    return TimedWord.of((step[2], Fraction(k, q)) for step, k in zip(steps, ticks))
 
 
 def test_zone_lasso_does_not_depend_on_the_budget():
@@ -263,15 +263,23 @@ def test_zone_lasso_runs_and_projects_onto_regions(seed, nrt):
     assert reaches_acceptance(scaled, concretize_lasso(scaled, m, projected, 2))
 
 
-def _literal_timestamps(a, steps):
+def _disjunct(s, step):
+    """The index in _dnf of step's guard disjunct: its place among its transition's steps."""
+    same = [other for steps in s.out.values() for other in steps if other[0] == step[0]]
+    return next(k for k, other in enumerate(same) if other is step)
+
+
+def _literal_timestamps(a, s, steps):
     """Earliest timestamps as read from guards before the compiled form: literals of _dnf.
 
-    a is a scaled parameter-free automaton.  Each literal z op c of step
-    i's guard disjunct bounds tau_i - tau_r, r the last event that reset z.
+    a is a scaled parameter-free automaton and s the Scaled the steps are
+    from.  Each literal z op c of step i's guard disjunct bounds
+    tau_i - tau_r, r the last event that reset z.
     """
     lower = []
     last_reset = dict.fromkeys(a.clocks, 0)
-    for i, (t_idx, k) in enumerate(steps, 1):
+    for i, step in enumerate(steps, 1):
+        t_idx, k = step[0], _disjunct(s, step)
         t = a.transitions[t_idx]
         lower.append((i, i - 1, 0, 0 if i == 1 else 1))
         for z, op, c in _dnf(t.guard, True)[k]:
@@ -319,7 +327,7 @@ def test_run_timestamps_match_the_literal_constraints(seed, kind, laps):
     scaled, _, d = prepare_fixed(a, mu)
     assert d == s.d
     ticks, q = earliest_ticks(s, steps)
-    assert [Fraction(k, q) for k in ticks] == _literal_timestamps(scaled, steps)
+    assert [Fraction(k, q) for k in ticks] == _literal_timestamps(scaled, s, steps)
 
 
 def _fraction_region_lasso(s, lasso):
@@ -335,8 +343,7 @@ def _fraction_region_lasso(s, lasso):
         ticks, q = earliest_ticks(s, steps)
         reset_at = [Fraction(0)] * len(s.caps)
         nodes = [(s.initial, zero_region(s.clocks, s.m))]
-        for (t_idx, _), now in zip(steps, [Fraction(k, q) for k in ticks]):
-            _, target, _, resets, _ = s.rules[t_idx]
+        for (_, target, _, resets, _), now in zip(steps, [Fraction(k, q) for k in ticks]):
             for x in resets:
                 reset_at[x] = now
             v = Valuation.of({z: now - reset_at[x] for x, z in enumerate(s.clocks, 1)})
@@ -345,7 +352,7 @@ def _fraction_region_lasso(s, lasso):
         for j in range(stem_len, len(nodes), cycle_len):
             i = first_at.setdefault(nodes[j], j)
             if i != j:
-                edges = tuple(t_idx for t_idx, _ in steps)
+                edges = tuple(step[0] for step in steps)
                 return SymbolicLasso(
                     tuple(nodes[: i + 1]), edges[:i], tuple(nodes[i:j]), edges[i:j]
                 )
@@ -373,7 +380,7 @@ def test_integer_ticks_project_as_fractions_do(seed, draw):
         steps = lasso.stem + lasso.cycle * laps
         ticks, q = earliest_ticks(s, steps)
         assert witness_word(a, v, laps) == TimedWord.of(
-            (s.rules[t][2], Fraction(k, q * s.d)) for (t, _), k in zip(steps, ticks))
+            (step[2], Fraction(k, q * s.d)) for step, k in zip(steps, ticks))
 
 
 def _eager_zone_graph(s):
@@ -385,9 +392,6 @@ def _eager_zone_graph(s):
     """
     caps = s.caps
     n = len(caps)
-    out_of = {}
-    for rule in s.rules:
-        out_of.setdefault(rule[0], []).append(rule)
     root = [_LE0] * (n * n)
     _up(root, n, strict=False)
     nodes = [(s.initial, tuple(root))]
@@ -396,23 +400,23 @@ def _eager_zone_graph(s):
     def successors(i):
         q, key = nodes[i]
         out = []
-        for _, target, _, reset_idxs, disjuncts in out_of.get(q, ()):
-            for label, _ in disjuncts:
-                z = list(key)
-                for x, y, b in s.bounds(label):
-                    if not _tighten(z, n, x, y, b):
-                        break
-                else:
-                    _reset(z, n, reset_idxs)
-                    _up(z, n, strict=True)
-                    if _extrapolate(z, n, caps):
-                        _canonical(z, n)
-                    node = (target, tuple(z))
-                    j = ids.get(node)
-                    if j is None:
-                        j = ids[node] = len(nodes)
-                        nodes.append(node)
-                    out.append((label, j))
+        for step in s.out.get(q, ()):
+            _, target, _, reset_idxs, _ = step
+            z = list(key)
+            for x, y, b in s.bounds(step):
+                if not _tighten(z, n, x, y, b):
+                    break
+            else:
+                _reset(z, n, reset_idxs)
+                _up(z, n, strict=True)
+                if _extrapolate(z, n, caps):
+                    _canonical(z, n)
+                node = (target, tuple(z))
+                j = ids.get(node)
+                if j is None:
+                    j = ids[node] = len(nodes)
+                    nodes.append(node)
+                out.append((step, j))
         return out
 
     return successors, nodes
