@@ -79,10 +79,8 @@ from .parametric import (
     Verdict,
     candidate_parameters,
     emptiness_fixed,
-    instantiate,
     parametric_emptiness,
     prepare_fixed,
-    scale_constants,
     witness_word,
 )
 from .examples import gen_lk, gen_lpk
@@ -90,7 +88,6 @@ from .errors import (
     GuardViolated,
     Infeasible,
     MalformedWord,
-    NonIntegerAfterScaling,
     NonPositiveDelay,
     NotOneParameter,
     ParseError,
@@ -121,12 +118,10 @@ __all__ = [
     "region_str", "to_dot", "zero_region",
     "ZoneLasso", "zone_lasso", "zone_nonempty",
     "Candidate", "CandidateSet", "Verdict", "candidate_parameters",
-    "emptiness_fixed", "instantiate", "parametric_emptiness", "prepare_fixed",
-    "scale_constants", "witness_word",
+    "emptiness_fixed", "parametric_emptiness", "prepare_fixed", "witness_word",
     "gen_lk", "gen_lpk",
-    "GuardViolated", "Infeasible", "MalformedWord", "NonIntegerAfterScaling",
-    "NonPositiveDelay", "NotOneParameter", "ParseError", "PntaError",
-    "PreconditionViolated", "RegionBudgetExceeded", "UnboundSymbol",
-    "UnsupportedAutomaton", "WrongSource",
+    "GuardViolated", "Infeasible", "MalformedWord", "NonPositiveDelay",
+    "NotOneParameter", "ParseError", "PntaError", "PreconditionViolated",
+    "RegionBudgetExceeded", "UnboundSymbol", "UnsupportedAutomaton", "WrongSource",
     "__version__",
 ]

@@ -17,9 +17,8 @@ from typing import Iterator, Mapping, Union
 
 from .errors import UnboundSymbol
 
-# A bound is an int (natural constant), a Fraction (rational constant,
-# transiently produced by parameter instantiation and removed by scaling)
-# or a str naming a parameter.
+# A bound is an int (natural constant), a Fraction (rational constant, from
+# code: the text format writes naturals only) or a str naming a parameter.
 Bound = Union[int, Fraction, str]
 
 

@@ -53,10 +53,6 @@ class NotOneParameter(PntaError):
     """Candidate enumeration needs exactly one parameter."""
 
 
-class NonIntegerAfterScaling(PntaError):
-    """A constant did not become an integer under the given scale factor."""
-
-
 class UnsupportedAutomaton(PntaError):
     """Outside the decidable fragment (clocks > 2, params > 1, or a
     non-translatable test-and-reset automaton)."""

@@ -24,9 +24,8 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional, Union
 
-from .core import Atom, Automaton, Transition, brief, is_nrtta, map_atoms
+from .core import Atom, Automaton, Transition, is_nrtta, map_atoms
 from .errors import (
-    NonIntegerAfterScaling,
     NotOneParameter,
     PreconditionViolated,
     RegionBudgetExceeded,
@@ -132,67 +131,25 @@ def candidate_parameters(a: Automaton) -> CandidateSet:
     return CandidateSet(cands, c, q, max(q, 4 * c), alpha, xi, denom)
 
 
-def instantiate(a: Automaton, mu: Rational) -> Automaton:
-    """Replace every parameter atom by the rational value mu."""
-    mu = Fraction(mu)
-    if mu < 0:
-        raise PreconditionViolated(f"parameter value must be nonnegative, got {brief(mu)}")
-    if len(a.params) > 1:
-        raise NotOneParameter(f"at most one parameter supported, got {len(a.params)}")
-    if not a.params:
-        return a
-    val: Union[int, Fraction] = int(mu) if mu.denominator == 1 else mu
+def prepare_fixed(a: Automaton, mu: Optional[Rational]) -> tuple[Automaton, int, int]:
+    """(scaled parameter-free automaton, region bound M, scale factor d) at mu.
 
-    def subst(atom: Atom) -> Atom:
-        if isinstance(atom.bound, str):
-            return Atom(atom.clock, atom.op, val)
-        return atom
-
-    ts = tuple(
-        Transition(t.source, t.target, t.letter, map_atoms(t.guard, subst), t.resets)
-        for t in a.transitions
-    )
-    return Automaton(
-        a.name, a.alphabet, a.states, a.clocks, frozenset(), a.initial, a.accepting, ts
-    )
-
-
-def scale_constants(a: Automaton, d: int) -> Automaton:
-    """Multiply every guard constant by d; the result must be integral."""
-    if d < 1:
-        raise PreconditionViolated(f"scale factor must be a positive integer, got {d}")
+    The region engine's input, built in one pass: d, M and the scaled
+    value come from `Compiled.scaling`, which refuses a missing or
+    negative value and a second parameter, and each constant c becomes
+    the int c * d.  An undeclared parameter is kept, for the region
+    engine to refuse.  A check reads only the compiled form.
+    """
+    d, m, low, _ = compile_automaton(a).scaling(mu)
 
     def scale(atom: Atom) -> Atom:
         if isinstance(atom.bound, str):
-            return atom
-        scaled = Fraction(atom.bound) * d
-        if scaled.denominator != 1:
-            raise NonIntegerAfterScaling(
-                f"constant {atom.bound} times {d} is not an integer"
-            )
-        return Atom(atom.clock, atom.op, int(scaled))
+            return Atom(atom.clock, atom.op, low) if a.params else atom
+        return Atom(atom.clock, atom.op, int(atom.bound * d))
 
-    ts = tuple(
-        Transition(t.source, t.target, t.letter, map_atoms(t.guard, scale), t.resets)
-        for t in a.transitions
-    )
-    return Automaton(
-        a.name, a.alphabet, a.states, a.clocks, a.params, a.initial, a.accepting, ts
-    )
-
-
-def prepare_fixed(
-    a: Automaton, mu: Optional[Rational]
-) -> tuple[Automaton, int, int]:
-    """(scaled parameter-free automaton, region bound M, scale factor d).
-
-    d and M are those of `Compiled.scaling`, so the scaled automaton has
-    natural-number constants.  The region engine reads this automaton and
-    keeps no sentinel, so the zone engine's range check in `Compiled.at`
-    does not apply; a check reads only the compiled form.
-    """
-    d, m, _, _ = compile_automaton(a).scaling(mu)
-    return scale_constants(instantiate(a, mu) if a.params else a, d), m, d
+    ts = [Transition(t.source, t.target, t.letter, map_atoms(t.guard, scale), t.resets)
+          for t in a.transitions]
+    return Automaton(a.name, a.alphabet, a.states, a.clocks, (), a.initial, a.accepting, ts), m, d
 
 
 def _searched(a: Automaton) -> Automaton:

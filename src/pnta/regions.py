@@ -220,12 +220,12 @@ def _by_source(a: Automaton, m: int) -> dict[str, list[tuple[int, Transition]]]:
     guard constant <= m.
     """
     if a.params:
-        raise PreconditionViolated("parameter-free automaton required; instantiate first")
+        raise PreconditionViolated("parameter-free automaton required; see prepare_fixed")
     by_source: dict[str, list[tuple[int, Transition]]] = {}
     for idx, t in enumerate(a.transitions):
         for at in atoms(t.guard):
             if isinstance(at.bound, str):
-                raise PreconditionViolated("parameter-free automaton required; instantiate first")
+                raise PreconditionViolated("parameter-free automaton required; see prepare_fixed")
             if at.bound > m:
                 raise PreconditionViolated(f"guard constant {at.bound} exceeds region bound {m}")
         by_source.setdefault(t.source, []).append((idx, t))

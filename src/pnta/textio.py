@@ -12,8 +12,9 @@ Automaton files:
 
 Guards use  true | atom | !G | G & G | (G)  with atoms
 CLOCK (< | <= | = | >= | >) (NAT | PARAM); comparisons other than < and =
-are desugared on parse.  '#' starts a comment anywhere.  State names are
-inferred from init/accept/trans lines.
+are desugared on parse; '&', '!' and '(' nest at most 200 levels deep.
+'#' starts a comment anywhere.  State names are inferred from
+init/accept/trans lines.
 
 Timed-word files: one `LETTER TIMESTAMP` per line, timestamps decimal or
 p/q rationals, strictly increasing.
@@ -59,8 +60,12 @@ def _tokenize_guard(text: str, line: int) -> list[str]:
     return [op or num or name for op, num, name, _ in found]
 
 
+# how deep a guard may nest '&', '!' and '(': every guard walker recurses once per level
+_MAX_DEPTH = 200
+
+
 class _GuardParser:
-    """Recursive descent over the guard token stream."""
+    """Recursive descent over the guard token stream; depth counts '&', '!' and '('."""
 
     def __init__(self, tokens: list[str], params: frozenset[str], line: int):
         self.tokens = tokens
@@ -79,28 +84,30 @@ class _GuardParser:
         return tok
 
     def parse(self) -> Guard:
-        g = self.conjunction()
+        g = self.conjunction(0)
         if self.peek() is not None:
             raise ParseError(f"trailing token {self.peek()!r} in guard", self.line)
         return g
 
-    def conjunction(self) -> Guard:
-        left = self.unary()
+    def conjunction(self, depth: int) -> Guard:
+        left = self.unary(depth)
         if self.peek() == "&":
             self.take()
-            return And(left, self.conjunction())
+            return And(left, self.conjunction(depth + 1))
         return left
 
-    def unary(self) -> Guard:
+    def unary(self, depth: int) -> Guard:
+        if depth > _MAX_DEPTH:
+            raise ParseError(f"guard nested more than {_MAX_DEPTH} levels deep", self.line)
         tok = self.peek()
         if tok is None:
             raise ParseError("guard ends unexpectedly", self.line)
         if tok == "!":
             self.take()
-            return Not(self.unary())
+            return Not(self.unary(depth + 1))
         if tok == "(":
             self.take()
-            inner = self.conjunction()
+            inner = self.conjunction(depth + 1)
             if self.take() != ")":
                 raise ParseError("missing ')' in guard", self.line)
             return inner

@@ -195,13 +195,18 @@ def _extrapolate(d: list[int], n: int, caps: Sequence[int]) -> bool:
     return changed
 
 
+_MAX_DISJUNCTS = 4096  # of a guard's _dnf: each disjunct is a step of the zone graph
+
+
 def _dnf(
     g: Guard, positive: bool, bounds: Optional[list] = None
 ) -> list[list[tuple[str, str, Bound]]]:
     """Disjunctive normal form over single-clock interval literals (clock, op, bound).
 
     bounds, when given, receives the bound of every atom of g, also of one
-    whose conjunct drops out beside an unsatisfiable one.
+    whose conjunct drops out beside an unsatisfiable one.  A form of more
+    than _MAX_DISJUNCTS disjuncts is refused before it is built: n negated
+    equalities in conjunction have 2^n.
     """
     if isinstance(g, TrueGuard):
         return [[]] if positive else []
@@ -218,6 +223,10 @@ def _dnf(
         return _dnf(g.arg, not positive, bounds)
     if isinstance(g, And):
         left, right = _dnf(g.left, positive, bounds), _dnf(g.right, positive, bounds)
+        size = len(left) * len(right) if positive else len(left) + len(right)
+        if size > _MAX_DISJUNCTS:
+            raise PreconditionViolated(
+                f"guard has more than {_MAX_DISJUNCTS} disjuncts in disjunctive normal form")
         if positive:
             return [dl + dr for dl in left for dr in right]
         return left + right

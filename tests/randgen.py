@@ -1,10 +1,11 @@
-"""Seeded random automata, guards, and guided word samplers shared by tests."""
+"""Seeded random automata, guards, guided word samplers and reference rewrites shared by tests."""
 
 import random
 from fractions import Fraction
 
 from pnta import (
     TRUE,
+    Atom,
     Automaton,
     Configuration,
     GuardViolated,
@@ -20,6 +21,7 @@ from pnta import (
     is_nrtta,
     le,
     lt,
+    map_atoms,
     ne,
     run_frontiers,
     step,
@@ -94,6 +96,39 @@ def rand_nrtta(rng, max_states=3, max_clocks=2, cmax=2, param=None):
     clocks = tuple(f"x{i + 1}" for i in range(rng.randint(1, max_clocks)))
     trans = _rand_transitions(rng, states, clocks, cmax, param, free_resets=False)
     return _assemble(rng, states, clocks, (param,) if param else (), trans)
+
+
+def _rewrite_atoms(a, f, params):
+    """a with every guard atom replaced by f(atom) and its parameters by params."""
+    ts = [Transition(t.source, t.target, t.letter, map_atoms(t.guard, f), t.resets)
+          for t in a.transitions]
+    return Automaton(a.name, a.alphabet, a.states, a.clocks, params, a.initial,
+                     a.accepting, ts)
+
+
+def instantiate(a, mu):
+    """a with every parameter bound replaced by mu, an int when mu is integral.
+
+    With scale_constants it builds the reference that prepare_fixed is
+    checked against, and shares no code with prepare_fixed.
+    """
+    mu = Fraction(mu)
+    val = int(mu) if mu.denominator == 1 else mu
+    return _rewrite_atoms(
+        a, lambda at: Atom(at.clock, at.op, val) if isinstance(at.bound, str) else at, ())
+
+
+def scale_constants(a, d):
+    """a with every guard constant multiplied by the positive int d; each must become an int."""
+
+    def scale(at):
+        if isinstance(at.bound, str):
+            return at
+        scaled = Fraction(at.bound) * d
+        assert scaled.denominator == 1, (at.bound, d)
+        return Atom(at.clock, at.op, int(scaled))
+
+    return _rewrite_atoms(a, scale, a.params)
 
 
 def fraction_region(v, m):

@@ -29,7 +29,6 @@ from pnta import (
     prepare_fixed,
     region_of,
     run_frontiers,
-    scale_constants,
     ta_to_nrtta,
 )
 from pnta.errors import Infeasible, PreconditionViolated
@@ -54,6 +53,7 @@ from randgen import (
     rand_ta,
     sample_accepted_word,
     sample_word,
+    scale_constants,
 )
 
 

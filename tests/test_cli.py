@@ -97,14 +97,14 @@ def test_check_witness_scales_the_automaton_once(data_dir, capsys, monkeypatch):
     """The winner's search, region lasso and witness word read one scaled form.
 
     A check scales the compiled automaton once per checked candidate and
-    builds no instantiated or scaled Automaton.
+    builds no scaled Automaton: prepare_fixed, which builds one, is not called.
     """
-    from pnta import parametric
+    from pnta import cli, parametric
     from pnta.zones import Compiled
 
     built, scaled_at = [], []
-    for name in ("instantiate", "scale_constants"):
-        monkeypatch.setattr(parametric, name, lambda *args, name=name: built.append(name))
+    for module in (parametric, cli):
+        monkeypatch.setattr(module, "prepare_fixed", lambda *args: built.append(args))
     at = Compiled.at
     monkeypatch.setattr(Compiled, "at",
                         lambda self, *bounds: scaled_at.append(bounds) or at(self, *bounds))
@@ -326,6 +326,59 @@ def test_numbers_beyond_the_int_text_limit_are_refused_briefly(tmp_path, capsys,
     assert "Traceback" not in err and len(err) < 300
     want = "line 5: constant of 5000 digits is too long" if argv[1] == "{big}" else "digits>"
     assert want in err, err
+
+
+def _one_guard(guard):
+    return f"automaton deep\nclocks x\ninit q0\naccept q0\ntrans q0 q0 a ( {guard} ) {{ }}\n"
+
+
+# each shape's guard at a depth of n levels of '&', '!' or '('
+_NESTED = {
+    "and": lambda n: " & ".join(["x < 1"] * (n + 1)),
+    "not": lambda n: "!" * n + "x < 1",
+    "paren": lambda n: "(" * n + "x < 1" + ")" * n,
+}
+
+
+@pytest.mark.parametrize("command", ["validate", "check", "regions", "translate"])
+@pytest.mark.parametrize("shape, depth", [("and", 984), ("not", 3000), ("paren", 3000)])
+def test_a_deeply_nested_guard_is_refused(tmp_path, capsys, command, shape, depth):
+    """A guard nested past 200 levels is a parse error naming its line, not a RecursionError."""
+    path = tmp_path / "deep.ta"
+    path.write_text(_one_guard(_NESTED[shape](depth)))
+    code, out, err = _run(capsys, command, str(path))
+    assert (code, out) == (2, "")
+    assert "error: line 5: guard nested more than 200 levels deep" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("shape", sorted(_NESTED))
+def test_a_guard_200_levels_deep_is_decided(tmp_path, capsys, shape):
+    path = tmp_path / "deep.ta"
+    path.write_text(_one_guard(_NESTED[shape](200)))
+    code, out, _ = _run(capsys, "check", str(path))
+    assert code == 10 and out.startswith("Nonempty")
+    path.write_text(_one_guard(_NESTED[shape](201)))
+    assert _run(capsys, "check", str(path))[0] == 2
+
+
+def test_a_guard_of_more_than_4096_disjuncts_is_refused(tmp_path, capsys):
+    """n conjuncts !(x = i) have 2^n disjuncts: 12 are decided and 13 refused, quickly.
+
+    Two negated 12-conjunct blocks in one negated conjunction have 8,192.
+    """
+    path = tmp_path / "wide.ta"
+    block = " & ".join(f"!(x = {i})" for i in range(12))
+    for guard, want in ((block, {"check": 10, "regions": 0}),
+                        (block + " & !(x = 12)", {"check": 2, "regions": 2}),
+                        (f"!(!({block}) & !({block}))", {"check": 2, "regions": 2})):
+        path.write_text(_one_guard(guard))
+        for command, code in want.items():
+            t0 = time.perf_counter()
+            got, _, err = _run(capsys, command, str(path))
+            assert got == code and time.perf_counter() - t0 < 10, (guard, command, err)
+            if code == 2:
+                assert err == "error: guard has more than 4096 disjuncts in disjunctive normal form\n"
 
 
 def test_a_delay_beyond_the_int_text_limit_just_fails_a_guard(tmp_path, capsys):

@@ -1,7 +1,8 @@
-"""Candidate enumeration, instantiation, scaling, and the decision sweep."""
+"""Candidate enumeration, fixing the parameter, scaling, and the decision sweep."""
 
 import math
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -10,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pnta import (
-    NonIntegerAfterScaling,
     NotOneParameter,
+    PntaError,
     PreconditionViolated,
     TimedWord,
     UnsupportedAutomaton,
@@ -19,16 +20,14 @@ from pnta import (
     candidate_parameters,
     concretize_lasso,
     emptiness_fixed,
-    guard_params,
-    instantiate,
     is_nrtta,
     max_constant,
     parametric_emptiness,
     parse_automaton,
     prepare_fixed,
+    print_automaton,
     region_str,
     run_frontiers,
-    scale_constants,
     ta_to_nrtta,
     witness_word,
 )
@@ -41,10 +40,12 @@ from pnta.parametric import (
 )
 from pnta.zones import _bnd, _dnf, compile_automaton
 from randgen import (
+    instantiate,
     one_clock_population,
     rand_nrtta,
     rand_ta,
     reaches_acceptance,
+    scale_constants,
     two_clock_population,
 )
 
@@ -89,27 +90,6 @@ def test_candidate_parameters_needs_one_param():
     )
     with pytest.raises(NotOneParameter):
         candidate_parameters(a)
-
-
-def test_instantiate(window):
-    b = instantiate(window, Fraction(3, 2))
-    assert b.params == frozenset()
-    assert all(not guard_params(t.guard) for t in b.transitions)
-    assert b.name == window.name
-    with pytest.raises(PreconditionViolated):
-        instantiate(window, Fraction(-1))
-    # integral values become ints so the text format can print them
-    c = instantiate(window, Fraction(2))
-    consts = {at.bound for t in c.transitions for at in atoms(t.guard)}
-    assert 2 in consts and all(isinstance(k, int) for k in consts)
-
-
-def test_scale_constants(window):
-    b = instantiate(window, Fraction(3, 2))
-    s = scale_constants(b, 2)
-    assert max_constant(s) == 3
-    with pytest.raises(NonIntegerAfterScaling):
-        scale_constants(b, 3)
 
 
 def test_prepare_fixed_bounds(window):
@@ -378,13 +358,22 @@ def test_each_checked_candidate_builds_one_zone_graph(data_dir, monkeypatch):
 
 
 def _prepare_reference(a, mu):
-    """prepare_fixed as it computed d and m before the compiled form: from the automaton.
+    """prepare_fixed built from the automaton: mu filled in, then every constant scaled.
 
-    d is the lcm of the constant denominators after instantiation; m is
-    at least twice the original maximum constant, every scaled constant
-    and mu, all in the scaled unit.
+    A parametric automaton needs one parameter and a nonnegative value,
+    refused as `Compiled.scaling` refuses them.  d is the lcm of the
+    constant denominators after mu is filled in; m is at least twice the
+    original maximum constant, every scaled constant and mu, all in the
+    scaled unit.
     """
-    inst = instantiate(a, mu) if (a.params and mu is not None) else a
+    if a.params:
+        if mu is None:
+            raise PreconditionViolated("parameter value required for a parametric automaton")
+        if mu < 0:
+            raise PreconditionViolated(f"parameter value must be nonnegative, got {mu}")
+        if len(a.params) > 1:
+            raise NotOneParameter(f"at most one parameter supported, got {len(a.params)}")
+    inst = instantiate(a, mu) if a.params else a
     denoms = [Fraction(at.bound).denominator for t in inst.transitions for at in atoms(t.guard)]
     d = math.lcm(*denoms) if denoms else 1
     scaled = scale_constants(inst, d)
@@ -392,6 +381,45 @@ def _prepare_reference(a, mu):
     if mu is not None:
         m = max(m, math.ceil(Fraction(mu) * d))
     return scaled, m, d
+
+
+def test_prepare_fixed_matches_its_reference_over_a_population(data_dir):
+    """prepare_fixed equals _prepare_reference, refusals by type and message included.
+
+    Every scaled constant is an int, so the scaled automaton prints as text
+    that parses back to it.
+    """
+    rng = random.Random(2525)
+    draws = [rand_nrtta(rng, cmax=3, param="p" if i % 2 else None) for i in range(600)]
+    draws += [rand_ta(rng, max_states=3, max_clocks=1, cmax=3, param="p" if i % 2 else None)
+              for i in range(100)]
+    two = parse_automaton(
+        "automaton two\nclocks x\nparams p q\ninit q0\naccept q0\n"
+        "trans q0 q0 a ( x < p ) { }\ntrans q0 q0 b ( x = q ) { }\n"
+    )
+    fixtures = [parse_automaton(path.read_text()) for path in sorted(data_dir.glob("*.ta"))]
+    outcomes = Counter()
+    for a in fixtures + draws + [two]:
+        for mu in (None, 0, Fraction(1, 2), Fraction(41, 40), Fraction(7, 3), 3, -1):
+            try:
+                want = _prepare_reference(a, mu)
+            except PntaError as exc:
+                with pytest.raises(PntaError) as got:
+                    prepare_fixed(a, mu)
+                assert (type(got.value), str(got.value)) == (type(exc), str(exc))
+                outcomes[str(exc)] += 1
+                continue
+            scaled, m, d = prepare_fixed(a, mu)
+            assert (scaled, m, d) == want
+            assert all(type(at.bound) is int for t in scaled.transitions for at in atoms(t.guard))
+            assert parse_automaton(print_automaton(scaled)) == scaled
+            outcomes["scaled"] += 1
+    assert outcomes == {
+        "scaled": 4237,
+        "parameter value required for a parametric automaton": 357,
+        "parameter value must be nonnegative, got -1": 357,
+        "at most one parameter supported, got 2": 5,
+    }
 
 
 def _scaled_reference(b, mu):
@@ -494,12 +522,12 @@ def test_the_sweep_scales_the_automaton_only_for_its_winner(data_dir, monkeypatc
 
     No scaled Automaton is built: the region lasso reads the winner's Scaled.
     """
-    from pnta import parametric
+    from pnta import cli, parametric
     from pnta.zones import Compiled
 
     built, scaled_at = [], []
-    for name in ("instantiate", "scale_constants"):
-        monkeypatch.setattr(parametric, name, lambda *args, name=name: built.append(name))
+    for module in (parametric, cli):
+        monkeypatch.setattr(module, "prepare_fixed", lambda *args: built.append(args))
     at = Compiled.at
     monkeypatch.setattr(Compiled, "at",
                         lambda self, *bounds: scaled_at.append(bounds) or at(self, *bounds))

@@ -18,7 +18,6 @@ from pnta import (
     eval_constraint,
     find_lasso,
     immediate_successor,
-    instantiate,
     parse_automaton,
     prepare_fixed,
     region_of,
