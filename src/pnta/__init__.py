@@ -62,10 +62,8 @@ from .regions import (
     RegionAutomaton,
     SymbolicLasso,
     build_region_automaton,
-    concretize_lasso,
     find_lasso,
     immediate_successor,
-    region_of,
     region_reset,
     region_sat,
     region_str,
@@ -86,7 +84,6 @@ from .parametric import (
 from .examples import gen_lk, gen_lpk
 from .errors import (
     GuardViolated,
-    Infeasible,
     MalformedWord,
     NonPositiveDelay,
     NotOneParameter,
@@ -113,15 +110,14 @@ __all__ = [
     "parse_timed_word", "print_automaton",
     "product_state_origin", "ta_to_nrtta",
     "DEFAULT_REGION_BUDGET", "Region", "RegionAutomaton", "SymbolicLasso",
-    "build_region_automaton", "concretize_lasso", "find_lasso",
-    "immediate_successor", "region_of", "region_reset", "region_sat",
-    "region_str", "to_dot", "zero_region",
+    "build_region_automaton", "find_lasso", "immediate_successor",
+    "region_reset", "region_sat", "region_str", "to_dot", "zero_region",
     "ZoneLasso", "zone_lasso", "zone_nonempty",
     "Candidate", "CandidateSet", "Verdict", "candidate_parameters",
     "emptiness_fixed", "parametric_emptiness", "prepare_fixed", "witness_word",
     "gen_lk", "gen_lpk",
-    "GuardViolated", "Infeasible", "MalformedWord", "NonPositiveDelay",
-    "NotOneParameter", "ParseError", "PntaError", "PreconditionViolated",
-    "RegionBudgetExceeded", "UnboundSymbol", "UnsupportedAutomaton", "WrongSource",
+    "GuardViolated", "MalformedWord", "NonPositiveDelay", "NotOneParameter",
+    "ParseError", "PntaError", "PreconditionViolated", "RegionBudgetExceeded",
+    "UnboundSymbol", "UnsupportedAutomaton", "WrongSource",
     "__version__",
 ]

@@ -57,10 +57,3 @@ class UnsupportedAutomaton(PntaError):
     """Outside the decidable fragment (clocks > 2, params > 1, or a
     non-translatable test-and-reset automaton)."""
 
-
-class Infeasible(PntaError):
-    """No concrete choice fits: `regions.concretize_lasso` found no delay
-    or firing region that keeps to its symbolic lasso, or agreement
-    transport (a lemma the tests check) found an empty feasible interval.
-    Neither happens when the preconditions hold; raising it signals a
-    genuine counterexample."""

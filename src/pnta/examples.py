@@ -10,14 +10,15 @@ guessed and m matches confirmed.
 
 from __future__ import annotations
 
-
-from .core import TRUE, Automaton, Bound, Transition, eq
+from .core import TRUE, Automaton, Bound, Transition, brief, eq
 from .errors import PreconditionViolated
+
+MAX_K = 200  # the k-th member has (k+1)(k+2)/2 states: 20,301 at k = 200
 
 
 def _gen(k: int, name: str, bound: Bound, params: tuple[str, ...]) -> Automaton:
-    if k < 1:
-        raise PreconditionViolated(f"k must be at least 1, got {k}")
+    if not 1 <= k <= MAX_K:
+        raise PreconditionViolated(f"k must be from 1 to {MAX_K}, got {brief(k)}")
     states = [f"s{p}_{m}" for p in range(k + 1) for m in range(p + 1)]
     transitions: list[Transition] = []
     for p in range(k + 1):

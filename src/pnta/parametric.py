@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional, Union
 
-from .core import Atom, Automaton, Transition, is_nrtta, map_atoms
+from .core import Atom, Automaton, Transition, brief, is_nrtta, map_atoms
 from .errors import (
     NotOneParameter,
     PreconditionViolated,
@@ -50,6 +50,8 @@ Rational = Union[int, Fraction]
 HALF_INTEGER = "HalfInteger"
 FRACTIONAL_REP = "FractionalRep"
 LARGE_REP = "LargeRep"
+
+MAX_WITNESS_EVENTS = 10**6  # a word's events and ticks are held in lists
 
 
 @dataclass(frozen=True)
@@ -263,16 +265,22 @@ def witness_word(a: Automaton, verdict: Verdict, unrollings: int = 1) -> TimedWo
     accepted by the input automaton at the witness parameter value.  The
     verdict carries the scaled automaton its zone lasso was found in, so a
     is read only to check that the verdict is its own: the scaled steps,
-    initial state and accepting states must be those a compiles to.
+    initial state and accepting states must be those a compiles to.  A
+    word of more than MAX_WITNESS_EVENTS events is refused before any is built.
     """
     if not verdict.nonempty or verdict.zone_lasso is None or verdict.scaled is None:
         raise PreconditionViolated("a Nonempty verdict with a lasso is required")
     if unrollings < 1:
         raise PreconditionViolated("unrollings must be at least 1")
+    lasso = verdict.zone_lasso
+    events = len(lasso.stem) + unrollings * len(lasso.cycle)
+    if events > MAX_WITNESS_EVENTS:
+        raise PreconditionViolated(
+            f"a witness word of {brief(events)} events is longer than {MAX_WITNESS_EVENTS:,}")
     s, c = verdict.scaled, _compiled(a)
     if (s.out, s.initial, s.accepting) != (c.out, c.initial, c.accepting):
         raise PreconditionViolated("the verdict was found on another automaton")
-    steps = verdict.zone_lasso.stem + verdict.zone_lasso.cycle * unrollings
+    steps = lasso.stem + lasso.cycle * unrollings
     ticks, q = earliest_ticks(s, steps)
     unit = q * s.d  # ticks per original time unit
     return TimedWord.of((step[2], Fraction(k, unit)) for step, k in zip(steps, ticks))

@@ -21,14 +21,11 @@ of a word may additionally happen at time 0.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .core import And, Atom, Automaton, Guard, Not, Transition, TrueGuard, atoms
-from .errors import Infeasible, PreconditionViolated, RegionBudgetExceeded, UnboundSymbol
-from .semantics import TimedWord, Valuation, elapse, reset_apply, zero_valuation
+from .errors import PreconditionViolated, RegionBudgetExceeded, UnboundSymbol
 
 DEFAULT_REGION_BUDGET = 10**7
 
@@ -75,14 +72,6 @@ def region_at(names: Sequence[str], ticks: Sequence[int], q: int, m: int) -> Reg
     return Region(m, frozenset(above), tuple(floors), frozenset(zero), order)
 
 
-def region_of(v: Valuation, m: int) -> Region:
-    """Canonical region of v with boundary constant m >= 1."""
-    if m < 1:
-        raise PreconditionViolated(f"region bound must be at least 1, got {m}")
-    q = math.lcm(*[val.denominator for val in v.values()])
-    return region_at(v.keys(), [val.numerator * (q // val.denominator) for val in v.values()], q, m)
-
-
 def is_time_open(r: Region) -> bool:
     """True iff small positive delays stay inside r."""
     return not r.zero
@@ -110,14 +99,6 @@ def _delay_fan(r: Region) -> Iterator[Region]:
     while cur is not None:
         yield cur
         cur = immediate_successor(cur)
-
-
-def positive_delay_successors(r: Region) -> tuple[Region, ...]:
-    """Every region reachable by some delta > 0, in chain order.
-
-    Includes r itself exactly when r is time-open.
-    """
-    return tuple(_delay_fan(r))
 
 
 def region_sat(r: Region, g: Guard) -> bool:
@@ -240,7 +221,7 @@ def build_region_automaton(
     Edges realize delay-then-fire steps with strictly positive delays;
     only nodes reachable from the initial all-zero node are emitted.
     max_nodes bounds the nodes plus every node's delay fan (the regions
-    positive_delay_successors lists for it), so it bounds the work too.
+    some positive delay reaches from it), so it bounds the work too.
     """
     by_source = _by_source(a, m)
     if m < 1:
@@ -439,8 +420,8 @@ def find_lasso(
     Nodes are (state, region, fresh); a fresh node was just entered by a
     firing and may fire again without an intervening time step only if
     its region is time-open.  The initial node is stale, which is what
-    permits a first event at time 0, as the simulator, the zone engine
-    and concretize_lasso permit it.
+    permits a first event at time 0, as the simulator and the zone
+    engine permit it.
     """
     by_source = _by_source(a, m)
     r0 = zero_region(a.clocks, m)
@@ -468,91 +449,6 @@ def find_lasso(
         return None
     stem_pairs, cycle_pairs = _lasso_at(root, is_accepting, found)
     return _assemble_lasso((a.initial, r0), stem_pairs, cycle_pairs, accepting)
-
-
-# ---------------------------------------------------------------------------
-# Witness concretization
-
-
-def _pick_delay(v: Valuation, fire: Region, m: int, allow_zero: bool) -> Fraction:
-    """An exact delay moving v into the region fire."""
-    pin: Optional[Fraction] = None
-    lo = Fraction(0)
-    hi: Optional[Fraction] = None
-    floors = dict(fire.floors)
-    for z in v.keys():
-        val = v[z]
-        if z in fire.above:
-            b = Fraction(m) - val
-            if b > lo:
-                lo = b
-        elif z in fire.zero:
-            d = Fraction(floors[z]) - val
-            if pin is not None and pin != d:
-                raise Infeasible("conflicting exact-integer requirements on the delay")
-            pin = d
-        else:
-            b_lo = Fraction(floors[z]) - val
-            b_hi = Fraction(floors[z] + 1) - val
-            if b_lo > lo:
-                lo = b_lo
-            if hi is None or b_hi < hi:
-                hi = b_hi
-    if pin is not None:
-        delta = pin
-        if delta < 0 or (delta == 0 and not allow_zero):
-            raise Infeasible(f"required delay {delta} is not allowed here")
-    elif hi is None:
-        delta = lo + 1
-    else:
-        if hi <= lo:
-            raise Infeasible("empty delay window")
-        delta = (lo + hi) / 2
-    return delta
-
-
-def concretize_lasso(
-    a: Automaton, m: int, lasso: SymbolicLasso, unrollings: int = 1
-) -> TimedWord:
-    """A finite timed word following the stem plus `unrollings` cycle laps.
-
-    Deterministic: the word for unrollings+1 extends the word for
-    unrollings.  Timestamps are exact rationals chosen inside each fire
-    region (pinned when a clock must hit an integer, midpoint otherwise).
-    """
-    if unrollings < 1:
-        raise PreconditionViolated("unrollings must be at least 1")
-    pairs: list[tuple[int, RANode]] = list(zip(lasso.stem_edges, lasso.stem_nodes[1:]))
-    kc = len(lasso.cycle_nodes)
-    for _ in range(unrollings):
-        for i in range(kc):
-            pairs.append((lasso.cycle_edges[i], lasso.cycle_nodes[(i + 1) % kc]))
-
-    v = zero_valuation(a.clocks)
-    now = Fraction(0)
-    events: list[tuple[str, Fraction]] = []
-    cur_region = lasso.stem_nodes[0][1]
-    for j, (t_idx, target) in enumerate(pairs):
-        t = a.transitions[t_idx]
-        candidates: list[Region] = []
-        if j == 0:
-            candidates.append(cur_region)
-        candidates.extend(positive_delay_successors(cur_region))
-        fire = None
-        for rr in candidates:
-            if region_sat(rr, t.guard) and region_reset(rr, t.resets) == target[1]:
-                fire = rr
-                break
-        if fire is None:
-            raise Infeasible(f"edge {t_idx} cannot fire from region {region_str(cur_region)}")
-        delta = _pick_delay(v, fire, m, allow_zero=(j == 0))
-        now += delta
-        events.append((t.letter, now))
-        v = reset_apply(elapse(v, delta), t.resets)
-        cur_region = target[1]
-        if region_of(v, m) != cur_region:
-            raise Infeasible("concretized valuation left the symbolic path")
-    return TimedWord.of(events)
 
 
 def to_dot(ra: RegionAutomaton) -> str:

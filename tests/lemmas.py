@@ -6,7 +6,8 @@ min(frac(mu), 1-frac(mu)), depth counts inside the distinguished
 intervals, the agreement relations between valuations under two
 parameter values, the critical-valuation case lists, the fractional
 decomposition of a one-delay step, agreement transport along one-reset
-sequences, and pin compression of region-level paths.
+sequences, pin compression of region-level paths, and the concretization
+of a region lasso into a timed word.
 
 The decision procedure calls none of it; the tests check the lemmas on
 examples and on seeded random inputs.  A trial function (`_suite_*`)
@@ -24,9 +25,20 @@ from enum import IntEnum
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from pnta.errors import Infeasible, PntaError, PreconditionViolated
-from pnta.regions import RegionAutomaton
-from pnta.semantics import Valuation, elapse
+from pnta.core import Automaton
+from pnta.errors import PntaError, PreconditionViolated
+from pnta.regions import (
+    RANode,
+    Region,
+    RegionAutomaton,
+    SymbolicLasso,
+    _delay_fan,
+    region_at,
+    region_reset,
+    region_sat,
+    region_str,
+)
+from pnta.semantics import TimedWord, Valuation, elapse, reset_apply, zero_valuation
 
 
 class DegenerateParameter(PntaError):
@@ -56,6 +68,13 @@ class NotCompleteAgreement(PntaError):
 
 class Disconnected(PntaError):
     """Consecutive path nodes are not connected in the region automaton."""
+
+
+class Infeasible(PntaError):
+    """No concrete choice fits: `concretize_lasso` found no delay or firing
+    region that keeps to its symbolic lasso, or agreement transport found
+    an empty feasible interval.  Neither happens when the preconditions
+    hold; raising it signals a genuine counterexample."""
 
 
 Rational = Union[int, Fraction]
@@ -626,6 +645,107 @@ def compress_region_lasso(
         nodes = nodes[: pinch[0] + 1] + nodes[pinch[len(pinch) - q_bound] + 1 :]
     check_connected(nodes)
     return nodes
+
+
+# ---------------------------------------------------------------------------
+# Region-lasso concretization
+
+
+def region_of(v: Valuation, m: int) -> Region:
+    """Canonical region of v with boundary constant m >= 1."""
+    if m < 1:
+        raise PreconditionViolated(f"region bound must be at least 1, got {m}")
+    q = math.lcm(*[val.denominator for val in v.values()])
+    return region_at(v.keys(), [val.numerator * (q // val.denominator) for val in v.values()], q, m)
+
+
+def positive_delay_successors(r: Region) -> tuple[Region, ...]:
+    """Every region reachable by some delta > 0, in chain order.
+
+    Includes r itself exactly when r is time-open.
+    """
+    return tuple(_delay_fan(r))
+
+
+def _pick_delay(v: Valuation, fire: Region, m: int, allow_zero: bool) -> Fraction:
+    """An exact delay moving v into the region fire."""
+    pin: Optional[Fraction] = None
+    lo = Fraction(0)
+    hi: Optional[Fraction] = None
+    floors = dict(fire.floors)
+    for z in v.keys():
+        val = v[z]
+        if z in fire.above:
+            b = Fraction(m) - val
+            if b > lo:
+                lo = b
+        elif z in fire.zero:
+            d = Fraction(floors[z]) - val
+            if pin is not None and pin != d:
+                raise Infeasible("conflicting exact-integer requirements on the delay")
+            pin = d
+        else:
+            b_lo = Fraction(floors[z]) - val
+            b_hi = Fraction(floors[z] + 1) - val
+            if b_lo > lo:
+                lo = b_lo
+            if hi is None or b_hi < hi:
+                hi = b_hi
+    if pin is not None:
+        delta = pin
+        if delta < 0 or (delta == 0 and not allow_zero):
+            raise Infeasible(f"required delay {delta} is not allowed here")
+    elif hi is None:
+        delta = lo + 1
+    else:
+        if hi <= lo:
+            raise Infeasible("empty delay window")
+        delta = (lo + hi) / 2
+    return delta
+
+
+def concretize_lasso(
+    a: Automaton, m: int, lasso: SymbolicLasso, unrollings: int = 1
+) -> TimedWord:
+    """A finite timed word following the stem plus `unrollings` cycle laps.
+
+    Deterministic: the word for unrollings+1 extends the word for
+    unrollings.  Timestamps are exact rationals chosen inside each fire
+    region (pinned when a clock must hit an integer, midpoint otherwise).
+    """
+    if unrollings < 1:
+        raise PreconditionViolated("unrollings must be at least 1")
+    pairs: list[tuple[int, RANode]] = list(zip(lasso.stem_edges, lasso.stem_nodes[1:]))
+    kc = len(lasso.cycle_nodes)
+    for _ in range(unrollings):
+        for i in range(kc):
+            pairs.append((lasso.cycle_edges[i], lasso.cycle_nodes[(i + 1) % kc]))
+
+    v = zero_valuation(a.clocks)
+    now = Fraction(0)
+    events: list[tuple[str, Fraction]] = []
+    cur_region = lasso.stem_nodes[0][1]
+    for j, (t_idx, target) in enumerate(pairs):
+        t = a.transitions[t_idx]
+        candidates: list[Region] = []
+        if j == 0:
+            candidates.append(cur_region)
+        candidates.extend(positive_delay_successors(cur_region))
+        fire = None
+        for rr in candidates:
+            if region_sat(rr, t.guard) and region_reset(rr, t.resets) == target[1]:
+                fire = rr
+                break
+        if fire is None:
+            raise Infeasible(f"edge {t_idx} cannot fire from region {region_str(cur_region)}")
+        delta = _pick_delay(v, fire, m, allow_zero=(j == 0))
+        now += delta
+        events.append((t.letter, now))
+        v = reset_apply(elapse(v, delta), t.resets)
+        cur_region = target[1]
+        if region_of(v, m) != cur_region:
+            raise Infeasible("concretized valuation left the symbolic path")
+    return TimedWord.of(events)
 
 
 # ---------------------------------------------------------------------------

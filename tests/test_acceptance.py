@@ -17,7 +17,6 @@ from pnta import (
     atoms,
     build_region_automaton,
     candidate_parameters,
-    concretize_lasso,
     elapse,
     emptiness_fixed,
     gen_lk,
@@ -27,24 +26,26 @@ from pnta import (
     parametric_emptiness,
     parse_automaton,
     prepare_fixed,
-    region_of,
     run_frontiers,
     ta_to_nrtta,
 )
-from pnta.errors import Infeasible, PreconditionViolated
+from pnta.errors import PreconditionViolated
 
 from lemmas import (
+    Infeasible,
     OneResetSeq,
     _suite_lemma4,
     _suite_prop1,
     _suite_prop2,
     _suite_rng,
     agreement_transport,
+    concretize_lasso,
     critval_cases,
     fracvalue_case,
     in_agreement,
     in_complete_agreement,
     is_critical,
+    region_of,
 )
 from randgen import (
     matched_param_pair,

@@ -241,6 +241,26 @@ def test_bad_option_values_are_usage_errors(data_dir, capsys, argv):
     assert "error: argument --" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, want", [
+    (("check", "{window}", "--witness", "--unrollings", str(10**18)), "longer than 1,000,000"),
+    (("check", "{window}", "--witness", "--unrollings", str(10**30)), "longer than 1,000,000"),
+    (("gen", "lk", "--k", "201"), "k must be from 1 to 200"),
+    (("gen", "lpk", "--k", "201"), "k must be from 1 to 200"),
+], ids=["unrollings-1e18", "unrollings-1e30", "gen-lk-201", "gen-lpk-201"])
+def test_sizes_too_large_to_build_are_refused(data_dir, capsys, argv, want):
+    """A witness word of over 10**6 events or a family member past k = 200 exits 2 at once.
+
+    k is 201 here: without the bound a k of 10**5 or more fills memory
+    before it fails, and CI's console-script step runs `gen lk --k 100000`.
+    """
+    window = str(data_dir / "e_window.ta")
+    t0 = time.perf_counter()
+    code, out, err = _run(capsys, *(arg.format(window=window) for arg in argv))
+    assert time.perf_counter() - t0 < 1
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and want in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv", [
     ("check", "{dir}"),
     ("check", "{binary}"),

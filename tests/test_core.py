@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import pnta
 from pnta import (
     TRUE,
     And,
@@ -173,3 +174,11 @@ def test_transition_resets_coerced_to_frozenset():
 def test_zero_valuation():
     v = zero_valuation(("x", "y"))
     assert v["x"] == 0 and v["y"] == 0
+
+
+def test_the_public_names_are_unique_and_exist():
+    """pnta.__all__ lists each name once, each is importable, and the test oracles are absent."""
+    assert len(pnta.__all__) == len(set(pnta.__all__))
+    assert [name for name in pnta.__all__ if not hasattr(pnta, name)] == []
+    gone = {"concretize_lasso", "region_of", "Infeasible"}
+    assert gone.isdisjoint(pnta.__all__) and not any(hasattr(pnta, name) for name in gone)

@@ -34,10 +34,13 @@ def test_family_shapes(k):
 
 
 def test_rejects_nonpositive_k():
+    """k outside 1..200 is refused: the k-th member has (k+1)(k+2)/2 states."""
     with pytest.raises(PreconditionViolated):
         gen_lk(0)
     with pytest.raises(PreconditionViolated):
         gen_lpk(-1)
+    with pytest.raises(PreconditionViolated, match="from 1 to 200"):
+        gen_lk(201)
 
 
 def _pair_oracle(ts, dist, k):

@@ -18,7 +18,6 @@ from pnta import (
     UnsupportedAutomaton,
     atoms,
     candidate_parameters,
-    concretize_lasso,
     emptiness_fixed,
     is_nrtta,
     max_constant,
@@ -39,6 +38,7 @@ from pnta.parametric import (
     _searched,
 )
 from pnta.zones import _bnd, _dnf, compile_automaton
+from lemmas import concretize_lasso
 from randgen import (
     instantiate,
     one_clock_population,

@@ -13,14 +13,12 @@ from pnta import (
     TimedWord,
     Valuation,
     build_region_automaton,
-    concretize_lasso,
     elapse,
     eval_constraint,
     find_lasso,
     immediate_successor,
     parse_automaton,
     prepare_fixed,
-    region_of,
     region_reset,
     region_sat,
     region_str,
@@ -34,8 +32,8 @@ from pnta.regions import (
     _search_lasso,
     _shortest_path,
     is_time_open,
-    positive_delay_successors,
 )
+from lemmas import concretize_lasso, positive_delay_successors, region_of
 from randgen import fraction_region, rand_guard, rand_nrtta, rand_ta
 
 _DENS = (1, 2, 3, 4, 5, 7, 8)
@@ -75,7 +73,11 @@ def test_successor_chain_terminates_at_top():
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 10 ** 9))
 def test_region_of_matches_the_fraction_rule(seed):
-    """region_of, scaled to integer ticks, gives the region the Fraction rule gives."""
+    """region_of, scaled to integer ticks, gives the region the Fraction rule gives.
+
+    region_of is a test helper, so this checks regions.region_at, the
+    rule production uses, against randgen.fraction_region.
+    """
     rng = random.Random(seed)
     m = rng.choice((1, 2, 3))
     v = _rand_val(rng, ("w", "x", "y", "z")[: rng.randint(1, 4)], m)

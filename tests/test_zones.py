@@ -16,7 +16,6 @@ from pnta import (
     SymbolicLasso,
     TimedWord,
     Valuation,
-    concretize_lasso,
     emptiness_fixed,
     find_lasso,
     parse_automaton,
@@ -43,6 +42,7 @@ from pnta.zones import (
     earliest_ticks,
     region_lasso,
 )
+from lemmas import concretize_lasso
 from randgen import fraction_region, rand_nrtta, rand_ta, reaches_acceptance
 
 WINDOW_FIXED = """
