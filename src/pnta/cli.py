@@ -13,7 +13,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from typing import Optional
@@ -37,21 +36,6 @@ EXIT_EMPTY = 0
 EXIT_NONEMPTY = 10
 EXIT_BAD_INPUT = 2
 EXIT_BUDGET = 3
-
-
-@dataclass
-class Report:
-    verdict: str
-    witness_mu: Optional[str]
-    candidates_checked: int
-    zone_nodes: int
-    relaxed: Optional[list]
-    lasso: Optional[dict]
-    witness_word: Optional[list]
-    timings: dict
-
-    def to_json(self) -> str:
-        return json.dumps(self.__dict__, indent=2, sort_keys=True)
 
 
 def _read_text(path: str) -> str:
@@ -130,33 +114,31 @@ def cmd_check(args) -> int:
     if args.witness and verdict.nonempty:
         word = witness_word(a, verdict, args.unrollings)
 
-    report = Report(
-        "Nonempty" if verdict.nonempty else "Empty",
-        None if verdict.witness_mu is None else str(verdict.witness_mu),
-        verdict.candidates_checked,
-        verdict.zone_nodes,
-        None if verdict.relaxed is None else [str(mu) for mu in verdict.relaxed],
-        _lasso_dict(verdict.lasso),
-        None if word is None else [[letter, str(ts)] for letter, ts in word],
-        {"wall_ms": wall_ms},
-    )
+    report = {
+        "verdict": "Nonempty" if verdict.nonempty else "Empty",
+        "witness_mu": None if verdict.witness_mu is None else str(verdict.witness_mu),
+        "candidates_checked": verdict.candidates_checked,
+        "zone_nodes": verdict.zone_nodes,
+        "relaxed": None if verdict.relaxed is None else [str(mu) for mu in verdict.relaxed],
+        "lasso": _lasso_dict(verdict.lasso),
+        "witness_word": None if word is None else [[letter, str(ts)] for letter, ts in word],
+        "timings": {"wall_ms": wall_ms},
+    }
     if args.json:
-        print(report.to_json())
+        print(json.dumps(report, indent=2, sort_keys=True))
     else:
-        if verdict.witness_mu is not None:
-            print(f"{report.verdict} (witness mu = {report.witness_mu})")
-        else:
-            print(report.verdict)
+        mu = report["witness_mu"]
+        print(report["verdict"] + ("" if mu is None else f" (witness mu = {mu})"))
         print(
-            f"candidates checked: {report.candidates_checked}, "
-            f"abstraction nodes: {report.zone_nodes}, wall ms: {wall_ms}"
+            f"candidates checked: {report['candidates_checked']}, "
+            f"abstraction nodes: {report['zone_nodes']}, wall ms: {wall_ms}"
         )
-        if report.relaxed is not None:
-            lo, hi = report.relaxed
+        if report["relaxed"] is not None:
+            lo, hi = report["relaxed"]
             print(f"settled by one check with mu relaxed to [{lo}, {hi}]")
-        if report.lasso is not None:
-            print("lasso stem:  " + "  ->  ".join(report.lasso["stem"]))
-            print("lasso cycle: " + "  ->  ".join(report.lasso["cycle"]))
+        if report["lasso"] is not None:
+            print("lasso stem:  " + "  ->  ".join(report["lasso"]["stem"]))
+            print("lasso cycle: " + "  ->  ".join(report["lasso"]["cycle"]))
         if word is not None:
             plural = "" if args.unrollings == 1 else "s"
             print(f"witness word ({args.unrollings} cycle unrolling{plural}):")

@@ -264,7 +264,8 @@ def validate(a: Automaton) -> list[ValidationError]:
 
     Empty result means the automaton is well formed.  A guard may use
     constants or the parameter, never both (parameter occurrence forbids
-    constants in the same guard).
+    constants in the same guard).  Each error is listed once, in the order
+    first met: `x > c` is two atoms.
     """
     errs: list[ValidationError] = []
 
@@ -309,7 +310,7 @@ def validate(a: Automaton) -> list[ValidationError]:
         if has_const and has_param:
             errs.append(ValidationError(
                 "MixedGuard", f"{where} mixes a constant and the parameter"))
-    return errs
+    return list(dict.fromkeys(errs))
 
 
 def is_nrtta(a: Automaton) -> bool:

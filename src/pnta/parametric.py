@@ -117,11 +117,12 @@ def candidate_parameters(a: Automaton) -> CandidateSet:
     representative Xi larger than every constant; 8C + 2 values total.
     C and |Q| are those of the automaton the sweep searches, so for
     one-clock input that tests and resets a clock they are those of its
-    translation, and the list is the one the sweep checks.
+    translation, and the list is the one the sweep checks.  Constants
+    must be natural numbers.
     """
     if len(a.params) != 1:
         raise NotOneParameter(f"exactly one parameter required, got {len(a.params)}")
-    compiled = _compiled(a)
+    compiled = _natural(a)
     c, q = compiled.c, compiled.n_states
     cands = tuple(_candidates(c, q))
     alpha, xi = cands[1].value, cands[-1].value
@@ -176,6 +177,14 @@ def _compiled(a: Automaton) -> Compiled:
         return compiled
 
 
+def _natural(a: Automaton) -> Compiled:
+    """The compiled form, refused for a rational constant: the candidates assume naturals."""
+    compiled = _compiled(a)
+    if compiled.denom != 1:
+        raise UnsupportedAutomaton("the candidate sweep needs natural guard constants")
+    return compiled
+
+
 def emptiness_fixed(
     a: Automaton,
     mu: Optional[Rational] = None,
@@ -223,9 +232,9 @@ def parametric_emptiness(a: Automaton, max_nodes: int = DEFAULT_REGION_BUDGET) -
     settles nothing.  Candidates are generated and checked one at a time,
     so the sweep stops at the first nonempty one.  One-clock automata that
     test and reset the same clock are translated first; two-clock automata
-    that do so are rejected, as are automata with more than two clocks or
-    more than one parameter.  A parameter-free automaton is decided as by
-    emptiness_fixed, with any number of clocks.
+    that do so are rejected, as are automata with more than two clocks,
+    more than one parameter or a rational constant.  A parameter-free
+    automaton is decided as by emptiness_fixed, with any number of clocks.
     """
     if not a.params:
         return emptiness_fixed(a, None, max_nodes)
@@ -235,7 +244,7 @@ def parametric_emptiness(a: Automaton, max_nodes: int = DEFAULT_REGION_BUDGET) -
         raise UnsupportedAutomaton(
             "guard-and-reset of the same clock is only supported for one-clock automata"
         )
-    compiled = _compiled(a)
+    compiled = _natural(a)
     if len(compiled.clocks) > 2:
         raise UnsupportedAutomaton(f"at most two clocks supported, got {len(compiled.clocks)}")
     xi = Fraction(_xi(compiled.c, compiled.n_states))

@@ -9,58 +9,12 @@ represents whom lives in the product control state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import Atom, Automaton, Transition, map_atoms
+from .errors import PreconditionViolated
 
-
-@dataclass(frozen=True)
-class ClockMap:
-    """Assignment original clock -> pool clock, plus the current spare.
-
-    Several originals may share one pool clock (they were reset together
-    and have been equal ever since).  The spare is never in the image.
-    """
-
-    assign: tuple[tuple[str, str], ...]
-    spare: str
-
-    def lookup(self, original: str) -> str:
-        for orig, pool in self.assign:
-            if orig == original:
-                return pool
-        raise KeyError(original)
-
-    def encode(self) -> str:
-        parts = [f"{orig}:{pool}" for orig, pool in self.assign]
-        parts.append(f"s:{self.spare}")
-        return ".".join(parts)
-
-
-def _pool_name(index: int) -> str:
-    return f"x{index}"
-
-
-def _initial_map(originals: tuple[str, ...], pool: tuple[str, ...]) -> ClockMap:
-    if not originals:
-        return ClockMap((), pool[0])
-    assign = tuple((orig, pool[0]) for orig in originals)
-    return ClockMap(assign, pool[1])
-
-
-def _apply_reset(cm: ClockMap, resets: frozenset[str], pool: tuple[str, ...]) -> ClockMap:
-    if not resets:
-        return cm
-    assign = tuple(
-        (orig, cm.spare if orig in resets else pool_clock) for orig, pool_clock in cm.assign
-    )
-    image = {pool_clock for _, pool_clock in assign}
-    spare = next(p for p in pool if p not in image)
-    return ClockMap(assign, spare)
-
-
-def product_state_name(q: str, cm: ClockMap) -> str:
-    return f"{q}@{cm.encode()}"
+# The clock maps grow super-exponentially with the clock count: 7,423 for
+# six clocks each tested and reset alone, 60,621 for seven.
+MAX_CLOCK_MAPS = 10_000
 
 
 def product_state_origin(name: str) -> str:
@@ -69,53 +23,54 @@ def product_state_origin(name: str) -> str:
 
 
 def ta_to_nrtta(a: Automaton) -> Automaton:
-    """Equivalent nrtTA over |clocks|+1 pool clocks; only reachable product states."""
-    originals = tuple(sorted(a.clocks))
-    pool = tuple(_pool_name(i) for i in range(1, len(originals) + 2))
-    m0 = _initial_map(originals, pool)
-    init_state = (a.initial, m0)
+    """Equivalent nrtTA over |clocks|+1 pool clocks; only reachable product states.
+
+    A product state pairs a control state with a clock map, the tuple of
+    the pool clock standing for each sorted original clock, then the
+    spare, which stands for none.  Originals reset together share a pool
+    clock.  A product with more than MAX_CLOCK_MAPS clock maps is refused.
+    """
+    clocks = sorted(a.clocks)
+    labels = clocks + ["s"]
+    pool = tuple(f"x{i}" for i in range(1, len(labels) + 1))
+    m0 = (pool[0],) * len(clocks) + (pool[1 if clocks else 0],)
+    codes = {m0: ".".join(map(":".join, zip(labels, m0)))}  # clock map -> its text in names
 
     by_source: dict[str, list[Transition]] = {}
     for t in a.transitions:
         by_source.setdefault(t.source, []).append(t)
 
-    seen: set[tuple[str, ClockMap]] = {init_state}
-    order: list[tuple[str, ClockMap]] = [init_state]
-    out_transitions: list[Transition] = []
-    frontier = [init_state]
-    while frontier:
-        nxt: list[tuple[str, ClockMap]] = []
-        for q, cm in frontier:
-            for t in by_source.get(q, ()):
-                guard = map_atoms(
-                    t.guard, lambda at, cm=cm: Atom(cm.lookup(at.clock), at.op, at.bound)
-                )
-                cm2 = _apply_reset(cm, t.resets, pool)
-                target = (t.target, cm2)
-                if target not in seen:
-                    seen.add(target)
-                    order.append(target)
-                    nxt.append(target)
-                out_transitions.append(
-                    Transition(
-                        product_state_name(q, cm),
-                        product_state_name(*target),
-                        t.letter,
-                        guard,
-                        frozenset({cm.spare}) if t.resets else frozenset(),
-                    )
-                )
-        frontier = nxt
+    seen = {(a.initial, m0)}
+    order = [(a.initial, m0)]  # breadth first: visited as it grows
+    transitions: list[Transition] = []
+    for q, cm in order:
+        for t in by_source.get(q, ()):
+            cm2 = cm
+            if t.resets:
+                assign = tuple(cm[-1] if z in t.resets else p for z, p in zip(clocks, cm))
+                cm2 = assign + (next(p for p in pool if p not in assign),)
+                if cm2 not in codes:
+                    if len(codes) == MAX_CLOCK_MAPS:
+                        raise PreconditionViolated(f"the nrtTA translation of {len(clocks)} clocks"
+                                                   f" needs over {MAX_CLOCK_MAPS:,} clock maps")
+                    codes[cm2] = ".".join(map(":".join, zip(labels, cm2)))
+            if (t.target, cm2) not in seen:
+                seen.add((t.target, cm2))
+                order.append((t.target, cm2))
+            transitions.append(Transition(
+                f"{q}@{codes[cm]}", f"{t.target}@{codes[cm2]}", t.letter,
+                map_atoms(t.guard, lambda at: Atom(cm[clocks.index(at.clock)], at.op, at.bound)),
+                frozenset({cm[-1]}) if t.resets else frozenset(),
+            ))
 
-    state_names = [product_state_name(q, cm) for q, cm in order]
-    accepting = [product_state_name(q, cm) for q, cm in order if q in a.accepting]
+    names = [f"{q}@{codes[cm]}" for q, cm in order]
     return Automaton(
         name=f"{a.name}_nrt",
         alphabet=a.alphabet,
-        states=state_names,
+        states=names,
         clocks=pool,
         params=a.params,
-        initial=product_state_name(a.initial, m0),
-        accepting=accepting,
-        transitions=out_transitions,
+        initial=names[0],
+        accepting=[n for n, (q, _) in zip(names, order) if q in a.accepting],
+        transitions=transitions,
     )

@@ -138,6 +138,16 @@ def test_validate_flags_dangling_references():
     assert any(e.kind == "DanglingRef" for e in validate(c))
 
 
+def test_validate_lists_each_error_once():
+    """`z > 1` is two atoms on one undeclared clock, which is one error."""
+    a = _mk([Transition("q0", "q0", "a", gt("z", 1), ()),
+             Transition("q0", "q1", "a", conj(lt("z", 2), lt("y", 1)), ())])
+    assert [str(e) for e in validate(a)] == [
+        "DanglingRef: guard clock 'z' not declared",
+        "DanglingRef: guard clock 'y' not declared",
+    ]
+
+
 def test_validate_flags_mixed_guard():
     g = conj(lt("x", 1), eq("y", "mu"))
     a = _mk([Transition("q0", "q1", "a", g, ())], clocks=("x", "y"), params=("mu",))

@@ -11,15 +11,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pnta import (
+    TRUE,
+    Automaton,
     NotOneParameter,
     PntaError,
     PreconditionViolated,
     TimedWord,
+    Transition,
     UnsupportedAutomaton,
     atoms,
     candidate_parameters,
     emptiness_fixed,
+    eq,
+    gt,
     is_nrtta,
+    lt,
     max_constant,
     parametric_emptiness,
     parse_automaton,
@@ -207,6 +213,28 @@ def test_parametric_rejects_wide_automata():
     )
     with pytest.raises(UnsupportedAutomaton):
         parametric_emptiness(a)
+
+
+def test_the_sweep_refuses_rational_constants():
+    """The candidates assume natural constants; a check at one value scales rational ones.
+
+    With 15/4 < x = mu < 4 the language is nonempty at mu = 31/8, a value
+    between two candidates of the natural-constant list.
+    """
+    a = Automaton("rational", "abcd", ("q0", "q1", "q2", "q3"), ("x",), ("mu",), "q0", ("q2",), [
+        Transition("q0", "q3", "c", gt("x", Fraction(15, 4)), ()),
+        Transition("q3", "q1", "a", eq("x", "mu"), ()),
+        Transition("q1", "q2", "b", lt("x", 4), ()),
+        Transition("q2", "q2", "d", TRUE, ()),
+    ])
+    with pytest.raises(UnsupportedAutomaton, match="natural"):
+        parametric_emptiness(a)
+    with pytest.raises(UnsupportedAutomaton, match="natural"):
+        candidate_parameters(a)
+    v = emptiness_fixed(a, Fraction(31, 8))
+    assert v.nonempty
+    w = witness_word(a, v)
+    assert "q2" in {c.state for c in run_frontiers(a, w, {"mu": Fraction(31, 8)})[-1]}
 
 
 def test_parametric_auto_translates_one_clock():
