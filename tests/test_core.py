@@ -179,6 +179,10 @@ def test_transition_resets_coerced_to_frozenset():
     t = Transition("q0", "q1", "a", TRUE, ["x", "x"])
     assert t.resets == frozenset({"x"})
     assert Transition("q0", "q1", "a", TRUE).resets == frozenset()
+    a = Automaton("a", ["a"], ["q0", "q1"], ["x"], [], "q0", ["q1"], [t])
+    sets = (a.alphabet, a.states, a.clocks, a.params, a.accepting)
+    assert all(type(s) is frozenset for s in sets)
+    assert a.transitions == (t,)
 
 
 def test_zero_valuation():

@@ -26,13 +26,33 @@ def test_guard_text_round_trip_examples():
         assert parse_guard(guard_to_text(g), frozenset({"mu"})) == g
 
 
-def test_parse_guard_errors():
-    with pytest.raises(ParseError):
-        parse_guard("x <")
-    with pytest.raises(ParseError):
-        parse_guard("x < mu")  # mu not declared
-    with pytest.raises(ParseError):
-        parse_guard("(x < 1")
+# one guard of each error branch and the message it gives
+_GUARD_ERRORS = {
+    "character": ("x < 1 $", "unexpected character '$' in guard"),
+    "ends-at-bound": ("x <", "guard ends unexpectedly"),
+    "empty": ("", "guard ends unexpectedly"),
+    "ends-in-paren": ("(x < 1", "guard ends unexpectedly"),
+    "trailing": ("x < 1 )", "trailing token ')' in guard"),
+    "no-close": ("(x < 1 x", "missing ')' in guard"),
+    "no-clock": ("1 < x", "expected clock name, got '1'"),
+    "no-operator": ("x y 1", "expected comparison operator, got 'y'"),
+    "undeclared": ("x < nu", "right-hand side 'nu' is neither a number nor a declared parameter"),
+    "long-constant": ("x < " + "9" * 5000, "constant of 5000 digits is too long"),
+    "deep-and": (" & ".join(["x < 1"] * 202), "guard nested more than 200 levels deep"),
+    "deep-not": ("!" * 201 + "x < 1", "guard nested more than 200 levels deep"),
+    "deep-paren": ("(" * 201 + "x < 1" + ")" * 201, "guard nested more than 200 levels deep"),
+}
+
+
+@pytest.mark.parametrize("guard, message", _GUARD_ERRORS.values(), ids=list(_GUARD_ERRORS))
+def test_parse_guard_errors(guard, message):
+    with pytest.raises(ParseError) as exc:
+        parse_guard(guard, frozenset({"mu"}))
+    assert str(exc.value) == f"line 0: {message}"
+    text = f"automaton g\nclocks x\nparams mu\ninit q0\ntrans q0 q0 a ( {guard} ) {{ }}\n"
+    with pytest.raises(ParseError) as exc:
+        parse_automaton(text)
+    assert str(exc.value) == f"line 5: {message}"
 
 
 @settings(max_examples=120, deadline=None)
