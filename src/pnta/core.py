@@ -204,14 +204,10 @@ class Transition:
     target: str
     letter: str
     guard: Guard
-    resets: frozenset[str]
+    resets: frozenset[str] = frozenset()
 
-    def __init__(self, source, target, letter, guard, resets=()):  # noqa: D401
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "letter", letter)
-        object.__setattr__(self, "guard", guard)
-        object.__setattr__(self, "resets", frozenset(resets))
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "resets", frozenset(self.resets))
 
 
 @dataclass(frozen=True)
@@ -232,16 +228,10 @@ class Automaton:
     accepting: frozenset[str]
     transitions: tuple[Transition, ...]
 
-    def __init__(self, name, alphabet, states, clocks, params, initial,
-                 accepting, transitions):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "alphabet", frozenset(alphabet))
-        object.__setattr__(self, "states", frozenset(states))
-        object.__setattr__(self, "clocks", frozenset(clocks))
-        object.__setattr__(self, "params", frozenset(params))
-        object.__setattr__(self, "initial", initial)
-        object.__setattr__(self, "accepting", frozenset(accepting))
-        object.__setattr__(self, "transitions", tuple(transitions))
+    def __post_init__(self) -> None:
+        for name in ("alphabet", "states", "clocks", "params", "accepting"):
+            object.__setattr__(self, name, frozenset(getattr(self, name)))
+        object.__setattr__(self, "transitions", tuple(self.transitions))
 
     def __getstate__(self):
         """The fields alone: an unpickled automaton compiles again on its next check."""

@@ -42,11 +42,11 @@ class PreconditionViolated(PntaError):
 
 
 class RegionBudgetExceeded(PntaError):
-    """Region graph exploration hit the node budget."""
+    """A zone or region search hit its node budget."""
 
     def __init__(self, limit: int):
         self.limit = limit
-        super().__init__(f"region node budget exceeded ({limit} nodes)")
+        super().__init__(f"abstraction node budget exceeded ({limit} nodes)")
 
 
 class NotOneParameter(PntaError):

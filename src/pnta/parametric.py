@@ -165,9 +165,9 @@ def _searched(a: Automaton) -> Automaton:
 def _compiled(a: Automaton) -> Compiled:
     """The compiled form of the automaton a check searches, derived once and kept on a.
 
-    It is stored as an attribute outside the dataclass fields, as
-    Automaton.__init__ stores them, so a's equality, hash and repr do
-    not see it; what depends on the parameter value is built per check.
+    It is set with object.__setattr__ as an attribute outside the dataclass
+    fields, so a's equality, hash and repr do not see it; what depends on
+    the parameter value is built per check.
     """
     try:
         return a._compiled

@@ -23,6 +23,7 @@ p/q rationals, strictly increasing.
 from __future__ import annotations
 
 import re
+from typing import Iterator
 
 from .core import (
     Atom,
@@ -52,96 +53,66 @@ _CLOCK_RE = re.compile(r"[A-Za-z_][\w.@:\-]*")
 _COMPARISONS = {"<": lt, "<=": le, "=": eq, ">=": ge, ">": gt}
 
 
-def _tokenize_guard(text: str, line: int) -> list[str]:
-    found = _TOKEN_RE.findall(text)
-    for token in found:
-        if token[3]:
-            raise ParseError(f"unexpected character {token[3]!r} in guard", line)
-    return [op or num or name for op, num, name, _ in found]
-
-
 # how deep a guard may nest '&', '!' and '(': every guard walker recurses once per level
 _MAX_DEPTH = 200
 
 
-class _GuardParser:
-    """Recursive descent over the guard token stream; depth counts '&', '!' and '('."""
+def _conjunction(tokens: list[str], params: frozenset[str], line: int, depth: int) -> Guard:
+    """A right-nested conjunction from the end of tokens, the reversed token stream."""
+    left = _unary(tokens, params, line, depth)
+    if tokens and tokens[-1] == "&":
+        tokens.pop()
+        return And(left, _conjunction(tokens, params, line, depth + 1))
+    return left
 
-    def __init__(self, tokens: list[str], params: frozenset[str], line: int):
-        self.tokens = tokens
-        self.pos = 0
-        self.params = params
-        self.line = line
 
-    def peek(self) -> str | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+def _unary(tokens: list[str], params: frozenset[str], line: int, depth: int) -> Guard:
+    """'!' G, '(' G ')', 'true' or an atom from the end of tokens.
 
-    def take(self) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("guard ends unexpectedly", self.line)
-        self.pos += 1
-        return tok
-
-    def parse(self) -> Guard:
-        g = self.conjunction(0)
-        if self.peek() is not None:
-            raise ParseError(f"trailing token {self.peek()!r} in guard", self.line)
-        return g
-
-    def conjunction(self, depth: int) -> Guard:
-        left = self.unary(depth)
-        if self.peek() == "&":
-            self.take()
-            return And(left, self.conjunction(depth + 1))
-        return left
-
-    def unary(self, depth: int) -> Guard:
-        if depth > _MAX_DEPTH:
-            raise ParseError(f"guard nested more than {_MAX_DEPTH} levels deep", self.line)
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("guard ends unexpectedly", self.line)
-        if tok == "!":
-            self.take()
-            return Not(self.unary(depth + 1))
-        if tok == "(":
-            self.take()
-            inner = self.conjunction(depth + 1)
-            if self.take() != ")":
-                raise ParseError("missing ')' in guard", self.line)
-            return inner
-        if tok == "true":
-            self.take()
-            return TRUE
-        return self.atom()
-
-    def atom(self) -> Guard:
-        clock = self.take()
-        if not _CLOCK_RE.fullmatch(clock):
-            raise ParseError(f"expected clock name, got {clock!r}", self.line)
-        op = self.take()
-        compare = _COMPARISONS.get(op)
-        if compare is None:
-            raise ParseError(f"expected comparison operator, got {op!r}", self.line)
-        rhs = self.take()
-        if rhs.isdigit():
-            try:
-                bound: object = int(rhs)
-            except ValueError:  # beyond int's digit limit for text
-                raise ParseError(f"constant of {len(rhs)} digits is too long", self.line) from None
-        elif rhs in self.params:
-            bound = rhs
-        else:
-            raise ParseError(
-                f"right-hand side {rhs!r} is neither a number nor a declared parameter",
-                self.line,
-            )
-        return compare(clock, bound)
+    depth counts the '&', '!' and '(' levels around it.
+    """
+    if depth > _MAX_DEPTH:
+        raise ParseError(f"guard nested more than {_MAX_DEPTH} levels deep", line)
+    tok = tokens.pop()
+    if tok == "!":
+        return Not(_unary(tokens, params, line, depth + 1))
+    if tok == "(":
+        inner = _conjunction(tokens, params, line, depth + 1)
+        if tokens.pop() != ")":
+            raise ParseError("missing ')' in guard", line)
+        return inner
+    if tok == "true":
+        return TRUE
+    if not _CLOCK_RE.fullmatch(tok):
+        raise ParseError(f"expected clock name, got {tok!r}", line)
+    op = tokens.pop()
+    compare = _COMPARISONS.get(op)
+    if compare is None:
+        raise ParseError(f"expected comparison operator, got {op!r}", line)
+    rhs = tokens.pop()
+    if rhs.isdigit():
+        try:
+            return compare(tok, int(rhs))
+        except ValueError:  # beyond int's digit limit for text
+            raise ParseError(f"constant of {len(rhs)} digits is too long", line) from None
+    if rhs in params:
+        return compare(tok, rhs)
+    raise ParseError(f"right-hand side {rhs!r} is neither a number nor a declared parameter", line)
 
 
 def parse_guard(text: str, params: frozenset[str] = frozenset(), line: int = 0) -> Guard:
-    return _GuardParser(_tokenize_guard(text, line), params, line).parse()
+    found = _TOKEN_RE.findall(text)
+    for token in found:
+        if token[3]:
+            raise ParseError(f"unexpected character {token[3]!r} in guard", line)
+    tokens = [op or num or name for op, num, name, _ in reversed(found)]  # tokens[-1] comes next
+    try:
+        g = _conjunction(tokens, params, line, 0)
+    except IndexError:  # a pop past the last token
+        raise ParseError("guard ends unexpectedly", line) from None
+    if tokens:
+        raise ParseError(f"trailing token {tokens[-1]!r} in guard", line)
+    return g
 
 
 def guard_to_text(g: Guard) -> str:
@@ -160,8 +131,12 @@ def guard_to_text(g: Guard) -> str:
     raise TypeError(f"not a guard: {g!r}")
 
 
-def _strip_comment(raw: str) -> str:
-    return raw.split("#", 1)[0].strip()
+def _lines(text: str) -> Iterator[tuple[int, str]]:
+    """(number, text) of each line left nonblank once its '#' comment is cut."""
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        stripped = raw.split("#", 1)[0].strip()
+        if stripped:
+            yield line_no, stripped
 
 
 def parse_automaton(text: str) -> Automaton:
@@ -170,10 +145,7 @@ def parse_automaton(text: str) -> Automaton:
     lists: dict[str, list[str]] = {}  # the clocks, params, alphabet and accept lines
     trans_raw: list[tuple[int, str, str, str, str, str]] = []
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        stripped = _strip_comment(raw)
-        if not stripped:
-            continue
+    for line_no, stripped in _lines(text):
         head = stripped.split(None, 1)[0]
         rest = stripped[len(head):].strip()
         if head == "automaton":
@@ -252,10 +224,7 @@ def print_automaton(a: Automaton) -> str:
 
 def parse_timed_word(text: str) -> TimedWord:
     events = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        stripped = _strip_comment(raw)
-        if not stripped:
-            continue
+    for line_no, stripped in _lines(text):
         parts = stripped.split()
         if len(parts) != 2:
             raise ParseError("expected: LETTER TIMESTAMP", line_no)

@@ -12,10 +12,6 @@ from __future__ import annotations
 from .core import Atom, Automaton, Transition, map_atoms
 from .errors import PreconditionViolated
 
-# The clock maps grow super-exponentially with the clock count: 7,423 for
-# six clocks each tested and reset alone, 60,621 for seven.
-MAX_CLOCK_MAPS = 10_000
-
 
 def product_state_origin(name: str) -> str:
     """Original control state of a product state produced by ta_to_nrtta."""
@@ -28,7 +24,10 @@ def ta_to_nrtta(a: Automaton) -> Automaton:
     A product state pairs a control state with a clock map, the tuple of
     the pool clock standing for each sorted original clock, then the
     spare, which stands for none.  Originals reset together share a pool
-    clock.  A product with more than MAX_CLOCK_MAPS clock maps is refused.
+    clock.  The product grows super-exponentially with the clock count
+    (six clocks each tested and reset alone give 7,423 states, seven give
+    60,621), so one of more than max(10,000, 2 |states|) states is refused:
+    one-clock input has at most two clock maps and is always translated.
     """
     clocks = sorted(a.clocks)
     labels = clocks + ["s"]
@@ -40,6 +39,7 @@ def ta_to_nrtta(a: Automaton) -> Automaton:
     for t in a.transitions:
         by_source.setdefault(t.source, []).append(t)
 
+    bound = max(10_000, 2 * len(a.states))
     seen = {(a.initial, m0)}
     order = [(a.initial, m0)]  # breadth first: visited as it grows
     transitions: list[Transition] = []
@@ -50,11 +50,11 @@ def ta_to_nrtta(a: Automaton) -> Automaton:
                 assign = tuple(cm[-1] if z in t.resets else p for z, p in zip(clocks, cm))
                 cm2 = assign + (next(p for p in pool if p not in assign),)
                 if cm2 not in codes:
-                    if len(codes) == MAX_CLOCK_MAPS:
-                        raise PreconditionViolated(f"the nrtTA translation of {len(clocks)} clocks"
-                                                   f" needs over {MAX_CLOCK_MAPS:,} clock maps")
                     codes[cm2] = ".".join(map(":".join, zip(labels, cm2)))
             if (t.target, cm2) not in seen:
+                if len(seen) == bound:
+                    raise PreconditionViolated(f"the nrtTA translation of {len(clocks)} clocks"
+                                               f" needs over {bound:,} product states")
                 seen.add((t.target, cm2))
                 order.append((t.target, cm2))
             transitions.append(Transition(

@@ -175,7 +175,7 @@ def test_check_json_counts_candidates(data_dir, capsys):
 def test_check_budget_stop_message(data_dir, capsys):
     code, _, err = _run(capsys, "check", str(data_dir / "e_window.ta"), "--max-regions", "1")
     assert code == 3
-    assert err == "budget exceeded: region node budget exceeded (1 nodes)\n"
+    assert err == "budget exceeded: abstraction node budget exceeded (1 nodes)\n"
 
 
 TEST_AND_RESET = (
@@ -635,7 +635,7 @@ def test_regions_budget_counts_each_delay_fan(data_dir, capsys):
                           "--max-regions", "100000")
     assert code == 3
     assert out == ""
-    assert err == "budget exceeded: region node budget exceeded (100000 nodes)\n"
+    assert err == "budget exceeded: abstraction node budget exceeded (100000 nodes)\n"
     assert time.perf_counter() - t0 < 30
 
 
@@ -645,7 +645,7 @@ def test_regions_budget_stops_a_delay_fan_while_it_is_built(data_dir, capsys):
     code, out, err = _run(capsys, "regions", str(data_dir / "e_window.ta"),
                           "--mu", "10000000000000", "--max-regions", "1000")
     assert (code, out) == (3, "")
-    assert err == "budget exceeded: region node budget exceeded (1000 nodes)\n"
+    assert err == "budget exceeded: abstraction node budget exceeded (1000 nodes)\n"
     assert time.perf_counter() - t0 < 2
 
 
@@ -655,7 +655,7 @@ def test_regions_takes_a_value_beyond_the_zone_engines_range(data_dir, capsys):
     t0 = time.perf_counter()
     code, out, err = _run(capsys, "regions", path, "--mu", mu, "--max-regions", "1000")
     assert (code, out) == (3, "")
-    assert err == "budget exceeded: region node budget exceeded (1000 nodes)\n"
+    assert err == "budget exceeded: abstraction node budget exceeded (1000 nodes)\n"
     assert time.perf_counter() - t0 < 2
     code, out, err = _run(capsys, "check", path, "--mu", mu)
     assert (code, out) == (2, "")

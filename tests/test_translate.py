@@ -88,21 +88,27 @@ def test_translation_accepting_set_projects_back():
         assert {product_state_origin(q) for q in b.states} <= set(a.states)
 
 
-def _clocks_each_reset_alone(k):
+def _clocks_each_reset_alone(k, n=1):
+    """n states in a ring, each step testing and resetting one of k clocks."""
     lines = ["automaton many", "clocks " + " ".join(f"c{i}" for i in range(k)),
              "init q0", "accept q0"]
-    lines += [f"trans q0 q0 a ( c{i} < 1 ) {{ c{i} }}" for i in range(k)]
+    lines += [f"trans q{j} q{(j + 1) % n} a ( c{i} < 1 ) {{ c{i} }}"
+              for j in range(n) for i in range(k)]
     return parse_automaton("\n".join(lines) + "\n")
 
 
 def test_a_product_of_too_many_clock_maps_is_refused():
-    """k clocks each tested and reset alone: 7,423 clock maps at k = 6, 60,621 at k = 7."""
+    """k clocks each tested and reset alone: 7,423 product states at k = 6, 60,621 at k = 7.
+
+    A ring of 8 states over 6 clocks reaches only the 7,423 clock maps of
+    six clocks, yet 59,329 product states: the bound is on the states.
+    """
     assert len(ta_to_nrtta(_clocks_each_reset_alone(6)).states) == 7423
-    a = _clocks_each_reset_alone(7)
-    t0 = time.perf_counter()
-    with pytest.raises(PreconditionViolated, match="over 10,000 clock maps"):
-        ta_to_nrtta(a)
-    assert time.perf_counter() - t0 < 1
+    for a in (_clocks_each_reset_alone(7), _clocks_each_reset_alone(6, 8)):
+        t0 = time.perf_counter()
+        with pytest.raises(PreconditionViolated, match="over 10,000 product states"):
+            ta_to_nrtta(a)
+        assert time.perf_counter() - t0 < 1
 
 
 THREE_CLOCKS = """
