@@ -366,16 +366,22 @@ def _lasso_at(root, is_accepting: Callable, found) -> tuple[list, list]:
     nodes alone to the nearest accepting member of the component the
     search closed (none when root is one), and the cycle from that node
     back to itself within the component.  They walk the successor lists
-    the search recorded, and finish a node's list from its unread
-    iterator when they reach that node.
+    the search recorded, and go on with a node's unread iterator only as
+    far as they read, recording what they read; an iterator leaves unread
+    when it is exhausted.
     """
     members, graph, unread = found
     within = set(members)
 
     def successors(node):
         out = graph[node]
-        out.extend(unread.pop(node, ()))
-        return out
+        yield from out
+        it = unread.get(node)
+        if it is not None:
+            for pair in it:  # not yield from: closing this generator leaves it open
+                out.append(pair)
+                yield pair
+            del unread[node]
 
     if root in within and is_accepting(root):
         stem, node = [], root

@@ -57,7 +57,7 @@ _COMPARISONS = {"<": lt, "<=": le, "=": eq, ">=": ge, ">": gt}
 _MAX_DEPTH = 200
 
 
-def _conjunction(tokens: list[str], params: frozenset[str], line: int, depth: int) -> Guard:
+def _conjunction(tokens: list[str], params: frozenset[str], line: int | None, depth: int) -> Guard:
     """A right-nested conjunction from the end of tokens, the reversed token stream."""
     left = _unary(tokens, params, line, depth)
     if tokens and tokens[-1] == "&":
@@ -66,7 +66,7 @@ def _conjunction(tokens: list[str], params: frozenset[str], line: int, depth: in
     return left
 
 
-def _unary(tokens: list[str], params: frozenset[str], line: int, depth: int) -> Guard:
+def _unary(tokens: list[str], params: frozenset[str], line: int | None, depth: int) -> Guard:
     """'!' G, '(' G ')', 'true' or an atom from the end of tokens.
 
     depth counts the '&', '!' and '(' levels around it.
@@ -100,7 +100,7 @@ def _unary(tokens: list[str], params: frozenset[str], line: int, depth: int) -> 
     raise ParseError(f"right-hand side {rhs!r} is neither a number nor a declared parameter", line)
 
 
-def parse_guard(text: str, params: frozenset[str] = frozenset(), line: int = 0) -> Guard:
+def parse_guard(text: str, params: frozenset[str] = frozenset(), line: int | None = None) -> Guard:
     found = _TOKEN_RE.findall(text)
     for token in found:
         if token[3]:

@@ -28,7 +28,13 @@ Every zone stored as a graph key, one flat tuple, is canonical, a form
 unique to each nonempty zone.  Delay and reset keep a DBM canonical,
 `_tighten` adds a guard bound in O(n^2) and keeps it so (Bengtsson & Yi,
 LNCS 3098, 2004), and the full closure `_canonical` runs only after an
-extrapolation that changed a bound.
+extrapolation that changed a bound.  After the guard, a successor is
+built in one pass.  One getter per reset tuple, compiled with the
+automaton, reads the reset zone with its upper bounds already dropped;
+then one loop makes each of the n - 1 lower bounds strict and applies
+Extra_M to it, and one applies Extra_M to the (n - 1)(n - 2) clock
+differences.  No other bound can change: the diagonal stays "<= 0" and
+the upper bounds are infinite.
 
 Extrapolation is Extra_M with a bound per clock (Behrmann, Bouyer,
 Larsen, Pelánek, STTT 8(3), 2006): a clock's cap is the largest scaled
@@ -74,7 +80,7 @@ a nonempty automaton `zone_lasso` takes its lasso from that graph
 (`regions._lasso_at`) with two calls of one breadth-first routine,
 `regions._shortest_path`: a stem to the nearest accepting member of the
 closed component and a shortest cycle through it there.  The walk
-finishes a node's list only when it reaches that node.
+goes on with a node's unfinished list only as far as it reads.
 Every path of the extrapolated graph is taken by some concrete run
 (Tripakis, ACM TOCL 10(3), 2009), and `earliest_ticks` solves for the
 earliest one: each guard bound x - y <= b along the lasso is a
@@ -88,8 +94,9 @@ builds one Fraction per event, of the original time unit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from .core import And, Atom, Automaton, Bound, Guard, Not, TrueGuard, brief
@@ -155,44 +162,19 @@ def _tighten(d: list[int], n: int, x: int, y: int, b: int) -> bool:
     return True
 
 
-def _up(d: list[int], n: int, strict: bool) -> None:
-    """Delay: drop upper bounds; with strict=True also require delta > 0."""
-    d[n::n] = [INF] * (n - 1)
-    if strict:
-        for j in range(1, n):
-            b = d[j]
-            if b < INF and b & 1:
-                d[j] = b - 1
+def _gather(n: int, resets: tuple[int, ...]) -> itemgetter:
+    """The reset of the clocks resets and the delay's drop of upper bounds, as one getter.
 
-
-def _reset(d: list[int], n: int, idxs: tuple[int, ...]) -> None:
-    """Set the clocks idxs to 0: each one's row and column copy the zero clock's."""
-    for x in idxs:
-        d[x * n:x * n + n] = d[:n]
-        d[x::n] = d[::n]
-        d[x * n + x] = _LE0
-
-
-def _extrapolate(d: list[int], n: int, caps: Sequence[int]) -> bool:
-    """Extra_M with a bound per clock; True when some bound changed.
-
-    caps[i] is clock i's cap, 0 for the zero clock.  A bound d[i][j] above
-    the row clock's cap is dropped, and one below minus the column clock's
-    cap is raised to it, made strict.  d is canonical and nonempty, so its
-    diagonal bounds "<= 0" are neither.
+    It reads a canonical DBM with INF appended at index n * n and gives
+    the n * n bounds after the reset, with the upper bounds d[i][0] INF,
+    then that INF again, so that it gives a tuple also for n = 1.  A
+    reset clock's row and column read the zero clock's, and a diagonal
+    bound reads d[0][0], "<= 0".
     """
-    changed = False
-    for i, ci in enumerate(caps):
-        hi = 2 * ci + 1  # _bnd(ci, True)
-        for k, cj in enumerate(caps, i * n):
-            b = d[k]
-            if hi < b < INF:
-                d[k] = INF
-                changed = True
-            elif b < -2 * cj:  # below _bnd(-cj, False)
-                d[k] = -2 * cj
-                changed = True
-    return changed
+    nn = n * n
+    at = [0 if x in resets else x for x in range(n)]
+    return itemgetter(*[0 if i == j else nn if j == 0 else at[i] * n + at[j]
+                        for i in range(n) for j in range(n)], nn)
 
 
 _MAX_DISJUNCTS = 4096  # of a guard's _dnf: each disjunct is a step of the zone graph
@@ -249,7 +231,8 @@ class Scaled:
     The zone graph, the witness run and its region projection all read
     this form.  clocks holds the sorted clock names, clock clocks[i - 1]
     at DBM index i.  out is the compiled automaton's steps by source
-    state, shared and not copied.  No bound is built ahead: a step's
+    state and gathers its getters by reset tuple, both shared and not
+    copied.  No bound is built ahead: a step's
     template (x, y, coef, p, w) reads as the constraint
     d[x][y] <= coef * scale[p] + w for `_tighten`, evaluated where it is
     read, inline in the zone graph and by `bounds` for the steps of a
@@ -261,6 +244,7 @@ class Scaled:
     accepting: frozenset[str]
     clocks: tuple[str, ...]
     out: dict[str, tuple[Step, ...]]
+    gathers: dict[tuple[int, ...], itemgetter] = field(compare=False, repr=False)
     scale: tuple[int, int, int]
     caps: tuple[int, ...]
     d: int  # scale factor
@@ -286,7 +270,8 @@ class Compiled:
     disjuncts.  A template's coef is twice its literal's constant times
     denom, or 2 for the parameter, signed by its side; p is 0 for a
     constant, 1 for the parameter as a lower bound and 2 as an upper
-    bound; w is True (1) for a weak bound.
+    bound; w is True (1) for a weak bound.  gathers holds the `_gather`
+    getter of each transition's reset tuple.
     tops holds, per DBM index, the largest constant times denom that a
     literal compares the clock with and whether one compares it with the
     parameter.
@@ -296,6 +281,7 @@ class Compiled:
     accepting: frozenset[str]
     clocks: tuple[str, ...]  # sorted clock names
     out: dict[str, tuple[Step, ...]]
+    gathers: dict[tuple[int, ...], itemgetter] = field(compare=False, repr=False)
     tops: tuple[tuple[int, bool], ...]
     denom: int  # lcm of the constant denominators
     c: int  # max_constant
@@ -357,7 +343,7 @@ class Compiled:
                 "beyond the zone engine's range")
         k = d // self.denom
         caps = tuple([max(top * k, high) if p else top * k for top, p in self.tops])
-        return Scaled(self.initial, self.accepting, self.clocks, self.out,
+        return Scaled(self.initial, self.accepting, self.clocks, self.out, self.gathers,
                       (k, low, high), caps, d, m)
 
 
@@ -372,8 +358,11 @@ def compile_automaton(a: Automaton) -> Compiled:
     tops = [0] * (len(clocks) + 1)
     compared = [False] * (len(clocks) + 1)
     out: dict[str, list[Step]] = {}
+    gathers = {}
     for idx, (t, dnf) in enumerate(zip(a.transitions, dnfs)):
         resets = tuple(sorted(map(index.__getitem__, t.resets)))
+        if resets not in gathers:
+            gathers[resets] = _gather(len(tops), resets)
         for disj in dnf:
             templates = []
             for z, op, b in disj:
@@ -396,7 +385,8 @@ def compile_automaton(a: Automaton) -> Compiled:
     c = max([1] + [int(v) for v in consts if v.denominator == 1])
     top = int(max(consts) * denom) if consts else 0
     return Compiled(a.initial, a.accepting, clocks,
-                    {q: tuple(steps) for q, steps in out.items()}, tuple(zip(tops, compared)),
+                    {q: tuple(steps) for q, steps in out.items()}, gathers,
+                    tuple(zip(tops, compared)),
                     denom, c, top, len(a.params), len(consts) < len(bounds), len(a.states))
 
 
@@ -408,30 +398,59 @@ def _zone_graph(s: Scaled):
     flat tuple of n * n bounds, row by row: the root's is the non-strict
     delay of the zero zone, so the first event may happen at time 0, and
     a child's is Extra(up(reset(guard(key)))) with the strict delay, so
-    later events happen strictly later.  successors(i) is a generator of
+    later events happen strictly later.  A child is built in one pass
+    after the guard's `_tighten` calls: the getter of its step's reset
+    tuple reads key, with INF appended, reset and without upper bounds;
+    one loop over the lower bounds makes each strict and raises it to
+    its Extra_M limit, one over the clock differences applies Extra_M,
+    and `_canonical` closes the zone only when Extra_M changed a bound.
+    A zone's clocks are nonnegative, so no lower bound is above "<= 0"
+    and Extra_M drops none.  successors(i) is a generator of
     node i's (step, j) pairs, the step taken and the child's index, always
     in one order.  It builds and interns each child only when it is asked
     for, so a search that stops early builds none of the rest.
     """
-    caps, scale, out_of = s.caps, s.scale, s.out
+    caps, scale, out_of, gathers = s.caps, s.scale, s.out, s.gathers
     n = len(caps)
     root = [_LE0] * (n * n)
-    _up(root, n, strict=False)
+    root[n::n] = [INF] * (n - 1)
     nodes = [(s.initial, tuple(root))]
     ids = {nodes[0]: 0}
+    # Extra_M: a lower bound d[0][j] is raised to "< -cap_j", a difference
+    # d[i][j] above "<= cap_i" is dropped and one below "< -cap_j" raised to it
+    lows = [(j, -2 * caps[j]) for j in range(1, n)]
+    diffs = [(i * n + j, 2 * caps[i] + 1, -2 * caps[j])
+             for i in range(1, n) for j in range(1, n) if i != j]
 
     def successors(i: int):
         q, key = nodes[i]
         for step in out_of.get(q, ()):
-            _, target, _, reset_idxs, templates = step
+            _, target, _, resets, templates = step
             z = list(key)
             for x, y, coef, p, w in templates:
                 if not _tighten(z, n, x, y, coef * scale[p] + w):
                     break
             else:
-                _reset(z, n, reset_idxs)
-                _up(z, n, strict=True)
-                if _extrapolate(z, n, caps):
+                z.append(INF)
+                z = list(gathers[resets](z))
+                z.pop()  # the INF that keeps the getter's result a tuple at n = 1
+                changed = False
+                for j, lo in lows:
+                    b = z[j]
+                    if b < lo:
+                        z[j] = lo
+                        changed = True
+                    elif b & 1:  # the strict delay; INF is even
+                        z[j] = b - 1
+                for k, hi, lo in diffs:
+                    b = z[k]
+                    if hi < b < INF:
+                        z[k] = INF
+                        changed = True
+                    elif b < lo:
+                        z[k] = lo
+                        changed = True
+                if changed:
                     _canonical(z, n)  # widening a nonempty zone keeps it nonempty
                 node = (target, tuple(z))
                 j = ids.get(node)
@@ -478,10 +497,10 @@ def zone_lasso(
     one, `_lasso_at` takes the lasso inside the graph that search read:
     a shortest stem through the discovered nodes to the nearest accepting
     member of the closed component, and a shortest cycle back to that
-    node within the component.  It finishes the successor lists of the
-    discovered nodes it walks but discovers no further one, so neither
-    the lasso nor the count depends on max_nodes once the search stays
-    within it.
+    node within the component.  It reads on in the successor lists of
+    the discovered nodes it walks only as far as each walk goes, and
+    discovers no further node, so neither the lasso nor the count
+    depends on max_nodes once the search stays within it.
     """
     successors, nodes = _zone_graph(s)
     accepting = s.accepting

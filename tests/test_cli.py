@@ -62,6 +62,15 @@ def test_check_reports_match_the_golden_file(data_dir, capsys, tmp_path):
     assert got == json.loads((data_dir / "check_golden.json").read_text(encoding="utf-8"))
 
 
+def test_check_decides_an_automaton_without_clocks(data_dir, capsys):
+    """With no clock each zone is the 1 x 1 DBM of the zero clock, and the loop accepts."""
+    code, out, _ = _run(capsys, "check", str(data_dir / "clockless.ta"), "--witness")
+    lines = out.splitlines()
+    assert code == 10 and lines[0] == "Nonempty"
+    assert lines[1].startswith("candidates checked: 1, abstraction nodes: 1, ")
+    assert lines[-2:] == ["witness word (1 cycle unrolling):", "a 0"]
+
+
 def test_check_reports_the_relaxation_that_settled_an_empty_verdict(data_dir, capsys):
     path = str(data_dir / "relax_empty.ta")
     code, out, _ = _run(capsys, "check", path, "--json")

@@ -443,7 +443,7 @@ def test_prepare_fixed_matches_its_reference_over_a_population(data_dir):
             assert parse_automaton(print_automaton(scaled)) == scaled
             outcomes["scaled"] += 1
     assert outcomes == {
-        "scaled": 4237,
+        "scaled": 4244,
         "parameter value required for a parametric automaton": 357,
         "parameter value must be nonnegative, got -1": 357,
         "at most one parameter supported, got 2": 5,

@@ -7,7 +7,7 @@ from fractions import Fraction
 from unittest.mock import patch
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pnta import (
@@ -30,13 +30,12 @@ from pnta.regions import _search_lasso
 from pnta.zones import (
     _LE0,
     INF,
+    Scaled,
     _bnd,
     _canonical,
     _dnf,
-    _extrapolate,
-    _reset,
+    _gather,
     _tighten,
-    _up,
     _zone_graph,
     compile_automaton,
     earliest_ticks,
@@ -115,7 +114,7 @@ def canonical_dbms(draw):
 
     d is the n x n matrix row by row: d[i * n + j] bounds clock i minus clock j.
     """
-    n = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 4))
     d = [_bnd(0, True) if i == j else draw(_BOUNDS) for i in range(n) for j in range(n)]
     assume(_canonical(d, n))
     return d, n
@@ -139,44 +138,6 @@ def test_tighten_matches_a_full_closure(dbm, data, b):
     assert _tighten(d, n, x, y, b) == nonempty
     if nonempty:
         assert d == ref
-
-
-@settings(max_examples=300, deadline=None)
-@given(canonical_dbms(), st.booleans(), st.data())
-def test_up_and_reset_keep_a_dbm_canonical(dbm, strict, data):
-    d, n = dbm
-    _up(d, n, strict)
-    assert _closed(d, n) == (True, d)
-    idxs = tuple(sorted(data.draw(st.sets(st.integers(1, n - 1))) if n > 1 else ()))
-    _reset(d, n, idxs)
-    assert _closed(d, n) == (True, d)
-
-
-@settings(max_examples=300, deadline=None)
-@given(canonical_dbms(), st.data())
-def test_extrapolate_keeps_a_dbm_canonical_unless_it_widens_it(dbm, data):
-    d, n = dbm
-    caps = [0] + [data.draw(st.integers(0, 6)) for _ in range(n - 1)]
-    if _extrapolate(d, n, caps):
-        assert _canonical(d, n)  # widening never empties a zone
-    else:
-        assert _closed(d, n) == (True, d)
-
-
-def test_a_clock_no_guard_tests_has_cap_0():
-    a = parse_automaton(
-        "automaton u\nclocks x y\ninit q0\naccept q0\ntrans q0 q0 a ( x < 3 ) { y }\n"
-    )
-    caps = compile_automaton(a).at(None).caps
-    assert caps == (0, 3, 0)
-    # x = 5 and y = 2: y keeps only y > 0, x only x > 3, and x - y = 3 stays
-    d = [_bnd(0, True), _bnd(-5, True), _bnd(-2, True),
-         _bnd(5, True), _bnd(0, True), _bnd(3, True),
-         _bnd(2, True), _bnd(-3, True), _bnd(0, True)]
-    assert _extrapolate(d, 3, caps)
-    assert d == [_bnd(0, True), _bnd(-3, False), _bnd(0, False),
-                 INF, _bnd(0, True), _bnd(3, True),
-                 INF, _bnd(-3, True), _bnd(0, True)]
 
 
 # a-a-a reaches the accepting loop first in depth-first order, and b reaches the same
@@ -383,6 +344,127 @@ def test_integer_ticks_project_as_fractions_do(seed, draw):
             (step[2], Fraction(k, q * s.d)) for step, k in zip(steps, ticks))
 
 
+# The successor's steps one by one, as the zone graph took them before its one-pass
+# successor: the reference that successor is checked against.
+def _up(d, n, strict):
+    """Delay: drop upper bounds; with strict=True also require delta > 0."""
+    d[n::n] = [INF] * (n - 1)
+    if strict:
+        for j in range(1, n):
+            b = d[j]
+            if b < INF and b & 1:
+                d[j] = b - 1
+
+
+def _reset(d, n, idxs):
+    """Set the clocks idxs to 0: each one's row and column copy the zero clock's."""
+    for x in idxs:
+        d[x * n:x * n + n] = d[:n]
+        d[x::n] = d[::n]
+        d[x * n + x] = _LE0
+
+
+def _extrapolate(d, n, caps):
+    """Extra_M with a bound per clock; True when some bound changed.
+
+    caps[i] is clock i's cap, 0 for the zero clock.  A bound d[i][j] above
+    the row clock's cap is dropped, and one below minus the column clock's
+    cap is raised to it, made strict.  d is canonical and nonempty, so its
+    diagonal bounds "<= 0" are neither.
+    """
+    changed = False
+    for i, ci in enumerate(caps):
+        hi = 2 * ci + 1  # _bnd(ci, True)
+        for k, cj in enumerate(caps, i * n):
+            b = d[k]
+            if hi < b < INF:
+                d[k] = INF
+                changed = True
+            elif b < -2 * cj:  # below _bnd(-cj, False)
+                d[k] = -2 * cj
+                changed = True
+    return changed
+
+
+@settings(max_examples=300, deadline=None)
+@given(canonical_dbms(), st.booleans(), st.data())
+def test_up_and_reset_keep_a_dbm_canonical(dbm, strict, data):
+    d, n = dbm
+    _up(d, n, strict)
+    assert _closed(d, n) == (True, d)
+    idxs = tuple(sorted(data.draw(st.sets(st.integers(1, n - 1))) if n > 1 else ()))
+    _reset(d, n, idxs)
+    assert _closed(d, n) == (True, d)
+
+
+@settings(max_examples=300, deadline=None)
+@given(canonical_dbms(), st.data())
+def test_extrapolate_keeps_a_dbm_canonical_unless_it_widens_it(dbm, data):
+    d, n = dbm
+    caps = [0] + [data.draw(st.integers(0, 6)) for _ in range(n - 1)]
+    if _extrapolate(d, n, caps):
+        assert _canonical(d, n)  # widening never empties a zone
+    else:
+        assert _closed(d, n) == (True, d)
+
+
+def test_a_clock_no_guard_tests_has_cap_0():
+    a = parse_automaton(
+        "automaton u\nclocks x y\ninit q0\naccept q0\ntrans q0 q0 a ( x < 3 ) { y }\n"
+    )
+    caps = compile_automaton(a).at(None).caps
+    assert caps == (0, 3, 0)
+    # x = 5 and y = 2: y keeps only y > 0, x only x > 3, and x - y = 3 stays
+    d = [_bnd(0, True), _bnd(-5, True), _bnd(-2, True),
+         _bnd(5, True), _bnd(0, True), _bnd(3, True),
+         _bnd(2, True), _bnd(-3, True), _bnd(0, True)]
+    assert _extrapolate(d, 3, caps)
+    assert d == [_bnd(0, True), _bnd(-3, False), _bnd(0, False),
+                 INF, _bnd(0, True), _bnd(3, True),
+                 INF, _bnd(-3, True), _bnd(0, True)]
+
+
+@st.composite
+def successor_cases(draw):
+    """(d, n, resets, caps): a canonical DBM, a reset tuple and a cap per DBM index.
+
+    Every clock value in d is nonnegative, as in every zone of the graph.
+    """
+    d, n = draw(canonical_dbms())
+    d[1:n] = [min(b, _LE0) for b in d[1:n]]  # 0 - x <= 0
+    assume(_canonical(d, n))
+    resets = tuple(sorted(draw(st.sets(st.integers(1, n - 1))) if n > 1 else ()))
+    caps = (0,) + tuple(draw(st.integers(0, 6)) for _ in range(n - 1))
+    return d, n, resets, caps
+
+
+@settings(max_examples=400, deadline=None)
+@given(successor_cases())
+# x1 > 1, x2 > 3 and x1 - x2 < -2: Extra_M raises x2 > 3 to x2 > 2, and the closure
+# lowers it again, though no clock difference changed
+@example(([_LE0, -2, -6, INF, _LE0, -4, INF, INF, _LE0], 3, (), (0, 1, 2)))
+# x1 - x2 <= 1 and x2 - x3 <= 4 give x1 - x3 <= 5: Extra_M drops it, as cap_1 is 3, and the
+# closure restores it
+@example(([_LE0] * 4 + [INF, _LE0, 3, 11] + [INF, INF, _LE0, 9] + [INF] * 3 + [_LE0], 4, (),
+          (0, 3, 4, 0)))
+def test_one_pass_successor_matches_reset_delay_and_extrapolation(case):
+    """The zone graph's successor is reset, strict delay and Extra_M, closed if widened."""
+    d, n, resets, caps = case
+    want = d[:]
+    _reset(want, n, resets)
+    _up(want, n, strict=True)
+    if _extrapolate(want, n, caps):
+        _canonical(want, n)
+    clocks = tuple(f"x{i}" for i in range(1, n))
+    step = (0, "q1", "a", resets, ())
+    s = Scaled("q0", frozenset(), clocks, {"q0": (step,)}, {resets: _gather(n, resets)},
+               (1, 0, 0), caps, 1, 2 * max(caps) + 2)
+    successors, nodes = _zone_graph(s)
+    nodes[0] = ("q0", tuple(d))
+    [(_, j)] = successors(0)
+    assert nodes[j] == ("q1", tuple(want))
+
+
 def _eager_zone_graph(s):
     """_zone_graph as it was before successors were built on demand: the reference.
 
@@ -524,7 +606,7 @@ def _spied_check(check, s):
 
     refs are weak references to every successor generator the search
     takes, and read holds each (node, list of pairs) that `_lasso_at`
-    walks.
+    walks, each pair recorded as the walk reads it.
     """
     graphs, refs, read = [], [], []
     shortest_path = regions._shortest_path
@@ -542,9 +624,11 @@ def _spied_check(check, s):
 
     def reading_path(start, successors, allowed, is_goal):
         def reading(i):
-            out = successors(i)
-            read.append((i, list(out)))
-            return out
+            pairs = []
+            read.append((i, pairs))
+            for pair in successors(i):
+                pairs.append(pair)
+                yield pair
 
         return shortest_path(start, reading, allowed, is_goal)
 
@@ -559,8 +643,9 @@ def _spied_check(check, s):
 def test_the_graph_keeps_only_the_iterators_a_search_left_unfinished(seed, nrt):
     """Every successor generator is freed, without the collector, when a check returns.
 
-    Each list `_lasso_at` walks is the node's full list in the eager
-    graph, also for a node whose generator the search left unfinished.
+    Each list `_lasso_at` walks is a prefix, in order, of the node's list
+    in the eager graph, also for a node whose generator the search left
+    unfinished.
     """
     rng = random.Random(seed)
     a = rand_nrtta(rng, max_states=6, cmax=3) if nrt else rand_ta(rng, max_states=6, cmax=2)
@@ -574,7 +659,7 @@ def test_the_graph_keeps_only_the_iterators_a_search_left_unfinished(seed, nrt):
             assert refs and all(r() is None for r in refs)
             assert bool(read) == (check is zone_lasso and zone_nonempty(s)[0])
             for i, out in read:
-                assert ([(label, nodes[j]) for label, j in out]
-                        == [(label, eager_nodes[j]) for label, j in eager(index[nodes[i]])])
+                full = [(label, eager_nodes[j]) for label, j in eager(index[nodes[i]])]
+                assert [(label, nodes[j]) for label, j in out] == full[:len(out)]
     finally:
         gc.enable()
