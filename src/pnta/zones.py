@@ -38,18 +38,26 @@ the upper bounds are infinite.
 
 Extrapolation is Extra_M with a bound per clock (Behrmann, Bouyer,
 Larsen, Pelánek, STTT 8(3), 2006): a clock's cap is the largest scaled
-constant a guard compares it with, 0 if no guard tests it, so a zone
+constant a step compares it with, 0 if no step tests it, so a zone
 forgets what no guard can tell apart; it stays sound for Büchi emptiness
 (Tripakis 2009), also over the graph of delayed zones (Herbreteau,
 Srivathsan & Walukiewicz, FMSD 2012).  The cap is usually well below the
 global region bound m, which only the region projection uses.
 
 A check compiles its automaton once, `compile_automaton`: clock
-indices, and one step per disjunct of each guard's `_dnf`, an edge of
-the zone graph that holds its transition's index, target, letter and
-resets and the templates of the bounds `_tighten` adds, with constants
-as integers over their common denominator and the parameter as a slot
-on the side it bounds.  The steps are kept by source state, in
+indices, and one step per box of each guard, an edge of the zone graph
+that holds its transition's index, target, letter and resets and the
+templates of the bounds `_tighten` adds, with constants as integers over
+their common denominator and the parameter as a slot on the side it
+bounds.  A conjunction of single-clock constraints is one interval per
+clock (Alur & Dill, TCS 126(2), 1994; Bengtsson & Yi, LNCS 3098, 2004),
+so a box has at most one lower and one upper literal per clock, "="
+where the two meet.  `_boxes` builds a guard's boxes in one walk: a
+conjunction meets the boxes of its sides pairwise and drops the empty
+ones, and every union merges two boxes that differ on one clock with
+intervals there that touch or overlap, so "x <= c" is one step, not the
+two of "x < c" and "x = c", and n negated equalities on a clock make
+n + 1 steps at most, not 2^n.  The steps are kept by source state, in
 transition order; the checks of `parametric` keep the compiled form on
 the automaton, so a later check of the same automaton starts from
 `Compiled.at`.  `Compiled.at(mu)` gives the `Scaled` form at one value,
@@ -94,12 +102,13 @@ builds one Fraction per event, of the original time unit.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter
 from typing import Optional, Sequence
 
-from .core import And, Atom, Automaton, Bound, Guard, Not, TrueGuard, brief
+from .core import And, Atom, Automaton, Guard, Not, TrueGuard, atoms, brief
 from .errors import NotOneParameter, PreconditionViolated
 from .regions import (
     DEFAULT_REGION_BUDGET,
@@ -177,50 +186,148 @@ def _gather(n: int, resets: tuple[int, ...]) -> itemgetter:
                         for i in range(n) for j in range(n)], nn)
 
 
-_MAX_DISJUNCTS = 4096  # of a guard's _dnf: each disjunct is a step of the zone graph
+_MAX_DISJUNCTS = 4096  # of a guard's boxes, and of the pairs a product of boxes examines
 
 
-def _dnf(
-    g: Guard, positive: bool, bounds: Optional[list] = None
-) -> list[list[tuple[str, str, Bound]]]:
-    """Disjunctive normal form over single-clock interval literals (clock, op, bound).
+def _refuse() -> PreconditionViolated:
+    return PreconditionViolated(
+        f"guard has more than {_MAX_DISJUNCTS} disjuncts in disjunctive normal form")
 
-    bounds, when given, receives the bound of every atom of g, also of one
-    whose conjunct drops out beside an unsatisfiable one.  A form of more
-    than _MAX_DISJUNCTS disjuncts is refused before it is built: n negated
-    equalities in conjunction have 2^n.
+
+def _union(boxes: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The maximal boxes of a union of boxes, in order of arrival.
+
+    Two boxes merge when they differ on one slot and their intervals there
+    touch or overlap: "< c" and "= c" on a clock make "<= c".  The work
+    runs on the slots where the boxes differ, since they agree on the
+    rest.  Each kept box is indexed by the box without one slot, and that
+    index keeps its boxes by their upper bound on the slot; they are
+    pairwise disjoint there, so the boxes an arriving one merges with are
+    one run, found by bisection.  A merged box arrives again, since it may
+    now merge on another slot, so no two kept boxes merge.
     """
-    if isinstance(g, TrueGuard):
-        return [[]] if positive else []
-    if isinstance(g, Atom):
-        c = g.bound
-        if bounds is not None:
-            bounds.append(c)
-        if positive:
-            return [[(g.clock, g.op, c)]]
-        if g.op == "<":
-            return [[(g.clock, ">=", c)]]
-        return [[(g.clock, "<", c)], [(g.clock, ">", c)]]
-    if isinstance(g, Not):
-        return _dnf(g.arg, not positive, bounds)
-    if isinstance(g, And):
-        left, right = _dnf(g.left, positive, bounds), _dnf(g.right, positive, bounds)
-        size = len(left) * len(right) if positive else len(left) + len(right)
-        if size > _MAX_DISJUNCTS:
-            raise PreconditionViolated(
-                f"guard has more than {_MAX_DISJUNCTS} disjuncts in disjunctive normal form")
-        if positive:
-            return [dl + dr for dl in left for dr in right]
-        return left + right
+    first = boxes[0]
+    if len(boxes) == 2:  # the common case, "x <= c", without the index
+        b = boxes[1]
+        differ = [s for s in range(0, len(b), 2) if first[s:s + 2] != b[s:s + 2]]
+        if not differ:
+            return [first]
+        s = differ[0]
+        if len(differ) == 1 and first[s + 1] + b[s] > 0 and b[s + 1] + first[s] > 0:
+            return [first[:s] + (max(first[s], b[s]), max(first[s + 1], b[s + 1])) + first[s + 2:]]
+        return boxes
+    columns = list(zip(*boxes))
+    varied = [p for s in range(0, len(first), 2)
+              if columns[s].count(first[s]) < len(boxes)
+              or columns[s + 1].count(first[s + 1]) < len(boxes) for p in (s, s + 1)]
+    if not varied:
+        return [first]
+    kept: dict[tuple[int, ...], None] = {}
+    index: dict[tuple, list[tuple[int, ...]]] = {}
+    uppers = [(s, itemgetter(s + 1)) for s in range(0, len(varied), 2)]
+    for box in map(itemgetter(*varied), boxes):
+        while box not in kept:
+            for s, upper in uppers:
+                run = index.get((s, box[:s] + box[s + 2:]))
+                if not run:
+                    continue
+                lo, hi = box[s], box[s + 1]
+                i = j = bisect_right(run, -lo, key=upper)  # the first that reaches up to lo
+                while j < len(run) and run[j][s] + hi > 0:  # and starts below hi
+                    lo, hi = max(lo, run[j][s]), max(hi, run[j][s + 1])
+                    j += 1
+                if i < j:
+                    for other in run[i:j]:
+                        del kept[other]
+                        for t, up in uppers:
+                            rest = index[t, other[:t] + other[t + 2:]]
+                            del rest[bisect_left(rest, other[t + 1], key=up)]
+                    box = box[:s] + (lo, hi) + box[s + 2:]
+                    break
+            else:
+                kept[box] = None
+                for s, upper in uppers:
+                    insort(index.setdefault((s, box[:s] + box[s + 2:]), []), box, key=upper)
+    out = []
+    for box in kept:
+        whole = list(first)
+        for p, v in zip(varied, box):
+            whole[p] = v
+        out.append(tuple(whole))
+    return out
+
+
+def _boxes(g: Guard, positive: bool, slots: dict, full: tuple[int, ...],
+           denom: int) -> list[tuple[int, ...]]:
+    """The maximal boxes whose union g accepts, or its negation when not positive.
+
+    slots places each (clock, parameter or None) pair of the guard in a
+    box, which holds a lower and an upper bound per slot, coded as the DBM
+    bounds on 0 - x and x - 0 with constants times denom, so a template
+    is a code split into coef and w.  A parameter's bound reads it as 1,
+    its coef: it compares only with the same parameter, so a constant and
+    a parameter bound on one clock stay apart.  full is
+    the box with no bound: INF, but "x >= 0" for a constant lower bound,
+    so "x >= 0" drops out and "x < 0" leaves an empty box.  A code at or
+    beyond INF reads as no bound; `Compiled.at` refuses an automaton with
+    such a constant.  A product is refused before it examines more than
+    _MAX_DISJUNCTS pairs, and a union that keeps more boxes: n negated
+    equalities on each of two clocks make n^2 boxes.
+    """
+    cls = g.__class__
+    while cls is Not:
+        g, positive = g.arg, not positive
+        cls = g.__class__
+    if cls is TrueGuard:
+        return [full] if positive else []
+    if cls is Atom:
+        c = g.bound  # then twice it: "x < bound" is the code c, "x <= bound" is c + 1
+        if isinstance(c, str):
+            s, c = slots[g.clock, c], 2
+        else:
+            s, c = slots[g.clock, None], 2 * int(c * denom)
+        lo, hi = full[s], full[s + 1]
+        if g.op == "=":
+            if not positive:  # x < c or x > c
+                pieces = ((lo, c), (min(lo, -c), hi))
+                return [full[:s] + p + full[s + 2:] for p in pieces if p[0] + p[1] > 1]
+            lo, hi = min(lo, 1 - c), c + 1
+        elif positive:
+            hi = c
+        else:
+            lo = min(lo, 1 - c)
+        return [full[:s] + (lo, hi) + full[s + 2:]] if lo + hi > 1 else []
+    if cls is And:
+        left = _boxes(g.left, positive, slots, full, denom)
+        right = _boxes(g.right, positive, slots, full, denom)
+        if not positive:
+            boxes = left + right
+        elif len(left) * len(right) > _MAX_DISJUNCTS:
+            raise _refuse()
+        else:
+            boxes = []
+            for a in left:
+                for b in right:
+                    m = tuple(map(min, a, b))
+                    for s in range(0, len(m), 2):
+                        if m[s] + m[s + 1] < 2:  # empty on slot s
+                            break
+                    else:
+                        boxes.append(m)
+        if len(boxes) > 1 and left and right:  # a side alone is maximal already
+            boxes = _union(boxes)
+        if len(boxes) > _MAX_DISJUNCTS:
+            raise _refuse()
+        return boxes
     raise TypeError(f"not a guard: {g!r}")
 
 
 # (x, y, coef, p, w): the bound d[x][y] <= coef * scale[p] + w, scale[0] the constant
 # scale d / denom, scale[1] and scale[2] the parameter value times d in a lower
-# (p = 1) and an upper (p = 2) bound of a clock
-Template = tuple[int, int, int, int, bool]
-# one disjunct of a transition's guard: (transition index, target, letter, reset indices,
-# the disjunct's templates)
+# (p = 1) and an upper (p = 2) bound of a clock, w 1 for a weak bound
+Template = tuple[int, int, int, int, int]
+# one box of a transition's guard: (transition index, target, letter, reset indices,
+# the box's templates)
 Step = tuple[int, str, str, tuple[int, ...], tuple[Template, ...]]
 
 
@@ -251,7 +358,7 @@ class Scaled:
     m: int  # global region bound, for the region projection
 
     def bounds(self, step: Step) -> list[tuple[int, int, int]]:
-        """The bounds (x, y, b), each d[x][y] <= b, that step's guard disjunct adds."""
+        """The bounds (x, y, b), each d[x][y] <= b, that step's box adds."""
         scale = self.scale
         return [(x, y, coef * scale[p] + w) for x, y, coef, p, w in step[4]]
 
@@ -265,15 +372,15 @@ def _ratio(v) -> tuple[int, int]:
 class Compiled:
     """An automaton with at most one parameter, compiled once for checks at many values.
 
-    out holds the steps by source state, each state's in transition
-    order and a transition's in the order of its guard's `_dnf`
-    disjuncts.  A template's coef is twice its literal's constant times
-    denom, or 2 for the parameter, signed by its side; p is 0 for a
-    constant, 1 for the parameter as a lower bound and 2 as an upper
-    bound; w is True (1) for a weak bound.  gathers holds the `_gather`
+    out holds the steps by source state, one per box of a guard, each
+    state's in transition order and a transition's in the order
+    `_boxes` keeps them.  A template's coef is twice its literal's
+    constant times denom, or 2 for the parameter, signed by its side; p
+    is 0 for a constant, 1 for the parameter as a lower bound and 2 as an
+    upper bound; w is 1 for a weak bound.  gathers holds the `_gather`
     getter of each transition's reset tuple.
     tops holds, per DBM index, the largest constant times denom that a
-    literal compares the clock with and whether one compares it with the
+    step compares the clock with and whether one compares it with the
     parameter.
     """
 
@@ -330,8 +437,8 @@ class Compiled:
         and the scaled automaton accepts every word accepted at some value
         inside it.  d and m are those of `scaling`, and a value whose
         scaled sums could reach INF is refused.  Each clock's cap is the
-        largest scaled constant it is compared against, hi for the
-        parameter, 0 if no guard tests it.  Nothing is built per step:
+        largest scaled constant a step compares it with, hi for the
+        parameter, 0 if no step tests it.  Nothing is built per step:
         the Scaled shares the compiled steps.
         """
         d, m, low, high = self.scaling(lo, hi)
@@ -348,38 +455,50 @@ class Compiled:
 
 
 def compile_automaton(a: Automaton) -> Compiled:
-    """The compiled form of a, for Compiled.at, from one walk over each guard."""
-    bounds: list = []
-    dnfs = [_dnf(t.guard, True, bounds) for t in a.transitions]
-    consts = [b for b in bounds if not isinstance(b, str)]  # int or Fraction
-    denom = math.lcm(*[v.denominator for v in consts])
+    """The compiled form of a, for Compiled.at: one step per maximal box of each guard.
+
+    A guard's slots are its (clock, parameter or None) pairs in the order
+    first met, and `_boxes` builds its boxes over them.
+    """
     clocks = tuple(sorted(a.clocks))
     index = {z: i for i, z in enumerate(clocks, 1)}
+    bounds: list = []
+    guards = []  # per transition: slots, the box with no bound, (place, clock index, p)
+    for t in a.transitions:
+        slots: dict = {}
+        full: list[int] = []
+        layout = []
+        for at in atoms(t.guard):
+            b = at.bound
+            bounds.append(b)
+            slot = (at.clock, b if isinstance(b, str) else None)
+            if slot not in slots:
+                slots[slot] = len(full)
+                layout.append((len(full), index[at.clock], 0 if slot[1] is None else 1))
+                full += (_LE0, INF) if slot[1] is None else (INF, INF)
+        guards.append((slots, tuple(full), layout))
+    consts = [b for b in bounds if not isinstance(b, str)]  # int or Fraction
+    denom = math.lcm(*[v.denominator for v in consts])
     tops = [0] * (len(clocks) + 1)
     compared = [False] * (len(clocks) + 1)
     out: dict[str, list[Step]] = {}
     gathers = {}
-    for idx, (t, dnf) in enumerate(zip(a.transitions, dnfs)):
+    for idx, (t, (slots, full, layout)) in enumerate(zip(a.transitions, guards)):
         resets = tuple(sorted(map(index.__getitem__, t.resets)))
         if resets not in gathers:
             gathers[resets] = _gather(len(tops), resets)
-        for disj in dnf:
+        for box in _boxes(t.guard, True, slots, full, denom):
             templates = []
-            for z, op, b in disj:
-                x = index[z]
-                if isinstance(b, str):
-                    coef, p = 2, 1
-                    compared[x] = True
+            for s, x, p in layout:  # p is 1 for the parameter's slot, else 0
+                lo, hi = box[s], box[s + 1]
+                if hi < INF:
+                    templates.append((x, 0, hi & ~1, 2 * p, hi & 1))
+                if lo < (INF if p else _LE0):  # a constant "x >= 0" holds anyway
+                    templates.append((0, x, lo & ~1, p, lo & 1))
+                if p:
+                    compared[x] = compared[x] or lo < INF or hi < INF
                 else:
-                    c = int(b * denom)
-                    coef, p = 2 * c, 0
-                    if c > tops[x]:
-                        tops[x] = c
-                # upper (x, 0), lower (0, x), "=" both
-                if op[0] != ">":
-                    templates.append((x, 0, coef, 2 * p, op != "<"))
-                if op[0] != "<":
-                    templates.append((0, x, -coef, p, op != ">"))
+                    tops[x] = max(tops[x], -(lo >> 1), hi >> 1 if hi < INF else 0)
             out.setdefault(t.source, []).append(
                 (idx, t.target, t.letter, resets, tuple(templates)))
     c = max([1] + [int(v) for v in consts if v.denominator == 1])
@@ -520,8 +639,8 @@ def earliest_ticks(s: Scaled, steps: Sequence[Step]) -> tuple[list[int], int]:
 
     Event i happens at tau_i = ticks[i - 1] / q, after tau_0 = 0.  The
     value of a clock at event i is tau_i - tau_r, where r is the last event
-    that reset it (0 if none), so each bound (x, y, b) of step i's guard
-    disjunct, x - y <= b, reads tau_(r_y) - tau_(r_x) <= b >> 1, strict
+    that reset it (0 if none), so each bound (x, y, b) of step i's box,
+    x - y <= b, reads tau_(r_y) - tau_(r_x) <= b >> 1, strict
     when b is even, with r_0 = i for the zero clock (Bengtsson & Yi, LNCS
     3098, 2004).  Further tau_1 >= 0 and tau_i > tau_(i-1) after that.
     Every constraint reads tau_u >= tau_v + c + e*eps, where eps > 0 is an

@@ -9,6 +9,7 @@ from pnta import (
     Automaton,
     Configuration,
     GuardViolated,
+    Not,
     Region,
     TimedWord,
     Transition,
@@ -129,6 +130,30 @@ def scale_constants(a, d):
         return Atom(at.clock, at.op, int(scaled))
 
     return _rewrite_atoms(a, scale, a.params)
+
+
+def dnf(g, positive=True):
+    """Disjunctive normal form of g over single-clock literals (clock, op, bound), or of !g.
+
+    The reference that `zones.compile_automaton`'s boxes are checked
+    against: it multiplies out every conjunction and keeps each literal,
+    also in a disjunct that no valuation satisfies.  n negated
+    equalities in conjunction have 2^n disjuncts.
+    """
+    if g == TRUE:
+        return [[]] if positive else []
+    if isinstance(g, Atom):
+        if positive:
+            return [[(g.clock, g.op, g.bound)]]
+        if g.op == "<":
+            return [[(g.clock, ">=", g.bound)]]
+        return [[(g.clock, "<", g.bound)], [(g.clock, ">", g.bound)]]
+    if isinstance(g, Not):
+        return dnf(g.arg, not positive)
+    left, right = dnf(g.left, positive), dnf(g.right, positive)
+    if positive:
+        return [dl + dr for dl in left for dr in right]
+    return left + right
 
 
 def fraction_region(v, m):

@@ -13,8 +13,9 @@ from functools import partial
 
 import pytest
 
-from pnta import TimedWord
+from pnta import TimedWord, parse_automaton
 from pnta.cli import main
+from pnta.zones import compile_automaton
 
 
 def _run(capsys, *argv):
@@ -391,23 +392,46 @@ def test_a_guard_200_levels_deep_is_decided(tmp_path, capsys, shape):
     assert _run(capsys, "check", str(path))[0] == 2
 
 
-def test_a_guard_of_more_than_4096_disjuncts_is_refused(tmp_path, capsys):
-    """n conjuncts !(x = i) have 2^n disjuncts: 12 are decided and 13 refused, quickly.
+def _unequal(clock, n):
+    return " & ".join(f"!({clock} = {i})" for i in range(n))
 
-    Two negated 12-conjunct blocks in one negated conjunction have 8,192.
+
+def test_negated_equalities_compile_to_one_box_each_and_a_product_past_4096_is_refused(
+        tmp_path, capsys):
+    """n conjuncts !(x = i), i < n, make n boxes: x in (i, i + 1), and x > n - 1.
+
+    13 and 24 such conjuncts are decided.  On two clocks, 64 of them each
+    make a product of 64 x 64 = 4,096 boxes, and 65 each one of 4,225
+    pairs, refused before it is built.  Forty 12-conjunct lines compile
+    to 480 steps, where the normal form had 2^12 disjuncts per line.
     """
     path = tmp_path / "wide.ta"
-    block = " & ".join(f"!(x = {i})" for i in range(12))
-    for guard, want in ((block, {"check": 10, "regions": 0}),
-                        (block + " & !(x = 12)", {"check": 2, "regions": 2}),
-                        (f"!(!({block}) & !({block}))", {"check": 2, "regions": 2})):
-        path.write_text(_one_guard(guard))
-        for command, code in want.items():
+    for n in (13, 24):
+        path.write_text(_one_guard(_unequal("x", n)))
+        for command, code in (("check", 10), ("regions", 0)):
             t0 = time.perf_counter()
             got, _, err = _run(capsys, command, str(path))
-            assert got == code and time.perf_counter() - t0 < 10, (guard, command, err)
-            if code == 2:
-                assert err == "error: guard has more than 4096 disjuncts in disjunctive normal form\n"
+            assert got == code and time.perf_counter() - t0 < 10, (n, command, err)
+
+    def two_clocks(n):
+        return ("automaton two\nclocks x y\ninit q0\naccept q0\n"
+                f"trans q0 q0 a ( ({_unequal('x', n)}) & ({_unequal('y', n)}) ) {{ }}\n")
+
+    path.write_text(two_clocks(65))
+    t0 = time.perf_counter()
+    got, _, err = _run(capsys, "check", str(path))
+    assert time.perf_counter() - t0 < 1
+    assert got == 2
+    assert err == "error: guard has more than 4096 disjuncts in disjunctive normal form\n"
+    for text, steps, seconds in (
+            ("automaton many\nclocks x\ninit q0\naccept q0\n"
+             + f"trans q0 q0 a ( {_unequal('x', 12)} ) {{ }}\n" * 40, 480, 0.1),
+            (two_clocks(64), 4096, 1)):
+        a = parse_automaton(text)
+        t0 = time.perf_counter()
+        compiled = compile_automaton(a)
+        assert time.perf_counter() - t0 < seconds
+        assert sum(map(len, compiled.out.values())) == steps
 
 
 def test_a_delay_beyond_the_int_text_limit_just_fails_a_guard(tmp_path, capsys):

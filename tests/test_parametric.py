@@ -5,6 +5,7 @@ import random
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from itertools import chain, product
 
 import pytest
 from hypothesis import given, settings
@@ -43,9 +44,10 @@ from pnta.parametric import (
     _candidates,
     _searched,
 )
-from pnta.zones import _bnd, _dnf, compile_automaton
+from pnta.zones import _bnd, compile_automaton
 from lemmas import concretize_lasso
 from randgen import (
+    dnf,
     instantiate,
     one_clock_population,
     rand_nrtta,
@@ -326,18 +328,18 @@ def test_drift_region_lasso_and_witness_are_pinned(data_dir):
 def test_population_sweep_totals_are_pinned():
     verdicts = [parametric_emptiness(a, 20000) for a in two_clock_population()]
     assert sum(v.nonempty for v in verdicts) == 189
-    # an exact sweep checks 360 candidates and discovers 1,543 nodes; the
+    # an exact sweep checks 360 candidates and discovers 1,493 nodes; the
     # check relaxed to [0, Xi] settles 6 of the 11 Empty sweeps
     assert sum(v.relaxed is not None for v in verdicts) == 6
     assert sum(v.candidates_checked for v in verdicts) == 274
-    assert sum(v.zone_nodes for v in verdicts) == 1089
+    assert sum(v.zone_nodes for v in verdicts) == 1054
 
 
 def test_off_candidate_zone_nodes_are_pinned():
     """Zone nodes of the fixed checks at one criterion 07 value per gap.
 
     The search stops at the first accepting cycle it closes; a search that
-    went on to complete the component would count 14,151.
+    went on to complete the component would count 14,880.
     """
     rng = random.Random(707)
     checks = nonempty = nodes = 0
@@ -351,7 +353,7 @@ def test_off_candidate_zone_nodes_are_pinned():
             checks += 1
             nonempty += v.nonempty
             nodes += v.zone_nodes
-    assert (checks, nonempty, nodes) == (1140, 1072, 4286)
+    assert (checks, nonempty, nodes) == (1140, 1072, 4232)
 
 
 @settings(max_examples=80, deadline=None)
@@ -411,12 +413,40 @@ def _prepare_reference(a, mu):
     return scaled, m, d
 
 
-def test_prepare_fixed_matches_its_reference_over_a_population(data_dir):
-    """prepare_fixed equals _prepare_reference, refusals by type and message included.
+def _prepare_outcome(a, mu):
+    """prepare_fixed(a, mu) against _prepare_reference: "scaled", or the refusal both raise.
 
     Every scaled constant is an int, so the scaled automaton prints as text
     that parses back to it.
     """
+    try:
+        want = _prepare_reference(a, mu)
+    except PntaError as exc:
+        with pytest.raises(PntaError) as got:
+            prepare_fixed(a, mu)
+        assert (type(got.value), str(got.value)) == (type(exc), str(exc))
+        return str(exc)
+    scaled, m, d = prepare_fixed(a, mu)
+    assert (scaled, m, d) == want
+    assert all(type(at.bound) is int for t in scaled.transitions for at in atoms(t.guard))
+    assert parse_automaton(print_automaton(scaled)) == scaled
+    return "scaled"
+
+
+_PREPARE_VALUES = (None, 0, Fraction(1, 2), Fraction(41, 40), Fraction(7, 3), 3, -1)
+
+
+def test_prepare_fixed_matches_its_reference_over_a_population(data_dir):
+    """prepare_fixed equals _prepare_reference, refusals by type and message included.
+
+    Every fixture is checked too, without a count, so a new one moves no pin.
+    """
+    paths = sorted(data_dir.glob("*.ta"))
+    assert paths
+    for path in paths:
+        a = parse_automaton(path.read_text())
+        for mu in _PREPARE_VALUES:
+            _prepare_outcome(a, mu)
     rng = random.Random(2525)
     draws = [rand_nrtta(rng, cmax=3, param="p" if i % 2 else None) for i in range(600)]
     draws += [rand_ta(rng, max_states=3, max_clocks=1, cmax=3, param="p" if i % 2 else None)
@@ -425,27 +455,11 @@ def test_prepare_fixed_matches_its_reference_over_a_population(data_dir):
         "automaton two\nclocks x\nparams p q\ninit q0\naccept q0\n"
         "trans q0 q0 a ( x < p ) { }\ntrans q0 q0 b ( x = q ) { }\n"
     )
-    fixtures = [parse_automaton(path.read_text()) for path in sorted(data_dir.glob("*.ta"))]
-    outcomes = Counter()
-    for a in fixtures + draws + [two]:
-        for mu in (None, 0, Fraction(1, 2), Fraction(41, 40), Fraction(7, 3), 3, -1):
-            try:
-                want = _prepare_reference(a, mu)
-            except PntaError as exc:
-                with pytest.raises(PntaError) as got:
-                    prepare_fixed(a, mu)
-                assert (type(got.value), str(got.value)) == (type(exc), str(exc))
-                outcomes[str(exc)] += 1
-                continue
-            scaled, m, d = prepare_fixed(a, mu)
-            assert (scaled, m, d) == want
-            assert all(type(at.bound) is int for t in scaled.transitions for at in atoms(t.guard))
-            assert parse_automaton(print_automaton(scaled)) == scaled
-            outcomes["scaled"] += 1
+    outcomes = Counter(_prepare_outcome(a, mu) for a in draws + [two] for mu in _PREPARE_VALUES)
     assert outcomes == {
-        "scaled": 4244,
-        "parameter value required for a parametric automaton": 357,
-        "parameter value must be nonnegative, got -1": 357,
+        "scaled": 4200,
+        "parameter value required for a parametric automaton": 351,
+        "parameter value must be nonnegative, got -1": 351,
         "at most one parameter supported, got 2": 5,
     }
 
@@ -453,11 +467,10 @@ def test_prepare_fixed_matches_its_reference_over_a_population(data_dir):
 def _scaled_reference(b, mu):
     """What the zone graph reads at mu, built from _prepare_reference's automaton.
 
-    It is (initial, accepting, clocks, out, caps, d, m), with out the
-    steps by source state, one (transition index, target, letter, resets,
-    bounds) per guard disjunct in transition order, as `_scaled_fields`
-    reads them from a Scaled.  Each guard disjunct's literals give its
-    d[x][y] <= b bounds; a clock's cap is the largest constant a literal
+    It is (initial, accepting, clocks, guards, caps, d, m).  guards holds
+    per transition (transition index, target, letter, resets) and the
+    d[x][y] <= b bounds of each of its guard's dnf disjuncts, which its
+    literals give; a clock's cap is the largest constant a literal
     compares it with, 0 if none does.
     prepare_fixed must return the same scaled automaton, m and d.
     """
@@ -465,11 +478,12 @@ def _scaled_reference(b, mu):
     assert prepare_fixed(b, mu) == (scaled, m, d)
     clocks = tuple(sorted(scaled.clocks))
     index = {z: i + 1 for i, z in enumerate(clocks)}
-    out = {}
+    guards = []
     caps = [0] * (len(index) + 1)
     for idx, t in enumerate(scaled.transitions):
         resets = tuple(sorted(index[z] for z in t.resets))
-        for disj in _dnf(t.guard, True):
+        disjuncts = []
+        for disj in dnf(t.guard):
             bounds = []
             for z, op, c in disj:
                 assert isinstance(c, int)
@@ -478,14 +492,57 @@ def _scaled_reference(b, mu):
                     bounds.append((index[z], 0, _bnd(c, op != "<")))
                 if op[0] != "<":
                     bounds.append((0, index[z], _bnd(-c, op != ">")))
-            out.setdefault(t.source, []).append((idx, t.target, t.letter, resets, bounds))
-    return scaled.initial, scaled.accepting, clocks, out, tuple(caps), d, m
+            disjuncts.append(bounds)
+        guards.append(((idx, t.target, t.letter, resets), disjuncts))
+    return scaled.initial, scaled.accepting, clocks, guards, tuple(caps), d, m
 
 
-def _scaled_fields(s):
-    """_scaled_reference's tuple from a Scaled: every step's bounds through Scaled.bounds."""
-    out = {q: [(*step[:4], s.bounds(step)) for step in steps] for q, steps in s.out.items()}
-    return s.initial, s.accepting, s.clocks, out, s.caps, s.d, s.m
+def _accepts(bounds, v):
+    """Whether clock values v, doubled, v[0] = 0, meet each bound (x, y, b): 2(x - y) < b."""
+    return all(v[x] - v[y] < b for x, y, b in bounds)
+
+
+def _same_union(left, right, n):
+    """Whether two unions of bound lists over clocks 1..n accept the same clock values.
+
+    Each bound compares one clock with an integer, so the values 0, c and
+    c +- 1/2 for each such constant c decide it.
+    """
+    tried = [{0} for _ in range(n + 1)]
+    for x, y, b in chain(*left, *right):
+        c = b >> 1 if y == 0 else -(b >> 1)
+        tried[x or y].update(v for v in (2 * c - 1, 2 * c, 2 * c + 1) if v >= 0)
+    return all(any(_accepts(bs, v) for bs in left) == any(_accepts(bs, v) for bs in right)
+               for v in product(*map(sorted, tried)))
+
+
+def _assert_compiled_at(s, b, mu):
+    """s, Compiled.at(mu) of b, reads what _scaled_reference(b, mu) reads.
+
+    Each transition's steps accept the clock values its dnf disjuncts
+    accept, the steps of a state come in transition order, and a clock's
+    cap is the largest constant its steps compare it with, at most the
+    literals' cap.
+    """
+    initial, accepting, clocks, guards, caps, d, m = _scaled_reference(b, mu)
+    assert (s.initial, s.accepting, s.clocks, s.d, s.m) == (initial, accepting, clocks, d, m)
+    boxes: dict = {}
+    for q, steps in s.out.items():
+        assert [step[0] for step in steps] == sorted(step[0] for step in steps)
+        for step in steps:
+            assert b.transitions[step[0]].source == q
+            head, bounds = boxes.setdefault(step[0], (step[:4], []))
+            assert step[:4] == head
+            bounds.append(s.bounds(step))
+    tops = [0] * (len(clocks) + 1)
+    for head, disjuncts in guards:
+        got_head, got = boxes.pop(head[0], (head, []))
+        assert got_head == head
+        assert _same_union(got, disjuncts, len(clocks)), (b.transitions[head[0]].guard, mu)
+        for x, y, bound in chain(*got):
+            tops[x or y] = max(tops[x or y], bound >> 1 if y == 0 else -(bound >> 1))
+    assert not boxes
+    assert s.caps == tuple(tops) and all(c <= r for c, r in zip(s.caps, caps))
 
 
 def test_compiled_form_at_each_candidate_matches_prepare_fixed(data_dir):
@@ -494,13 +551,13 @@ def test_compiled_form_at_each_candidate_matches_prepare_fixed(data_dir):
         b = _searched(a)
         compiled = compile_automaton(b)
         for mu in candidate_parameters(b).values if b.params else (None,):
-            assert _scaled_fields(compiled.at(mu)) == _scaled_reference(b, mu)
+            _assert_compiled_at(compiled.at(mu), b, mu)
             checked += 1
     assert checked == 3335
 
 
 def test_compiled_form_matches_prepare_fixed_off_the_candidates(data_dir):
-    """Compiled.at equals the reference field for field, also on random automata."""
+    """Compiled.at matches the reference, also on random automata."""
     rng = random.Random(8080)
     draws = [rand_nrtta(rng, cmax=3, param="p" if i % 4 == 1 else None) if i % 2
              else rand_ta(rng, max_states=3, cmax=3) for i in range(300)]
@@ -509,7 +566,7 @@ def test_compiled_form_matches_prepare_fixed_off_the_candidates(data_dir):
         b = _searched(a)
         compiled = compile_automaton(b)
         for mu in (Fraction(3, 7), Fraction(5, 2), Fraction(4)) if b.params else (None,):
-            assert _scaled_fields(compiled.at(mu)) == _scaled_reference(b, mu)
+            _assert_compiled_at(compiled.at(mu), b, mu)
             checked += 1
     assert checked == 1180
 
@@ -528,7 +585,7 @@ def test_a_check_shares_the_compiled_rules(data_dir):
 
 
 def test_compiled_constants_include_atoms_beside_an_unsatisfiable_conjunct():
-    """A conjunct next to !true drops out of the guard's _dnf but still counts as a constant."""
+    """A conjunct next to !true leaves no box but still counts as a constant."""
     a = parse_automaton(
         "automaton d\nclocks x y\nparams p\ninit q0\naccept q0\n"
         "trans q0 q0 a ( !true & x < 3 ) { }\n"

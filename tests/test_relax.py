@@ -153,7 +153,7 @@ def test_the_hull_reads_lo_in_lower_bounds_and_hi_in_upper_ones(data_dir):
     assert zone_nonempty(compiled.at(Fraction(1, 2), 1))[0]
     s = compiled.at(Fraction(1, 2), 1)
     # x = mu is 1/2 <= x <= 1: d[0][x] <= -1/2 and d[x][0] <= 1, scaled by d = 2, weak
-    (step,) = s.out["r0"]  # transition 0's one guard disjunct
+    (step,) = s.out["r0"]  # transition 0's one box
     assert s.d == 2 and step[0] == 0
     assert s.bounds(step) == [(1, 0, 2 * 2 + 1), (0, 1, -2 * 1 + 1)]
     assert s.caps[1] == 2

@@ -11,13 +11,25 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pnta import (
+    TRUE,
+    And,
+    Automaton,
+    Not,
     PreconditionViolated,
     RegionBudgetExceeded,
     SymbolicLasso,
     TimedWord,
+    Transition,
     Valuation,
     emptiness_fixed,
+    eq,
+    eval_constraint,
     find_lasso,
+    ge,
+    gt,
+    le,
+    lt,
+    ne,
     parse_automaton,
     prepare_fixed,
     witness_word,
@@ -33,7 +45,6 @@ from pnta.zones import (
     Scaled,
     _bnd,
     _canonical,
-    _dnf,
     _gather,
     _tighten,
     _zone_graph,
@@ -42,7 +53,7 @@ from pnta.zones import (
     region_lasso,
 )
 from lemmas import concretize_lasso
-from randgen import fraction_region, rand_nrtta, rand_ta, reaches_acceptance
+from randgen import dnf, fraction_region, rand_nrtta, rand_ta, reaches_acceptance
 
 WINDOW_FIXED = """
 automaton wf
@@ -224,31 +235,73 @@ def test_zone_lasso_runs_and_projects_onto_regions(seed, nrt):
     assert reaches_acceptance(scaled, concretize_lasso(scaled, m, projected, 2))
 
 
-def _disjunct(s, step):
-    """The index in _dnf of step's guard disjunct: its place among its transition's steps."""
-    same = [other for steps in s.out.values() for other in steps if other[0] == step[0]]
-    return next(k for k, other in enumerate(same) if other is step)
+def _intervals(literals):
+    """Per clock, the (lower, upper) that a conjunction of literals (clock, op, c) leaves.
+
+    A lower bound reads (c, 1 if strict else 0), from (0, 0), "z >= 0",
+    and an upper (c, 0 if strict else 1), from None, no bound: each
+    compares as its bound tightens, up for a lower one, down for an upper.
+    """
+    out = {}
+    for z, op, c in literals:
+        lo, hi = out.get(z, ((0, 0), None))
+        if op in (">", ">=", "="):
+            lo = max(lo, (c, int(op == ">")))
+        if op in ("<", "<=", "="):
+            hi = min(hi, (c, int(op != "<"))) if hi else (c, int(op != "<"))
+        out[z] = (lo, hi)
+    return out
+
+
+def _step_literals(s, step):
+    """The literals (clock, op, c) of a step's box, read from its bounds."""
+    out = []
+    for x, y, b in s.bounds(step):
+        if y == 0:
+            out.append((s.clocks[x - 1], "<=" if b & 1 else "<", b >> 1))
+        else:
+            out.append((s.clocks[y - 1], ">=" if b & 1 else ">", -(b >> 1)))
+    return out
+
+
+def _inside(ivs, box):
+    """Whether the _intervals ivs are nonempty and lie inside box's, clock by clock."""
+    if not all(hi is None or lo[0] < hi[0] or lo == (hi[0], 0) and hi[1]
+               for lo, hi in ivs.values()):
+        return False
+    for z, (box_lo, box_hi) in box.items():
+        lo, hi = ivs.get(z, ((0, 0), None))
+        if lo < box_lo or box_hi is not None and (hi is None or hi > box_hi):
+            return False
+    return True
 
 
 def _literal_timestamps(a, s, steps):
-    """Earliest timestamps as read from guards before the compiled form: literals of _dnf.
+    """Earliest timestamps as read from guards before the compiled form: literals of dnf.
 
     a is a scaled parameter-free automaton and s the Scaled the steps are
-    from.  Each literal z op c of step i's guard disjunct bounds
-    tau_i - tau_r, r the last event that reset z.
+    from.  A step's box is the union of the nonempty dnf disjuncts of its
+    guard that lie inside it, so per clock z the loosest of their lower
+    and of their upper bounds bound tau_i - tau_r, r the last event that
+    reset z.
     """
     lower = []
     last_reset = dict.fromkeys(a.clocks, 0)
     for i, step in enumerate(steps, 1):
-        t_idx, k = step[0], _disjunct(s, step)
-        t = a.transitions[t_idx]
+        t = a.transitions[step[0]]
+        box = _intervals(_step_literals(s, step))
+        inside = [ivs for ivs in map(_intervals, dnf(t.guard)) if _inside(ivs, box)]
+        assert inside, (t.guard, step)
         lower.append((i, i - 1, 0, 0 if i == 1 else 1))
-        for z, op, c in _dnf(t.guard, True)[k]:
+        for z in sorted({z for ivs in inside for z in ivs}):
             r = last_reset[z]
-            if op in (">", ">=", "="):
-                lower.append((i, r, c, 1 if op == ">" else 0))
-            if op in ("<", "<=", "="):
-                lower.append((r, i, -c, 1 if op == "<" else 0))
+            los = [ivs.get(z, ((0, 0), None))[0] for ivs in inside]
+            his = [ivs.get(z, ((0, 0), None))[1] for ivs in inside]
+            c, strict = min(los)
+            lower.append((i, r, c, strict))
+            if None not in his:
+                c, weak = max(his)
+                lower.append((r, i, -c, 1 - weak))
         for z in t.resets:
             last_reset[z] = i
     tau = [(0, 0)] * (len(steps) + 1)
@@ -289,6 +342,98 @@ def test_run_timestamps_match_the_literal_constraints(seed, kind, laps):
     assert d == s.d
     ticks, q = earliest_ticks(s, steps)
     assert [Fraction(k, q) for k in ticks] == _literal_timestamps(scaled, s, steps)
+
+
+_GUARD_C = 2  # the largest constant a drawn guard compares a clock with
+
+
+def _guards():
+    """Guards over clocks x and y: comparisons with 0.._GUARD_C or the parameter p, under ! and &.
+
+    Built through the API, so one guard may mix constants and the parameter.
+    """
+    leaves = st.one_of(
+        st.just(TRUE),
+        st.builds(lambda op, z, b: op(z, b), st.sampled_from([lt, eq, le, gt, ge, ne]),
+                  st.sampled_from(["x", "y"]), st.one_of(st.integers(0, _GUARD_C), st.just("p"))))
+    return st.recursive(leaves, lambda g: st.one_of(st.builds(Not, g), st.builds(And, g, g)),
+                        max_leaves=8)
+
+
+def _box(step):
+    """Per slot (clock index, by the parameter), the interval (lower, upper) of a step's templates.
+
+    A lower bound reads (c, 1 if strict else 0), an upper (c, 0 if strict
+    else 1), a parameter's at c = 0; None is no bound.  A constant lower
+    bound starts at (0, 0), "x >= 0".
+    """
+    out = {}
+    for x, y, coef, p, w in step[4]:
+        slot = (x or y, p != 0)
+        lo, hi = out.get(slot, (None if p else (0, 0), None))
+        c = 0 if p else Fraction(coef, 2) * (1 if y == 0 else -1)
+        if y == 0:
+            assert hi is None
+            hi = (c, int(w))
+        else:
+            assert lo in (None, (0, 0))
+            lo = (c, 1 - w)
+        out[slot] = (lo, hi)
+    return out
+
+
+def _reaches(a, b):
+    """Whether interval a's upper end reaches interval b's lower end, with no gap between."""
+    (_, hi), (lo, _) = a, b
+    return hi is None or lo is None or hi[0] > lo[0] or hi[0] == lo[0] and (hi[1] or not lo[1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(_guards())
+@example(And(le("x", 2), gt("x", "p")))
+@example(And(ne("x", "p"), And(ge("y", 1), lt("y", "p"))))
+@example(Not(And(Not(And(lt("x", 1), lt("y", 1))), Not(And(ge("x", 1), lt("y", 2))))))
+@example(Not(And(And(le("x", 1), ge("x", 1)), lt("y", 1))))  # x < 1 or x > 1 or y >= 1
+@example(Not(And(Not(And(lt("x", 1), lt("y", 1))),  # merges twice: on y, then on x
+                 And(Not(And(lt("x", 1), ge("y", 1))), lt("x", 1)))))
+def test_a_transitions_steps_accept_exactly_what_its_guard_accepts(g):
+    """The steps of one transition are maximal boxes whose union is its guard.
+
+    At p = k/2 up to 2C + 1 clock values k/2 apart, or k/4 when p is not
+    whole, meet every interval the constants and p bound.  No box is empty
+    on a slot, and no two merge: they differ on more than one slot, or on
+    one with intervals there that neither touch nor overlap.
+    """
+    a = Automaton("g", {"a"}, {"q"}, {"x", "y"}, {"p"}, "q", {"q"},
+                  [Transition("q", "q", "a", g)])
+    compiled = compile_automaton(a)
+    steps = compiled.out.get("q", ())
+    boxes = [_box(step) for step in steps]
+    slots = {slot for box in boxes for slot in box}
+    unbounded = {slot: (None if slot[1] else (0, 0), None) for slot in slots}
+    boxes = [{**unbounded, **box} for box in boxes]
+    for box in boxes:
+        assert all(lo is None or hi is None or lo[0] < hi[0] or lo == (hi[0], 0) and hi[1]
+                   for lo, hi in box.values()), (g, box)
+    for i, one in enumerate(boxes):
+        for other in boxes[:i]:
+            differ = [slot for slot in slots if one[slot] != other[slot]]
+            assert differ, g
+            if len(differ) == 1:
+                i1, i2 = one[differ[0]], other[differ[0]]
+                assert not (_reaches(i1, i2) and _reaches(i2, i1)), g
+    for k in range(2 * _GUARD_C + 3):
+        mu = Fraction(k, 2)
+        s = compiled.at(mu)
+        step_bounds = [s.bounds(step) for step in steps]
+        grain = 2 if k % 2 == 0 else 4
+        values = [Fraction(j, grain) for j in range(grain * (2 * _GUARD_C + 1) + 1)]
+        for vx in values:
+            for vy in values:
+                v = (0, vx * s.d, vy * s.d)
+                got = any(all(v[x] - v[y] <= b >> 1 if b & 1 else v[x] - v[y] < b >> 1
+                              for x, y, b in bounds) for bounds in step_bounds)
+                assert got == eval_constraint(g, {"x": vx, "y": vy}, {"p": mu}), (g, mu, vx, vy)
 
 
 def _fraction_region_lasso(s, lasso):
@@ -469,7 +614,7 @@ def _eager_zone_graph(s):
     """_zone_graph as it was before successors were built on demand: the reference.
 
     Each successors(i) call builds and interns every child of node i.
-    Each disjunct's bounds come from Scaled.bounds, so agreement with the
+    Each step's bounds come from Scaled.bounds, so agreement with the
     lazy graph also checks the bounds it evaluates inline.
     """
     caps = s.caps
