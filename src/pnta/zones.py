@@ -207,7 +207,7 @@ def _union(boxes: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     now merge on another slot, so no two kept boxes merge.
     """
     first = boxes[0]
-    if len(boxes) == 2:  # the common case, "x <= c", without the index
+    if len(boxes) == 2:  # nearly every union, "x <= c" among them: skip the index
         b = boxes[1]
         differ = [s for s in range(0, len(b), 2) if first[s:s + 2] != b[s:s + 2]]
         if not differ:

@@ -402,8 +402,10 @@ def test_negated_equalities_compile_to_one_box_each_and_a_product_past_4096_is_r
 
     13 and 24 such conjuncts are decided.  On two clocks, 64 of them each
     make a product of 64 x 64 = 4,096 boxes, and 65 each one of 4,225
-    pairs, refused before it is built.  Forty 12-conjunct lines compile
-    to 480 steps, where the normal form had 2^12 disjuncts per line.
+    pairs, refused before it is built.  On four clocks, the union of two
+    such 64 x 64 blocks keeps 8,192 boxes, no two of which merge, and is
+    refused after it is built.  Forty 12-conjunct lines compile to 480
+    steps, where the normal form had 2^12 disjuncts per line.
     """
     path = tmp_path / "wide.ta"
     for n in (13, 24):
@@ -417,12 +419,18 @@ def test_negated_equalities_compile_to_one_box_each_and_a_product_past_4096_is_r
         return ("automaton two\nclocks x y\ninit q0\naccept q0\n"
                 f"trans q0 q0 a ( ({_unequal('x', n)}) & ({_unequal('y', n)}) ) {{ }}\n")
 
-    path.write_text(two_clocks(65))
-    t0 = time.perf_counter()
-    got, _, err = _run(capsys, "check", str(path))
-    assert time.perf_counter() - t0 < 1
-    assert got == 2
-    assert err == "error: guard has more than 4096 disjuncts in disjunctive normal form\n"
+    def block(x, y):
+        return f"!( ({_unequal(x, 64)}) & ({_unequal(y, 64)}) )"
+
+    for text in (two_clocks(65),
+                 "automaton four\nclocks x y z w\ninit q0\naccept q0\n"
+                 f"trans q0 q0 a ( !( {block('x', 'y')} & {block('z', 'w')} ) ) {{ }}\n"):
+        path.write_text(text)
+        t0 = time.perf_counter()
+        got, _, err = _run(capsys, "check", str(path))
+        assert time.perf_counter() - t0 < 1
+        assert got == 2
+        assert err == "error: guard has more than 4096 disjuncts in disjunctive normal form\n"
     for text, steps, seconds in (
             ("automaton many\nclocks x\ninit q0\naccept q0\n"
              + f"trans q0 q0 a ( {_unequal('x', 12)} ) {{ }}\n" * 40, 480, 0.1),
