@@ -22,12 +22,13 @@ from .errors import ParseError, PntaError, PreconditionViolated, RegionBudgetExc
 from .examples import gen_lk, gen_lpk
 from .parametric import (
     DEFAULT_REGION_BUDGET,
+    Verdict,
     emptiness_fixed,
     parametric_emptiness,
     prepare_fixed,
     witness_word,
 )
-from .regions import SymbolicLasso, build_region_automaton, find_lasso, region_str, to_dot
+from .regions import build_region_automaton, find_lasso, to_dot
 from .semantics import run_frontiers
 from .textio import format_timed_word, parse_automaton, parse_timed_word, print_automaton
 from .translate import ta_to_nrtta
@@ -58,14 +59,17 @@ def _load_automaton(path: str) -> Automaton:
     return a
 
 
-def _lasso_dict(lasso: Optional[SymbolicLasso]) -> Optional[dict]:
-    if lasso is None:
+def _lasso_dict(verdict: Verdict) -> Optional[dict]:
+    """The zone lasso's steps as [source, letter, target]; a source is the last target."""
+    if verdict.zone_lasso is None:
         return None
-
-    def fmt(nodes):
-        return [f"{q} | {region_str(reg)}" for q, reg in nodes]
-
-    return {"stem": fmt(lasso.stem_nodes), "cycle": fmt(lasso.cycle_nodes)}
+    q, out = verdict.scaled.initial, {}
+    for part in ("stem", "cycle"):
+        out[part] = []
+        for _, target, letter, _, _ in getattr(verdict.zone_lasso, part):
+            out[part].append([q, letter, target])
+            q = target
+    return out
 
 
 def _printed(v, what: str) -> str:
@@ -120,7 +124,7 @@ def cmd_check(args) -> int:
         "candidates_checked": verdict.candidates_checked,
         "zone_nodes": verdict.zone_nodes,
         "relaxed": None if verdict.relaxed is None else [str(mu) for mu in verdict.relaxed],
-        "lasso": _lasso_dict(verdict.lasso),
+        "lasso": _lasso_dict(verdict),
         "witness_word": None if word is None else [[letter, str(ts)] for letter, ts in word],
         "timings": {"wall_ms": wall_ms},
     }
@@ -137,8 +141,11 @@ def cmd_check(args) -> int:
             lo, hi = report["relaxed"]
             print(f"settled by one check with mu relaxed to [{lo}, {hi}]")
         if report["lasso"] is not None:
-            print("lasso stem:  " + "  ->  ".join(report["lasso"]["stem"]))
-            print("lasso cycle: " + "  ->  ".join(report["lasso"]["cycle"]))
+            for part in ("stem", "cycle"):
+                steps = report["lasso"][part]  # an empty stem is the cycle's first state alone
+                start = (steps or report["lasso"]["cycle"])[0][0]
+                print(f"lasso {part}:".ljust(13) + start
+                      + "".join(f" -{letter}-> {target}" for _, letter, target in steps))
         if word is not None:
             plural = "" if args.unrollings == 1 else "s"
             print(f"witness word ({args.unrollings} cycle unrolling{plural}):")

@@ -31,7 +31,7 @@ from .errors import (
     RegionBudgetExceeded,
     UnsupportedAutomaton,
 )
-from .regions import DEFAULT_REGION_BUDGET, SymbolicLasso
+from .regions import DEFAULT_REGION_BUDGET
 from .semantics import TimedWord
 from .translate import ta_to_nrtta
 from .zones import (
@@ -40,7 +40,6 @@ from .zones import (
     ZoneLasso,
     compile_automaton,
     earliest_ticks,
-    region_lasso,
     zone_lasso,
     zone_nonempty,
 )
@@ -80,11 +79,10 @@ class CandidateSet:
 class Verdict:
     nonempty: bool
     witness_mu: Optional[Fraction]
-    lasso: Optional[SymbolicLasso]
     candidates_checked: int
     zone_nodes: int
     zone_lasso: Optional[ZoneLasso] = None
-    # the scaled automaton that the search found zone_lasso in, which both lassos read
+    # the scaled automaton that the search found zone_lasso in, which the witness word reads
     scaled: Optional[Scaled] = field(default=None, compare=False, repr=False)
     # the interval (lo, hi) whose relaxed check settled an Empty verdict, else None
     relaxed: Optional[tuple[Fraction, Fraction]] = None
@@ -196,11 +194,11 @@ def emptiness_fixed(
     The verdict comes from the zone engine, on the translation of one-clock
     test-and-reset input; when the language is nonempty and include_lasso is
     set, the zone graph that search built also yields a zone lasso, and the
-    verdict carries it and the region lasso that a concrete run along it
-    follows on the scaled automaton.  A nonempty verdict names mu as its
-    witness only when the automaton has a parameter.  The first check of
-    an automaton compiles it and keeps the compiled form on it, so a
-    check at one more value scales, searches and builds lassos only.
+    verdict carries it with the scaled automaton it was found in.  A
+    nonempty verdict names mu as its witness only when the automaton has a
+    parameter.  The first check of an automaton compiles it and keeps the
+    compiled form on it, so a check at one more value scales, searches and
+    takes its lasso only.
     """
     compiled = _compiled(a)
     s = compiled.at(mu)
@@ -214,8 +212,8 @@ def emptiness_fixed(
     if nonempty and compiled.n_params:
         witness = mu if isinstance(mu, Fraction) else Fraction(mu)
     if zl is None:
-        return Verdict(nonempty, witness, None, 1, explored)
-    return Verdict(True, witness, region_lasso(s, zl), 1, explored, zl, s)
+        return Verdict(nonempty, witness, 1, explored)
+    return Verdict(True, witness, 1, explored, zl, s)
 
 
 def parametric_emptiness(a: Automaton, max_nodes: int = DEFAULT_REGION_BUDGET) -> Verdict:
@@ -261,8 +259,8 @@ def parametric_emptiness(a: Automaton, max_nodes: int = DEFAULT_REGION_BUDGET) -
                 relaxed_nonempty, relaxed_nodes = True, 0  # settles nothing
             nodes += relaxed_nodes
             if not relaxed_nonempty:
-                return Verdict(False, None, None, checked, nodes, relaxed=(Fraction(0), xi))
-    return Verdict(False, None, None, checked, nodes)
+                return Verdict(False, None, checked, nodes, relaxed=(Fraction(0), xi))
+    return Verdict(False, None, checked, nodes)
 
 
 def witness_word(a: Automaton, verdict: Verdict, unrollings: int = 1) -> TimedWord:

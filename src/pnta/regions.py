@@ -22,7 +22,7 @@ of a word may additionally happen at time 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .core import And, Atom, Automaton, Guard, Not, Transition, TrueGuard, atoms
 from .errors import PreconditionViolated, RegionBudgetExceeded, UnboundSymbol
@@ -44,32 +44,6 @@ RANode = tuple[str, Region]
 def zero_region(clocks: Iterable[str], m: int) -> Region:
     names = tuple(sorted(clocks))
     return Region(m, frozenset(), tuple((z, 0) for z in names), frozenset(names), ())
-
-
-def region_at(names: Sequence[str], ticks: Sequence[int], q: int, m: int) -> Region:
-    """Canonical region, bound m, of the clock values ticks[i] / q of the sorted names.
-
-    A value above m * q ticks is above m; any other has integer part and
-    fractional ticks divmod(t, q), and clocks with equal fractional ticks
-    share a group of the order.
-    """
-    cap = m * q
-    above: list[str] = []
-    floors: list[tuple[str, int]] = []
-    zero: list[str] = []
-    frac_groups: dict[int, list[str]] = {}
-    for z, t in zip(names, ticks):
-        if t > cap:
-            above.append(z)
-            continue
-        k, f = divmod(t, q)
-        floors.append((z, k))
-        if f:
-            frac_groups.setdefault(f, []).append(z)
-        else:
-            zero.append(z)
-    order = tuple(tuple(frac_groups[f]) for f in sorted(frac_groups))
-    return Region(m, frozenset(above), tuple(floors), frozenset(zero), order)
 
 
 def is_time_open(r: Region) -> bool:

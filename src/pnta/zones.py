@@ -42,7 +42,7 @@ constant a step compares it with, 0 if no step tests it, so a zone
 forgets what no guard can tell apart; it stays sound for Büchi emptiness
 (Tripakis 2009), also over the graph of delayed zones (Herbreteau,
 Srivathsan & Walukiewicz, FMSD 2012).  The cap is usually well below the
-global region bound m, which only the region projection uses.
+global region bound m of the region oracle.
 
 A check compiles its automaton once, `compile_automaton`: clock
 indices, and one step per box of each guard, an edge of the zone graph
@@ -63,18 +63,18 @@ the automaton, so a later check of the same automaton starts from
 `Compiled.at`.  `Compiled.at(mu)` gives the `Scaled` form at one value,
 and builds nothing per step: it shares the compiled steps and adds the
 scale triple (scale factor over denom, mu times the scale factor in
-both slots), the caps, the scale factor and the region bound m.  Each
-bound is one integer multiply-add, evaluated where it is read: inline as
-the zone graph expands a node, and by `Scaled.bounds` for the steps of a
-lasso.  `Compiled.at(lo, hi)` gives the automaton relaxed to the
-interval [lo, hi] the same way, with lo in the slot of
-the parameter's lower bounds and hi in that of its upper bounds: each
+both slots), the caps and the scale factor.  Each bound is one integer
+multiply-add, evaluated where it is read: inline as the zone graph
+expands a node, and by `Scaled.bounds` for the steps of a lasso.
+`Compiled.at(lo, hi)` gives the automaton relaxed to the interval
+[lo, hi] the same way, with lo in the slot of the parameter's lower
+bounds and hi in that of its upper bounds: each
 literal becomes its hull over the interval, so the relaxed language
 contains the language at every value inside it.  It is the only scaled
-form a check builds: the zone graph, `earliest_ticks` and `region_lasso`
-read it alone.  `prepare_fixed` takes the scale factor and m from
-`Compiled.scaling`, which `at` calls too, without the range check that
-only the zone engine needs.
+form a check builds: the zone graph and `earliest_ticks` read it alone.
+`prepare_fixed` takes the scale factor and the region bound m from
+`Compiled.scaling`, which `at` calls too for its range check, one the
+region engine does not need.
 
 The zone graph interns each node once as an integer, so the searches
 hash only integers.  `zone_nonempty` and `zone_lasso` decide with the
@@ -94,9 +94,9 @@ Every path of the extrapolated graph is taken by some concrete run
 earliest one: each guard bound x - y <= b along the lasso is a
 difference constraint between the timestamps of the events that last
 reset x and y.  It gives every timestamp as an integer count of ticks of
-one common length 1/q, so `region_lasso` projects the run onto regions
-with `regions.region_at` on integer clock values, and `witness_word`
-builds one Fraction per event, of the original time unit.
+one common length 1/q, and `witness_word` builds one Fraction per event,
+of the original time unit.  `check` explains a verdict with the zone
+lasso's steps, the symbolic run that this solves.
 """
 
 from __future__ import annotations
@@ -110,13 +110,7 @@ from typing import Optional, Sequence
 
 from .core import And, Atom, Automaton, Guard, Not, TrueGuard, atoms, brief
 from .errors import NotOneParameter, PreconditionViolated
-from .regions import (
-    DEFAULT_REGION_BUDGET,
-    SymbolicLasso,
-    _lasso_at,
-    _search_lasso,
-    region_at,
-)
+from .regions import DEFAULT_REGION_BUDGET, _lasso_at, _search_lasso
 
 INF = 1 << 62
 
@@ -335,12 +329,11 @@ Step = tuple[int, str, str, tuple[int, ...], tuple[Template, ...]]
 class Scaled:
     """An automaton at one parameter value, or relaxed to an interval, in the scaled time unit.
 
-    The zone graph, the witness run and its region projection all read
-    this form.  clocks holds the sorted clock names, clock clocks[i - 1]
-    at DBM index i.  out is the compiled automaton's steps by source
-    state and gathers its getters by reset tuple, both shared and not
-    copied.  No bound is built ahead: a step's
-    template (x, y, coef, p, w) reads as the constraint
+    The zone graph and the witness run read this form.  clocks holds the
+    sorted clock names, clock clocks[i - 1] at DBM index i.  out is the
+    compiled automaton's steps by source state and gathers its getters by
+    reset tuple, both shared and not copied.  No bound is built ahead: a
+    step's template (x, y, coef, p, w) reads as the constraint
     d[x][y] <= coef * scale[p] + w for `_tighten`, evaluated where it is
     read, inline in the zone graph and by `bounds` for the steps of a
     lasso.  scale is (d / denom, low, high); caps holds each DBM index's
@@ -355,7 +348,6 @@ class Scaled:
     scale: tuple[int, int, int]
     caps: tuple[int, ...]
     d: int  # scale factor
-    m: int  # global region bound, for the region projection
 
     def bounds(self, step: Step) -> list[tuple[int, int, int]]:
         """The bounds (x, y, b), each d[x][y] <= b, that step's box adds."""
@@ -435,10 +427,10 @@ class Compiled:
         Relaxed, a lower bound on a clock by the parameter reads lo and an
         upper bound reads hi, so each literal is its hull over the interval
         and the scaled automaton accepts every word accepted at some value
-        inside it.  d and m are those of `scaling`, and a value whose
-        scaled sums could reach INF is refused.  Each clock's cap is the
-        largest scaled constant a step compares it with, hi for the
-        parameter, 0 if no step tests it.  Nothing is built per step:
+        inside it.  d is that of `scaling`, and a value whose scaled sums
+        could reach INF, as its m bounds them, is refused.  Each clock's
+        cap is the largest scaled constant a step compares it with, hi for
+        the parameter, 0 if no step tests it.  Nothing is built per step:
         the Scaled shares the compiled steps.
         """
         d, m, low, high = self.scaling(lo, hi)
@@ -451,7 +443,7 @@ class Compiled:
         k = d // self.denom
         caps = tuple([max(top * k, high) if p else top * k for top, p in self.tops])
         return Scaled(self.initial, self.accepting, self.clocks, self.out, self.gathers,
-                      (k, low, high), caps, d, m)
+                      (k, low, high), caps, d)
 
 
 def compile_automaton(a: Automaton) -> Compiled:
@@ -648,9 +640,11 @@ def earliest_ticks(s: Scaled, steps: Sequence[Step]) -> tuple[list[int], int]:
     solution over (c, e) pairs ordered lexicographically.  eps is then
     fixed at 1/q, q = top + 1 for the largest e, so that e * eps < 1 for
     every timestamp: each lies within the unit interval its integer part c
-    opens, so a clock value's region depends only on the pairs, and a run
-    that only needs time to pass between laps drifts inside one region
-    instead of crossing one per lap.  The tick of a pair is c*q + e.
+    opens, so a clock value's region depends only on the pairs.  The
+    tests' region projection of a lasso relies on it: a run that only
+    needs time to pass between laps drifts inside one region instead of
+    crossing one per lap, so a (state, region) node recurs at a lap
+    boundary.  The tick of a pair is c*q + e.
     """
     lower: list[tuple[int, int, int, int]] = []  # (u, v, c, e)
     last_reset = [0] * len(s.caps)
@@ -680,36 +674,3 @@ def earliest_ticks(s: Scaled, steps: Sequence[Step]) -> tuple[list[int], int]:
     q = max(e for _, e in tau) + 1
     return [c * q + e for c, e in tau[1:]], q
 
-
-def region_lasso(s: Scaled, lasso: ZoneLasso) -> SymbolicLasso:
-    """The region lasso that the earliest concrete run along a zone lasso follows.
-
-    Solves the stem plus k laps for k = 1, 2, 4, ... and cuts the run at
-    the first lap boundary whose (state, region) node recurs.  There are
-    finitely many such nodes, so by the pigeonhole principle some k does.
-    Only lap boundaries are projected while the cut is looked for; the
-    run before the cut is projected once, from the solve that found it.
-    """
-    stem_len, cycle_len = len(lasso.stem), len(lasso.cycle)
-    names, m = s.clocks, s.m
-    laps = 1
-    while True:
-        steps = lasso.stem + lasso.cycle * laps
-        ticks, q = earliest_ticks(s, steps)
-        reset_at = [0] * len(s.caps)  # in ticks; index 0, the zero clock, is unused
-        after = [(s.initial, reset_at[1:])]  # after[j]: the state and clock ticks after event j
-        for (_, target, _, resets, _), now in zip(steps, ticks):
-            for x in resets:
-                reset_at[x] = now
-            after.append((target, [now - r for r in reset_at[1:]]))
-        first_at: dict = {}
-        for j in range(stem_len, len(after), cycle_len):
-            target, values = after[j]
-            i = first_at.setdefault((target, region_at(names, values, q, m)), j)
-            if i != j:
-                at = {k: node for node, k in first_at.items()}  # the lap boundaries before j
-                nodes = tuple([at[k] if k in at else (target, region_at(names, values, q, m))
-                               for k, (target, values) in enumerate(after[:j])])
-                edges = tuple(step[0] for step in steps)
-                return SymbolicLasso(nodes[: i + 1], edges[:i], nodes[i:j], edges[i:j])
-        laps *= 2

@@ -6,8 +6,9 @@ min(frac(mu), 1-frac(mu)), depth counts inside the distinguished
 intervals, the agreement relations between valuations under two
 parameter values, the critical-valuation case lists, the fractional
 decomposition of a one-delay step, agreement transport along one-reset
-sequences, pin compression of region-level paths, and the concretization
-of a region lasso into a timed word.
+sequences, pin compression of region-level paths, the region lasso
+that a zone lasso's earliest run follows, and the concretization of a
+region lasso into a timed word.
 
 The decision procedure calls none of it; the tests check the lemmas on
 examples and on seeded random inputs.  A trial function (`_suite_*`)
@@ -33,12 +34,13 @@ from pnta.regions import (
     RegionAutomaton,
     SymbolicLasso,
     _delay_fan,
-    region_at,
     region_reset,
     region_sat,
     region_str,
+    zero_region,
 )
 from pnta.semantics import TimedWord, Valuation, elapse, reset_apply, zero_valuation
+from pnta.zones import Scaled, ZoneLasso, earliest_ticks
 
 
 class DegenerateParameter(PntaError):
@@ -648,7 +650,33 @@ def compress_region_lasso(
 
 
 # ---------------------------------------------------------------------------
-# Region-lasso concretization
+# Region lassos: the projection of a zone lasso, and concretization
+
+
+def region_at(names: Sequence[str], ticks: Sequence[int], q: int, m: int) -> Region:
+    """Canonical region, bound m, of the clock values ticks[i] / q of the sorted names.
+
+    A value above m * q ticks is above m; any other has integer part and
+    fractional ticks divmod(t, q), and clocks with equal fractional ticks
+    share a group of the order.
+    """
+    cap = m * q
+    above: list[str] = []
+    floors: list[tuple[str, int]] = []
+    zero: list[str] = []
+    frac_groups: dict[int, list[str]] = {}
+    for z, t in zip(names, ticks):
+        if t > cap:
+            above.append(z)
+            continue
+        k, f = divmod(t, q)
+        floors.append((z, k))
+        if f:
+            frac_groups.setdefault(f, []).append(z)
+        else:
+            zero.append(z)
+    order = tuple(tuple(frac_groups[f]) for f in sorted(frac_groups))
+    return Region(m, frozenset(above), tuple(floors), frozenset(zero), order)
 
 
 def region_of(v: Valuation, m: int) -> Region:
@@ -657,6 +685,39 @@ def region_of(v: Valuation, m: int) -> Region:
         raise PreconditionViolated(f"region bound must be at least 1, got {m}")
     q = math.lcm(*[val.denominator for val in v.values()])
     return region_at(v.keys(), [val.numerator * (q // val.denominator) for val in v.values()], q, m)
+
+
+def region_lasso(s: Scaled, lasso: ZoneLasso, m: int) -> SymbolicLasso:
+    """The region lasso, bound m, that the earliest concrete run along a zone lasso follows.
+
+    Solves the stem plus k laps for k = 1, 2, 4, ... with `earliest_ticks`,
+    gives each event's clock values as a Valuation of Fractions and its
+    region by region_of, and cuts the run at the first lap boundary whose
+    (state, region) node recurs.  There are finitely many such nodes, so
+    by the pigeonhole principle some k does, and the lasso is an infinite
+    run, not only k laps of one.
+    """
+    stem_len, cycle_len = len(lasso.stem), len(lasso.cycle)
+    laps = 1
+    while True:
+        steps = lasso.stem + lasso.cycle * laps
+        ticks, q = earliest_ticks(s, steps)
+        reset_at = [Fraction(0)] * len(s.caps)
+        nodes = [(s.initial, zero_region(s.clocks, m))]
+        for (_, target, _, resets, _), now in zip(steps, [Fraction(k, q) for k in ticks]):
+            for x in resets:
+                reset_at[x] = now
+            v = Valuation.of({z: now - reset_at[x] for x, z in enumerate(s.clocks, 1)})
+            nodes.append((target, region_of(v, m)))
+        first_at: dict = {}
+        for j in range(stem_len, len(nodes), cycle_len):
+            i = first_at.setdefault(nodes[j], j)
+            if i != j:
+                edges = tuple(step[0] for step in steps)
+                return SymbolicLasso(
+                    tuple(nodes[: i + 1]), edges[:i], tuple(nodes[i:j]), edges[i:j]
+                )
+        laps *= 2
 
 
 def positive_delay_successors(r: Region) -> tuple[Region, ...]:

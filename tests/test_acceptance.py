@@ -45,6 +45,7 @@ from lemmas import (
     in_agreement,
     in_complete_agreement,
     is_critical,
+    region_lasso,
     region_of,
 )
 from randgen import (
@@ -112,16 +113,17 @@ def test_criterion_04_generated_families_nonempty_with_witness_replay():
     t0 = time.perf_counter()
     a = gen_lk(2)
     v = emptiness_fixed(a)
-    assert v.nonempty and v.lasso is not None
+    assert v.nonempty and v.zone_lasso is not None
     scaled, m, d = prepare_fixed(a, None)
     assert d == 1
+    lasso = region_lasso(v.scaled, v.zone_lasso, m)
     for unrollings in (1, 2):
-        w = concretize_lasso(scaled, m, v.lasso, unrollings)
+        w = concretize_lasso(scaled, m, lasso, unrollings)
         frontiers = run_frontiers(a, w)
-        path = list(v.lasso.stem_nodes)
+        path = list(lasso.stem_nodes)
         for _ in range(unrollings):
-            path.extend(v.lasso.cycle_nodes[1:])
-            path.append(v.lasso.cycle_nodes[0])
+            path.extend(lasso.cycle_nodes[1:])
+            path.append(lasso.cycle_nodes[0])
         assert len(path) == len(frontiers)
         # the simulator walks through every control state on the symbolic path
         for (q, _), frontier in zip(path, frontiers):

@@ -47,7 +47,7 @@ def test_check_reports_match_the_golden_file(data_dir, capsys, tmp_path):
     """`check FILE --witness --json` on every fixture and on gen lk and lpk at k = 2.
 
     tests/data/check_golden.json holds each exit code and report without
-    its timings: verdict, witness mu, counts, region lasso and witness word.
+    its timings: verdict, witness mu, counts, zone lasso steps and witness word.
     """
     paths = sorted(data_dir.glob("*.ta"))
     for family in ("lk", "lpk"):
@@ -104,7 +104,7 @@ def test_check_json_report_carries_the_witness_word(data_dir, capsys):
 
 
 def test_check_witness_scales_the_automaton_once(data_dir, capsys, monkeypatch):
-    """The winner's search, region lasso and witness word read one scaled form.
+    """The winner's search, lasso and witness word read one scaled form.
 
     A check scales the compiled automaton once per checked candidate and
     builds no scaled Automaton: prepare_fixed, which builds one, is not called.
@@ -546,6 +546,27 @@ def test_check_w10_witness_is_fast(data_dir, tmp_path, capsys):
     assert code == 10, err
     assert out.startswith("Nonempty (witness mu = 32081/3208)\n")
     assert _replays(text, _witness(out), Fraction(32081, 3208))
+
+
+def test_check_explains_the_drift_variant_with_its_zone_steps(data_dir, tmp_path, capsys):
+    """A lasso of 25 zone nodes is printed as its four steps, not as the regions its run crosses.
+
+    With x1 < 8 from q1, the earliest run's x2 drifts through 65,791
+    regions at mu = 1/2056 before a (state, region) node recurs.
+    """
+    text = (data_dir / "drift.ta").read_text() + "trans q1 q3 a ( x1 < 8 ) { }\n"
+    p = tmp_path / "drift-var.ta"
+    p.write_text(text)
+    t0 = time.perf_counter()
+    code, out, err = _run(capsys, "check", str(p), "--witness", "--json")
+    assert time.perf_counter() - t0 < 2
+    assert code == 10, err
+    assert len(out.encode()) < 10_000
+    report = json.loads(out)
+    lap = [["q0", "b", "q2"], ["q2", "a", "q0"]]
+    assert report["lasso"] == {"stem": lap, "cycle": lap}
+    assert (report["witness_mu"], report["zone_nodes"]) == ("1/2056", 25)
+    assert _replays(text, TimedWord.of(report["witness_word"]), Fraction(1, 2056))
 
 
 HASH_PROBE = """

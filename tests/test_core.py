@@ -194,5 +194,7 @@ def test_the_public_names_are_unique_and_exist():
     """pnta.__all__ lists each name once, each is importable, and the test oracles are absent."""
     assert len(pnta.__all__) == len(set(pnta.__all__))
     assert [name for name in pnta.__all__ if not hasattr(pnta, name)] == []
-    gone = {"concretize_lasso", "region_of", "Infeasible"}
-    assert gone.isdisjoint(pnta.__all__) and not any(hasattr(pnta, name) for name in gone)
+    gone = {"concretize_lasso", "region_of", "region_at", "region_lasso", "Infeasible"}
+    modules = (pnta, pnta.regions, pnta.zones, pnta.parametric)
+    assert gone.isdisjoint(pnta.__all__)
+    assert not any(hasattr(module, name) for module in modules for name in gone)

@@ -45,7 +45,7 @@ from pnta.parametric import (
     _searched,
 )
 from pnta.zones import _bnd, compile_automaton
-from lemmas import concretize_lasso
+from lemmas import concretize_lasso, region_lasso
 from randgen import (
     dnf,
     instantiate,
@@ -120,7 +120,7 @@ def test_emptiness_fixed_window_verdicts(window):
     assert not emptiness_fixed(window, Fraction(1, 2)).nonempty
     assert not emptiness_fixed(window, Fraction(1)).nonempty
     v = emptiness_fixed(window, Fraction(41, 40), include_lasso=False)
-    assert v.nonempty and v.lasso is None
+    assert v.nonempty and v.zone_lasso is None
 
 
 def test_emptiness_fixed_requires_value_for_parametric(window):
@@ -137,8 +137,8 @@ def test_parametric_sweep_finds_first_candidate(window):
     assert v.witness_mu in vals
     # 41/40 is the sixth candidate in ascending order
     assert v.candidates_checked == vals.index(v.witness_mu) + 1
-    assert v.lasso is not None
-    assert v.scaled.d == 40 and v.scaled.m == 80
+    assert v.zone_lasso is not None
+    assert v.scaled.d == 40 and prepare_fixed(window, v.witness_mu)[1:] == (80, 40)
 
 
 def test_parametric_sweep_empty_cases(data_dir):
@@ -146,7 +146,7 @@ def test_parametric_sweep_empty_cases(data_dir):
         a = parse_automaton((data_dir / name).read_text())
         v = parametric_emptiness(a)
         assert not v.nonempty
-        assert v.witness_mu is None and v.lasso is None
+        assert v.witness_mu is None and v.zone_lasso is None
         expected = 1 if not a.params else len(candidate_parameters(a).candidates)
         assert v.candidates_checked == expected
 
@@ -290,7 +290,8 @@ def test_every_nonempty_sweep_has_witnesses_and_a_region_lasso(data_dir):
             assert reaches_acceptance(a, witness_word(a, v, unrollings), interp)
         # the region lasso projected from the zone lasso is one the region engine can replay
         scaled, m, _ = prepare_fixed(a, v.witness_mu)
-        assert reaches_acceptance(scaled, concretize_lasso(scaled, m, v.lasso, 2))
+        lasso = region_lasso(v.scaled, v.zone_lasso, m)
+        assert reaches_acceptance(scaled, concretize_lasso(scaled, m, lasso, 2))
     assert nonempty > 100
 
 
@@ -318,8 +319,10 @@ def test_drift_region_lasso_and_witness_are_pinned(data_dir):
     """x2 drifts up one scaled unit per lap until it passes m = 80, then the run cycles."""
     a = parse_automaton((data_dir / "drift.ta").read_text())
     v = parametric_emptiness(a, 20000)
-    assert (len(v.lasso.stem_nodes), len(v.lasso.cycle_nodes)) == (159, 2)
-    assert all("x2>80" in region_str(r) for _, r in v.lasso.cycle_nodes)
+    _, m, _ = prepare_fixed(a, v.witness_mu)
+    lasso = region_lasso(v.scaled, v.zone_lasso, m)
+    assert m == 80 and (len(lasso.stem_nodes), len(lasso.cycle_nodes)) == (159, 2)
+    assert all("x2>80" in region_str(r) for _, r in lasso.cycle_nodes)
     assert witness_word(a, v) == TimedWord.of(
         [("b", Fraction(1, 30)), ("a", Fraction(7, 120)), ("b", Fraction(1, 15)),
          ("a", Fraction(11, 120))])
@@ -376,7 +379,7 @@ def test_each_checked_candidate_builds_one_zone_graph(data_dir, monkeypatch):
 
     built = []
     graph = zones._zone_graph
-    monkeypatch.setattr(zones, "_zone_graph", lambda s: built.append(s.m) or graph(s))
+    monkeypatch.setattr(zones, "_zone_graph", lambda s: built.append(s) or graph(s))
     window = parse_automaton((data_dir / "e_window.ta").read_text())
     v = parametric_emptiness(window)
     assert v.nonempty and v.zone_lasso is not None
@@ -524,8 +527,8 @@ def _assert_compiled_at(s, b, mu):
     cap is the largest constant its steps compare it with, at most the
     literals' cap.
     """
-    initial, accepting, clocks, guards, caps, d, m = _scaled_reference(b, mu)
-    assert (s.initial, s.accepting, s.clocks, s.d, s.m) == (initial, accepting, clocks, d, m)
+    initial, accepting, clocks, guards, caps, d, _ = _scaled_reference(b, mu)
+    assert (s.initial, s.accepting, s.clocks, s.d) == (initial, accepting, clocks, d)
     boxes: dict = {}
     for q, steps in s.out.items():
         assert [step[0] for step in steps] == sorted(step[0] for step in steps)
@@ -597,15 +600,15 @@ def test_compiled_constants_include_atoms_beside_an_unsatisfiable_conjunct():
     for mu in (Fraction(1, 3), Fraction(5, 2)):
         s = compiled.at(mu)
         _, m, d = _prepare_reference(a, mu)
-        assert (s.d, s.m) == (d, m)
+        assert s.d == d
         assert prepare_fixed(a, mu)[1:] == (m, d)
         assert emptiness_fixed(a, mu).nonempty
 
 
 def test_the_sweep_scales_the_automaton_only_for_its_winner(data_dir, monkeypatch):
-    """Each checked candidate scales the compiled form once; the winner's lassos reuse it.
+    """Each checked candidate scales the compiled form once; the winner's lasso reuses it.
 
-    No scaled Automaton is built: the region lasso reads the winner's Scaled.
+    No scaled Automaton is built: the witness word reads the winner's Scaled.
     """
     from pnta import cli, parametric
     from pnta.zones import Compiled
@@ -623,7 +626,7 @@ def test_the_sweep_scales_the_automaton_only_for_its_winner(data_dir, monkeypatc
         # each checked candidate once, and the check relaxed to [0, Xi] after the first
         assert len(scaled_at) == v.candidates_checked + 1
         assert scaled_at[1] == (0, candidate_parameters(a).xi)
-        assert (v.lasso is not None) == v.nonempty
+        assert (v.zone_lasso is not None) == v.nonempty
     assert built == []
 
 

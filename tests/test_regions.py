@@ -75,8 +75,9 @@ def test_successor_chain_terminates_at_top():
 def test_region_of_matches_the_fraction_rule(seed):
     """region_of, scaled to integer ticks, gives the region the Fraction rule gives.
 
-    region_of is a test helper, so this checks regions.region_at, the
-    rule production uses, against randgen.fraction_region.
+    region_of reads the values through region_at, the integer rule of
+    the tests' region projections, so this checks it against
+    randgen.fraction_region.
     """
     rng = random.Random(seed)
     m = rng.choice((1, 2, 3))

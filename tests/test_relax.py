@@ -57,7 +57,7 @@ def _exact_sweep(a, max_nodes=20000) -> Verdict:
         nodes += v.zone_nodes
         if v.nonempty:
             return replace(v, candidates_checked=checked, zone_nodes=nodes)
-    return Verdict(False, None, None, checked, nodes)
+    return Verdict(False, None, checked, nodes)
 
 
 def _relax_guard(g, lo, hi, positive=True):
@@ -162,14 +162,13 @@ def test_the_hull_reads_lo_in_lower_bounds_and_hi_in_upper_ones(data_dir):
 
 
 def test_the_sweep_decides_as_the_exact_sweep(data_dir):
-    """Verdict, witness mu, both lassos and the witness word are those of an exact sweep."""
+    """Verdict, witness mu, zone lasso and witness word are those of an exact sweep."""
     settled = nonempty = 0
     population = (two_clock_population() + one_clock_population() + _fixtures(data_dir)
                   + _draws(1404, 200))
     for a in population:
         v, e = parametric_emptiness(a, 20000), _exact_sweep(a)
-        assert (v.nonempty, v.witness_mu, v.zone_lasso, v.lasso) == (
-            e.nonempty, e.witness_mu, e.zone_lasso, e.lasso)
+        assert (v.nonempty, v.witness_mu, v.zone_lasso) == (e.nonempty, e.witness_mu, e.zone_lasso)
         if v.nonempty:
             nonempty += 1
             assert witness_word(a, v, 2) == witness_word(a, e, 2)

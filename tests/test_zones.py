@@ -17,10 +17,8 @@ from pnta import (
     Not,
     PreconditionViolated,
     RegionBudgetExceeded,
-    SymbolicLasso,
     TimedWord,
     Transition,
-    Valuation,
     emptiness_fixed,
     eq,
     eval_constraint,
@@ -33,7 +31,6 @@ from pnta import (
     parse_automaton,
     prepare_fixed,
     witness_word,
-    zero_region,
     zone_lasso,
     zone_nonempty,
 )
@@ -50,10 +47,9 @@ from pnta.zones import (
     _zone_graph,
     compile_automaton,
     earliest_ticks,
-    region_lasso,
 )
-from lemmas import concretize_lasso
-from randgen import dnf, fraction_region, rand_nrtta, rand_ta, reaches_acceptance
+from lemmas import concretize_lasso, region_lasso
+from randgen import dnf, rand_nrtta, rand_ta, reaches_acceptance
 
 WINDOW_FIXED = """
 automaton wf
@@ -230,7 +226,7 @@ def test_zone_lasso_runs_and_projects_onto_regions(seed, nrt):
         return
     for laps in (1, 2):
         assert reaches_acceptance(scaled, _lasso_word(s, lasso, laps))
-    projected = region_lasso(s, lasso)
+    projected = region_lasso(s, lasso, m)
     assert projected.stem_nodes[-1] == projected.cycle_nodes[0]
     assert reaches_acceptance(scaled, concretize_lasso(scaled, m, projected, 2))
 
@@ -436,41 +432,12 @@ def test_a_transitions_steps_accept_exactly_what_its_guard_accepts(g):
                 assert got == eval_constraint(g, {"x": vx, "y": vy}, {"p": mu}), (g, mu, vx, vy)
 
 
-def _fraction_region_lasso(s, lasso):
-    """region_lasso as it projected the run before integer ticks.
-
-    Each timestamp is a Fraction, each event's clock values a Valuation,
-    and fraction_region, the Fraction rule of region_of, gives its region.
-    """
-    stem_len, cycle_len = len(lasso.stem), len(lasso.cycle)
-    laps = 1
-    while True:
-        steps = lasso.stem + lasso.cycle * laps
-        ticks, q = earliest_ticks(s, steps)
-        reset_at = [Fraction(0)] * len(s.caps)
-        nodes = [(s.initial, zero_region(s.clocks, s.m))]
-        for (_, target, _, resets, _), now in zip(steps, [Fraction(k, q) for k in ticks]):
-            for x in resets:
-                reset_at[x] = now
-            v = Valuation.of({z: now - reset_at[x] for x, z in enumerate(s.clocks, 1)})
-            nodes.append((target, fraction_region(v, s.m)))
-        first_at = {}
-        for j in range(stem_len, len(nodes), cycle_len):
-            i = first_at.setdefault(nodes[j], j)
-            if i != j:
-                edges = tuple(step[0] for step in steps)
-                return SymbolicLasso(
-                    tuple(nodes[: i + 1]), edges[:i], tuple(nodes[i:j]), edges[i:j]
-                )
-        laps *= 2
-
-
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 10 ** 9),
        st.sampled_from([("nrt", None), ("param", Fraction(3, 7)), ("param", Fraction(1, 40)),
                         ("ta", None)]))
 def test_integer_ticks_project_as_fractions_do(seed, draw):
-    """The region lasso and the witness words from integer ticks are the Fraction ones."""
+    """The witness words are the earliest run's integer ticks over ticks per time unit."""
     kind, mu = draw
     rng = random.Random(seed)
     if kind == "ta":
@@ -481,7 +448,6 @@ def test_integer_ticks_project_as_fractions_do(seed, draw):
     if not v.nonempty:
         return
     s, lasso = v.scaled, v.zone_lasso
-    assert v.lasso == region_lasso(s, lasso) == _fraction_region_lasso(s, lasso)
     for laps in (1, 2, 3):
         steps = lasso.stem + lasso.cycle * laps
         ticks, q = earliest_ticks(s, steps)
@@ -603,7 +569,7 @@ def test_one_pass_successor_matches_reset_delay_and_extrapolation(case):
     clocks = tuple(f"x{i}" for i in range(1, n))
     step = (0, "q1", "a", resets, ())
     s = Scaled("q0", frozenset(), clocks, {"q0": (step,)}, {resets: _gather(n, resets)},
-               (1, 0, 0), caps, 1, 2 * max(caps) + 2)
+               (1, 0, 0), caps, 1)
     successors, nodes = _zone_graph(s)
     nodes[0] = ("q0", tuple(d))
     [(_, j)] = successors(0)
