@@ -52,23 +52,26 @@ their common denominator and the parameter as a slot on the side it
 bounds.  A conjunction of single-clock constraints is one interval per
 clock (Alur & Dill, TCS 126(2), 1994; Bengtsson & Yi, LNCS 3098, 2004),
 so a box has at most one lower and one upper literal per clock, "="
-where the two meet.  `_boxes` builds a guard's boxes in one walk: a
-conjunction meets the boxes of its sides pairwise and drops the empty
-ones, and every union merges two boxes that differ on one clock with
-intervals there that touch or overlap, so "x <= c" is one step, not the
-two of "x < c" and "x = c", and n negated equalities on a clock make
-n + 1 steps at most, not 2^n.  The steps are kept by source state, in
-transition order; the checks of `parametric` keep the compiled form on
-the automaton, so a later check of the same automaton starts from
-`Compiled.at`.  `Compiled.at(mu)` gives the `Scaled` form at one value,
-and builds nothing per step: it shares the compiled steps and adds the
-scale triple (scale factor over denom, mu times the scale factor in
-both slots), the caps and the scale factor.  Each bound is one integer
-multiply-add, evaluated where it is read: inline as the zone graph
-expands a node, and by `Scaled.bounds` for the steps of a lasso.
-`Compiled.at(lo, hi)` gives the automaton relaxed to the interval
-[lo, hi] the same way, with lo in the slot of the parameter's lower
-bounds and hi in that of its upper bounds: each
+where the two meet, and holds only the clocks it bounds.  `_boxes`
+builds a guard's boxes in one walk: a conjunction meets the boxes of its
+sides pairwise, reading only the clocks both bound, and drops the empty
+ones; a union merges, by one sort-and-sweep per clock, boxes that differ
+on one clock with intervals there that touch or overlap, so "x <= c" is
+one step, not the two of "x < c" and "x = c", and n negated equalities
+on a clock make n + 1 steps at most, not 2^n.  The pairs of sides whose
+boxes bound no common clock, or bound it one with a constant and one
+with the parameter, are maximal already, and no union runs on them.
+The steps are kept by source state, in transition order; the checks of
+`parametric` keep the compiled form on the automaton, so a later check
+of the same automaton starts from `Compiled.at`.  `Compiled.at(mu)`
+gives the `Scaled` form at one value, and builds nothing per step: it
+shares the compiled steps and adds the scale triple (scale factor over
+denom, mu times the scale factor in both slots), the caps and the scale
+factor.  Each bound is one integer multiply-add, evaluated where it is
+read: inline as the zone graph expands a node, and by `Scaled.bounds`
+for the steps of a lasso.  `Compiled.at(lo, hi)` gives the automaton
+relaxed to the interval [lo, hi] the same way, with lo in the slot of
+the parameter's lower bounds and hi in that of its upper bounds: each
 literal becomes its hull over the interval, so the relaxed language
 contains the language at every value inside it.  It is the only scaled
 form a check builds: the zone graph and `earliest_ticks` read it alone.
@@ -102,9 +105,9 @@ lasso's steps, the symbolic run that this solves.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from operator import itemgetter
 from typing import Optional, Sequence
 
@@ -188,127 +191,114 @@ def _refuse() -> PreconditionViolated:
         f"guard has more than {_MAX_DISJUNCTS} disjuncts in disjunctive normal form")
 
 
-def _union(boxes: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """The maximal boxes of a union of boxes, in order of arrival.
+def _union(boxes: list[dict]) -> list[dict]:
+    """The maximal boxes of a union of boxes.
 
     Two boxes merge when they differ on one slot and their intervals there
-    touch or overlap: "< c" and "= c" on a clock make "<= c".  The work
-    runs on the slots where the boxes differ, since they agree on the
-    rest.  Each kept box is indexed by the box without one slot, and that
-    index keeps its boxes by their upper bound on the slot; they are
-    pairwise disjoint there, so the boxes an arriving one merges with are
-    one run, found by bisection.  A merged box arrives again, since it may
-    now merge on another slot, so no two kept boxes merge.
+    touch or overlap: "< c" and "= c" on a clock make "<= c".  The boxes
+    agree off the slots where some two differ, so a sweep of one of those
+    groups the boxes by the others, sorts each group by lower bound and
+    merges each run of touching or overlapping intervals in one pass, into
+    the place of the run's first box to arrive.  The sweeps go round the
+    slots until a round merges nothing, since a merged box may now merge
+    on another.  The slots come in the order first met, not from a set, so
+    the steps do not depend on string hashing.
     """
     first = boxes[0]
-    if len(boxes) == 2:  # nearly every union, "x <= c" among them: skip the index
-        b = boxes[1]
-        differ = [s for s in range(0, len(b), 2) if first[s:s + 2] != b[s:s + 2]]
-        if not differ:
-            return [first]
-        s = differ[0]
-        if len(differ) == 1 and first[s + 1] + b[s] > 0 and b[s + 1] + first[s] > 0:
-            return [first[:s] + (max(first[s], b[s]), max(first[s + 1], b[s + 1])) + first[s + 2:]]
-        return boxes
-    columns = list(zip(*boxes))
-    varied = [p for s in range(0, len(first), 2)
-              if columns[s].count(first[s]) < len(boxes)
-              or columns[s + 1].count(first[s + 1]) < len(boxes) for p in (s, s + 1)]
-    if not varied:
+    slots = [s for s in dict.fromkeys(chain(*boxes))
+             if any(box.get(s) != first.get(s) for box in boxes)]
+    if not slots:  # the boxes are one
         return [first]
-    kept: dict[tuple[int, ...], None] = {}
-    index: dict[tuple, list[tuple[int, ...]]] = {}
-    uppers = [(s, itemgetter(s + 1)) for s in range(0, len(varied), 2)]
-    for box in map(itemgetter(*varied), boxes):
-        while box not in kept:
-            for s, upper in uppers:
-                run = index.get((s, box[:s] + box[s + 2:]))
-                if not run:
-                    continue
-                lo, hi = box[s], box[s + 1]
-                i = j = bisect_right(run, -lo, key=upper)  # the first that reaches up to lo
-                while j < len(run) and run[j][s] + hi > 0:  # and starts below hi
-                    lo, hi = max(lo, run[j][s]), max(hi, run[j][s + 1])
-                    j += 1
-                if i < j:
-                    for other in run[i:j]:
-                        del kept[other]
-                        for t, up in uppers:
-                            rest = index[t, other[:t] + other[t + 2:]]
-                            del rest[bisect_left(rest, other[t + 1], key=up)]
-                    box = box[:s] + (lo, hi) + box[s + 2:]
-                    break
-            else:
-                kept[box] = None
-                for s, upper in uppers:
-                    insort(index.setdefault((s, box[:s] + box[s + 2:]), []), box, key=upper)
-    out = []
-    for box in kept:
-        whole = list(first)
-        for p, v in zip(varied, box):
-            whole[p] = v
-        out.append(tuple(whole))
-    return out
+    merged = True
+    while merged and len(boxes) > 1:
+        merged = False
+        for s in slots:
+            blank = (INF, INF) if s[1] else (_LE0, INF)
+            others = [t for t in slots if t != s]
+            groups: dict[tuple, list[tuple[int, int, int]]] = {}
+            for i, box in enumerate(boxes):
+                lo, hi = box.get(s, blank)
+                groups.setdefault(tuple(map(box.get, others)), []).append((lo, hi, i))
+            runs: list[list[int]] = []  # [the run's first box to arrive, lo, hi]
+            for group in groups.values():
+                group.sort(key=itemgetter(0), reverse=True)  # the largest code starts lowest
+                run = None
+                for lo, hi, i in group:
+                    if run and run[2] + lo > 0:  # touches or overlaps the run
+                        run[0], run[2] = min(run[0], i), max(run[2], hi)
+                    else:
+                        run = [i, lo, hi]
+                        runs.append(run)
+            if len(runs) < len(boxes):
+                merged = True
+                boxes = [{**boxes[i], s: (lo, hi)} for i, lo, hi in sorted(runs)]
+                for box in boxes:
+                    if box[s] == blank:
+                        del box[s]
+    return boxes
 
 
-def _boxes(g: Guard, positive: bool, slots: dict, full: tuple[int, ...],
-           denom: int) -> list[tuple[int, ...]]:
+def _boxes(g: Guard, positive: bool, denom: int) -> list[dict]:
     """The maximal boxes whose union g accepts, or its negation when not positive.
 
-    slots places each (clock, parameter or None) pair of the guard in a
-    box, which holds a lower and an upper bound per slot, coded as the DBM
-    bounds on 0 - x and x - 0 with constants times denom, so a template
-    is a code split into coef and w.  A parameter's bound reads it as 1,
-    its coef: it compares only with the same parameter, so a constant and
-    a parameter bound on one clock stay apart.  full is
-    the box with no bound: INF, but "x >= 0" for a constant lower bound,
-    so "x >= 0" drops out and "x < 0" leaves an empty box.  A code at or
-    beyond INF reads as no bound; `Compiled.at` refuses an automaton with
-    such a constant.  A product is refused before it examines more than
-    _MAX_DISJUNCTS pairs, and a union that keeps more boxes: n negated
-    equalities on each of two clocks make n^2 boxes.
+    A box maps each slot it bounds, a (clock, parameter or None) pair, to
+    its lower and upper bound, coded as the DBM bounds on 0 - x and x - 0
+    with constants times denom, so a template is a code split into coef
+    and w.  A parameter's bound reads it as 1, its coef: it compares only
+    with the same parameter, so a constant and a parameter bound on one
+    clock stay apart.  A slot the box leaves out is open: "x >= 0" for a
+    constant, no bound for a parameter, so "x >= 0" drops out and "x < 0"
+    leaves an empty box.  A code at or beyond INF reads as no bound;
+    `Compiled.at` refuses an automaton with such a constant.  The pairs of
+    a conjunction whose sides bound disjoint slots need no `_union`: two
+    that differ on one slot share one side's box, so their boxes on the
+    other side would have merged already.  A product is refused before it
+    examines more than _MAX_DISJUNCTS pairs, and a union that keeps more
+    boxes: n negated equalities on each of two clocks make n^2 boxes.
     """
     cls = g.__class__
     while cls is Not:
         g, positive = g.arg, not positive
         cls = g.__class__
     if cls is TrueGuard:
-        return [full] if positive else []
+        return [{}] if positive else []
     if cls is Atom:
         c = g.bound  # then twice it: "x < bound" is the code c, "x <= bound" is c + 1
         if isinstance(c, str):
-            s, c = slots[g.clock, c], 2
+            s, c, blank = (g.clock, c), 2, (INF, INF)
         else:
-            s, c = slots[g.clock, None], 2 * int(c * denom)
-        lo, hi = full[s], full[s + 1]
-        if g.op == "=":
-            if not positive:  # x < c or x > c
-                pieces = ((lo, c), (min(lo, -c), hi))
-                return [full[:s] + p + full[s + 2:] for p in pieces if p[0] + p[1] > 1]
-            lo, hi = min(lo, 1 - c), c + 1
+            s, c, blank = (g.clock, None), 2 * int(c * denom), (_LE0, INF)
+        lo, hi = blank
+        if g.op != "=":
+            pieces = [(lo, c) if positive else (min(lo, 1 - c), hi)]
         elif positive:
-            hi = c
-        else:
-            lo = min(lo, 1 - c)
-        return [full[:s] + (lo, hi) + full[s + 2:]] if lo + hi > 1 else []
+            pieces = [(min(lo, 1 - c), c + 1)]
+        else:  # x < c or x > c
+            pieces = [(lo, c), (min(lo, -c), hi)]
+        return [{s: p} if p != blank else {} for p in pieces if p[0] + p[1] > 1]
     if cls is And:
-        left = _boxes(g.left, positive, slots, full, denom)
-        right = _boxes(g.right, positive, slots, full, denom)
+        left = _boxes(g.left, positive, denom)
+        right = _boxes(g.right, positive, denom)
+        if not (left and right):  # no pair, or a side alone, maximal already
+            return [] if positive else left + right
         if not positive:
             boxes = left + right
         elif len(left) * len(right) > _MAX_DISJUNCTS:
             raise _refuse()
+        elif set(chain(*left)).isdisjoint(chain(*right)):
+            return [{**a, **b} for a in left for b in right]
         else:
             boxes = []
             for a in left:
                 for b in right:
-                    m = tuple(map(min, a, b))
-                    for s in range(0, len(m), 2):
-                        if m[s] + m[s + 1] < 2:  # empty on slot s
+                    m = {**a, **b}
+                    for s in a.keys() & b.keys():
+                        lo, hi = m[s] = tuple(map(min, a[s], b[s]))
+                        if lo + hi < 2:  # empty on slot s
                             break
                     else:
                         boxes.append(m)
-        if len(boxes) > 1 and left and right:  # a side alone is maximal already
+        if len(boxes) > 1:
             boxes = _union(boxes)
         if len(boxes) > _MAX_DISJUNCTS:
             raise _refuse()
@@ -366,7 +356,9 @@ class Compiled:
 
     out holds the steps by source state, one per box of a guard, each
     state's in transition order and a transition's in the order
-    `_boxes` keeps them.  A template's coef is twice its literal's
+    `_boxes` keeps them.  A step's templates follow the slots its box
+    bounds, an upper bound before a lower one, and a constant "x >= 0"
+    has none.  A template's coef is twice its literal's
     constant times denom, or 2 for the parameter, signed by its side; p
     is 0 for a constant, 1 for the parameter as a lower bound and 2 as an
     upper bound; w is 1 for a weak bound.  gathers holds the `_gather`
@@ -447,48 +439,30 @@ class Compiled:
 
 
 def compile_automaton(a: Automaton) -> Compiled:
-    """The compiled form of a, for Compiled.at: one step per maximal box of each guard.
-
-    A guard's slots are its (clock, parameter or None) pairs in the order
-    first met, and `_boxes` builds its boxes over them.
-    """
+    """The compiled form of a, for Compiled.at: one step per maximal box of each guard."""
     clocks = tuple(sorted(a.clocks))
     index = {z: i for i, z in enumerate(clocks, 1)}
-    bounds: list = []
-    guards = []  # per transition: slots, the box with no bound, (place, clock index, p)
-    for t in a.transitions:
-        slots: dict = {}
-        full: list[int] = []
-        layout = []
-        for at in atoms(t.guard):
-            b = at.bound
-            bounds.append(b)
-            slot = (at.clock, b if isinstance(b, str) else None)
-            if slot not in slots:
-                slots[slot] = len(full)
-                layout.append((len(full), index[at.clock], 0 if slot[1] is None else 1))
-                full += (_LE0, INF) if slot[1] is None else (INF, INF)
-        guards.append((slots, tuple(full), layout))
+    bounds = [at.bound for t in a.transitions for at in atoms(t.guard)]
     consts = [b for b in bounds if not isinstance(b, str)]  # int or Fraction
     denom = math.lcm(*[v.denominator for v in consts])
     tops = [0] * (len(clocks) + 1)
     compared = [False] * (len(clocks) + 1)
     out: dict[str, list[Step]] = {}
     gathers = {}
-    for idx, (t, (slots, full, layout)) in enumerate(zip(a.transitions, guards)):
+    for idx, t in enumerate(a.transitions):
         resets = tuple(sorted(map(index.__getitem__, t.resets)))
         if resets not in gathers:
             gathers[resets] = _gather(len(tops), resets)
-        for box in _boxes(t.guard, True, slots, full, denom):
+        for box in _boxes(t.guard, True, denom):
             templates = []
-            for s, x, p in layout:  # p is 1 for the parameter's slot, else 0
-                lo, hi = box[s], box[s + 1]
+            for (clock, param), (lo, hi) in box.items():
+                x, p = index[clock], 0 if param is None else 1
                 if hi < INF:
                     templates.append((x, 0, hi & ~1, 2 * p, hi & 1))
                 if lo < (INF if p else _LE0):  # a constant "x >= 0" holds anyway
                     templates.append((0, x, lo & ~1, p, lo & 1))
                 if p:
-                    compared[x] = compared[x] or lo < INF or hi < INF
+                    compared[x] = True
                 else:
                     tops[x] = max(tops[x], -(lo >> 1), hi >> 1 if hi < INF else 0)
             out.setdefault(t.source, []).append(

@@ -10,10 +10,11 @@ import sys
 import time
 from fractions import Fraction
 from functools import partial
+from unittest.mock import patch
 
 import pytest
 
-from pnta import TimedWord, parse_automaton
+from pnta import TimedWord, parse_automaton, zones
 from pnta.cli import main
 from pnta.zones import compile_automaton
 
@@ -440,6 +441,30 @@ def test_negated_equalities_compile_to_one_box_each_and_a_product_past_4096_is_r
         compiled = compile_automaton(a)
         assert time.perf_counter() - t0 < seconds
         assert sum(map(len, compiled.out.values())) == steps
+
+
+def test_a_product_of_sides_over_disjoint_clocks_runs_no_union(tmp_path, capsys):
+    """!(x0 = 1) & ... & !(x11 = 1) & y0 < 1 & ... & y186 < 1 makes 4,096 boxes over 199 clocks.
+
+    No conjunction's sides test a common clock, so no union runs on its
+    products.  It compiles in under 3 s, and check decides it.
+    """
+    clocks = [f"x{i}" for i in range(12)] + [f"y{i}" for i in range(187)]
+    guard = " & ".join([f"!(x{i} = 1)" for i in range(12)] + [f"y{i} < 1" for i in range(187)])
+    text = (f"automaton clocks199\nclocks {' '.join(clocks)}\ninit q0\naccept q0\n"
+            f"trans q0 q0 a ( {guard} ) {{ }}\n")
+    a = parse_automaton(text)
+    with patch("pnta.zones._union", side_effect=zones._union) as union:
+        t0 = time.perf_counter()
+        compiled = compile_automaton(a)
+        assert time.perf_counter() - t0 < 3
+    assert not union.called
+    assert sum(map(len, compiled.out.values())) == 4096
+    path = tmp_path / "clocks199.ta"
+    path.write_text(text)
+    code, out, err = _run(capsys, "check", str(path))
+    assert (code, err) == (10, ""), err
+    assert out.startswith("Nonempty")
 
 
 def test_a_delay_beyond_the_int_text_limit_just_fails_a_guard(tmp_path, capsys):

@@ -1,7 +1,10 @@
 """Zone-graph emptiness against the region-based search."""
 
 import gc
+import os
 import random
+import subprocess
+import sys
 import weakref
 from fractions import Fraction
 from unittest.mock import patch
@@ -44,6 +47,7 @@ from pnta.zones import (
     _canonical,
     _gather,
     _tighten,
+    _union,
     _zone_graph,
     compile_automaton,
     earliest_ticks,
@@ -430,6 +434,117 @@ def test_a_transitions_steps_accept_exactly_what_its_guard_accepts(g):
                 got = any(all(v[x] - v[y] <= b >> 1 if b & 1 else v[x] - v[y] < b >> 1
                               for x, y, b in bounds) for bounds in step_bounds)
                 assert got == eval_constraint(g, {"x": vx, "y": vy}, {"p": mu}), (g, mu, vx, vy)
+
+
+# The codes `_boxes` gives a slot's bounds: per constant slot "x >= 0" (open), "x > 0",
+# "x >= 1", ... "x > 2" and no upper bound (open), "x < 0", "x <= 0", ... "x <= 2"; per
+# parameter slot, whose code reads the parameter as 1, no bound (open), "x > p", "x >= p"
+# and no bound, "x < p", "x <= p".
+_LOWS = {None: (_LE0, 0, -1, -2, -3, -4), "p": (INF, -2, -1)}
+_HIGHS = {None: (INF, 0, 1, 2, 3, 4, 5), "p": (INF, 2, 3)}
+_X, _Y, _XP, _YP = ("x", None), ("y", None), ("x", "p"), ("y", "p")
+
+
+def _open(slot):
+    return _LOWS[slot[1]][0], INF
+
+
+@st.composite
+def _union_inputs(draw):
+    """2 to 8 boxes over two or three slots, one of them the parameter's in most draws.
+
+    Each box of a pool of 1 to 4 is an earlier one with one slot redrawn,
+    so that boxes differ on one slot often, and the input draws from the
+    pool, so that it repeats boxes.
+    """
+    slots = draw(st.sampled_from([(_X, _Y), (_X, _XP), (_X, _Y, _YP)]))
+
+    def interval(slot):
+        return draw(st.sampled_from([(lo, hi) for lo in _LOWS[slot[1]] for hi in _HIGHS[slot[1]]
+                                     if lo + hi > 1]))
+
+    pool = [{s: interval(s) for s in slots}]
+    for _ in range(draw(st.integers(0, 3))):
+        box = dict(draw(st.sampled_from(pool)))
+        s = draw(st.sampled_from(slots))
+        box[s] = interval(s)
+        pool.append(box)
+    pool = [{s: iv for s, iv in box.items() if iv != _open(s)} for box in pool]
+    return [pool[i] for i in draw(st.lists(st.integers(0, len(pool) - 1), min_size=2, max_size=8))]
+
+
+def _holds(box, v):
+    """Whether doubled clock values v, with v["p"] the doubled parameter, lie in a box."""
+    for (clock, param), (lo, hi) in box.items():
+        unit = v["p"] if param else 2  # what a code's value counts
+        for e, b in ((v[clock], hi), (-v[clock], lo)):
+            if b < INF and not (e <= (b >> 1) * unit if b & 1 else e < (b >> 1) * unit):
+                return False
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(_union_inputs())
+@example([{_X: (_LE0, 2), _Y: (_LE0, 2)}, {_X: (_LE0, 2), _Y: (-1, INF)},  # on y, then on x
+          {_X: (-1, INF)}])
+@example([{_X: (_LE0, 2)}, {_X: (-1, 4)}, {_X: (-3, INF)}, {_X: (_LE0, 2)}])  # one run of three
+@example([{_XP: (INF, 2)}, {_XP: (-1, 3)}, {_X: (_LE0, 2)}])  # "x < p" and "x = p": "x <= p"
+@example([{}, {}])
+def test_union_keeps_the_points_of_its_boxes_in_boxes_no_two_of_which_merge(boxes):
+    """The union accepts what its input does, in boxes no two of which merge.
+
+    A half-integer grid meets every end a code can set and a point between
+    each two.  No output box stores an open interval, and no two differ on
+    one slot only, with intervals there that touch or overlap, or on none.
+    """
+    before = [dict(box) for box in boxes]
+    got = _union(boxes)
+    assert boxes == before
+    grid = range(7)  # 0, 1/2, ..., 3, doubled
+    for x in grid:
+        for y in grid:
+            for p in grid:
+                v = {"x": x, "y": y, "p": p}
+                assert any(_holds(b, v) for b in got) == any(_holds(b, v) for b in boxes), v
+    assert all(iv != _open(s) for box in got for s, iv in box.items())
+    slots = {s for box in boxes for s in box}
+    for i, one in enumerate(got):
+        for other in got[:i]:
+            differ = [s for s in slots if one.get(s, _open(s)) != other.get(s, _open(s))]
+            assert differ, got
+            if len(differ) == 1:
+                (lo1, hi1), (lo2, hi2) = (b.get(differ[0], _open(differ[0])) for b in (one, other))
+                assert hi1 + lo2 <= 0 or hi2 + lo1 <= 0, got
+
+
+# Guards with unions of three or more boxes, over two clocks and a parameter slot:
+# negated equalities, the L shapes of the guard test above, and two L shapes of three
+# boxes whose two maximal boxes depend on the slot a union sweeps first.  On CPython
+# 3.11 a set of their slots iterates in two orders under hash seeds 0 and 1.
+_UNIONS = "".join(f"trans q0 q0 a ( {g} ) {{ }}\n" for g in (
+    "!(x = 1 & y = 1)",
+    "!(x = 1) & !(x = 2) & !(y = 1) & !(y = mu)",
+    "!( !(x < 1 & y < 1) & !(x >= 1 & y < 2) )",
+    "!( !(x < 1 & y < 1) & !(!(x < 1 & y >= 1) & x < 1) )",
+    "!( !(x < mu & y <= 1) & !(x >= 1 & y > mu) & !(x = 2) )",
+    "!( !(u < 1 & v < 1) & !(u < 1 & v >= 1) & !(u >= 1 & v < 1) )",
+    "!( !(y < 1 & y < mu) & !(y < 1 & y >= mu) & !(y >= 1 & y < mu) )"))
+_UNIONS = f"automaton unions\nclocks u v x y\nparams mu\ninit q0\naccept q0\n{_UNIONS}"
+
+
+def test_compiled_steps_do_not_depend_on_string_hashing():
+    """The unions' slots are swept in the order first met, so the steps are one list under any hash seed."""
+    steps = compile_automaton(parse_automaton(_UNIONS)).out["q0"]
+    assert [sum(step[0] == i for step in steps) for i in range(7)] == [4, 12, 2, 1, 3, 2, 2]
+    probe = ("from pnta import parse_automaton\nfrom pnta.zones import compile_automaton\n"
+             f"print(repr(compile_automaton(parse_automaton({_UNIONS!r})).out))")
+    outputs = set()
+    for seed in "01":
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONHASHSEED=seed), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1
 
 
 @settings(max_examples=200, deadline=None)
