@@ -25,16 +25,32 @@ differ only in bounds the delay drops, such as upper bounds, are one
 node.
 
 Every zone stored as a graph key, one flat tuple, is canonical, a form
-unique to each nonempty zone.  Delay and reset keep a DBM canonical,
-`_tighten` adds a guard bound in O(n^2) and keeps it so (Bengtsson & Yi,
-LNCS 3098, 2004), and the full closure `_canonical` runs only after an
-extrapolation that changed a bound.  After the guard, a successor is
-built in one pass.  One getter per reset tuple, compiled with the
-automaton, reads the reset zone with its upper bounds already dropped;
-then one loop makes each of the n - 1 lower bounds strict and applies
-Extra_M to it, and one applies Extra_M to the (n - 1)(n - 2) clock
-differences.  No other bound can change: the diagonal stays "<= 0" and
-the upper bounds are infinite.
+unique to each nonempty zone, and its upper bounds d[i][0] are INF, as
+the delay leaves them.  Delay and reset keep a DBM canonical, and the
+full closure `_canonical` runs only after an extrapolation that changed
+a bound.  A step's guard is one box, lower bounds 0 - y <= a_y and upper
+bounds x - 0 <= b_x, and a successor meets it with its parent's key in
+one pass (Bengtsson & Yi, LNCS 3098, 2004).  No finite bound of the key
+enters the zero clock, so every shortest path the box shortens goes
+through it: the lower bounds become l_j = min(d[0][j], a_y + d[y][j])
+over the a_y; the meet is empty when l_x + b_x < "<= 0" for some b_x;
+and each clock i gets the upper bound u_i = min(d[i][x] + b_x) over the
+b_x, and d[i][j] = min(d[i][j], u_i + l_j).  Then one getter per reset
+tuple, compiled with the automaton, reads the reset zone with its upper
+bounds dropped again: a reset clock's row is read from row 0, and its
+column from the u_i.  One loop makes each of the n - 1 lower bounds strict
+and applies Extra_M to it, and one applies Extra_M to the (n - 1)(n - 2)
+clock differences.  No other bound can change: the diagonal stays
+"<= 0" and the upper bounds are infinite.
+
+A step that resets nothing, from a node other than the root, whose meet
+changes no bound the delay keeps, leads to the node's own key, and the
+graph builds nothing for it.  Such a key is K = C(E(U)), where U is a
+zone after the strict delay, E is Extra_M, monotone, idempotent and
+widening, and C the closure, monotone and reductive.  So E(K) <= E(E(U))
+= E(U), and K = C(K) <= C(E(K)) <= C(E(U)) = K; the meet's strict delay
+is K again, since the closure of a strict delay keeps its lower bounds
+strict.
 
 Extrapolation is Extra_M with a bound per clock (Behrmann, Bouyer,
 Larsen, Pelánek, STTT 8(3), 2006): a clock's cap is the largest scaled
@@ -47,7 +63,7 @@ global region bound m of the region oracle.
 A check compiles its automaton once, `compile_automaton`: clock
 indices, and one step per box of each guard, an edge of the zone graph
 that holds its transition's index, target, letter and resets and the
-templates of the bounds `_tighten` adds, with constants as integers over
+templates of the bounds its box adds, with constants as integers over
 their common denominator and the parameter as a slot on the side it
 bounds.  A conjunction of single-clock constraints is one interval per
 clock (Alur & Dill, TCS 126(2), 1994; Bengtsson & Yi, LNCS 3098, 2004),
@@ -141,31 +157,6 @@ def _canonical(d: list[int], n: int) -> bool:
                     if b < d[i + j]:
                         d[i + j] = b
     return all(d[i] >= _LE0 for i in range(0, n * n, n + 1))
-
-
-def _tighten(d: list[int], n: int, x: int, y: int, b: int) -> bool:
-    """Add d[x][y] <= b to a canonical DBM in O(n^2); False when that empties it.
-
-    A new shortest path i -> j is an old one to x, the new edge and an old
-    one from y, so one pass keeps the DBM canonical.
-    """
-    dyx = d[y * n + x]
-    if dyx < INF and dyx + b - ((dyx | b) & 1) < _LE0:
-        return False
-    if b >= d[x * n + y]:
-        return True
-    dy = d[y * n:y * n + n]
-    for i in range(0, n * n, n):
-        dix = d[i + x]
-        if dix >= INF:
-            continue
-        s = dix + b - ((dix | b) & 1)
-        for j, dyj in enumerate(dy, i):
-            if dyj < INF:
-                v = s + dyj - ((s | dyj) & 1)
-                if v < d[j]:
-                    d[j] = v
-    return True
 
 
 def _gather(n: int, resets: tuple[int, ...]) -> itemgetter:
@@ -324,10 +315,10 @@ class Scaled:
     compiled automaton's steps by source state and gathers its getters by
     reset tuple, both shared and not copied.  No bound is built ahead: a
     step's template (x, y, coef, p, w) reads as the constraint
-    d[x][y] <= coef * scale[p] + w for `_tighten`, evaluated where it is
-    read, inline in the zone graph and by `bounds` for the steps of a
-    lasso.  scale is (d / denom, low, high); caps holds each DBM index's
-    extrapolation bound.
+    d[x][y] <= coef * scale[p] + w, evaluated where it is read, inline in
+    the zone graph and by `bounds` for the steps of a lasso.  scale is
+    (d / denom, low, high); caps holds each DBM index's extrapolation
+    bound.
     """
 
     initial: str
@@ -483,14 +474,16 @@ def _zone_graph(s: Scaled):
     flat tuple of n * n bounds, row by row: the root's is the non-strict
     delay of the zero zone, so the first event may happen at time 0, and
     a child's is Extra(up(reset(guard(key)))) with the strict delay, so
-    later events happen strictly later.  A child is built in one pass
-    after the guard's `_tighten` calls: the getter of its step's reset
-    tuple reads key, with INF appended, reset and without upper bounds;
-    one loop over the lower bounds makes each strict and raises it to
-    its Extra_M limit, one over the clock differences applies Extra_M,
-    and `_canonical` closes the zone only when Extra_M changed a bound.
-    A zone's clocks are nonnegative, so no lower bound is above "<= 0"
-    and Extra_M drops none.  successors(i) is a generator of
+    later events happen strictly later.  A child is built in one pass:
+    the meet of its step's box with key, which writes each clock's
+    upper bound for the reset columns; the getter of its step's reset
+    tuple, which reads the met zone, with INF appended, reset and without
+    upper bounds; one loop over the lower bounds that makes each strict
+    and raises it to its Extra_M limit; one over the clock differences
+    that applies Extra_M; and `_canonical` only when Extra_M changed a
+    bound.  None of that runs for a child the module docstring shows to
+    be key itself.  A zone's clocks are nonnegative, so no lower bound is
+    above "<= 0" and Extra_M drops none.  successors(i) is a generator of
     node i's (step, j) pairs, the step taken and the child's index, always
     in one order.  It builds and interns each child only when it is asked
     for, so a search that stops early builds none of the rest.
@@ -512,32 +505,66 @@ def _zone_graph(s: Scaled):
         for step in out_of.get(q, ()):
             _, target, _, resets, templates = step
             z = list(key)
+            ups = []  # (x, b): the box's upper bounds d[x][0] <= b
+            met = False  # the meet changed a bound the delay keeps
             for x, y, coef, p, w in templates:
-                if not _tighten(z, n, x, y, coef * scale[p] + w):
+                b = coef * scale[p] + w
+                if x:
+                    ups.append((x, b))
+                elif b < z[y]:  # d[0][j] = min(d[0][j], b + d[y][j]) over key's closed row y
+                    met = True
+                    for j, dyj in enumerate(key[y * n + 1:y * n + n], 1):
+                        if dyj < INF:
+                            v = b + dyj - ((b | dyj) & 1)
+                            if v < z[j]:
+                                z[j] = v
+            for x, b in ups:
+                lo = z[x]
+                if lo + b - ((lo | b) & 1) < _LE0:  # the cycle 0 -> x -> 0 is negative
                     break
             else:
-                z.append(INF)
-                z = list(gathers[resets](z))
-                z.pop()  # the INF that keeps the getter's result a tuple at n = 1
-                changed = False
-                for j, lo in lows:
-                    b = z[j]
-                    if b < lo:
-                        z[j] = lo
-                        changed = True
-                    elif b & 1:  # the strict delay; INF is even
-                        z[j] = b - 1
-                for k, hi, lo in diffs:
-                    b = z[k]
-                    if hi < b < INF:
-                        z[k] = INF
-                        changed = True
-                    elif b < lo:
-                        z[k] = lo
-                        changed = True
-                if changed:
-                    _canonical(z, n)  # widening a nonempty zone keeps it nonempty
-                node = (target, tuple(z))
+                if ups:
+                    lows_met = z[1:n]
+                    for r in range(n, n * n, n):  # every clock's row; the gather drops a reset one
+                        u = INF  # d[i][0]: the shortest path i -> x -> 0
+                        for x, b in ups:
+                            dix = key[r + x]
+                            if dix < INF:
+                                v = dix + b - ((dix | b) & 1)
+                                if v < u:
+                                    u = v
+                        if u < INF:
+                            z[r] = u  # a reset column reads it through the gather
+                            for k, lo in enumerate(lows_met, r + 1):
+                                v = u + lo - ((u | lo) & 1)
+                                if v < z[k]:
+                                    z[k] = v
+                                    met = True
+                if met or resets or not i:
+                    z.append(INF)
+                    z = list(gathers[resets](z))
+                    z.pop()  # the INF that keeps the getter's result a tuple at n = 1
+                    changed = False
+                    for j, lo in lows:
+                        b = z[j]
+                        if b < lo:
+                            z[j] = lo
+                            changed = True
+                        elif b & 1:  # the strict delay; INF is even
+                            z[j] = b - 1
+                    for k, hi, lo in diffs:
+                        b = z[k]
+                        if hi < b < INF:
+                            z[k] = INF
+                            changed = True
+                        elif b < lo:
+                            z[k] = lo
+                            changed = True
+                    if changed:
+                        _canonical(z, n)  # widening a nonempty zone keeps it nonempty
+                    node = (target, tuple(z))
+                else:  # the unchanged-zone rule of the module docstring
+                    node = (target, key)
                 j = ids.get(node)
                 if j is None:
                     j = ids[node] = len(nodes)

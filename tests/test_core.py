@@ -198,3 +198,4 @@ def test_the_public_names_are_unique_and_exist():
     modules = (pnta, pnta.regions, pnta.zones, pnta.parametric)
     assert gone.isdisjoint(pnta.__all__)
     assert not any(hasattr(module, name) for module in modules for name in gone)
+    assert not hasattr(pnta.zones, "_tighten")  # the zone graph meets a whole box at once

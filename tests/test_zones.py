@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import weakref
+from dataclasses import replace
 from fractions import Fraction
 from unittest.mock import patch
 
@@ -46,7 +47,6 @@ from pnta.zones import (
     _bnd,
     _canonical,
     _gather,
-    _tighten,
     _union,
     _zone_graph,
     compile_automaton,
@@ -135,20 +135,6 @@ def _closed(d, n):
     """(nonempty, matrix) of a full closure of a copy of d."""
     c = d[:]
     return _canonical(c, n), c
-
-
-@settings(max_examples=400, deadline=None)
-@given(canonical_dbms(), st.data(), _FINITE)
-def test_tighten_matches_a_full_closure(dbm, data, b):
-    d, n = dbm
-    x = data.draw(st.integers(0, n - 1))
-    y = data.draw(st.integers(0, n - 1))
-    ref = d[:]
-    ref[x * n + y] = min(ref[x * n + y], b)
-    nonempty, ref = _closed(ref, n)
-    assert _tighten(d, n, x, y, b) == nonempty
-    if nonempty:
-        assert d == ref
 
 
 # a-a-a reaches the accepting loop first in depth-first order, and b reaches the same
@@ -571,7 +557,32 @@ def test_integer_ticks_project_as_fractions_do(seed, draw):
 
 
 # The successor's steps one by one, as the zone graph took them before its one-pass
-# successor: the reference that successor is checked against.
+# successor and its one-pass meet of a step's box: the reference both are checked against.
+def _tighten(d, n, x, y, b):
+    """Add d[x][y] <= b to a canonical DBM in O(n^2); False when that empties it.
+
+    A new shortest path i -> j is an old one to x, the new edge and an old
+    one from y, so one pass keeps the DBM canonical.
+    """
+    dyx = d[y * n + x]
+    if dyx < INF and dyx + b - ((dyx | b) & 1) < _LE0:
+        return False
+    if b >= d[x * n + y]:
+        return True
+    dy = d[y * n:y * n + n]
+    for i in range(0, n * n, n):
+        dix = d[i + x]
+        if dix >= INF:
+            continue
+        s = dix + b - ((dix | b) & 1)
+        for j, dyj in enumerate(dy, i):
+            if dyj < INF:
+                v = s + dyj - ((s | dyj) & 1)
+                if v < d[j]:
+                    d[j] = v
+    return True
+
+
 def _up(d, n, strict):
     """Delay: drop upper bounds; with strict=True also require delta > 0."""
     d[n::n] = [INF] * (n - 1)
@@ -634,6 +645,20 @@ def test_extrapolate_keeps_a_dbm_canonical_unless_it_widens_it(dbm, data):
         assert _closed(d, n) == (True, d)
 
 
+@settings(max_examples=400, deadline=None)
+@given(canonical_dbms(), st.data(), _FINITE)
+def test_tighten_matches_a_full_closure(dbm, data, b):
+    d, n = dbm
+    x = data.draw(st.integers(0, n - 1))
+    y = data.draw(st.integers(0, n - 1))
+    ref = d[:]
+    ref[x * n + y] = min(ref[x * n + y], b)
+    nonempty, ref = _closed(ref, n)
+    assert _tighten(d, n, x, y, b) == nonempty
+    if nonempty:
+        assert d == ref
+
+
 def test_a_clock_no_guard_tests_has_cap_0():
     a = parse_automaton(
         "automaton u\nclocks x y\ninit q0\naccept q0\ntrans q0 q0 a ( x < 3 ) { y }\n"
@@ -650,53 +675,108 @@ def test_a_clock_no_guard_tests_has_cap_0():
                  INF, _bnd(-3, True), _bnd(0, True)]
 
 
+def _successor(key, n, caps, bounds, resets):
+    """The key a step with these bounds and resets takes key to, or None when its box empties key.
+
+    Each bound is added by `_tighten`, then come the reset, the strict
+    delay and Extra_M, and the closure when Extra_M widened the zone.
+    """
+    z = list(key)
+    for x, y, b in bounds:
+        if not _tighten(z, n, x, y, b):
+            return None
+    _reset(z, n, resets)
+    _up(z, n, strict=True)
+    if _extrapolate(z, n, caps):
+        _canonical(z, n)
+    return tuple(z)
+
+
+_CONST = st.integers(0, 6).map(lambda c: 2 * c)
+
+
 @st.composite
 def successor_cases(draw):
-    """(d, n, resets, caps): a canonical DBM, a reset tuple and a cap per DBM index.
+    """(d, n, templates, scale, resets, caps): a key, a step's box and resets, and the caps.
 
-    Every clock value in d is nonnegative, as in every zone of the graph.
+    d is a canonical DBM delayed as a key of the graph is: every upper
+    bound is INF and every lower bound at most "<= 0", strict or not.  The
+    box holds 0 to 4 templates, each a bound on one clock by a constant or
+    by the parameter, read at a relaxed scale (k, low, high), low < high.
+    caps holds a cap per DBM index.
     """
     d, n = draw(canonical_dbms())
+    d[n::n] = [INF] * (n - 1)
     d[1:n] = [min(b, _LE0) for b in d[1:n]]  # 0 - x <= 0
+    if draw(st.booleans()):
+        _up(d, n, strict=True)
     assume(_canonical(d, n))
+    templates = ()
+    if n > 1:
+        x, w = st.integers(1, n - 1), st.integers(0, 1)
+        templates = tuple(draw(st.lists(st.one_of(
+            st.tuples(x, st.just(0), _CONST, st.just(0), w),  # x <= c or x < c
+            st.tuples(st.just(0), x, _CONST.map(int.__neg__), st.just(0), w),  # x >= c or x > c
+            st.tuples(x, st.just(0), st.just(2), st.just(2), w),  # x <= p or x < p
+            st.tuples(st.just(0), x, st.just(-2), st.just(1), w),  # x >= p or x > p
+        ), max_size=4)))
+    low = draw(st.integers(0, 6))
+    scale = (draw(st.integers(1, 3)), low, draw(st.integers(low + 1, 8)))
     resets = tuple(sorted(draw(st.sets(st.integers(1, n - 1))) if n > 1 else ()))
     caps = (0,) + tuple(draw(st.integers(0, 6)) for _ in range(n - 1))
-    return d, n, resets, caps
+    return d, n, templates, scale, resets, caps
 
 
-@settings(max_examples=400, deadline=None)
+# x1 = x2 > 0, the key of both clocks after one event at some time t > 0
+_EQUAL = [_LE0, 0, 0, INF, _LE0, _LE0, INF, _LE0, _LE0]
+
+
+@settings(max_examples=600, deadline=None)
 @given(successor_cases())
 # x1 > 1, x2 > 3 and x1 - x2 < -2: Extra_M raises x2 > 3 to x2 > 2, and the closure
 # lowers it again, though no clock difference changed
-@example(([_LE0, -2, -6, INF, _LE0, -4, INF, INF, _LE0], 3, (), (0, 1, 2)))
+@example(([_LE0, -2, -6, INF, _LE0, -4, INF, INF, _LE0], 3, (), (1, 0, 0), (), (0, 1, 2)))
 # x1 - x2 <= 1 and x2 - x3 <= 4 give x1 - x3 <= 5: Extra_M drops it, as cap_1 is 3, and the
 # closure restores it
 @example(([_LE0] * 4 + [INF, _LE0, 3, 11] + [INF, INF, _LE0, 9] + [INF] * 3 + [_LE0], 4, (),
-          (0, 3, 4, 0)))
+          (1, 0, 0), (), (0, 3, 4, 0)))
+# x1 = mu { x2 } at mu = 1: x2's reset column reads x1 <= 1 through d[1][0], so d[1][2]
+# is "<= 1"
+@example((_EQUAL, 3, ((1, 0, 2, 2, 1), (0, 1, -2, 1, 1)), (1, 1, 1), (2,), (0, 1, 0)))
+# x2 >= 3 and x1 <= 2 each meet x1 = x2 > 0, and together they empty it
+@example((_EQUAL, 3, ((1, 0, 4, 0, 1), (0, 2, -6, 0, 1)), (1, 0, 1), (), (0, 2, 3)))
+# x2 <= 2 { x2 }: the bound leaves only x1 < 3 through x1 - x2 < 1
+@example(([_LE0, 0, 0, INF, _LE0, 2, INF, _LE0, _LE0], 3, ((2, 0, 4, 0, 1),), (1, 0, 1), (2,),
+          (0, 3, 2)))
 def test_one_pass_successor_matches_reset_delay_and_extrapolation(case):
-    """The zone graph's successor is reset, strict delay and Extra_M, closed if widened."""
-    d, n, resets, caps = case
-    want = d[:]
-    _reset(want, n, resets)
-    _up(want, n, strict=True)
-    if _extrapolate(want, n, caps):
-        _canonical(want, n)
+    """The zone graph's successor is the box's bounds, reset, strict delay and Extra_M, in turn.
+
+    The graph meets the whole box with a key in one pass, and for a node
+    other than the root it keeps the key when the step resets nothing and
+    the meet changes no bound the delay keeps.  So it is checked twice: at
+    the root with the drawn key, and at a second node with the key of a
+    successor, the drawn key delayed and extrapolated.
+    """
+    d, n, templates, scale, resets, caps = case
     clocks = tuple(f"x{i}" for i in range(1, n))
-    step = (0, "q1", "a", resets, ())
+    step = (0, "q1", "a", resets, templates)
     s = Scaled("q0", frozenset(), clocks, {"q0": (step,)}, {resets: _gather(n, resets)},
-               (1, 0, 0), caps, 1)
+               scale, caps, 1)
     successors, nodes = _zone_graph(s)
     nodes[0] = ("q0", tuple(d))
-    [(_, j)] = successors(0)
-    assert nodes[j] == ("q1", tuple(want))
+    nodes.append(("q0", _successor(d, n, caps, (), ())))
+    for i in (0, 1):
+        want = _successor(nodes[i][1], n, caps, s.bounds(step), resets)
+        assert [nodes[j] for _, j in successors(i)] == ([] if want is None else [("q1", want)])
 
 
 def _eager_zone_graph(s):
     """_zone_graph as it was before successors were built on demand: the reference.
 
-    Each successors(i) call builds and interns every child of node i.
-    Each step's bounds come from Scaled.bounds, so agreement with the
-    lazy graph also checks the bounds it evaluates inline.
+    Each successors(i) call builds and interns every child of node i, each
+    step by step with `_successor`.  Each step's bounds come from
+    Scaled.bounds, so agreement with the lazy graph also checks the bounds
+    it evaluates inline.
     """
     caps = s.caps
     n = len(caps)
@@ -709,17 +789,9 @@ def _eager_zone_graph(s):
         q, key = nodes[i]
         out = []
         for step in s.out.get(q, ()):
-            _, target, _, reset_idxs, _ = step
-            z = list(key)
-            for x, y, b in s.bounds(step):
-                if not _tighten(z, n, x, y, b):
-                    break
-            else:
-                _reset(z, n, reset_idxs)
-                _up(z, n, strict=True)
-                if _extrapolate(z, n, caps):
-                    _canonical(z, n)
-                node = (target, tuple(z))
+            z = _successor(key, n, caps, s.bounds(step), step[3])
+            if z is not None:
+                node = (step[1], z)
                 j = ids.get(node)
                 if j is None:
                     j = ids[node] = len(nodes)
@@ -804,6 +876,43 @@ def _whole_graph(s, graph=_zone_graph):
                 seen.add(j)
                 todo.append(j)
     return nodes, successors
+
+
+def test_the_graph_is_the_eager_graph_node_for_node():
+    """300 draws at values and over intervals: the reference's nodes, in order, and successor lists.
+
+    A child whose step resets nothing and whose meet changes no bound the
+    delay keeps is its parent's key, built without the reset getter: that
+    happens on these draws, and each such child is the reference's.
+    """
+    rng = random.Random(33)
+    kept = 0
+    for i in range(300):
+        param = "p" if i % 4 else None
+        if i % 2:
+            a = rand_ta(rng, max_states=4, cmax=2, param=param)
+        else:
+            a = rand_nrtta(rng, max_states=4, max_clocks=3, cmax=2, param=param)
+        mus = sorted(rng.sample(SIX_STATE_MUS, 2)) if a.params else [None]
+        s = compile_automaton(a).at(*mus[:1 + i % 4 // 2])
+        gathered = []
+
+        def counted(g):
+            def gather(z):
+                gathered.append(z)
+                return g(z)
+            return gather
+
+        s = replace(s, gathers={r: counted(g) for r, g in s.gathers.items()})
+        nodes, successors = _whole_graph(s)
+        eager_nodes, eager = _whole_graph(s, _eager_zone_graph)
+        assert nodes == eager_nodes, i
+        for k in range(len(nodes)):
+            before = len(gathered)
+            pairs = list(successors(k))
+            assert pairs == eager(k), (i, k)
+            kept += len(pairs) - (len(gathered) - before)
+    assert kept > 0
 
 
 @settings(max_examples=150, deadline=None)
