@@ -79,13 +79,18 @@ boxes bound no common clock, or bound it one with a constant and one
 with the parameter, are maximal already, and no union runs on them.
 The steps are kept by source state, in transition order; the checks of
 `parametric` keep the compiled form on the automaton, so a later check
-of the same automaton starts from `Compiled.at`.  `Compiled.at(mu)`
-gives the `Scaled` form at one value, and builds nothing per step: it
-shares the compiled steps and adds the scale triple (scale factor over
-denom, mu times the scale factor in both slots), the caps and the scale
-factor.  Each bound is one integer multiply-add, evaluated where it is
-read: inline as the zone graph expands a node, and by `Scaled.bounds`
-for the steps of a lasso.  `Compiled.at(lo, hi)` gives the automaton
+of the same automaton starts from `Compiled.at`.  The compiled form
+also holds what every check's zone graph reads that depends on the
+clock count alone, `_frame`: the root's key and the index plan of the
+clock differences Extra_M reads.  `Compiled.at(mu)` gives the `Scaled`
+form at one value, and builds nothing per step: it shares the compiled
+steps, getters and root key and adds only what depends on the value,
+the scale factor, the scale triple (scale factor over denom, mu times
+the scale factor in both slots), the caps and the Extra_M limit tables
+that `_limits` reads off the caps and the plan.  Each bound is one
+integer multiply-add, evaluated where it is read: inline as the zone
+graph expands a node, and by `Scaled.bounds` for the steps of a lasso.
+`Compiled.at(lo, hi)` gives the automaton
 relaxed to the interval [lo, hi] the same way, with lo in the slot of
 the parameter's lower bounds and hi in that of its upper bounds: each
 literal becomes its hull over the interval, so the relaxed language
@@ -122,8 +127,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, permutations
 from operator import itemgetter
 from typing import Optional, Sequence
 
@@ -172,6 +178,31 @@ def _gather(n: int, resets: tuple[int, ...]) -> itemgetter:
     at = [0 if x in resets else x for x in range(n)]
     return itemgetter(*[0 if i == j else nn if j == 0 else at[i] * n + at[j]
                         for i in range(n) for j in range(n)], nn)
+
+
+@lru_cache(maxsize=8)
+def _frame(n: int) -> tuple[tuple[int, ...], tuple[tuple[int, int, int], ...]]:
+    """(root, plan) of the zone graph over n - 1 clocks, the same at every value.
+
+    root is the root's key, the zero zone after the non-strict delay, and
+    plan holds (i * n + j, i, j) for each clock difference d[i][j] that
+    Extra_M reads.  Both depend on n alone; the cache keeps the frames of
+    a few clock counts, since building them in every compile costs about
+    3 of the 50 us a check-mix input's compile takes (Python 3.11).
+    """
+    row = (_LE0,) * n
+    plan = tuple([(i * n + j, i, j) for i, j in permutations(range(1, n), 2)])
+    return row + ((INF,) + row[1:]) * (n - 1), plan
+
+
+def _limits(caps: tuple[int, ...], plan: tuple[tuple[int, int, int], ...]):
+    """(lows, diffs), the Extra_M limits at caps that the zone graph reads.
+
+    A lower bound d[0][j] is raised to "< -cap_j", a difference d[i][j]
+    above "<= cap_i" is dropped and one below "< -cap_j" raised to it.
+    """
+    return ([(j, -2 * caps[j]) for j in range(1, len(caps))],
+            [(ij, 2 * caps[i] + 1, -2 * caps[j]) for ij, i, j in plan])
 
 
 _MAX_DISJUNCTS = 4096  # of a guard's boxes, and of the pairs a product of boxes examines
@@ -306,19 +337,22 @@ Template = tuple[int, int, int, int, int]
 Step = tuple[int, str, str, tuple[int, ...], tuple[Template, ...]]
 
 
-@dataclass(frozen=True)
+@dataclass
 class Scaled:
     """An automaton at one parameter value, or relaxed to an interval, in the scaled time unit.
 
-    The zone graph and the witness run read this form.  clocks holds the
-    sorted clock names, clock clocks[i - 1] at DBM index i.  out is the
-    compiled automaton's steps by source state and gathers its getters by
-    reset tuple, both shared and not copied.  No bound is built ahead: a
-    step's template (x, y, coef, p, w) reads as the constraint
+    The zone graph and the witness run read this form, one per check;
+    nothing assigns to it or hashes it, so it is not frozen, and building
+    it costs a check no more than its fields.  clocks holds the sorted
+    clock names, clock clocks[i - 1] at DBM index i.  out is the compiled
+    automaton's steps by source state, gathers its getters by reset tuple
+    and root the root's key, all shared and not copied.  No bound is built
+    ahead: a step's template (x, y, coef, p, w) reads as the constraint
     d[x][y] <= coef * scale[p] + w, evaluated where it is read, inline in
     the zone graph and by `bounds` for the steps of a lasso.  scale is
     (d / denom, low, high); caps holds each DBM index's extrapolation
-    bound.
+    bound, and lows and diffs the Extra_M limits that `_limits` derives
+    from it, which the zone graph reads.
     """
 
     initial: str
@@ -329,6 +363,9 @@ class Scaled:
     scale: tuple[int, int, int]
     caps: tuple[int, ...]
     d: int  # scale factor
+    root: tuple[int, ...] = field(compare=False, repr=False)
+    lows: list[tuple[int, int]] = field(compare=False, repr=False)
+    diffs: list[tuple[int, int, int]] = field(compare=False, repr=False)
 
     def bounds(self, step: Step) -> list[tuple[int, int, int]]:
         """The bounds (x, y, b), each d[x][y] <= b, that step's box adds."""
@@ -353,7 +390,9 @@ class Compiled:
     constant times denom, or 2 for the parameter, signed by its side; p
     is 0 for a constant, 1 for the parameter as a lower bound and 2 as an
     upper bound; w is 1 for a weak bound.  gathers holds the `_gather`
-    getter of each transition's reset tuple.
+    getter of each transition's reset tuple, and root and plan the
+    `_frame` of the clock count: what every check's zone graph reads that
+    depends on no value, built once and shared by each `Scaled`.
     tops holds, per DBM index, the largest constant times denom that a
     step compares the clock with and whether one compares it with the
     parameter.
@@ -364,6 +403,8 @@ class Compiled:
     clocks: tuple[str, ...]  # sorted clock names
     out: dict[str, tuple[Step, ...]]
     gathers: dict[tuple[int, ...], itemgetter] = field(compare=False, repr=False)
+    root: tuple[int, ...] = field(compare=False, repr=False)
+    plan: tuple[tuple[int, int, int], ...] = field(compare=False, repr=False)
     tops: tuple[tuple[int, bool], ...]
     denom: int  # lcm of the constant denominators
     c: int  # max_constant
@@ -413,8 +454,9 @@ class Compiled:
         inside it.  d is that of `scaling`, and a value whose scaled sums
         could reach INF, as its m bounds them, is refused.  Each clock's
         cap is the largest scaled constant a step compares it with, hi for
-        the parameter, 0 if no step tests it.  Nothing is built per step:
-        the Scaled shares the compiled steps.
+        the parameter, 0 if no step tests it, and `_limits` reads the
+        Extra_M tables off the caps.  Nothing is built per step: the Scaled
+        shares the compiled steps, getters and root key.
         """
         d, m, low, high = self.scaling(lo, hi)
         if 2 * (len(self.clocks) + 1) * (m + 1) >= INF:  # a closure sum could pass for INF
@@ -426,7 +468,7 @@ class Compiled:
         k = d // self.denom
         caps = tuple([max(top * k, high) if p else top * k for top, p in self.tops])
         return Scaled(self.initial, self.accepting, self.clocks, self.out, self.gathers,
-                      (k, low, high), caps, d)
+                      (k, low, high), caps, d, self.root, *_limits(caps, self.plan))
 
 
 def compile_automaton(a: Automaton) -> Compiled:
@@ -461,7 +503,7 @@ def compile_automaton(a: Automaton) -> Compiled:
     c = max([1] + [int(v) for v in consts if v.denominator == 1])
     top = int(max(consts) * denom) if consts else 0
     return Compiled(a.initial, a.accepting, clocks,
-                    {q: tuple(steps) for q, steps in out.items()}, gathers,
+                    {q: tuple(steps) for q, steps in out.items()}, gathers, *_frame(len(tops)),
                     tuple(zip(tops, compared)),
                     denom, c, top, len(a.params), len(consts) < len(bounds), len(a.states))
 
@@ -474,7 +516,9 @@ def _zone_graph(s: Scaled):
     flat tuple of n * n bounds, row by row: the root's is the non-strict
     delay of the zero zone, so the first event may happen at time 0, and
     a child's is Extra(up(reset(guard(key)))) with the strict delay, so
-    later events happen strictly later.  A child is built in one pass:
+    later events happen strictly later.  The root's key and the Extra_M
+    limit tables come with s, so the graph builds nothing before its
+    first successor.  A child is built in one pass:
     the meet of its step's box with key, which writes each clock's
     upper bound for the reset columns; the getter of its step's reset
     tuple, which reads the met zone, with INF appended, reset and without
@@ -488,17 +532,10 @@ def _zone_graph(s: Scaled):
     in one order.  It builds and interns each child only when it is asked
     for, so a search that stops early builds none of the rest.
     """
-    caps, scale, out_of, gathers = s.caps, s.scale, s.out, s.gathers
-    n = len(caps)
-    root = [_LE0] * (n * n)
-    root[n::n] = [INF] * (n - 1)
-    nodes = [(s.initial, tuple(root))]
+    scale, out_of, gathers, lows, diffs = s.scale, s.out, s.gathers, s.lows, s.diffs
+    n = len(s.caps)
+    nodes = [(s.initial, s.root)]
     ids = {nodes[0]: 0}
-    # Extra_M: a lower bound d[0][j] is raised to "< -cap_j", a difference
-    # d[i][j] above "<= cap_i" is dropped and one below "< -cap_j" raised to it
-    lows = [(j, -2 * caps[j]) for j in range(1, n)]
-    diffs = [(i * n + j, 2 * caps[i] + 1, -2 * caps[j])
-             for i in range(1, n) for j in range(1, n) if i != j]
 
     def successors(i: int):
         q, key = nodes[i]

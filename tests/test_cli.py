@@ -826,3 +826,24 @@ def test_readme_sessions_match_the_cli(capsys, monkeypatch):
         for line in shown:
             if line != "...":
                 assert mask(line) in lines, f"{command}: {line!r} not shown by the CLI"
+
+
+def test_readme_library_block_gives_its_commented_results(monkeypatch):
+    """README's Library block runs from the repository root and gives the results it shows."""
+    root = pathlib.Path(__file__).parent.parent
+    block = (root / "README.md").read_text(encoding="utf-8").split("## Library", 1)[1]
+    lines = block.split("```")[1].splitlines()[1:]  # past the language tag
+    monkeypatch.chdir(root)
+    scope: dict = {}
+    exec("\n".join(lines), scope)
+    shown = [(code.strip(), comment.strip())
+             for code, _, comment in (line.partition("#") for line in lines) if comment]
+    (assign, verdict), (fixed, false), (word, events) = shown
+    assert assign == "v = parametric_emptiness(a)" and scope["v"].nonempty
+    assert verdict.startswith("Verdict(nonempty=True, witness_mu=Fraction(41, 40), ")
+    assert scope["v"].witness_mu == Fraction(41, 40)
+    assert false == "False" and eval(fixed, scope) is False
+    assert events == "TimedWord: a@1, a@41/40, a@83/80"
+    assert eval(word, scope).events == tuple(
+        (letter, Fraction(t)) for letter, t in
+        (e.split("@") for e in events[len("TimedWord: "):].split(", ")))

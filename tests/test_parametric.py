@@ -3,7 +3,7 @@
 import math
 import random
 from collections import Counter
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 from fractions import Fraction
 from itertools import chain, product
 
@@ -728,6 +728,43 @@ def test_a_checked_automaton_equals_a_fresh_parse(data_dir, monkeypatch):
         built.clear()
         assert parametric_emptiness(b, 20000) == parametric_emptiness(fresh, 20000)
         assert len(built) == 2  # b and fresh, each once
+
+
+def test_a_verdict_is_frozen_hashable_and_equal_without_its_scaled_form(data_dir):
+    """Verdict is public: its fields cannot be assigned, and a lasso-carrying one hashes.
+
+    scaled is compare=False, so a verdict equals itself without the scaled
+    automaton, and hashes alike.
+    """
+    v = parametric_emptiness(parse_automaton((data_dir / "e_window.ta").read_text()))
+    assert v.nonempty and v.zone_lasso is not None and v.scaled is not None
+    for f in fields(v):
+        with pytest.raises(FrozenInstanceError):
+            setattr(v, f.name, getattr(v, f.name))
+    bare = replace(v, scaled=None)
+    assert v == bare and hash(v) == hash(bare)
+
+
+def test_checks_at_many_values_keep_nothing_per_value(data_dir):
+    """40 checks at distinct off-candidate values leave what the first check left.
+
+    The automaton and its kept compiled form have the same attributes,
+    each sized as before.  zone-grid checks the same (automaton, mu) on
+    every pass, so a memo keyed by the value would time a lookup, not a
+    check.
+    """
+    def shape(obj):
+        return {k: len(v) if hasattr(v, "__len__") else None for k, v in vars(obj).items()}
+
+    for name in ("e_window", "w10y"):
+        a = parse_automaton((data_dir / f"{name}.ta").read_text())
+        mus = [Fraction(k, 2) + Fraction(1, 7) for k in range(40)]
+        assert not set(mus) & set(candidate_parameters(a).values)
+        emptiness_fixed(a, mus[0])
+        first = shape(a), shape(a._compiled)
+        for mu in mus[1:]:
+            emptiness_fixed(a, mu)
+        assert (shape(a), shape(a._compiled)) == first, name
 
 
 def test_a_warm_automaton_decides_the_zone_grid_pool_as_a_fresh_one():

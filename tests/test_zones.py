@@ -46,7 +46,9 @@ from pnta.zones import (
     Scaled,
     _bnd,
     _canonical,
+    _frame,
     _gather,
+    _limits,
     _union,
     _zone_graph,
     compile_automaton,
@@ -760,8 +762,9 @@ def test_one_pass_successor_matches_reset_delay_and_extrapolation(case):
     d, n, templates, scale, resets, caps = case
     clocks = tuple(f"x{i}" for i in range(1, n))
     step = (0, "q1", "a", resets, templates)
+    root, plan = _frame(n)
     s = Scaled("q0", frozenset(), clocks, {"q0": (step,)}, {resets: _gather(n, resets)},
-               scale, caps, 1)
+               scale, caps, 1, root, *_limits(caps, plan))
     successors, nodes = _zone_graph(s)
     nodes[0] = ("q0", tuple(d))
     nodes.append(("q0", _successor(d, n, caps, (), ())))
