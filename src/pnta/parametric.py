@@ -82,7 +82,8 @@ class Verdict:
     candidates_checked: int
     zone_nodes: int
     zone_lasso: Optional[ZoneLasso] = None
-    # the scaled automaton that the search found zone_lasso in, which the witness word reads
+    # the scaled automaton that the search found zone_lasso in, which the witness word reads;
+    # an internal Scaled record, not frozen, outside the verdict's equality and hash
     scaled: Optional[Scaled] = field(default=None, compare=False, repr=False)
     # the interval (lo, hi) whose relaxed check settled an Empty verdict, else None
     relaxed: Optional[tuple[Fraction, Fraction]] = None

@@ -79,22 +79,22 @@ boxes bound no common clock, or bound it one with a constant and one
 with the parameter, are maximal already, and no union runs on them.
 The steps are kept by source state, in transition order; the checks of
 `parametric` keep the compiled form on the automaton, so a later check
-of the same automaton starts from `Compiled.at`.  The compiled form
-also holds what every check's zone graph reads that depends on the
-clock count alone, `_frame`: the root's key and the index plan of the
-clock differences Extra_M reads.  `Compiled.at(mu)` gives the `Scaled`
-form at one value, and builds nothing per step: it shares the compiled
-steps, getters and root key and adds only what depends on the value,
-the scale factor, the scale triple (scale factor over denom, mu times
-the scale factor in both slots), the caps and the Extra_M limit tables
-that `_limits` reads off the caps and the plan.  Each bound is one
-integer multiply-add, evaluated where it is read: inline as the zone
-graph expands a node, and by `Scaled.bounds` for the steps of a lasso.
-`Compiled.at(lo, hi)` gives the automaton
-relaxed to the interval [lo, hi] the same way, with lo in the slot of
-the parameter's lower bounds and hi in that of its upper bounds: each
-literal becomes its hull over the interval, so the relaxed language
-contains the language at every value inside it.  It is the only scaled
+of the same automaton starts from `Compiled.at`.  `Compiled.at(mu)`
+gives the `Scaled` form at one value, and builds nothing per step: it
+shares the compiled steps and getters and adds the scale factor, the
+scale triple (scale factor over denom, mu times the scale factor in
+both slots), the caps, and the Extra_M limit tables that `_limits`
+reads off the caps.  What the zone graph reads that depends on the
+clock count alone, the root's key and the index plan of the clock
+differences Extra_M reads, is `_frame`, which a process keeps for a few
+small clock counts, so the checks of a sweep build it once.  Each bound
+is one integer multiply-add, evaluated where it is read: inline as the
+zone graph expands a node, and by `Scaled.bounds` for the steps of a
+lasso.  `Compiled.at(lo, hi)` gives the automaton relaxed to the
+interval [lo, hi] the same way, with lo in the slot of the parameter's
+lower bounds and hi in that of its upper bounds: each literal becomes
+its hull over the interval, so the relaxed language contains the
+language at every value inside it.  It is the only scaled
 form a check builds: the zone graph and `earliest_ticks` read it alone.
 `prepare_fixed` takes the scale factor and the region bound m from
 `Compiled.scaling`, which `at` calls too for its range check, one the
@@ -180,19 +180,22 @@ def _gather(n: int, resets: tuple[int, ...]) -> itemgetter:
                         for i in range(n) for j in range(n)], nn)
 
 
-@lru_cache(maxsize=8)
 def _frame(n: int) -> tuple[tuple[int, ...], tuple[tuple[int, int, int], ...]]:
     """(root, plan) of the zone graph over n - 1 clocks, the same at every value.
 
     root is the root's key, the zero zone after the non-strict delay, and
     plan holds (i * n + j, i, j) for each clock difference d[i][j] that
-    Extra_M reads.  Both depend on n alone; the cache keeps the frames of
-    a few clock counts, since building them in every compile costs about
-    3 of the 50 us a check-mix input's compile takes (Python 3.11).
+    Extra_M reads.  Both depend on n alone and hold O(n^2) entries:
+    `_kept_frame` keeps the frames of up to 8 clock counts up to
+    _KEPT_FRAME_N, and `Compiled.at` builds a larger one for each check.
     """
     row = (_LE0,) * n
     plan = tuple([(i * n + j, i, j) for i, j in permutations(range(1, n), 2)])
     return row + ((INF,) + row[1:]) * (n - 1), plan
+
+
+_KEPT_FRAME_N = 17  # 16 clocks: a kept frame holds at most 289 + 240 entries
+_kept_frame = lru_cache(maxsize=8)(_frame)
 
 
 def _limits(caps: tuple[int, ...], plan: tuple[tuple[int, int, int], ...]):
@@ -341,18 +344,20 @@ Step = tuple[int, str, str, tuple[int, ...], tuple[Template, ...]]
 class Scaled:
     """An automaton at one parameter value, or relaxed to an interval, in the scaled time unit.
 
-    The zone graph and the witness run read this form, one per check;
-    nothing assigns to it or hashes it, so it is not frozen, and building
-    it costs a check no more than its fields.  clocks holds the sorted
+    The zone graph and the witness run read this form, one per check.
+    It is an internal record that nothing assigns to or hashes, so it is
+    not frozen, and building it costs a check no more than its fields; a
+    `Verdict` carries it for `witness_word`.  clocks holds the sorted
     clock names, clock clocks[i - 1] at DBM index i.  out is the compiled
     automaton's steps by source state, gathers its getters by reset tuple
-    and root the root's key, all shared and not copied.  No bound is built
-    ahead: a step's template (x, y, coef, p, w) reads as the constraint
-    d[x][y] <= coef * scale[p] + w, evaluated where it is read, inline in
-    the zone graph and by `bounds` for the steps of a lasso.  scale is
-    (d / denom, low, high); caps holds each DBM index's extrapolation
-    bound, and lows and diffs the Extra_M limits that `_limits` derives
-    from it, which the zone graph reads.
+    and root the root's key of `_frame`, all shared and not copied.  No
+    bound is built ahead: a step's template (x, y, coef, p, w) reads as
+    the constraint d[x][y] <= coef * scale[p] + w, evaluated where it is
+    read, inline in the zone graph and by `bounds` for the steps of a
+    lasso.  scale is (d / denom, low, high); caps holds each DBM index's
+    extrapolation bound, and lows and diffs are `_limits` of the caps,
+    the tables the zone graph reads: a Scaled given other caps needs
+    them rebuilt.
     """
 
     initial: str
@@ -390,9 +395,7 @@ class Compiled:
     constant times denom, or 2 for the parameter, signed by its side; p
     is 0 for a constant, 1 for the parameter as a lower bound and 2 as an
     upper bound; w is 1 for a weak bound.  gathers holds the `_gather`
-    getter of each transition's reset tuple, and root and plan the
-    `_frame` of the clock count: what every check's zone graph reads that
-    depends on no value, built once and shared by each `Scaled`.
+    getter of each transition's reset tuple, shared by each `Scaled`.
     tops holds, per DBM index, the largest constant times denom that a
     step compares the clock with and whether one compares it with the
     parameter.
@@ -403,8 +406,6 @@ class Compiled:
     clocks: tuple[str, ...]  # sorted clock names
     out: dict[str, tuple[Step, ...]]
     gathers: dict[tuple[int, ...], itemgetter] = field(compare=False, repr=False)
-    root: tuple[int, ...] = field(compare=False, repr=False)
-    plan: tuple[tuple[int, int, int], ...] = field(compare=False, repr=False)
     tops: tuple[tuple[int, bool], ...]
     denom: int  # lcm of the constant denominators
     c: int  # max_constant
@@ -455,8 +456,9 @@ class Compiled:
         could reach INF, as its m bounds them, is refused.  Each clock's
         cap is the largest scaled constant a step compares it with, hi for
         the parameter, 0 if no step tests it, and `_limits` reads the
-        Extra_M tables off the caps.  Nothing is built per step: the Scaled
-        shares the compiled steps, getters and root key.
+        Extra_M tables off the caps and the plan of `_frame`.  Nothing is
+        built per step: the Scaled shares the compiled steps and getters
+        and the frame's root key.
         """
         d, m, low, high = self.scaling(lo, hi)
         if 2 * (len(self.clocks) + 1) * (m + 1) >= INF:  # a closure sum could pass for INF
@@ -467,8 +469,10 @@ class Compiled:
                 "beyond the zone engine's range")
         k = d // self.denom
         caps = tuple([max(top * k, high) if p else top * k for top, p in self.tops])
+        n = len(caps)
+        root, plan = _kept_frame(n) if n <= _KEPT_FRAME_N else _frame(n)
         return Scaled(self.initial, self.accepting, self.clocks, self.out, self.gathers,
-                      (k, low, high), caps, d, self.root, *_limits(caps, self.plan))
+                      (k, low, high), caps, d, root, *_limits(caps, plan))
 
 
 def compile_automaton(a: Automaton) -> Compiled:
@@ -503,7 +507,7 @@ def compile_automaton(a: Automaton) -> Compiled:
     c = max([1] + [int(v) for v in consts if v.denominator == 1])
     top = int(max(consts) * denom) if consts else 0
     return Compiled(a.initial, a.accepting, clocks,
-                    {q: tuple(steps) for q, steps in out.items()}, gathers, *_frame(len(tops)),
+                    {q: tuple(steps) for q, steps in out.items()}, gathers,
                     tuple(zip(tops, compared)),
                     denom, c, top, len(a.params), len(consts) < len(bounds), len(a.states))
 

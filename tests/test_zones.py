@@ -48,6 +48,7 @@ from pnta.zones import (
     _canonical,
     _frame,
     _gather,
+    _kept_frame,
     _limits,
     _union,
     _zone_graph,
@@ -771,6 +772,27 @@ def test_one_pass_successor_matches_reset_delay_and_extrapolation(case):
     for i in (0, 1):
         want = _successor(nodes[i][1], n, caps, s.bounds(step), resets)
         assert [nodes[j] for _, j in successors(i)] == ([] if want is None else [("q1", want)])
+
+
+def test_a_process_keeps_the_frames_of_few_small_clock_counts():
+    """Checks keep the root key and Extra_M plan of at most 8 clock counts, of 16 clocks or fewer.
+
+    Above 16 clocks a check builds its own frame, of O(n^2) entries, and
+    keeps nothing; either way the Scaled reads the frame `_frame` builds.
+    """
+    def at(k):
+        clocks = " ".join(f"x{i}" for i in range(k))
+        return compile_automaton(parse_automaton(
+            f"automaton o\nclocks {clocks}\ninit q0\naccept q0\n"
+            "trans q0 q0 a ( x0 < 1 ) { }\n")).at(None)
+
+    _kept_frame.cache_clear()
+    for k in (16, 17, 16, 17, *range(1, 10)):
+        s = at(k)
+        root, plan = _frame(k + 1)
+        assert (s.root, s.lows, s.diffs) == (root, *_limits(s.caps, plan))
+    info = _kept_frame.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 10, 8)
 
 
 def _eager_zone_graph(s):
