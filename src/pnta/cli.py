@@ -40,9 +40,9 @@ EXIT_BUDGET = 3
 
 
 def _read_text(path: str) -> str:
-    """The UTF-8 text of an input file; one that cannot be read is an error naming it."""
+    """The UTF-8 text of a file, past a byte-order mark; unreadable, an error naming it."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc

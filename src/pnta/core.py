@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Union
+from typing import Mapping, Union
 
 from .errors import UnboundSymbol
 
@@ -125,17 +125,20 @@ def conj(*guards: Guard) -> Guard:
     return out
 
 
-def atoms(g: Guard) -> Iterator[Atom]:
-    stack = [g]
+def atoms(g: Guard) -> tuple[Atom, ...]:
+    """The atoms of g, left to right."""
+    found, stack = [], [g]
     while stack:
         cur = stack.pop()
-        if isinstance(cur, Atom):
-            yield cur
-        elif isinstance(cur, Not):
+        cls = cur.__class__
+        if cls is Atom:
+            found.append(cur)
+        elif cls is Not:
             stack.append(cur.arg)
-        elif isinstance(cur, And):
+        elif cls is And:
             stack.append(cur.right)
             stack.append(cur.left)
+    return tuple(found)
 
 
 def guard_clocks(g: Guard) -> frozenset[str]:
@@ -200,6 +203,8 @@ def eval_constraint(
 
 @dataclass(frozen=True)
 class Transition:
+    """A transition; atoms, its guard's atoms, is computed once and is not a field."""
+
     source: str
     target: str
     letter: str
@@ -208,6 +213,7 @@ class Transition:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "resets", frozenset(self.resets))
+        object.__setattr__(self, "atoms", atoms(self.guard))
 
 
 @dataclass(frozen=True)
@@ -280,7 +286,7 @@ def validate(a: Automaton) -> list[ValidationError]:
                 dangling(z, "reset clock")
         has_const = False
         has_param = False
-        for atom in atoms(t.guard):
+        for atom in t.atoms:
             if atom.clock not in a.clocks:
                 dangling(atom.clock, "guard clock")
             if isinstance(atom.bound, str):
@@ -305,14 +311,10 @@ def validate(a: Automaton) -> list[ValidationError]:
 
 def is_nrtta(a: Automaton) -> bool:
     """True iff no transition both tests and resets the same clock."""
-    return all(not (guard_clocks(t.guard) & t.resets) for t in a.transitions)
+    return all(at.clock not in t.resets for t in a.transitions for at in t.atoms)
 
 
 def max_constant(a: Automaton) -> int:
     """Largest integer guard constant, clamped below by 1."""
-    best = 1
-    for t in a.transitions:
-        for c in guard_constants(t.guard):
-            if int(c) == c:
-                best = max(best, int(c))
-    return best
+    return max([1] + [int(c) for t in a.transitions for c in guard_constants(t.guard)
+                      if int(c) == c])

@@ -83,7 +83,9 @@ class TimedWord:
 
     @classmethod
     def of(cls, pairs: Iterable[tuple[str, object]]) -> "TimedWord":
-        events = tuple((str(letter), Fraction(ts)) for letter, ts in pairs)
+        """The word of pairs; a Fraction timestamp is kept as it is, any other converted."""
+        events = tuple((str(letter), ts if ts.__class__ is Fraction else Fraction(ts))
+                       for letter, ts in pairs)
         prev = None
         for idx, (_, ts) in enumerate(events):
             if ts < 0:

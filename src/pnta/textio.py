@@ -13,6 +13,11 @@ Automaton files:
 Guards use  true | atom | !G | G & G | (G)  with atoms
 CLOCK (< | <= | = | >= | >) (NAT | PARAM); comparisons other than < and =
 are desugared on parse; '&', '!' and '(' nest at most 200 levels deep.
+Whitespace between a guard's tokens is optional.  A NAT is a run of decimal
+digits, any Unicode decimal digit included ("x < ١" reads "x < 1"); a
+CLOCK or PARAM is an ASCII letter or '_', then any characters that
+str.isalnum() accepts, such as 'é' or '²', and '_', '.', '@', ':' and
+'-'.  Any other character in a guard is refused by name.
 '#' starts a comment anywhere.  State names are inferred from
 init/accept/trans lines.
 
@@ -23,7 +28,6 @@ p/q rationals, strictly increasing.
 from __future__ import annotations
 
 import re
-from typing import Iterator
 
 from .core import (
     Atom,
@@ -47,8 +51,10 @@ from .semantics import TimedWord
 _TRANS_RE = re.compile(
     r"^trans\s+(\S+)\s+(\S+)\s+([^\s(]+)\s*\((.*)\)\s*\{(.*?)\}\s*$"
 )
-_TOKEN_RE = re.compile(r"\s*(?:(<=|>=|[<>=!&()])|(\d+)|([A-Za-z_][\w.@:\-]*)|(\S))")
-_CLOCK_RE = re.compile(r"[A-Za-z_][\w.@:\-]*")
+_TOKEN = r"<=|>=|[<>=!&()]|\d+|[A-Za-z_][\w.@:\-]*"
+_TOKEN_RE = re.compile(_TOKEN + r"|\S")  # \S: one unexpected character
+_GOOD_TOKEN_RE = re.compile(_TOKEN)
+_NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 # each accepted comparison and the guard it stands for; all but < and = are desugared
 _COMPARISONS = {"<": lt, "<=": le, "=": eq, ">=": ge, ">": gt}
 
@@ -69,7 +75,8 @@ def _conjunction(tokens: list[str], params: frozenset[str], line: int | None, de
 def _unary(tokens: list[str], params: frozenset[str], line: int | None, depth: int) -> Guard:
     """'!' G, '(' G ')', 'true' or an atom from the end of tokens.
 
-    depth counts the '&', '!' and '(' levels around it.
+    depth counts the '&', '!' and '(' levels around it.  Each place refuses
+    a token of one unexpected character, which `parse_guard` then names.
     """
     if depth > _MAX_DEPTH:
         raise ParseError(f"guard nested more than {_MAX_DEPTH} levels deep", line)
@@ -83,35 +90,40 @@ def _unary(tokens: list[str], params: frozenset[str], line: int | None, depth: i
         return inner
     if tok == "true":
         return TRUE
-    if not _CLOCK_RE.fullmatch(tok):
+    if tok[0] not in _NAME_START:
         raise ParseError(f"expected clock name, got {tok!r}", line)
     op = tokens.pop()
     compare = _COMPARISONS.get(op)
     if compare is None:
         raise ParseError(f"expected comparison operator, got {op!r}", line)
     rhs = tokens.pop()
-    if rhs.isdigit():
+    if rhs.isdecimal():
         try:
             return compare(tok, int(rhs))
         except ValueError:  # beyond int's digit limit for text
             raise ParseError(f"constant of {len(rhs)} digits is too long", line) from None
-    if rhs in params:
+    if rhs in params and rhs[0] in _NAME_START:
         return compare(tok, rhs)
     raise ParseError(f"right-hand side {rhs!r} is neither a number nor a declared parameter", line)
 
 
 def parse_guard(text: str, params: frozenset[str] = frozenset(), line: int | None = None) -> Guard:
-    found = _TOKEN_RE.findall(text)
-    for token in found:
-        if token[3]:
-            raise ParseError(f"unexpected character {token[3]!r} in guard", line)
-    tokens = [op or num or name for op, num, name, _ in reversed(found)]  # tokens[-1] comes next
+    """The guard in text; a refused one names its first unexpected character, if any."""
+    if text.strip() == "true":
+        return TRUE
+    tokens = _TOKEN_RE.findall(text)
+    tokens.reverse()  # tokens[-1] comes next
     try:
         g = _conjunction(tokens, params, line, 0)
-    except IndexError:  # a pop past the last token
-        raise ParseError("guard ends unexpectedly", line) from None
-    if tokens:
-        raise ParseError(f"trailing token {tokens[-1]!r} in guard", line)
+        if tokens:
+            raise ParseError(f"trailing token {tokens[-1]!r} in guard", line)
+    except (ParseError, IndexError) as exc:  # IndexError: a pop past the last token
+        for tok in _TOKEN_RE.findall(text):
+            if not _GOOD_TOKEN_RE.fullmatch(tok):
+                raise ParseError(f"unexpected character {tok!r} in guard", line) from None
+        if isinstance(exc, IndexError):
+            raise ParseError("guard ends unexpectedly", line) from None
+        raise
     return g
 
 
@@ -131,12 +143,10 @@ def guard_to_text(g: Guard) -> str:
     raise TypeError(f"not a guard: {g!r}")
 
 
-def _lines(text: str) -> Iterator[tuple[int, str]]:
+def _lines(text: str) -> list[tuple[int, str]]:
     """(number, text) of each line left nonblank once its '#' comment is cut."""
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if stripped:
-            yield line_no, stripped
+    return [(line_no, stripped) for line_no, raw in enumerate(text.splitlines(), start=1)
+            if (stripped := raw.partition("#")[0].strip())]
 
 
 def parse_automaton(text: str) -> Automaton:
@@ -181,10 +191,13 @@ def parse_automaton(text: str) -> Automaton:
         raise ParseError("missing init line", 0)
 
     param_set = frozenset(lists.get("params", ()))
+    guards: dict[str, Guard] = {}  # each guard text of the file, parsed once
     transitions = []
     for line_no, src, dst, letter, guard_text, resets_text in trans_raw:
-        guard = parse_guard(guard_text, param_set, line_no)
-        resets = [z for z in re.split(r"[,\s]+", resets_text.strip()) if z]
+        guard = guards.get(guard_text)
+        if guard is None:
+            guard = guards[guard_text] = parse_guard(guard_text, param_set, line_no)
+        resets = resets_text.replace(",", " ").split()
         transitions.append(Transition(src, dst, letter, guard, resets))
 
     accepting = lists.get("accept", ())

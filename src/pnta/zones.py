@@ -60,45 +60,27 @@ forgets what no guard can tell apart; it stays sound for Büchi emptiness
 Srivathsan & Walukiewicz, FMSD 2012).  The cap is usually well below the
 global region bound m of the region oracle.
 
-A check compiles its automaton once, `compile_automaton`: clock
-indices, and one step per box of each guard, an edge of the zone graph
-that holds its transition's index, target, letter and resets and the
-templates of the bounds its box adds, with constants as integers over
-their common denominator and the parameter as a slot on the side it
-bounds.  A conjunction of single-clock constraints is one interval per
-clock (Alur & Dill, TCS 126(2), 1994; Bengtsson & Yi, LNCS 3098, 2004),
-so a box has at most one lower and one upper literal per clock, "="
-where the two meet, and holds only the clocks it bounds.  `_boxes`
-builds a guard's boxes in one walk: a conjunction meets the boxes of its
-sides pairwise, reading only the clocks both bound, and drops the empty
-ones; a union merges, by one sort-and-sweep per clock, boxes that differ
-on one clock with intervals there that touch or overlap, so "x <= c" is
-one step, not the two of "x < c" and "x = c", and n negated equalities
-on a clock make n + 1 steps at most, not 2^n.  The pairs of sides whose
-boxes bound no common clock, or bound it one with a constant and one
-with the parameter, are maximal already, and no union runs on them.
-The steps are kept by source state, in transition order; the checks of
-`parametric` keep the compiled form on the automaton, so a later check
-of the same automaton starts from `Compiled.at`.  `Compiled.at(mu)`
-gives the `Scaled` form at one value, and builds nothing per step: it
-shares the compiled steps and getters and adds the scale factor, the
-scale triple (scale factor over denom, mu times the scale factor in
-both slots), the caps, and the Extra_M limit tables that `_limits`
-reads off the caps.  What the zone graph reads that depends on the
-clock count alone, the root's key and the index plan of the clock
-differences Extra_M reads, is `_frame`, which a process keeps for a few
-small clock counts, so the checks of a sweep build it once.  Each bound
-is one integer multiply-add, evaluated where it is read: inline as the
-zone graph expands a node, and by `Scaled.bounds` for the steps of a
-lasso.  `Compiled.at(lo, hi)` gives the automaton relaxed to the
-interval [lo, hi] the same way, with lo in the slot of the parameter's
-lower bounds and hi in that of its upper bounds: each literal becomes
-its hull over the interval, so the relaxed language contains the
-language at every value inside it.  It is the only scaled
-form a check builds: the zone graph and `earliest_ticks` read it alone.
-`prepare_fixed` takes the scale factor and the region bound m from
-`Compiled.scaling`, which `at` calls too for its range check, one the
-region engine does not need.
+A check compiles its automaton once, `compile_automaton`: one pass over
+the atoms each `Transition` holds gives the common denominator of the
+constants, and one walk of each guard, `_boxes`, gives one step per
+maximal box, an edge of the zone graph that holds its transition's
+index, target, letter and resets and the templates of the bounds its box
+adds (`Compiled`).  A conjunction of single-clock constraints is one
+interval per clock (Alur & Dill, TCS 126(2), 1994; Bengtsson & Yi, LNCS
+3098, 2004), so a box holds at most one lower and one upper literal for
+each clock it bounds; a conjunction meets the boxes of its sides and a
+union merges boxes that touch (`_union`), so "x <= c" is one step, not
+the two of "x < c" and "x = c", and n negated equalities on a clock make
+n + 1 steps at most, not 2^n.  The checks of `parametric` keep the
+compiled form on the automaton, so a later check of it starts from
+`Compiled.at`, which gives the `Scaled` form at one value, or relaxed to
+an interval with each literal its hull over it, and builds nothing per
+step.  What the zone graph reads that depends on the clock count alone
+is `_frame`, which a process keeps for a few small clock counts.  Each
+bound is one integer multiply-add, evaluated where it is read: inline as
+the zone graph expands a node, and by `Scaled.bounds` for the steps of a
+lasso.  `prepare_fixed` takes the scale factor and the region bound m
+from `Compiled.scaling`, which `at` calls too for its range check.
 
 The zone graph interns each node once as an integer, so the searches
 hash only integers.  `zone_nonempty` and `zone_lasso` decide with the
@@ -133,7 +115,7 @@ from itertools import chain, permutations
 from operator import itemgetter
 from typing import Optional, Sequence
 
-from .core import And, Atom, Automaton, Guard, Not, TrueGuard, atoms, brief
+from .core import And, Atom, Automaton, Guard, Not, TrueGuard, brief
 from .errors import NotOneParameter, PreconditionViolated
 from .regions import DEFAULT_REGION_BUDGET, _lasso_at, _search_lasso
 
@@ -295,12 +277,13 @@ def _boxes(g: Guard, positive: bool, denom: int) -> list[dict]:
             s, c, blank = (g.clock, None), 2 * int(c * denom), (_LE0, INF)
         lo, hi = blank
         if g.op != "=":
-            pieces = [(lo, c) if positive else (min(lo, 1 - c), hi)]
+            p = (lo, c) if positive else (min(lo, 1 - c), hi)
         elif positive:
-            pieces = [(min(lo, 1 - c), c + 1)]
+            p = (min(lo, 1 - c), c + 1)
         else:  # x < c or x > c
-            pieces = [(lo, c), (min(lo, -c), hi)]
-        return [{s: p} if p != blank else {} for p in pieces if p[0] + p[1] > 1]
+            return [{s: p} if p != blank else {} for p in ((lo, c), (min(lo, -c), hi))
+                    if p[0] + p[1] > 1]
+        return [] if p[0] + p[1] < 2 else [{s: p}] if p != blank else [{}]
     if cls is And:
         left = _boxes(g.left, positive, denom)
         right = _boxes(g.right, positive, denom)
@@ -318,7 +301,8 @@ def _boxes(g: Guard, positive: bool, denom: int) -> list[dict]:
                 for b in right:
                     m = {**a, **b}
                     for s in a.keys() & b.keys():
-                        lo, hi = m[s] = tuple(map(min, a[s], b[s]))
+                        (lo, hi), (b_lo, b_hi) = a[s], b[s]
+                        lo, hi = m[s] = (min(lo, b_lo), min(hi, b_hi))
                         if lo + hi < 2:  # empty on slot s
                             break
                     else:
@@ -479,16 +463,18 @@ def compile_automaton(a: Automaton) -> Compiled:
     """The compiled form of a, for Compiled.at: one step per maximal box of each guard."""
     clocks = tuple(sorted(a.clocks))
     index = {z: i for i, z in enumerate(clocks, 1)}
-    bounds = [at.bound for t in a.transitions for at in atoms(t.guard)]
+    bounds = [at.bound for t in a.transitions for at in t.atoms]
     consts = [b for b in bounds if not isinstance(b, str)]  # int or Fraction
     denom = math.lcm(*[v.denominator for v in consts])
     tops = [0] * (len(clocks) + 1)
     compared = [False] * (len(clocks) + 1)
     out: dict[str, list[Step]] = {}
     gathers = {}
+    keys: dict[frozenset[str], tuple[int, ...]] = {}  # each reset set, as sorted DBM indices
     for idx, t in enumerate(a.transitions):
-        resets = tuple(sorted(map(index.__getitem__, t.resets)))
-        if resets not in gathers:
+        resets = keys.get(t.resets)
+        if resets is None:
+            resets = keys[t.resets] = tuple(sorted(map(index.__getitem__, t.resets)))
             gathers[resets] = _gather(len(tops), resets)
         for box in _boxes(t.guard, True, denom):
             templates = []
@@ -522,19 +508,14 @@ def _zone_graph(s: Scaled):
     a child's is Extra(up(reset(guard(key)))) with the strict delay, so
     later events happen strictly later.  The root's key and the Extra_M
     limit tables come with s, so the graph builds nothing before its
-    first successor.  A child is built in one pass:
-    the meet of its step's box with key, which writes each clock's
-    upper bound for the reset columns; the getter of its step's reset
-    tuple, which reads the met zone, with INF appended, reset and without
-    upper bounds; one loop over the lower bounds that makes each strict
-    and raises it to its Extra_M limit; one over the clock differences
-    that applies Extra_M; and `_canonical` only when Extra_M changed a
-    bound.  None of that runs for a child the module docstring shows to
-    be key itself.  A zone's clocks are nonnegative, so no lower bound is
-    above "<= 0" and Extra_M drops none.  successors(i) is a generator of
-    node i's (step, j) pairs, the step taken and the child's index, always
-    in one order.  It builds and interns each child only when it is asked
-    for, so a search that stops early builds none of the rest.
+    first successor.  A child is built in the one pass the module
+    docstring gives, the reset getter reading the met zone with INF
+    appended, and not at all when it is key itself.  A zone's clocks are
+    nonnegative, so no lower bound is above "<= 0" and Extra_M drops none.
+    successors(i) is a generator of node i's (step, j) pairs, the step
+    taken and the child's index, always in one order.  It builds and
+    interns each child only when it is asked for, so a search that stops
+    early builds none of the rest.
     """
     scale, out_of, gathers, lows, diffs = s.scale, s.out, s.gathers, s.lows, s.diffs
     n = len(s.caps)

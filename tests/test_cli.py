@@ -682,6 +682,30 @@ def test_simulate(data_dir, tmp_path, capsys):
     assert code == 2  # parametric automaton needs --mu
 
 
+BOM = b"\xef\xbb\xbf"  # the UTF-8 byte-order mark some editors write first
+
+
+def test_check_reads_past_a_byte_order_mark(data_dir, tmp_path, capsys):
+    ta = tmp_path / "bom.ta"
+    ta.write_bytes(BOM + (data_dir / "e_window.ta").read_bytes())
+    reports = []
+    for path in (data_dir / "e_window.ta", ta):
+        code, out, err = _run(capsys, "check", str(path), "--witness", "--json")
+        assert (code, err) == (10, "")
+        reports.append({k: v for k, v in json.loads(out).items() if k != "timings"})
+    assert reports[1] == reports[0]
+
+
+def test_simulate_reads_past_a_byte_order_mark_in_the_word(tmp_path, capsys):
+    ta = tmp_path / "loop.ta"
+    ta.write_text(LOOP)
+    word = tmp_path / "w.tw"
+    word.write_bytes(BOM + b"a 1\na 2\n")
+    code, out, err = _run(capsys, "simulate", str(ta), "--word", str(word))
+    assert (code, err) == (0, "")
+    assert out == "q0 x=2\nconfigurations: 1\naccepting reachable: yes\n"
+
+
 def test_translate_round_trips(tmp_path, capsys):
     src = tmp_path / "rr.ta"
     src.write_text(

@@ -41,6 +41,27 @@ _GUARD_ERRORS = {
     "deep-and": (" & ".join(["x < 1"] * 202), "guard nested more than 200 levels deep"),
     "deep-not": ("!" * 201 + "x < 1", "guard nested more than 200 levels deep"),
     "deep-paren": ("(" * 201 + "x < 1" + ")" * 201, "guard nested more than 200 levels deep"),
+    "deep-mixed": ("!(" * 100 + "!x < 1" + ")" * 100, "guard nested more than 200 levels deep"),
+    # a token holds only the characters the textio docstring lists, and the first
+    # other character is named whatever the parser would meet first
+    "dot": ("x < 3.5", "unexpected character '.' in guard"),
+    "minus": ("x < -1", "unexpected character '-' in guard"),
+    "hash": ("x < 1 # c", "unexpected character '#' in guard"),
+    "comma": ("x < 1,", "unexpected character ',' in guard"),
+    "non-ascii-letter": ("é < 1", "unexpected character 'é' in guard"),
+    "non-decimal-digit": ("x < ²", "unexpected character '²' in guard"),
+    "first-of-two": ("x < 1 . y $", "unexpected character '.' in guard"),
+    "before-a-bad-clock": ("1 < x $", "unexpected character '$' in guard"),
+    "before-the-end": ("x < ~", "unexpected character '~' in guard"),
+    "trailing-paren": ("x < 3)", "trailing token ')' in guard"),
+    "trailing-exponent": ("x < 1e3", "trailing token 'e3' in guard"),
+    "ends-after-and": ("x < 1 &", "guard ends unexpectedly"),
+    "ends-after-not": ("!", "guard ends unexpectedly"),
+    "operator-not-equal": ("x != 1", "expected comparison operator, got '!'"),
+    "operator-number": ("x 1", "expected comparison operator, got '1'"),
+    "rhs-operator": ("x => 1", "right-hand side '>' is neither a number nor a declared parameter"),
+    "rhs-clock": ("x < y", "right-hand side 'y' is neither a number nor a declared parameter"),
+    "rhs-true": ("x < true", "right-hand side 'true' is neither a number nor a declared parameter"),
 }
 
 
@@ -49,10 +70,16 @@ def test_parse_guard_errors(guard, message):
     with pytest.raises(ParseError) as exc:
         parse_guard(guard, frozenset({"mu"}))
     assert str(exc.value) == message  # no line to name in a direct call
+    if "#" in guard:  # in a file, '#' starts a comment
+        return
     text = f"automaton g\nclocks x\nparams mu\ninit q0\ntrans q0 q0 a ( {guard} ) {{ }}\n"
     with pytest.raises(ParseError) as exc:
         parse_automaton(text)
     assert str(exc.value) == f"line 5: {message}"
+
+
+def test_a_guard_reads_any_unicode_decimal_digit():
+    assert parse_guard("x < ١٢") == parse_guard("x < 12")
 
 
 @settings(max_examples=120, deadline=None)
